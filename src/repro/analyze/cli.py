@@ -453,9 +453,6 @@ def build_plans_parser() -> argparse.ArgumentParser:
     p.add_argument("--ddtbench", action="store_true",
                    help="also verify every registered DDTBench workload "
                         "datatype")
-    p.add_argument("--executor", choices=("auto", "slices", "gather"),
-                   default="auto",
-                   help="executor backend to compile for (default: auto)")
     p.add_argument("--miscompile-corpus", action="store_true",
                    help="run the seeded miscompile corpus instead of a "
                         "clean verification (findings are EXPECTED; exits "
@@ -528,16 +525,14 @@ def plans_main(argv: Optional[list] = None) -> int:
 
     reports = []
     for name, dt, path in subjects:
-        for rep in verify_datatype(dt, executor=ns.executor, path=path,
-                                   subject=name):
-            reports.append(rep)
-            findings.extend(rep.diagnostics)
+        rep = verify_datatype(dt, path=path, subject=name)
+        reports.append(rep)
+        findings.extend(rep.diagnostics)
 
     if ns.report:
         _write_report(ns.report, {
             "version": SCHEMA_VERSION,
             "tool": "repro.analyze.plans",
-            "executor": ns.executor,
             "reports": [r.to_dict() for r in reports],
             "verified": sum(1 for r in reports if r.verified),
             "total": len(reports),

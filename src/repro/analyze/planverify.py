@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ..core import planir
 from ..core.planir import (CopyBlock, Gather, Pass, Program, StridedLoop,
                            byte_map, default_pipeline, enumerate_bytes,
                            leaf_calls, lower_typemap, moved_bytes, op_count)
@@ -237,9 +236,9 @@ def cost_findings(prog: Program, params: LinkParams = DEFAULT_PARAMS, *,
         mb_s = prog.size / predict_pack_time(prog, params) / 1e6
         emit(f"final IR needs {calls} numpy calls per element "
              f"(soft limit {soft}); predicted pack rate {mb_s:.0f} MB/s",
-             hint="the layout defeats stride canonicalization; consider "
-                  "restructuring the datatype or forcing the gather "
-                  "executor")
+             hint="the layout defeats stride canonicalization and gather "
+                  "formation (too large, or its rows alias); consider "
+                  "restructuring the datatype")
     for op in prog.ops:
         if isinstance(op, Gather):
             runs = _gather_runs(op.src_index)
@@ -249,7 +248,8 @@ def cost_findings(prog: Program, params: LinkParams = DEFAULT_PARAMS, *,
                      f"{mean_run:.0f} bytes on average — coalesced copies "
                      f"would stream at memcpy rate",
                      hint="gather formation fired on a coalescable layout; "
-                          "prefer executor='slices'")
+                          "regularize the block spacing so stride "
+                          "canonicalization can roll the runs into a loop")
         elif isinstance(op, StridedLoop):
             # Degenerate nest: an inner loop whose body moves fewer bytes
             # per iteration than one call's overhead is worth.
@@ -267,18 +267,15 @@ def cost_findings(prog: Program, params: LinkParams = DEFAULT_PARAMS, *,
 # ---------------------------------------------------------------------------
 
 def verify_typemap(tm: Typemap, *, params: LinkParams = DEFAULT_PARAMS,
-                   executor: str = "auto", many_rows: bool = True,
                    path: Optional[str] = None,
                    subject: str = "") -> PlanReport:
     """Verify one typemap's full compilation; the one-stop entry point.
 
-    Runs the exact pipeline :class:`~repro.core.packplan.PackPlan` would
-    compile (``executor``/``many_rows`` select the variant), translation-
-    validating every pass, then applies the static cost model to the final
-    IR.
+    Runs the exact pipeline :class:`~repro.core.packplan.PackPlan`
+    compiles, translation-validating every pass, then applies the static
+    cost model to the final IR.
     """
-    pipeline = default_pipeline(many_rows=many_rows, executor=executor)
-    final, applied, diags = validate_pipeline(tm, pipeline, path=path,
+    final, applied, diags = validate_pipeline(tm, path=path,
                                               subject=subject)
     diags.extend(cost_findings(final, params, path=path, subject=subject))
     t = predict_pack_time(final, params)
@@ -299,22 +296,12 @@ def verify_typemap(tm: Typemap, *, params: LinkParams = DEFAULT_PARAMS,
 
 
 def verify_datatype(dtype, *, params: LinkParams = DEFAULT_PARAMS,
-                    executor: str = "auto",
                     path: Optional[str] = None,
-                    subject: str = "") -> list[PlanReport]:
-    """Verify both count-class compilations of a datatype.
-
-    ``COUNT_ONE`` plans compile with the aliasing guard off (gather is
-    allowed on overlapping-extent layouts), so both variants are proven.
-    """
+                    subject: str = "") -> PlanReport:
+    """Verify the one plan a datatype compiles to."""
     name = subject or getattr(dtype, "name", "") or type(dtype).__name__
-    tm = dtype.typemap
-    reports = []
-    for many_rows, tag in ((False, "count=1"), (True, "count>1")):
-        reports.append(verify_typemap(
-            tm, params=params, executor=executor, many_rows=many_rows,
-            path=path, subject=f"{name}[{tag}]"))
-    return reports
+    return verify_typemap(dtype.typemap, params=params, path=path,
+                          subject=name)
 
 
 def ddtbench_corpus() -> list[tuple[str, object]]:

@@ -18,14 +18,13 @@ from .signature import (format_signature, signature_bytes,
                         signature_compatible)
 from .derived import (contiguous, create_struct, dup, hindexed, hvector,
                       indexed, indexed_block, resized, subarray, vector)
-from .packing import (pack, pack_reference, pack_window,
-                      pack_window_reference, packed_size, required_span,
-                      unpack, unpack_reference, unpack_window,
+from .packing import (pack, pack_reference, pack_window_reference,
+                      packed_size, required_span, unpack, unpack_reference,
                       unpack_window_reference)
 from .packplan import PackCursor, PackPlan, UnpackCursor
 from .planir import (CopyBlock, Gather, Pass, Program, StridedLoop,
-                     byte_map, default_pipeline, get_default_executor,
-                     lower_typemap, run_pipeline, set_default_executor)
+                     byte_map, default_pipeline, lower_typemap,
+                     run_pipeline)
 from .regions import Region, region_lengths, total_region_bytes
 from .callbacks import (CallbackSet, OperationState, PackFn, QueryFn,
                         RegionCountFn, RegionFn, StateFn, StateFreeFn,
@@ -56,8 +55,7 @@ __all__ = [
     "contiguous", "vector", "hvector", "indexed", "hindexed", "indexed_block",
     "create_struct", "resized", "subarray", "dup",
     # pack engine
-    "pack", "unpack", "pack_window", "unpack_window", "packed_size",
-    "required_span",
+    "pack", "unpack", "packed_size", "required_span",
     # pre-plan reference engine (equivalence tests, benchmarks/perf)
     "pack_reference", "unpack_reference", "pack_window_reference",
     "unpack_window_reference",
@@ -66,7 +64,6 @@ __all__ = [
     # pack-plan IR (ops, passes, executors)
     "CopyBlock", "StridedLoop", "Gather", "Program", "Pass",
     "lower_typemap", "byte_map", "default_pipeline", "run_pipeline",
-    "set_default_executor", "get_default_executor",
     # regions
     "Region", "region_lengths", "total_region_bytes",
     # custom API

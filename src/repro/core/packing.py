@@ -13,8 +13,8 @@ benchmarks against.  Two properties of that engine matter for the figures:
   what reproduces the paper's gap penalty.
 
 Since the plan-compiler PR the public entry points execute a
-:class:`repro.core.packplan.PackPlan` compiled once per ``(typemap identity,
-count-class)`` and cached through :func:`repro.core.typecache.pack_plan`;
+:class:`repro.core.packplan.PackPlan` compiled once per canonical layout
+and cached through :func:`repro.core.typecache.pack_plan`;
 layout derivation (block merging, strided-view descriptors, the contiguous
 decision) no longer happens per call.  The pre-plan engine is retained
 verbatim as :func:`pack_reference`/:func:`unpack_reference` (and the window
@@ -32,24 +32,8 @@ import numpy as np
 
 from ..errors import MPI_ERR_BUFFER, MPIError
 from .datatype import Datatype
+from .packplan import _as_u8
 from .typecache import pack_plan
-
-
-def _as_u8(buf, writable: bool = False) -> np.ndarray:
-    """View any buffer-protocol object as a flat uint8 array."""
-    if isinstance(buf, np.ndarray):
-        arr = buf
-        if not arr.flags.c_contiguous:
-            raise MPIError(MPI_ERR_BUFFER, "buffer must be C-contiguous")
-        out = arr.view(np.uint8).reshape(-1)
-    else:
-        mv = memoryview(buf)
-        if not mv.contiguous:
-            raise MPIError(MPI_ERR_BUFFER, "buffer must be contiguous")
-        out = np.frombuffer(mv, dtype=np.uint8)
-    if writable and not out.flags.writeable:
-        raise MPIError(MPI_ERR_BUFFER, "buffer is read-only")
-    return out
 
 
 def required_span(dtype: Datatype, count: int) -> int:
@@ -93,7 +77,7 @@ def pack(dtype: Datatype, buf, count: int, out: np.ndarray | None = None) -> np.
         raise MPIError(MPI_ERR_BUFFER,
                        f"send buffer too small: need {need} bytes, have {src.shape[0]}")
 
-    pack_plan(dtype, count).pack_into(src, count, out)
+    pack_plan(dtype).pack_into(src, count, out)
     return out
 
 
@@ -113,81 +97,7 @@ def unpack(dtype: Datatype, buf, count: int, src) -> None:
         raise MPIError(MPI_ERR_BUFFER,
                        f"recv buffer too small: need {need} bytes, have {dst.shape[0]}")
 
-    pack_plan(dtype, count).unpack_into(dst, count, packed)
-
-
-def pack_window(dtype: Datatype, buf, count: int, offset: int, length: int) -> np.ndarray:
-    """Pack only the packed-stream window ``[offset, offset+length)``.
-
-    This is the primitive beneath fragment pipelines (the GENERIC transport
-    datatype): the window need not align with element boundaries.  Contiguous
-    types and element-aligned windows pack directly; only a window that cuts
-    through an element packs the boundary elements into scratch and slices.
-    The result may be a read-only view of ``buf``.
-
-    Stateful pipelines should prefer :class:`repro.core.packplan.PackCursor`,
-    which packs each element range once across successive windows.
-    """
-    size = dtype.size
-    total = packed_size(dtype, count)
-    if offset < 0 or length < 0 or offset + length > total:
-        raise MPIError(MPI_ERR_BUFFER,
-                       f"pack window [{offset}, {offset + length}) outside [0, {total})")
-    if length == 0:
-        return np.empty(0, dtype=np.uint8)
-    if size == 0:
-        return np.empty(0, dtype=np.uint8)
-
-    src = _as_u8(buf)
-    if dtype.typemap.is_contiguous:
-        # Identity layout: the packed stream *is* the buffer.
-        return src[offset:offset + length]
-    first = offset // size
-    last = (offset + length - 1) // size
-    nelem = last - first + 1
-    ext = dtype.extent
-    sub = src[first * ext:]
-    lo = offset - first * size
-    if lo == 0 and length == nelem * size:
-        # Aligned window: pack the covered elements straight out.
-        return pack(dtype, sub, nelem)
-    scratch = pack(dtype, sub, nelem)
-    return scratch[lo:lo + length]
-
-
-def unpack_window(dtype: Datatype, buf, count: int, offset: int, frag) -> None:
-    """Unpack one packed-stream fragment at ``offset`` into ``buf``.
-
-    The inverse of :func:`pack_window`.  Fragments not aligned to element
-    boundaries require a read-modify-write of the boundary elements, which is
-    done through a scratch pack of the affected elements.  In-order pipelines
-    should prefer :class:`repro.core.packplan.UnpackCursor`, which completes
-    boundary elements incrementally instead.
-    """
-    data = _as_u8(frag)
-    length = data.shape[0]
-    size = dtype.size
-    total = packed_size(dtype, count)
-    if offset < 0 or offset + length > total:
-        raise MPIError(MPI_ERR_BUFFER,
-                       f"unpack window [{offset}, {offset + length}) outside [0, {total})")
-    if length == 0 or size == 0:
-        return
-
-    first = offset // size
-    last = (offset + length - 1) // size
-    nelem = last - first + 1
-    dst = _as_u8(buf, writable=True)
-    ext = dtype.extent
-    sub = dst[first * ext:]
-    lo = offset - first * size
-    if lo == 0 and length == nelem * size:
-        # Aligned fragment: direct scatter.
-        unpack(dtype, sub, nelem, data)
-        return
-    scratch = pack(dtype, sub, nelem)  # preserve bytes outside the window
-    scratch[lo:lo + length] = data
-    unpack(dtype, sub, nelem, scratch)
+    pack_plan(dtype).unpack_into(dst, count, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +212,9 @@ def unpack_reference(dtype: Datatype, buf, count: int, src) -> None:
 
 def pack_window_reference(dtype: Datatype, buf, count: int, offset: int,
                           length: int) -> np.ndarray:
-    """Pre-plan :func:`pack_window`: scratch-packs the overlapped elements
-    for every fragment, boundary elements included."""
+    """Pre-plan packed-stream window ``[offset, offset+length)``: scratch-
+    packs the overlapped elements for every fragment, boundary elements
+    included (what :class:`repro.core.packplan.PackCursor` avoids)."""
     size = dtype.size
     total = packed_size(dtype, count)
     if offset < 0 or length < 0 or offset + length > total:
@@ -325,8 +236,9 @@ def pack_window_reference(dtype: Datatype, buf, count: int, offset: int,
 
 def unpack_window_reference(dtype: Datatype, buf, count: int, offset: int,
                             frag) -> None:
-    """Pre-plan :func:`unpack_window`: read-modify-write through a scratch
-    re-pack of the overlapped elements for every unaligned fragment."""
+    """Pre-plan unpack of one fragment at ``offset``: read-modify-write
+    through a scratch re-pack of the overlapped elements for every unaligned
+    fragment (what :class:`repro.core.packplan.UnpackCursor` avoids)."""
     data = _as_u8(frag)
     length = data.shape[0]
     size = dtype.size

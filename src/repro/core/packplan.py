@@ -9,18 +9,18 @@ representation *once* and reusing it is what makes non-contiguous transfers
 fast; this module is that compiler.
 
 * :class:`PackPlan` — everything layout-derived and count-independent,
-  compiled once per ``(typemap identity, count-class)`` and cached through
+  compiled once per canonical layout and cached through
   :func:`repro.core.typecache.pack_plan`.  Compilation lowers the typemap
   into the :mod:`repro.core.planir` op IR, runs the rewrite pass pipeline
   (block coalescing, stride canonicalization, loop collapsing, contiguity
-  promotion, gather formation), and binds an executor backend to the final
-  IR; the contiguous fast-path decision stays at the plan level.  The
-  lowered IR, the applied pass names, and the resolved backend are exposed
-  as ``plan.ir`` / ``plan.passes`` / ``plan.executor`` so the static
-  verifier (:mod:`repro.analyze.planverify`) can re-check exactly what
-  executes.
+  promotion, gather formation), and binds the executor backend the final
+  IR calls for; the contiguous fast-path decision stays at the plan level.
+  The lowered IR, the applied pass names, and the resolved backend are
+  exposed as ``plan.ir`` / ``plan.passes`` / ``plan.executor`` so the
+  static verifier (:mod:`repro.analyze.planverify`) can re-check exactly
+  what executes.
 * :class:`PackCursor` / :class:`UnpackCursor` — per-request streaming state
-  for the GENERIC fragment pipeline.  A cursor packs (or scatters) each
+  for a GENERIC fragment pipeline.  A cursor packs (or scatters) each
   element range exactly once into a pooled scratch buffer; successive
   windows slice the retained scratch instead of re-packing the boundary
   elements of every fragment.
@@ -37,15 +37,7 @@ import numpy as np
 
 from ..errors import MPI_ERR_BUFFER, MPIError
 from .datatype import Datatype
-from .planir import (IRExecutor, default_pipeline, get_default_executor,
-                     lower_typemap, run_pipeline)
-
-#: Count classes a plan may be compiled for.  ``COUNT_ONE`` plans may form
-#: gathers regardless of row aliasing (a single element has no inter-row
-#: scatter-order hazard); ``COUNT_MANY`` plans keep the vectorized
-#: cross-element guarantees (see :func:`repro.core.planir.form_gather_pass`).
-COUNT_ONE = 1
-COUNT_MANY = 2
+from .planir import IRExecutor, lower_typemap, run_pipeline
 
 _NEGATIVE_DISPL_MSG = "negative displacements are not supported"
 
@@ -55,9 +47,21 @@ _NEGATIVE_DISPL_MSG = "negative displacements are not supported"
 _CURSOR_BATCH_BYTES = 1 << 16
 
 
-def count_class(count: int) -> int:
-    """The plan count-class a pack of ``count`` elements executes under."""
-    return COUNT_ONE if count == 1 else COUNT_MANY
+def _as_u8(buf, writable: bool = False) -> np.ndarray:
+    """View any buffer-protocol object as a flat uint8 array."""
+    if isinstance(buf, np.ndarray):
+        arr = buf
+        if not arr.flags.c_contiguous:
+            raise MPIError(MPI_ERR_BUFFER, "buffer must be C-contiguous")
+        out = arr.view(np.uint8).reshape(-1)
+    else:
+        mv = memoryview(buf)
+        if not mv.contiguous:
+            raise MPIError(MPI_ERR_BUFFER, "buffer must be contiguous")
+        out = np.frombuffer(mv, dtype=np.uint8)
+    if writable and not out.flags.writeable:
+        raise MPIError(MPI_ERR_BUFFER, "buffer is read-only")
+    return out
 
 
 class PackPlan:
@@ -65,16 +69,14 @@ class PackPlan:
 
     Instances are immutable and shareable across threads; compile through
     :func:`repro.core.typecache.pack_plan`, which caches one plan per
-    ``(typemap identity, count-class)`` in an LRU.
+    canonical layout in an LRU.
     """
 
     __slots__ = ("size", "extent", "row_span", "true_ub", "contiguous",
-                 "negative_lb", "nblocks", "count_cls", "ir", "passes",
-                 "executor", "_exec")
+                 "negative_lb", "nblocks", "ir", "passes", "executor",
+                 "_exec")
 
-    def __init__(self, tm, count_cls: int = COUNT_MANY,
-                 executor: str | None = None):
-        self.count_cls = count_cls
+    def __init__(self, tm):
         self.size = tm.size
         self.extent = tm.extent
         self.true_ub = tm.true_ub
@@ -82,14 +84,7 @@ class PackPlan:
         self.contiguous = tm.is_contiguous
         self.negative_lb = tm.true_lb < 0
         self.nblocks = len(tm.merged_blocks())
-        # Lower to the op IR and canonicalize.  COUNT_ONE plans never
-        # vectorize across element rows, so gather formation need not guard
-        # against aliasing rows (row_span > extent).
-        if executor is None:
-            executor = get_default_executor()
-        pipeline = default_pipeline(many_rows=(count_cls == COUNT_MANY),
-                                    executor=executor)
-        self.ir, self.passes = run_pipeline(lower_typemap(tm), pipeline)
+        self.ir, self.passes = run_pipeline(lower_typemap(tm))
         self._exec = IRExecutor(self.ir)
         #: Resolved backend: ``contig`` fast path, ``slices``, or ``gather``.
         self.executor = "contig" if self.contiguous else self._exec.kind
@@ -152,7 +147,7 @@ class PackPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "contig" if self.contiguous else f"{self.nblocks} blocks"
         return (f"PackPlan({kind}, size={self.size}, extent={self.extent}, "
-                f"cls={self.count_cls}, executor={self.executor}, "
+                f"executor={self.executor}, "
                 f"passes={list(self.passes)})")
 
 
@@ -175,7 +170,7 @@ class PackCursor:
     """Per-request pack state over the packed stream of one send.
 
     ``window(offset, length)`` returns the packed bytes of the half-open
-    window — the :func:`repro.core.packing.pack_window` contract — but packs
+    stream window, which need not align with element boundaries, and packs
     every element at most once: the scratch holding the most recently packed
     element range is retained, so the element straddling a fragment boundary
     is served from scratch instead of being re-packed by the next fragment.
@@ -186,13 +181,12 @@ class PackCursor:
     """
 
     def __init__(self, dtype: Datatype, buf, count: int, pool=None):
-        from .packing import _as_u8  # local import: packing imports us
-        from .typecache import pack_plan
+        from .typecache import pack_plan  # local: typecache imports us
         self.dtype = dtype
         self.count = count
         self.total = dtype.size * count
         self._src = _as_u8(buf)
-        self._plan = pack_plan(dtype, count if count else 1)
+        self._plan = pack_plan(dtype)
         self._pool = pool
         self._scratch: np.ndarray | None = None
         self._e0 = 0  # element range currently materialized in scratch
@@ -278,22 +272,20 @@ class UnpackCursor:
     accumulate in an element-aligned staging scratch and scatter in whole
     batches — one plan execution per ~:data:`_CURSOR_BATCH_BYTES`, not one
     per fragment — so boundary elements are never read-modify-written per
-    fragment.  Out-of-order writes fall back to the stateless
-    :func:`repro.core.packing.unpack_window`.
+    fragment.  Out-of-order writes read-modify-write the elements they
+    touch (:meth:`_scatter_unaligned`).
 
     The cursor buffers: call :meth:`flush` (or :meth:`close`, or use as a
     context manager) after the last fragment to scatter the tail.
     """
 
     def __init__(self, dtype: Datatype, buf, count: int, pool=None):
-        from .packing import _as_u8
         from .typecache import pack_plan
         self.dtype = dtype
         self.count = count
         self.total = dtype.size * count
-        self._buf = buf
         self._dst = _as_u8(buf, writable=True)
-        self._plan = pack_plan(dtype, count if count else 1)
+        self._plan = pack_plan(dtype)
         self._pool = pool
         self._pos = 0  # next expected in-order stream offset
         size = self._plan.size
@@ -316,8 +308,7 @@ class UnpackCursor:
     def write(self, offset: int, frag) -> None:
         """Deliver one packed fragment at ``offset`` (GenericData-style
         unpack callback signature)."""
-        from .packing import unpack_window
-        data = np.asarray(frag, dtype=np.uint8)
+        data = _as_u8(frag)
         length = int(data.shape[0])
         size = self._plan.size
         if offset < 0 or offset + length > self.total:
@@ -327,24 +318,22 @@ class UnpackCursor:
                 f"[0, {self.total})")
         if length == 0 or size == 0:
             return
-        if offset != self._pos or self._plan.negative_lb:
-            # Random access (out-of-order ablation): stateless fallback.
-            self.flush()
-            unpack_window(self.dtype, self._buf, self.count, offset, data)
-            self._pos = offset + length
-            return
         if self._plan.contiguous:
             self._dst[offset:offset + length] = data
-            self._pos += length
+            return
+        if offset != self._pos or self._plan.negative_lb:
+            # Random access (out-of-order ablation): nothing to stage on.
+            self.flush()
+            self._scatter_unaligned(offset, data)
+            self._pos = offset + length
             return
         pos = 0
         head = (-self._pos) % size
         if head and self._fill == 0:
             # Re-entering mid-element (after an out-of-order flush): finish
-            # the boundary element statelessly, then stage from the next.
+            # the boundary element in place, then stage from the next.
             take = min(head, length)
-            unpack_window(self.dtype, self._buf, self.count, self._pos,
-                          data[:take])
+            self._scatter_unaligned(self._pos, data[:take])
             self._pos += take
             pos = take
         ext = self._plan.extent
@@ -393,8 +382,24 @@ class UnpackCursor:
         self._drain()
         if not self._fill:
             return
-        from .packing import unpack_window
-        unpack_window(self.dtype, self._buf, self.count, self._start,
-                      self._stage[: self._fill])
+        self._scatter_unaligned(self._start, self._stage[: self._fill])
         self._start += self._fill
         self._fill = 0
+
+    def _scatter_unaligned(self, offset: int, data: np.ndarray) -> None:
+        """Scatter ``data`` at stream ``offset`` with no element alignment
+        assumed: the elements it touches are packed to scratch, patched and
+        scattered back, which preserves their bytes outside the window."""
+        plan = self._plan
+        size = plan.size
+        length = int(data.shape[0])
+        first = offset // size
+        nelem = (offset + length - 1) // size - first + 1
+        sub = self._dst[first * plan.extent:]
+        lo = offset - first * size
+        if lo or length != nelem * size:
+            scratch = np.empty(nelem * size, dtype=np.uint8)
+            plan.pack_into(sub, nelem, scratch)
+            scratch[lo:lo + length] = data
+            data = scratch
+        plan.unpack_into(sub, nelem, data)

@@ -39,14 +39,14 @@ well-formedness invariants (``RPD600``-``RPD602``).
 Executors (:class:`IRExecutor`): the ``slices`` backend issues one strided
 numpy copy per :class:`CopyBlock` leaf (loops become extra ``as_strided``
 dimensions, vectorized across elements), the ``gather`` backend executes a
-:class:`Gather` with one batched ``np.take`` / fancy-scatter per call.
-:func:`set_default_executor` (or ``REPRO_PLAN_EXECUTOR``) forces a backend
-process-wide; per-plan overrides go through ``PackPlan(..., executor=...)``.
+:class:`Gather` with one batched ``np.take`` / fancy-scatter per call.  The
+backend is whatever the final IR calls for: ``form-gather`` is the only
+place the choice is made, from what the compiler can observe (leaf calls,
+packed size, row aliasing).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
@@ -58,24 +58,20 @@ __all__ = [
     "CopyBlock", "StridedLoop", "Gather", "Program", "Pass",
     "lower_typemap", "byte_map", "enumerate_bytes", "leaf_calls",
     "op_count", "default_pipeline", "run_pipeline", "IRExecutor",
-    "set_default_executor", "get_default_executor", "EXECUTORS",
     "coalesce_blocks", "canonicalize_strides", "collapse_loops",
-    "promote_contiguity", "form_gather_pass",
+    "promote_contiguity", "form_gather",
 ]
 
 #: Longest repeating op pattern the stride canonicalizer searches for.
 MAX_PERIOD = 8
 #: Minimum repetitions before a periodic run becomes a StridedLoop.
 MIN_REPS = 4
-#: Leaf-call count at which the auto pipeline collapses the program into a
+#: Leaf-call count at which the pipeline collapses the program into a
 #: single byte-gather (one numpy call instead of a python loop of copies).
 GATHER_MIN_CALLS = 32
 #: Never materialize a gather index over more than this many packed bytes
 #: (the index costs 8 bytes per packed byte).
 GATHER_MAX_BYTES = 1 << 20
-
-#: Recognized executor backends (``auto`` lets the pipeline decide).
-EXECUTORS = ("auto", "slices", "gather")
 
 _as_strided = np.lib.stride_tricks.as_strided
 
@@ -412,74 +408,31 @@ promote_contiguity = Pass(
     "promote-contiguity", lambda p: p.with_ops(_promote_ops(p.ops)))
 
 
-def form_gather_pass(many_rows: bool = True, force: bool = False) -> Pass:
-    """The gather-formation pass: collapse a still call-heavy program into
-    one :class:`Gather`.
+def _form_gather(prog: Program) -> Program:
+    """Collapse a still call-heavy program into one :class:`Gather`.
 
-    ``many_rows`` marks a plan that may execute vectorized across element
-    rows; the fancy *scatter* on the unpack side is only order-safe there
-    when rows do not alias (``row_span <= extent``), so gather formation is
-    suppressed for aliasing layouts unless ``force`` is set (the executor
-    then falls back to per-element scatters).
+    A plan may execute vectorized across element rows, and the fancy
+    *scatter* on the unpack side is only order-safe there when rows do not
+    alias, so aliasing layouts (``row_span > extent``) keep their copies.
     """
+    if (leaf_calls(prog.ops) < GATHER_MIN_CALLS
+            or prog.size > GATHER_MAX_BYTES
+            or prog.row_span > prog.extent):
+        return prog
+    return prog.with_ops((Gather(byte_map(prog), 0),))
 
-    def fn(prog: Program) -> Program:
-        if not prog.ops or prog.size == 0:
-            return prog
-        if any(isinstance(op, Gather) for op in prog.ops):
-            return prog
-        if not force:
-            if leaf_calls(prog.ops) < GATHER_MIN_CALLS:
-                return prog
-            if prog.size > GATHER_MAX_BYTES:
-                return prog
-            if many_rows and prog.row_span > prog.extent:
-                return prog
-        return prog.with_ops((Gather(byte_map(prog), 0),))
 
-    return Pass("form-gather", fn)
+form_gather = Pass("form-gather", _form_gather)
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 
-_default_executor = os.environ.get("REPRO_PLAN_EXECUTOR", "auto")
-
-
-def set_default_executor(name: str) -> None:
-    """Force the executor backend every new plan compiles for.
-
-    ``auto`` (the default) lets the pipeline choose; ``slices`` keeps the
-    strided-copy backend; ``gather`` forces byte-gather.  Overrides the
-    ``REPRO_PLAN_EXECUTOR`` environment variable; cached plans are not
-    recompiled — call :func:`repro.core.typecache.clear_plan_cache` to
-    re-resolve them.
-    """
-    global _default_executor
-    if name not in EXECUTORS:
-        raise ValueError(f"unknown executor {name!r}; choose from {EXECUTORS}")
-    _default_executor = name
-
-
-def get_default_executor() -> str:
-    """The process-wide default executor backend name."""
-    return _default_executor
-
-
-def default_pipeline(many_rows: bool = True,
-                     executor: str = "auto") -> tuple[Pass, ...]:
-    """The standard pass pipeline for one plan compilation."""
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; "
-                         f"choose from {EXECUTORS}")
-    passes = [coalesce_blocks, canonicalize_strides, collapse_loops,
-              promote_contiguity]
-    if executor == "gather":
-        passes.append(form_gather_pass(many_rows, force=True))
-    elif executor == "auto":
-        passes.append(form_gather_pass(many_rows))
-    return tuple(passes)
+def default_pipeline() -> tuple[Pass, ...]:
+    """The standard pass pipeline of every plan compilation."""
+    return (coalesce_blocks, canonicalize_strides, collapse_loops,
+            promote_contiguity, form_gather)
 
 
 def run_pipeline(prog: Program,
@@ -530,24 +483,27 @@ class IRExecutor:
     (element ``r`` based at ``r * extent`` in memory, ``r * size`` on the
     wire); ``pack_one``/``unpack_one`` run a single element whose buffers
     the caller has already re-based (the short-final-element tail).
+
+    A :class:`Gather` over aliasing rows (``row_span > extent``) is
+    rejected: the vectorized fancy scatter would not keep the reference
+    engine's element-by-element write order there.
     """
 
-    __slots__ = ("size", "extent", "row_span", "_items", "_kind")
+    __slots__ = ("size", "extent", "row_span", "kind", "_items")
 
     def __init__(self, prog: Program):
         self.size = prog.size
         self.extent = prog.extent
         self.row_span = prog.row_span
         self._items = tuple(_collect_items(prog.ops))
+        #: Backend label: ``slices`` or ``gather``.
+        self.kind = "slices"
         if any(it[0] == "gather" for it in self._items):
-            self._kind = "gather"
-        else:
-            self._kind = "slices"
-
-    @property
-    def kind(self) -> str:
-        """Backend label: ``slices`` or ``gather``."""
-        return self._kind
+            self.kind = "gather"
+            if prog.row_span > prog.extent:
+                raise ValueError(
+                    f"Gather over aliasing rows (row_span {prog.row_span} "
+                    f"> extent {prog.extent}) is not executable")
 
     # -- vectorized whole-row execution -----------------------------------
 
@@ -594,16 +550,9 @@ class IRExecutor:
             else:
                 _, idx, do = it
                 src2d = packed[: nrows * size].reshape(nrows, size)
-                if self.row_span <= self.extent:
-                    rows = _as_strided(dst, shape=(nrows, self.row_span),
-                                       strides=(self.extent, 1))
-                    rows[:, idx] = src2d[:, do:do + idx.shape[0]]
-                else:
-                    # Aliasing rows: scatter element by element so later
-                    # elements overwrite earlier ones in reference order.
-                    for r in range(nrows):
-                        dst[r * self.extent + idx] = \
-                            src2d[r, do:do + idx.shape[0]]
+                rows = _as_strided(dst, shape=(nrows, self.row_span),
+                                   strides=(self.extent, 1))
+                rows[:, idx] = src2d[:, do:do + idx.shape[0]]
 
     # -- single-element execution (the short final element) ----------------
 

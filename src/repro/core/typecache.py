@@ -7,22 +7,20 @@ register one per class — and every call site shares a single committed
 datatype instance.
 
 The module also hosts the **pack-plan cache**: :func:`pack_plan` compiles a
-:class:`repro.core.packplan.PackPlan` at most once per ``(typemap identity,
-count-class)`` and serves it from an LRU.  Keys use ``id(typemap)`` — the
-typemap is immutable, so identity is a sound (and hash-free) cache key — and
-a ``weakref.finalize`` hook evicts entries when the typemap is collected, so
-a recycled ``id()`` can never alias a freed datatype's plan.
+:class:`repro.core.packplan.PackPlan` at most once per canonical layout
+(:meth:`repro.core.typemap.Typemap.layout_key`) and serves it from a bounded
+LRU, so structurally equal datatypes — built fresh per job, over different
+scalar types, used with any count — share one compiled plan.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from typing import Any, Callable
 
 from .datatype import Datatype
-from .packplan import COUNT_MANY, COUNT_ONE, PackPlan, count_class
+from .packplan import PackPlan
 
 _lock = threading.Lock()
 _cache: dict[Any, Datatype] = {}
@@ -96,38 +94,25 @@ def cache_info() -> dict[str, int]:
 # pack-plan LRU
 # ---------------------------------------------------------------------------
 
-#: Upper bound on cached plans; 2 count-classes x 128 live datatypes covers
-#: every benchmark and any plausible application working set.
+#: Upper bound on cached plans (distinct layouts); covers every benchmark
+#: and any plausible application working set.
 PLAN_CACHE_MAXSIZE = 256
 
 _plan_lock = threading.Lock()
-_plans: OrderedDict[tuple[int, int], PackPlan] = OrderedDict()
-_plan_finalizers: dict[int, weakref.finalize] = {}
+_plans: OrderedDict[tuple[int, int, bytes], PackPlan] = OrderedDict()
 _plan_stats = {"hits": 0, "contig_hits": 0, "compiled_hits": 0,
                "misses": 0, "evictions": 0, "compile_races": 0}
 
 
-def _evict_typemap_plans(tm_id: int) -> None:
-    """weakref.finalize hook: drop every plan of a collected typemap.
+def pack_plan(dtype: Datatype, count: int = 1) -> PackPlan:
+    """The compiled plan for packing elements of ``dtype``.
 
-    CPython runs finalizers before the object's memory is released, so this
-    always fires before ``id(tm)`` can be reused by a new typemap.
-    """
-    with _plan_lock:
-        _plan_finalizers.pop(tm_id, None)
-        for cls in (COUNT_ONE, COUNT_MANY):
-            if _plans.pop((tm_id, cls), None) is not None:
-                _plan_stats["evictions"] += 1
-
-
-def pack_plan(dtype: Datatype, count: int) -> PackPlan:
-    """The compiled plan for packing ``count`` elements of ``dtype``.
-
-    Compiled on first use per ``(typemap identity, count-class)`` and cached
-    in an LRU of :data:`PLAN_CACHE_MAXSIZE` entries.
+    Compiled on first use per layout key and cached in an LRU of
+    :data:`PLAN_CACHE_MAXSIZE` entries.  ``count`` selects nothing (one
+    plan executes any count); callers may keep passing it.
     """
     tm = dtype.typemap
-    key = (id(tm), count_class(count))
+    key = tm.layout_key()
     with _plan_lock:
         plan = _plans.get(key)
         if plan is not None:
@@ -144,23 +129,17 @@ def pack_plan(dtype: Datatype, count: int) -> PackPlan:
         _plan_stats["misses"] += 1
     # Compile outside the lock (pure function of the immutable typemap; a
     # concurrent duplicate compile is wasted work, never wrong).
-    plan = PackPlan(tm, key[1])
+    plan = PackPlan(tm)
     with _plan_lock:
         # Double-checked insert: under concurrent jobs two slots can miss
         # on the same key and compile in parallel.  First insert wins —
         # mirroring ``datatype_of`` — so exactly one plan object is ever
-        # live per key and the finalizer/eviction accounting can't see
-        # two generations of the same entry.
+        # live per layout.
         existing = _plans.get(key)
         if existing is not None:
-            _plans.move_to_end(key)
             _plan_stats["compile_races"] += 1
             return existing
         _plans[key] = plan
-        _plans.move_to_end(key)
-        if key[0] not in _plan_finalizers:
-            _plan_finalizers[key[0]] = weakref.finalize(
-                tm, _evict_typemap_plans, key[0])
         while len(_plans) > PLAN_CACHE_MAXSIZE:
             _plans.popitem(last=False)
             _plan_stats["evictions"] += 1
@@ -173,6 +152,8 @@ def plan_cache_info() -> dict[str, int]:
     ``hits`` is the total; ``contig_hits``/``compiled_hits`` split it by
     whether the served plan was a contiguous fast-path plan or a compiled
     (IR-lowered) one, so the pipeline's cache behaviour is observable.
+    ``compile_races`` counts misses that lost the insert to a concurrent
+    compile of the same layout.
     """
     with _plan_lock:
         return {"size": len(_plans), **_plan_stats}
@@ -182,8 +163,5 @@ def clear_plan_cache() -> None:
     """Drop every cached plan and reset the statistics."""
     with _plan_lock:
         _plans.clear()
-        for fin in _plan_finalizers.values():
-            fin.detach()
-        _plan_finalizers.clear()
         for k in _plan_stats:
             _plan_stats[k] = 0

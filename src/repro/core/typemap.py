@@ -17,6 +17,7 @@ typemap order, not the address order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -78,7 +79,7 @@ class Typemap:
     """
 
     __slots__ = ("blocks", "lb", "extent", "_merged", "_signature", "_size",
-                 "_true_lb", "_true_ub", "__weakref__")
+                 "_true_lb", "_true_ub", "_layout_key")
 
     def __init__(self, blocks: Iterable[Block], lb: int | None = None,
                  extent: int | None = None):
@@ -93,6 +94,7 @@ class Typemap:
         self._size: int | None = None
         self._true_lb: int | None = None
         self._true_ub: int | None = None
+        self._layout_key: tuple[int, int, bytes] | None = None
         if not self.blocks and (lb is None or extent is None):
             raise ValueError("empty typemap requires explicit lb and extent")
         nat_lb = min((b.offset for b in self.blocks), default=0)
@@ -184,6 +186,22 @@ class Typemap:
             else:
                 merged.append(b)
         return tuple(merged)
+
+    def layout_key(self) -> tuple[int, int, bytes]:
+        """Canonical layout ``(lb, extent, merged runs)``: all a pack plan
+        depends on, so structurally equal typemaps — whatever their scalar
+        types — have equal keys.
+
+        The runs are the ``(offset, length)`` pairs of :meth:`merged_blocks`
+        as int64 bytes.  Memoized, and ``bytes`` caches its hash, so a
+        lookup hashes in O(1) whatever the block count and compares by
+        identity (same typemap) or one ``memcmp`` (a structural twin).
+        """
+        if self._layout_key is None:
+            runs = array("q", (v for b in self.merged_blocks()
+                               for v in (b.offset, b.length)))
+            self._layout_key = (self.lb, self.extent, runs.tobytes())
+        return self._layout_key
 
     def signature(self) -> tuple[tuple[str, int], ...]:
         """Canonical MPI type signature: run-length ``(scalar, count)`` pairs.

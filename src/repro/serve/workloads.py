@@ -55,7 +55,11 @@ def _ring(comm, iters: int, nbytes: int):
 
 
 def _struct_pingpong(comm, iters: int, count: int):
-    """Derived-datatype pingpong: exercises the PackPlan cache across jobs."""
+    """Derived-datatype pingpong: exercises the PackPlan cache across jobs.
+
+    Every job builds its own ``struct_simple`` datatype; the cache is keyed
+    by layout, so all of them share the plan the first job compiled.
+    """
     dtype = struct_simple_datatype()
     sbuf = make_struct_simple(count)
     rbuf = make_struct_simple(count)

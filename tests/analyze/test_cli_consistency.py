@@ -82,3 +82,11 @@ def test_report_and_stdout_json_share_summary(subcmd, tool, needs_path,
     assert stdout_doc["version"] == SCHEMA_VERSION
     if "summary" in report_doc:
         assert report_doc["summary"] == stdout_doc["summary"]
+
+
+@pytest.mark.parametrize("executor", ["auto", "slices", "gather"])
+def test_plans_executor_option_is_gone(executor, target, capsys):
+    """The backend is chosen by the form-gather pass alone; the removed
+    ``--executor`` flag is a usage error, not a silent no-op."""
+    assert main(["plans", str(target), "--executor", executor]) == 2
+    assert "--executor" in capsys.readouterr().err

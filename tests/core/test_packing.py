@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import (FLOAT64, INT32, create_struct, pack, pack_window,
-                        packed_size, required_span, resized, unpack,
-                        unpack_window, vector)
+from repro.core import (FLOAT64, INT32, PackCursor, UnpackCursor,
+                        create_struct, pack, packed_size, required_span,
+                        resized, unpack, vector)
 from repro.errors import MPIError
 
 
@@ -129,14 +129,28 @@ class TestSizes:
         assert required_span(v, 1) == 40
 
 
+def pack_window(t, buf, count, offset, length):
+    """One stream window through a fresh cursor (random access)."""
+    with PackCursor(t, buf, count) as cur:
+        return cur.window(offset, length).copy()
+
+
+def unpack_window(t, buf, count, offset, frag):
+    """One fragment through a fresh cursor (random access)."""
+    with UnpackCursor(t, buf, count) as cur:
+        cur.write(offset, frag)
+
+
 class TestWindows:
     def test_window_equals_slice_of_full_pack(self):
         t = struct_simple_t()
         arr = fill_struct_simple(16)
         full = pack(t, arr, 16)
-        for off, ln in [(0, 10), (7, 33), (20, 20), (199, 121), (315, 5)]:
-            w = pack_window(t, arr, 16, off, ln)
-            assert bytes(w) == bytes(full[off:off + ln]), (off, ln)
+        # One cursor, windows revisited out of order.
+        with PackCursor(t, arr, 16) as cur:
+            for off, ln in [(199, 121), (0, 10), (7, 33), (20, 20), (315, 5)]:
+                assert bytes(cur.window(off, ln)) == \
+                    bytes(full[off:off + ln]), (off, ln)
 
     def test_window_full_range(self):
         t = struct_simple_t()
@@ -159,6 +173,8 @@ class TestWindows:
 
     @pytest.mark.parametrize("step", [1, 3, 7, 19, 80])
     def test_unpack_windows_reassemble(self, step):
+        """Every fragment through its own cursor: each write starts
+        mid-stream, so boundary elements are read-modify-written."""
         t = struct_simple_t()
         arr = fill_struct_simple(4)
         full = pack(t, arr, 4)

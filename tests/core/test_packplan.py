@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (FLOAT64, INT32, PackCursor, UnpackCursor,
+from repro.core import (FLOAT32, FLOAT64, INT32, PackCursor, UnpackCursor,
                         clear_plan_cache, contiguous, create_struct, pack,
-                        pack_plan,
-                        pack_reference, pack_window, pack_window_reference,
+                        pack_plan, pack_reference, pack_window_reference,
                         packed_size, plan_cache_info, required_span, resized,
-                        unpack, unpack_reference, unpack_window,
-                        unpack_window_reference, vector)
+                        unpack, unpack_reference, unpack_window_reference,
+                        vector)
 from repro.ddtbench.registry import make_workload
 from repro.errors import MPIError
 from repro.types import make_struct_simple, struct_simple_datatype
@@ -68,9 +67,10 @@ class TestPlanEquivalence:
         for off, ln in [(0, min(7, total)), (3, min(11, total - 3)),
                         (total // 2 - 1, min(13, total - total // 2 + 1)),
                         (max(0, total - 5), min(5, total))]:
-            w = pack_window(t, src, count, off, ln)
+            with PackCursor(t, src, count) as cur:
+                w = bytes(cur.window(off, ln))
             r = pack_window_reference(t, src, count, off, ln)
-            assert bytes(w) == bytes(r), (off, ln)
+            assert w == bytes(r), (off, ln)
 
     def test_count_zero(self):
         t = struct_simple_datatype()
@@ -149,8 +149,8 @@ class TestCursors:
         assert bytes(pack(t, dst, 100)) == bytes(full)
 
     def test_unpack_cursor_out_of_order(self):
-        """Shuffled fragments fall back to the stateless path but must
-        still reassemble correctly."""
+        """Shuffled fragments read-modify-write the elements they touch
+        but must still reassemble correctly."""
         t = struct_simple_datatype()
         src = make_struct_simple(100)
         full = pack(t, src, 100)
@@ -197,6 +197,22 @@ class TestCursors:
         with PackCursor(t, src, 4) as cur:
             with pytest.raises(MPIError):
                 cur.window(79, 5)
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview,
+                                      np.asarray],
+                             ids=["bytes", "bytearray", "memoryview",
+                                  "ndarray"])
+    def test_unpack_cursor_accepts_any_buffer(self, wrap):
+        """Regression: ``write`` used ``np.asarray(frag, dtype=uint8)``,
+        which parses a ``bytes`` fragment as an integer literal."""
+        t = struct_simple_datatype()
+        full = pack(t, make_struct_simple(8), 8)
+        total = full.shape[0]
+        dst = np.zeros(required_span(t, 8), dtype=np.uint8)
+        with UnpackCursor(t, dst, 8) as cur:
+            for off in range(0, total, 7):
+                cur.write(off, wrap(full[off:off + 7]))
+        assert bytes(pack(t, dst, 8)) == bytes(full)
 
 
 # -- property-based ----------------------------------------------------------
@@ -262,6 +278,33 @@ class TestPlanProperties:
         assert bytes(a) == bytes(b)
 
 
+@st.composite
+def aliasing_struct(draw):
+    """``random_struct`` resized to an extent *below* its true upper bound:
+    successive elements overlap in memory, so unpack write order matters."""
+    t = draw(random_struct())
+    true_ub = t.typemap.true_ub
+    return resized(t, 0, draw(st.integers(1, true_ub - 1)))
+
+
+class TestAliasingLayouts:
+    """The one place a per-count plan variant ever differed."""
+
+    @settings(deadline=None)
+    @given(aliasing_struct(), st.sampled_from([0, 1, 2, 7]))
+    def test_plan_matches_reference(self, t, count):
+        rng = np.random.default_rng(4)
+        span = max(required_span(t, count), 1)
+        src = rng.integers(0, 256, span, dtype=np.uint8)
+        packed = pack(t, src, count)
+        assert bytes(packed) == bytes(pack_reference(t, src, count))
+        a = np.full(span, 0xEE, dtype=np.uint8)
+        b = np.full(span, 0xEE, dtype=np.uint8)
+        unpack(t, a, count, packed)
+        unpack_reference(t, b, count, packed)
+        assert bytes(a) == bytes(b)
+
+
 # -- plan cache --------------------------------------------------------------
 
 class TestPlanCache:
@@ -294,47 +337,46 @@ class TestPlanCache:
         assert info["compiled_hits"] >= 1
         assert info["hits"] == info["contig_hits"] + info["compiled_hits"]
 
-    def test_count_classes_are_distinct_plans(self):
-        t = struct_simple_datatype()
-        p1 = pack_plan(t, 1)
-        pn = pack_plan(t, 8)
-        assert p1 is not pn
-        assert pack_plan(t, 1) is p1
-        assert pack_plan(t, 200) is pn
+    @staticmethod
+    def make_gapped(scalar=INT32, extent=24):
+        return resized(create_struct([3, 1], [0, 16], [scalar, scalar]),
+                       0, extent)
 
-    def test_eviction_on_datatype_collection(self):
-        """Freeing a datatype must drop its plans — no stale aliasing if a
-        later typemap reuses the same id()."""
-        t = resized(create_struct([3, 1], [0, 16], [INT32, FLOAT64]), 0, 24)
-        pack_plan(t, 4)
-        assert plan_cache_info()["size"] == 1
-        evictions_before = plan_cache_info()["evictions"]
+    def test_equal_layouts_share_one_plan(self):
+        """One plan per layout: independently built equal typemaps — also
+        over a different scalar type — and any count return one object."""
+        a, b = self.make_gapped(), self.make_gapped()
+        twin = self.make_gapped(FLOAT32)
+        assert a.typemap is not b.typemap
+        plan = pack_plan(a, 1)
+        assert pack_plan(b, 8) is plan
+        assert pack_plan(twin, 1) is plan
+        assert pack_plan(twin, 8) is plan
+        info = plan_cache_info()
+        assert (info["size"], info["misses"], info["hits"]) == (1, 1, 3)
+
+    def test_resized_extent_is_a_different_layout(self):
+        """Same runs, different extent: rows land elsewhere, so the plans
+        must not be shared."""
+        narrow, wide = self.make_gapped(), self.make_gapped(extent=32)
+        assert pack_plan(narrow, 4) is not pack_plan(wide, 4)
+        assert plan_cache_info()["size"] == 2
+
+    def test_rebuilt_datatype_still_hits(self):
+        """Plans outlive the datatype they were first compiled for."""
+        t = self.make_gapped()
+        plan = pack_plan(t, 4)
         del t
         gc.collect()
-        info = plan_cache_info()
-        assert info["size"] == 0
-        assert info["evictions"] == evictions_before + 1
-
-    def test_fresh_datatype_gets_fresh_plan(self):
-        def make():
-            return resized(create_struct([3, 1], [0, 16],
-                                         [INT32, FLOAT64]), 0, 24)
-
-        t1 = make()
-        plan1 = pack_plan(t1, 4)
-        del t1
-        gc.collect()
-        t2 = make()
-        plan2 = pack_plan(t2, 4)
-        assert plan2 is not plan1
+        assert plan_cache_info()["size"] == 1
+        assert pack_plan(self.make_gapped(), 4) is plan
+        assert plan_cache_info()["misses"] == 1
 
     def test_lru_bound(self):
+        """The size bound holds over *distinct* layouts."""
         from repro.core import typecache
-        keep = []
-        for _ in range(typecache.PLAN_CACHE_MAXSIZE + 10):
-            t = resized(create_struct([1], [0], [INT32]), 0, 8)
-            keep.append(t)  # keep alive: eviction must come from the LRU cap
-            pack_plan(t, 1)
+        for extent in range(8, 8 + typecache.PLAN_CACHE_MAXSIZE + 10):
+            pack_plan(resized(create_struct([1], [0], [INT32]), 0, extent), 1)
         info = plan_cache_info()
         assert info["size"] == typecache.PLAN_CACHE_MAXSIZE
-        assert info["evictions"] >= 10
+        assert info["evictions"] == 10

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from repro.core import (FLOAT64, INT32, CopyBlock, Gather, PackPlan, Program,
                         StridedLoop, byte_map, contiguous, create_struct,
-                        default_pipeline, get_default_executor, hindexed,
-                        lower_typemap, pack, pack_reference, required_span,
-                        resized, run_pipeline, set_default_executor, unpack,
+                        hindexed, lower_typemap, pack, pack_reference,
+                        required_span, resized, run_pipeline, unpack,
                         unpack_reference, vector)
 from repro.core import planir
+from repro.core.planir import IRExecutor
 from repro.core.typemap import Typemap
 from repro.ddtbench.registry import WORKLOADS, make_workload
 
@@ -29,6 +29,21 @@ def descending_hindexed(nblocks=8, blocklen=4):
 def short_final_t():
     """extent 16 but true_ub 4: the buffer may stop 12 bytes short."""
     return resized(create_struct([1], [0], [INT32]), 0, 16)
+
+
+def plan_with(t, executor):
+    """The plan of ``t``, re-bound to ``executor`` whatever form-gather
+    chose: ``gather`` runs the whole layout as one byte-gather, ``slices``
+    runs the pipeline's output short of gather formation."""
+    plan = PackPlan(t.typemap)
+    prog = lower_typemap(t.typemap)
+    if executor == "gather":
+        prog = prog.with_ops((Gather(byte_map(prog), 0),))
+    else:
+        prog, _ = run_pipeline(prog, planir.default_pipeline()[:-1])
+    plan._exec = IRExecutor(prog)
+    assert plan._exec.kind == executor
+    return plan
 
 
 class TestLowering:
@@ -102,27 +117,27 @@ class TestPasses:
 
     def test_form_gather_respects_aliasing_guard(self):
         # row_span > extent models overlapping elements: vectorized scatter
-        # would break write order, so gather must not form for many_rows.
+        # would break write order, so gather must not form.
         ops = tuple(CopyBlock(i * 3, i * 2, 2) for i in range(40))
         prog = Program(ops, size=80, extent=100, row_span=130,
                        src_lo=0, src_hi=130)
-        assert planir.form_gather_pass(many_rows=True)(prog).ops == ops
-        forced = planir.form_gather_pass(many_rows=False)(prog)
-        assert isinstance(forced.ops[0], Gather)
+        assert planir.form_gather(prog).ops == ops
+        disjoint = planir.form_gather(
+            Program(ops, size=80, extent=130, row_span=130,
+                    src_lo=0, src_hi=130))
+        assert isinstance(disjoint.ops[0], Gather)
 
     @pytest.mark.parametrize("name", DDTBENCH_NAMES)
     def test_pipeline_preserves_byte_map_on_ddtbench(self, name):
         tm = make_workload(name).derived_datatype().typemap
         prog = lower_typemap(tm)
-        for many_rows in (False, True):
-            final, _ = run_pipeline(prog, default_pipeline(many_rows))
-            assert np.array_equal(byte_map(final), byte_map(prog)), name
+        final, _ = run_pipeline(prog)
+        assert np.array_equal(byte_map(final), byte_map(prog)), name
 
     @pytest.mark.parametrize("name", DDTBENCH_NAMES)
     def test_ddtbench_canonical_form_is_one_call(self, name):
         tm = make_workload(name).derived_datatype().typemap
-        final, _ = run_pipeline(lower_typemap(tm),
-                                default_pipeline(many_rows=False))
+        final, _ = run_pipeline(lower_typemap(tm))
         assert planir.leaf_calls(final.ops) == 1, \
             "every Table I layout must canonicalize to a single numpy call"
 
@@ -154,7 +169,7 @@ class TestExecutorEquivalence:
     @pytest.mark.parametrize("executor", ["slices", "gather"])
     def test_forced_executor_matches_reference(self, executor):
         for name, t, src, count in self.cases():
-            plan = PackPlan(t.typemap, count_cls=2, executor=executor)
+            plan = plan_with(t, executor)
             out = np.empty(t.size * count, dtype=np.uint8)
             plan.pack_into(src, count, out)
             assert bytes(out) == bytes(pack_reference(t, src, count)), \
@@ -170,19 +185,31 @@ class TestExecutorEquivalence:
         empty = np.zeros(0, dtype=np.uint8)
         assert pack(t, empty, 3).shape == (0,)
         unpack(t, empty, 3, np.zeros(0, dtype=np.uint8))  # must not raise
-        for executor in ("slices", "gather"):
-            plan = PackPlan(t.typemap, executor=executor)
-            plan.pack_into(empty, 1, np.zeros(0, dtype=np.uint8))
+        plan = PackPlan(t.typemap)
+        assert plan.ir.ops == ()
+        plan.pack_into(empty, 1, np.zeros(0, dtype=np.uint8))
 
     def test_gather_executor_on_aliasing_rows_keeps_write_order(self):
-        # extent < true_ub: successive elements overlap in memory, so the
-        # unpack scatter must fall back to reference (per-element) order.
-        t = resized(create_struct([2], [0], [INT32]), 0, 4)
+        # extent < true_ub: successive elements overlap in memory, where a
+        # vectorized fancy scatter would not keep reference write order.
+        # No pipeline forms a gather there and the executor refuses one, so
+        # even a gather-sized layout unpacks in reference order.
+        displs, x = [0], 1
+        for _ in range(2 * planir.GATHER_MIN_CALLS):
+            x = (x * 1103515245 + 12345) % (1 << 31)  # aperiodic gaps
+            displs.append(displs[-1] + 5 + x % 7)
+        irregular = hindexed([1] * len(displs), displs, INT32)
+        assert PackPlan(irregular.typemap).executor == "gather"
+        t = resized(irregular, 0, 4)
+        plan = PackPlan(t.typemap)
+        assert plan.executor == "slices"
+        prog = lower_typemap(t.typemap)
+        with pytest.raises(ValueError, match="aliasing rows"):
+            IRExecutor(prog.with_ops((Gather(byte_map(prog), 0),)))
         count = 6
         span = required_span(t, count)
-        rng = np.random.default_rng(21)
-        src = rng.integers(0, 256, span, dtype=np.uint8)
-        plan = PackPlan(t.typemap, count_cls=2, executor="gather")
+        src = np.random.default_rng(21).integers(0, 256, span,
+                                                 dtype=np.uint8)
         packed = np.empty(t.size * count, dtype=np.uint8)
         plan.pack_into(src, count, packed)
         assert bytes(packed) == bytes(pack_reference(t, src, count))
@@ -193,23 +220,14 @@ class TestExecutorEquivalence:
         assert bytes(dst) == bytes(ref)
 
 
-class TestExecutorConfig:
-    def teardown_method(self):
-        set_default_executor("auto")
+class TestExecutorSelection:
+    """The backend is chosen by form-gather alone, from the layout."""
 
-    def test_set_default_executor_round_trip(self):
-        assert get_default_executor() == "auto"
-        set_default_executor("gather")
-        assert get_default_executor() == "gather"
-        t = create_struct([1, 1], [0, 8], [INT32, INT32])
-        assert PackPlan(t.typemap).executor == "gather"
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            set_default_executor("simd")
-        with pytest.raises(ValueError, match="unknown executor"):
-            default_pipeline(executor="simd")
-        assert get_default_executor() == "auto"
+    @pytest.mark.parametrize("name", DDTBENCH_NAMES)
+    def test_ddtbench_backends(self, name):
+        plan = PackPlan(make_workload(name).derived_datatype().typemap)
+        gathers = {"LAMMPS", "LAMMPS_full", "SPECFEM3D_oc"}
+        assert plan.executor == ("gather" if name in gathers else "slices")
 
 
 # -- property-based ----------------------------------------------------------
@@ -251,8 +269,7 @@ class TestPlanIRProperties:
         rng = np.random.default_rng(0)
         src = rng.integers(0, 256, max(required_span(t, count), 1),
                            dtype=np.uint8)
-        plan = PackPlan(t.typemap, count_cls=(1 if count == 1 else 2),
-                        executor=executor)
+        plan = plan_with(t, executor)
         out = np.empty(t.size * count, dtype=np.uint8)
         if count:
             plan.pack_into(src, count, out)
@@ -265,8 +282,7 @@ class TestPlanIRProperties:
                                                        executor):
         rng = np.random.default_rng(1)
         src = rng.integers(0, 256, required_span(t, count), dtype=np.uint8)
-        plan = PackPlan(t.typemap, count_cls=(1 if count == 1 else 2),
-                        executor=executor)
+        plan = plan_with(t, executor)
         out = np.empty(t.size * count, dtype=np.uint8)
         plan.pack_into(src, count, out)
         assert bytes(out) == bytes(pack_reference(t, src, count))
@@ -280,8 +296,5 @@ class TestPlanIRProperties:
     @given(random_struct())
     def test_pipeline_always_preserves_byte_map(self, t):
         prog = lower_typemap(t.typemap)
-        for many_rows in (False, True):
-            for executor in ("auto", "slices", "gather"):
-                final, _ = run_pipeline(
-                    prog, default_pipeline(many_rows, executor))
-                assert np.array_equal(byte_map(final), byte_map(prog))
+        final, _ = run_pipeline(prog)
+        assert np.array_equal(byte_map(final), byte_map(prog))

@@ -2,9 +2,10 @@
 
 import json
 
+from repro.core import clear_plan_cache
 from repro.serve import JobService, JobSpec, LatencyStats, ServiceMetrics, \
     percentile
-from repro.serve.workloads import pingpong_job
+from repro.serve.workloads import pingpong_job, struct_pingpong_job
 
 
 class TestPercentile:
@@ -74,6 +75,22 @@ class TestServiceReport:
         assert report["run_latency"]["count"] == 3
         assert report["plan_cache"]["size"] >= 0
         assert report["state"] in ("running", "draining", "stopped")
+
+    def test_struct_jobs_share_one_plan(self):
+        """Every struct job builds its datatype afresh; the layout-keyed
+        plan cache must still compile it once (two slots may race the first
+        compile) and serve every later job from that one plan."""
+        clear_plan_cache()
+        with JobService(slots=2, max_queue=128) as svc:
+            for i in range(100):
+                svc.submit(JobSpec(fn=struct_pingpong_job(), name=f"s{i}"))
+            svc.wait_idle(timeout=120)
+            report = svc.report()
+        assert report["jobs"]["completed"] == 100
+        cache = report["plan_cache"]
+        assert cache["size"] == 1
+        assert cache["misses"] <= 4
+        assert cache["hits"] / (cache["hits"] + cache["misses"]) >= 0.99
 
     def test_queue_latency_observed(self):
         with JobService(slots=1, max_queue=8) as svc:

@@ -119,8 +119,9 @@ class TestWarmSetBank:
 
 class TestPlanCacheConcurrency:
     def test_concurrent_compiles_converge_to_one_plan(self):
-        """Racing pack_plan calls on the same typemap must all return the
-        same object (first insert wins), with the losers counted."""
+        """Racing pack_plan calls on equal layouts — each thread builds its
+        own datatype — must all return the same object (first insert
+        wins), with the losers counted."""
         import threading
 
         from repro.core.typecache import (clear_plan_cache, pack_plan,
@@ -128,11 +129,11 @@ class TestPlanCacheConcurrency:
         from repro.types import struct_simple_datatype
 
         clear_plan_cache()
-        dtype = struct_simple_datatype()
         plans = [None] * 8
         barrier = threading.Barrier(8)
 
         def worker(i):
+            dtype = struct_simple_datatype()
             barrier.wait()
             plans[i] = pack_plan(dtype, 4)
 

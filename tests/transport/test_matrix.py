@@ -94,13 +94,21 @@ class TestProtocolShapes:
 
     def test_wildcard_source_fifo(self):
         def fn(comm):
+            # Senders take turns (rank 0 passes a token to the next one):
+            # two concurrent senders would race for the wildcard receive,
+            # and the arrival order is part of the compared trace.
+            token = np.zeros(1, dtype=np.int64)
             if comm.rank == 0:
                 got = []
                 buf = np.empty(1, dtype=np.int64)
                 for _ in range(comm.size - 1):
                     info = comm.recv(buf, source=-1, tag=7)
                     got.append((info.source, int(buf[0])))
-                return sorted(got)
+                    if info.source + 1 < comm.size:
+                        comm.send(token, dest=info.source + 1, tag=8)
+                return got
+            if comm.rank > 1:
+                comm.recv(token, source=0, tag=8)
             comm.send(np.array([comm.rank * 10], dtype=np.int64),
                       dest=0, tag=7)
             return None

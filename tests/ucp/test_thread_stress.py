@@ -154,10 +154,10 @@ class TestTypeCaches:
         # hits += 1 under the plan lock: off the lock this drifts.
         assert info["hits"] + info["misses"] == total
         assert info["contig_hits"] + info["compiled_hits"] == info["hits"]
-        # Two count-classes of one typemap; duplicate compiles may race
+        # One layout, whatever the count; duplicate compiles may race
         # benignly but never inflate the cache.
-        assert info["size"] <= 2
-        assert info["misses"] < total / 10
+        assert info["size"] == 1
+        assert info["misses"] == 1 + info["compile_races"] <= NTHREADS
 
     def test_datatype_of_first_use_race(self):
         key = object()
