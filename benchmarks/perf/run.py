@@ -10,9 +10,13 @@ Measures real elapsed time (``time.perf_counter``), not virtual fabric time:
 
 Every sample is the median of ``k`` trials.  Results are written to
 ``BENCH_perf.json`` at the repo root.  With ``--check`` the harness enforces
-the regression gates: windowed pack/unpack on non-contiguous types must beat
-the reference engine by the required factor, and throughput must stay above
-the checked-in floors in ``baseline.json``.
+the regression gates: windowed pack/unpack on non-contiguous types, and
+whole-message pack/unpack on ``struct-simple`` and ``vector-f64``, must beat
+the reference engine by the required factors; the Hunold/Träff
+self-consistency guidelines must hold (a derived pack does not lose to the
+hand-written pack, ``count=n`` of T does not lose to ``count=1`` of
+``contiguous(n, T)``); and throughput must stay above the checked-in floors
+in ``baseline.json``.
 
 Usage::
 
@@ -37,6 +41,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
 from benchmarks.perf.corpus import CorpusEntry, build_corpus  # noqa: E402
+from repro.core import contiguous  # noqa: E402
 from repro.core.packing import (pack, pack_reference, pack_window_reference,
                                 unpack, unpack_reference,
                                 unpack_window_reference)  # noqa: E402
@@ -44,7 +49,8 @@ from repro.core.packplan import PackCursor, UnpackCursor  # noqa: E402
 from repro.core.typecache import clear_plan_cache  # noqa: E402
 from repro.ddtbench.registry import make_workload  # noqa: E402
 from repro.mpi.runtime import run  # noqa: E402
-from repro.types import struct_simple_datatype  # noqa: E402
+from repro.types import (manual_pack_struct_simple,
+                         struct_simple_datatype)  # noqa: E402
 
 FRAG_SIZE = 8192          # the fabric's pipeline granularity (LinkParams)
 MIN_TRIAL_SECONDS = 4e-3  # calibrate reps until one trial takes this long
@@ -53,6 +59,17 @@ MIN_TRIAL_SECONDS = 4e-3  # calibrate reps until one trial takes this long
 # ratio is therefore looser than it was, and absolute regressions are caught
 # by the baseline.json throughput floors instead.
 SPEEDUP_FLOOR = 1.5
+# Whole-message plan-vs-reference gate (--check) on the two layouts the
+# word-wide kernels exist for: a struct (one Record) and a strided vector
+# (one 8-byte-unit loop).  The reference engine copies uint8 columns.
+WHOLE_MESSAGE_FLOOR = 2.0
+WHOLE_MESSAGE_GATED = ("struct-simple", "vector-f64")
+# Hunold/Traeff self-consistency guidelines (PAPERS.md), as time ratios the
+# --check gate caps: a derived-datatype pack must not lose to the user's
+# own vectorized pack of the same struct, and count=n of T must stay within
+# 10% of count=1 of contiguous(n, T).
+DERIVED_OVER_MANUAL_CEILING = 1.0
+COUNT_N_OVER_CONTIG_N_CEILING = 1.1
 BASELINE_PATH = Path(__file__).with_name("baseline.json")
 # Multi-core scaling gate: at 4 ranks the shm backend (one process per
 # rank, packing in parallel into shared arenas) must reach at least this
@@ -172,6 +189,33 @@ def bench_windowed(entry: CorpusEntry, k: int) -> dict:
         "window_unpack": {"plan_mb_s": _mb_per_s(total, plan_u),
                           "ref_mb_s": _mb_per_s(total, ref_u),
                           "speedup": ref_u / plan_u},
+    }
+
+
+def bench_guidelines(entry: CorpusEntry, k: int) -> dict:
+    """Sibling paths that must police each other, on ``struct-simple``:
+    plan pack vs ``manual_pack_struct_simple`` (both allocate their
+    output), and ``count=n`` of T vs ``count=1`` of ``contiguous(n, T)``."""
+    d, src, n = entry.dtype, entry.src, entry.count
+    whole = contiguous(n, d)
+    out = np.empty(entry.packed_bytes, dtype=np.uint8)
+    assert bytes(pack(d, src, n)) == bytes(manual_pack_struct_simple(src))
+    assert bytes(pack(whole, src, 1)) == bytes(pack(d, src, n))
+    derived = _median_seconds(lambda: pack(d, src, n), k)
+    manual = _median_seconds(lambda: manual_pack_struct_simple(src), k)
+    count_n = _median_seconds(lambda: pack(d, src, n, out=out), k)
+    contig_n = _median_seconds(lambda: pack(whole, src, 1, out=out), k)
+    return {
+        "derived_over_manual": {
+            "bytes": entry.packed_bytes,
+            "derived_us": derived * 1e6, "manual_us": manual * 1e6,
+            "ratio": derived / manual,
+            "ceiling": DERIVED_OVER_MANUAL_CEILING},
+        "count_n_over_contig_n": {
+            "bytes": entry.packed_bytes, "count": n,
+            "count_n_us": count_n * 1e6, "contig_n_us": contig_n * 1e6,
+            "ratio": count_n / contig_n,
+            "ceiling": COUNT_N_OVER_CONTIG_N_CEILING},
     }
 
 
@@ -402,6 +446,20 @@ def check_results(report: dict) -> list[str]:
                 failures.append(
                     f"{section}/{name}: plan speedup {sp:.2f}x is below the "
                     f"required {SPEEDUP_FLOOR:.1f}x")
+    for name in WHOLE_MESSAGE_GATED:
+        for section in ("pack", "unpack"):
+            sp = report["corpus"][name][section]["speedup"]
+            if sp < WHOLE_MESSAGE_FLOOR:
+                failures.append(
+                    f"{section}/{name}: whole-message plan speedup "
+                    f"{sp:.2f}x is below the required "
+                    f"{WHOLE_MESSAGE_FLOOR:.1f}x")
+    for name, g in report["guidelines"].items():
+        if g["ratio"] > g["ceiling"]:
+            failures.append(
+                f"guideline/{name}: time ratio {g['ratio']:.2f} is above "
+                f"the {g['ceiling']:.1f} ceiling (a sibling path is "
+                f"faster)")
     if BASELINE_PATH.exists():
         floors = json.loads(BASELINE_PATH.read_text())["floors_mb_s"]
         for key, floor in floors.items():
@@ -472,7 +530,8 @@ def main(argv=None) -> int:
     clear_plan_cache()
     report = {"schema": 1, "mode": "quick" if args.quick else "full",
               "k": k, "target_bytes": target, "corpus": {}}
-    for entry in build_corpus(target):
+    corpus = build_corpus(target)
+    for entry in corpus:
         stats = {"contiguous": entry.contiguous}
         stats.update(bench_whole_message(entry, k))
         stats.update(bench_windowed(entry, k))
@@ -481,6 +540,12 @@ def main(argv=None) -> int:
         print(f"{entry.name:24s} {stats['bytes']:>9d} B  "
               f"window_pack {w['plan_mb_s']:8.0f} MB/s "
               f"(ref {w['ref_mb_s']:8.0f}, {w['speedup']:5.2f}x)")
+
+    report["guidelines"] = bench_guidelines(
+        next(e for e in corpus if e.name == "struct-simple"), k)
+    for name, g in report["guidelines"].items():
+        print(f"{'guideline ' + name:34s} {g['ratio']:5.2f} "
+              f"(ceiling {g['ceiling']:.1f})")
 
     report["message_rate"] = bench_message_rate(k, iters=50 if args.quick
                                                 else 200,
@@ -528,6 +593,14 @@ def main(argv=None) -> int:
 
     failures = check_results(report) if args.check else []
     report["checks"] = {"enforced": args.check, "failures": failures}
+
+    # A re-record keeps the numbers it replaces: the previous recording's
+    # own "before" block if it has one, else its rows.
+    if args.out.exists():
+        prev = json.loads(args.out.read_text())
+        report["before"] = prev.get("before") or {
+            key: prev[key] for key in ("corpus", "message_rate")
+            if key in prev}
 
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")

@@ -539,7 +539,14 @@ def plans_main(argv: Optional[list] = None) -> int:
         })
 
     findings = _filter_findings(findings, ns)
-    _emit(findings, len(subjects), ns.format)
+    if ns.format == "json":
+        # The findings document plus what each plan compiled to (executor,
+        # units, record width, calls): the same entries --report writes.
+        doc = _findings_report_doc(findings, len(subjects), "repro.analyze")
+        doc["plans"] = [r.to_dict() for r in reports]
+        print(json.dumps(doc, indent=2))
+    else:
+        _emit(findings, len(subjects), ns.format)
     return 1 if findings else 0
 
 

@@ -6,7 +6,9 @@ corrupt every message silently — the packed bytes would simply be wrong —
 so this module proves each compilation rather than trusting it:
 
 * **Well-formedness** (RPD600/601/602): the byte-level write set of a
-  program must hit every wire offset exactly once (RPD600), read only
+  program — enumerated in the whole units the executor moves, so a unit
+  too wide for its leaf leaves wire bytes unwritten — must hit every wire
+  offset exactly once (RPD600), read only
   source bytes inside the typemap's true bounds (RPD601), and write the
   wire monotonically in execution order (RPD602 — the property streaming
   consumers such as :class:`~repro.core.packplan.UnpackCursor` rely on).
@@ -27,14 +29,15 @@ passes proves the validator actually rejects bad rewrites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ..core.planir import (CopyBlock, Gather, Pass, Program, StridedLoop,
-                           byte_map, default_pipeline, enumerate_bytes,
-                           leaf_calls, lower_typemap, moved_bytes, op_count)
+from ..core.planir import (CopyBlock, Gather, Pass, Program, Record,
+                           StridedLoop, leaves, byte_map, default_pipeline,
+                           enumerate_bytes, leaf_calls, lower_typemap,
+                           moved_bytes, op_count)
 from ..core.typemap import Typemap
 from ..ucp.netsim import DEFAULT_PARAMS, LinkParams
 from .diagnostics import Diagnostic
@@ -65,6 +68,10 @@ class PlanReport:
     passes: tuple[str, ...] = ()
     ops: int = 0
     calls: int = 0
+    #: Unit widths (bytes) the plan's copy leaves and gathers execute at.
+    units: tuple[int, ...] = ()
+    #: Fields in the widest :class:`Record` (0: the plan has none).
+    record_width: int = 0
     predicted_mb_s: float = 0.0
     verified: bool = True
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -79,6 +86,8 @@ class PlanReport:
             "passes": list(self.passes),
             "ops": self.ops,
             "calls": self.calls,
+            "units": list(self.units),
+            "record_width": self.record_width,
             "predicted_mb_s": round(self.predicted_mb_s, 1),
             "verified": self.verified,
             "findings": [d.code for d in self.diagnostics],
@@ -196,23 +205,25 @@ def predict_pack_time(prog: Program,
                       params: LinkParams = DEFAULT_PARAMS) -> float:
     """Predicted seconds to pack one element with the final IR.
 
-    Each leaf numpy call pays the FFI-boundary ``callback_overhead``; copy
-    leaves stream at ``copy_bandwidth``; a byte gather additionally pays
-    the per-scalar ``elem_cost`` for every byte its index addresses (the
-    same per-entry model the derived-datatype slow path is charged).
+    Each leaf numpy call (a :class:`Record` is one) pays the FFI-boundary
+    ``callback_overhead``; copies stream at ``copy_bandwidth``; a gather
+    additionally pays the per-scalar ``elem_cost`` for every lane its index
+    addresses (the same per-entry model the derived-datatype slow path is
+    charged), so a 4-byte-lane gather costs a quarter of a byte gather.
     """
     if prog.size == 0:
         return 0.0
     nbytes = moved_bytes(prog.ops)
     t = leaf_calls(prog.ops) * params.callback_overhead
     t += nbytes / params.copy_bandwidth
-    gathered = sum(op.nbytes for op in prog.ops if isinstance(op, Gather))
-    t += gathered * params.elem_cost
+    lanes = sum(op.src_index.shape[0] for op in prog.ops
+                if isinstance(op, Gather))
+    t += lanes * params.elem_cost
     return t
 
 
 def _gather_runs(idx: np.ndarray) -> int:
-    """Number of maximal contiguous runs in a gather index."""
+    """Number of maximal contiguous runs in a gather (lane) index."""
     if idx.shape[0] <= 1:
         return idx.shape[0]
     return int(np.count_nonzero(np.diff(idx) != 1)) + 1
@@ -283,12 +294,17 @@ def verify_typemap(tm: Typemap, *, params: LinkParams = DEFAULT_PARAMS,
         else "slices"
     if tm.is_contiguous:
         kind = "contig"
+    final_leaves = [op for op, _ in leaves(final.ops)]
     report = PlanReport(
         subject=subject or repr(tm),
         blocks=len(tm.merged_blocks()),
         size=tm.size, extent=tm.extent, executor=kind,
         passes=applied, ops=op_count(final.ops),
         calls=leaf_calls(final.ops),
+        units=tuple(sorted({op.unit for op in final_leaves
+                            if not isinstance(op, Record)})),
+        record_width=max((len(op.fields) for op in final_leaves
+                          if isinstance(op, Record)), default=0),
         predicted_mb_s=(tm.size / t / 1e6) if t > 0 else float("inf"),
         verified=not any(d.severity == "error" for d in diags),
         diagnostics=diags)
@@ -316,18 +332,22 @@ def ddtbench_corpus() -> list[tuple[str, object]]:
 # ---------------------------------------------------------------------------
 
 def _map_first_block(ops: tuple, fn) -> tuple:
-    """Apply ``fn`` to the first CopyBlock found (depth-first), once."""
+    """Apply ``fn`` to the first CopyBlock found (depth-first, loop bodies
+    and record fields included), once."""
     out = list(ops)
     for i, op in enumerate(out):
         if isinstance(op, CopyBlock):
             out[i] = fn(op)
             return tuple(out)
         if isinstance(op, StridedLoop):
-            new_body = _map_first_block(op.body, fn)
-            if new_body != op.body:
-                out[i] = StridedLoop(op.count, op.src_stride,
-                                     op.dst_stride, new_body)
-                return tuple(out)
+            new = replace(op, body=_map_first_block(op.body, fn))
+        elif isinstance(op, Record):
+            new = replace(op, fields=_map_first_block(op.fields, fn))
+        else:
+            continue
+        if new != op:
+            out[i] = new
+            return tuple(out)
     return tuple(out)
 
 
@@ -345,13 +365,32 @@ def _bug_drop_tail(prog: Program) -> Program:
 
 def _bug_shift_src(prog: Program) -> Program:
     return prog.with_ops(_map_first_block(
-        prog.ops, lambda b: CopyBlock(b.src_off + 1, b.dst_off, b.nbytes)))
+        prog.ops, lambda b: replace(b, src_off=b.src_off + 1)))
 
 
 def _bug_reorder(prog: Program) -> Program:
-    if len(prog.ops) > 1:
-        return prog.with_ops(tuple(reversed(prog.ops)))
+    ops = prog.ops
+    if len(ops) > 1:
+        return prog.with_ops(tuple(reversed(ops)))
+    if len(ops) == 1 and isinstance(ops[0], Record):
+        return prog.with_ops((Record(tuple(reversed(ops[0].fields))),))
     return prog
+
+
+def _bug_unit_too_wide(prog: Program) -> Program:
+    return prog.with_ops(_map_first_block(
+        prog.ops, lambda b: replace(b, unit=2 * b.unit)))
+
+
+def _bug_record_fields_swapped(prog: Program) -> Program:
+    out = list(prog.ops)
+    for i, op in enumerate(out):
+        if isinstance(op, Record):
+            a, b, *rest = op.fields
+            out[i] = Record((replace(a, src_off=b.src_off),
+                             replace(b, src_off=a.src_off), *rest))
+            break
+    return prog.with_ops(out)
 
 
 def _bug_duplicate(prog: Program) -> Program:
@@ -371,7 +410,7 @@ def _bug_stride_off_by_one(prog: Program) -> Program:
 
 
 def _fixture_struct() -> Typemap:
-    """Three separated blocks: stays plain CopyBlocks through the pipeline."""
+    """Three separated blocks: fuses into one three-field Record."""
     from ..core import INT32, create_struct, resized
     t = create_struct([1, 1, 1], [0, 8, 20], [INT32, INT32, INT32])
     return resized(t, 0, 32).typemap
@@ -381,6 +420,13 @@ def _fixture_vector() -> Typemap:
     """A 16-row vector: canonicalizes to a single StridedLoop."""
     from ..core import FLOAT64, vector
     return vector(16, 2, 4, FLOAT64).typemap
+
+
+def _fixture_vector_i32() -> Typemap:
+    """16 rows of three int32: one StridedLoop over a 12-byte leaf that the
+    pipeline runs at 4-byte units (8 does not divide it)."""
+    from ..core import INT32, vector
+    return vector(16, 3, 4, INT32).typemap
 
 
 @dataclass(frozen=True)
@@ -408,9 +454,9 @@ class MiscompileFixture:
 
 
 #: The seeded corpus.  Each entry exercises a distinct detection channel:
-#: byte-map divergence (RPD610), duplicate wire writes (RPD600), and wire
-#: order inversion (RPD602 — the byte *map* is unchanged, so only the
-#: well-formedness walk can catch it).
+#: byte-map divergence (RPD610), duplicate or missing wire writes (RPD600),
+#: and wire order inversion (RPD602 — the byte *map* is unchanged, so only
+#: the well-formedness walk can catch it).
 MISCOMPILE_CORPUS: tuple[MiscompileFixture, ...] = (
     MiscompileFixture(
         "drop-tail", "silently drops the final op / loop iteration",
@@ -433,6 +479,17 @@ MISCOMPILE_CORPUS: tuple[MiscompileFixture, ...] = (
         "duplicate", "emits the first op twice (byte map unchanged)",
         frozenset({"RPD600"}),
         Pass("bug:duplicate", _bug_duplicate), _fixture_struct),
+    MiscompileFixture(
+        "unit-too-wide", "doubles a leaf's unit past what divides its "
+        "length (the tail of every block is never moved)",
+        frozenset({"RPD600"}),
+        Pass("bug:unit-too-wide", _bug_unit_too_wide), _fixture_vector_i32),
+    MiscompileFixture(
+        "record-fields-swapped", "exchanges the source offsets of a "
+        "record's first two fields",
+        frozenset({"RPD610"}),
+        Pass("bug:record-fields-swapped", _bug_record_fields_swapped),
+        _fixture_struct),
 )
 
 

@@ -22,7 +22,7 @@ from .packing import (pack, pack_reference, pack_window_reference,
                       packed_size, required_span, unpack, unpack_reference,
                       unpack_window_reference)
 from .packplan import PackCursor, PackPlan, UnpackCursor
-from .planir import (CopyBlock, Gather, Pass, Program, StridedLoop,
+from .planir import (CopyBlock, Gather, Pass, Program, Record, StridedLoop,
                      byte_map, default_pipeline, lower_typemap,
                      run_pipeline)
 from .regions import Region, region_lengths, total_region_bytes
@@ -62,7 +62,7 @@ __all__ = [
     # compiled pack plans
     "PackPlan", "PackCursor", "UnpackCursor",
     # pack-plan IR (ops, passes, executors)
-    "CopyBlock", "StridedLoop", "Gather", "Program", "Pass",
+    "CopyBlock", "StridedLoop", "Gather", "Record", "Program", "Pass",
     "lower_typemap", "byte_map", "default_pipeline", "run_pipeline",
     # regions
     "Region", "region_lengths", "total_region_bytes",

@@ -13,8 +13,9 @@ fast; this module is that compiler.
   :func:`repro.core.typecache.pack_plan`.  Compilation lowers the typemap
   into the :mod:`repro.core.planir` op IR, runs the rewrite pass pipeline
   (block coalescing, stride canonicalization, loop collapsing, contiguity
-  promotion, gather formation), and binds the executor backend the final
-  IR calls for; the contiguous fast-path decision stays at the plan level.
+  promotion, gather formation, record fusion, unit widening), and binds
+  the executor the final IR calls for; the contiguous fast-path decision
+  stays at the plan level.
   The lowered IR, the applied pass names, and the resolved backend are
   exposed as ``plan.ir`` / ``plan.passes`` / ``plan.executor`` so the
   static verifier (:mod:`repro.analyze.planverify`) can re-check exactly
@@ -72,15 +73,12 @@ class PackPlan:
     canonical layout in an LRU.
     """
 
-    __slots__ = ("size", "extent", "row_span", "true_ub", "contiguous",
-                 "negative_lb", "nblocks", "ir", "passes", "executor",
-                 "_exec")
+    __slots__ = ("size", "extent", "contiguous", "negative_lb", "nblocks",
+                 "ir", "passes", "executor", "_exec")
 
     def __init__(self, tm):
         self.size = tm.size
         self.extent = tm.extent
-        self.true_ub = tm.true_ub
-        self.row_span = max(tm.true_ub, tm.extent)
         self.contiguous = tm.is_contiguous
         self.negative_lb = tm.true_lb < 0
         self.nblocks = len(tm.merged_blocks())
@@ -93,56 +91,26 @@ class PackPlan:
     # Callers (repro.core.packing) validate buffer sizes and handle count==0
     # so the error messages stay byte-identical to the reference engine.
 
-    def _full_rows(self, nbytes: int, count: int) -> int:
-        """Rows coverable by the strided 2-D view (the last element may stop
-        at its true upper bound, short of a full extent)."""
-        if nbytes >= (count - 1) * self.extent + self.row_span:
-            return count
-        return count - 1
-
     def pack_into(self, src: np.ndarray, count: int, out: np.ndarray) -> None:
         """Pack ``count`` elements from ``src`` into the flat ``out``."""
-        size = self.size
         if self.contiguous:
-            total = size * count
+            total = self.size * count
             out[:total] = src[:total]
             return
         if self.negative_lb:
             raise MPIError(MPI_ERR_BUFFER, _NEGATIVE_DISPL_MSG)
-        ex = self._exec
-        if count == 1:
-            ex.pack_one(src, out)
-            return
-        full_rows = self._full_rows(src.shape[0], count)
-        if full_rows:
-            ex.pack_rows(src, out, full_rows)
-        ext = self.extent
-        for i in range(full_rows, count):
-            # The short final element: its buffer stops at true_ub, so the
-            # strided cross-row view cannot cover it.  Leaf offsets never
-            # exceed true_ub, so element-based execution is in bounds.
-            ex.pack_one(src[i * ext:], out[i * size:])
+        self._exec.pack(src, out, count)
 
     def unpack_into(self, dst: np.ndarray, count: int,
                     packed: np.ndarray) -> None:
         """Scatter the flat ``packed`` stream into ``count`` elements."""
-        size = self.size
         if self.contiguous:
-            total = size * count
+            total = self.size * count
             dst[:total] = packed[:total]
             return
         if self.negative_lb:
             raise MPIError(MPI_ERR_BUFFER, _NEGATIVE_DISPL_MSG)
-        ex = self._exec
-        if count == 1:
-            ex.unpack_one(dst, packed)
-            return
-        full_rows = self._full_rows(dst.shape[0], count)
-        if full_rows:
-            ex.unpack_rows(dst, packed, full_rows)
-        ext = self.extent
-        for i in range(full_rows, count):
-            ex.unpack_one(dst[i * ext:], packed[i * size:])
+        self._exec.unpack(dst, packed, count)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "contig" if self.contiguous else f"{self.nblocks} blocks"

@@ -1,12 +1,12 @@
-"""Op-level pack-plan IR, rewrite passes, and pluggable executors.
+"""Op-level pack-plan IR, rewrite passes, and the executor.
 
 :class:`~repro.core.packplan.PackPlan` used to compile a typemap straight to
 one fixed executable form (a column-slice table plus an optional byte-gather
 index).  This module splits that step into a small compiler in the spirit of
 the MLIR-style MPI dialect lowerings (PAPERS.md) and TEMPI's canonical
 datatype representation: typemaps lower to an explicit IR, rewrite passes
-bring the IR into a cheaper canonical form, and an executor backend turns
-the final IR into numpy calls.
+bring the IR into a cheaper canonical form and pick its kernels, and the
+executor turns the final IR into numpy calls.
 
 IR ops (all offsets are bytes; ``src`` is the element base in user memory,
 ``dst`` the packed wire stream of one element):
@@ -16,8 +16,15 @@ IR ops (all offsets are bytes; ``src`` is the element base in user memory,
   ``body`` ``count`` times; iteration ``i`` shifts source offsets by
   ``i * src_stride`` and wire offsets by ``i * dst_stride``.  Body ops carry
   the absolute offsets of iteration 0.
-* :class:`Gather` ``(src_index, dst_off)`` — byte gather: wire byte
-  ``dst_off + j`` reads source byte ``src_index[j]``.
+* :class:`Gather` ``(src_index, dst_off, unit)`` — lane gather: wire lane
+  ``j`` (``unit`` bytes at ``dst_off + j * unit``) reads source lane
+  ``src_index[j]`` (``unit`` bytes at ``src_index[j] * unit``).
+* :class:`Record` ``(fields)`` — the loop-free copies of one element, moved
+  by a single structured assignment.
+
+Every copy leaf and gather carries a ``unit`` in {8, 4, 2, 1} bytes: the
+word width it is executed at (TEMPI picks its kernel the same way, from the
+widest word the canonical layout is aligned to).
 
 Passes (:data:`default_pipeline`):
 
@@ -28,7 +35,18 @@ Passes (:data:`default_pipeline`):
   single-iteration loops;
 * ``promote-contiguity`` — turn gap-free loops back into single copies;
 * ``form-gather`` — when the canonical form still needs too many numpy
-  calls per element, collapse the whole program into one byte-gather.
+  calls per element, collapse the whole program into one byte-gather;
+* ``fuse-records`` — fold each run of top-level copies into one
+  :class:`Record`, so a struct costs one numpy call and one pass over the
+  source per message instead of one strided column copy per field;
+* ``widen-units`` — give every remaining copy leaf and gather the widest
+  unit that divides everything its addresses are built from.
+
+Where an unpack would write some memory byte twice (rows alias, or blocks
+of one element overlap) the write order is observable, so every pass that
+reorders writes leaves such a program alone (:attr:`Program.order_observable`)
+and it executes in the reference engine's own shape: one byte-unit copy per
+merged block.
 
 Every pass is *translation-validated* before its output is trusted:
 :func:`byte_map` symbolically enumerates the ``wire offset -> source
@@ -36,18 +54,22 @@ offset`` byte map of a program, and :mod:`repro.analyze.planverify` proves
 the map unchanged across each pass (diagnostic ``RPD610``) and checks IR
 well-formedness invariants (``RPD600``-``RPD602``).
 
-Executors (:class:`IRExecutor`): the ``slices`` backend issues one strided
-numpy copy per :class:`CopyBlock` leaf (loops become extra ``as_strided``
-dimensions, vectorized across elements), the ``gather`` backend executes a
-:class:`Gather` with one batched ``np.take`` / fancy-scatter per call.  The
-backend is whatever the final IR calls for: ``form-gather`` is the only
-place the choice is made, from what the compiler can observe (leaf calls,
-packed size, row aliasing).
+Executor (:class:`IRExecutor`): every leaf becomes one numpy call over a
+pair of typed views — element rows and enclosing loops are view dimensions,
+the innermost dimension counts units (a :class:`Record` is a 1-D view of a
+structured dtype) — built with the bounds-checked ``np.ndarray`` constructor,
+so a plan that leaves the caller's buffer raises instead of touching foreign
+memory.  A :class:`Gather` is one batched ``np.take`` / fancy scatter over
+unit lanes.  The ``slices``/``gather`` label is whatever the final IR calls
+for: ``form-gather`` is the only place that choice is made, from what the
+compiler can observe (leaf calls, packed size, write-order observability).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from math import gcd
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -55,11 +77,11 @@ import numpy as np
 from .typemap import Typemap
 
 __all__ = [
-    "CopyBlock", "StridedLoop", "Gather", "Program", "Pass",
-    "lower_typemap", "byte_map", "enumerate_bytes", "leaf_calls",
+    "CopyBlock", "StridedLoop", "Gather", "Record", "Program", "Pass",
+    "lower_typemap", "byte_map", "enumerate_bytes", "leaves", "leaf_calls",
     "op_count", "default_pipeline", "run_pipeline", "IRExecutor",
     "coalesce_blocks", "canonicalize_strides", "collapse_loops",
-    "promote_contiguity", "form_gather",
+    "promote_contiguity", "form_gather", "fuse_records", "widen_units",
 ]
 
 #: Longest repeating op pattern the stride canonicalizer searches for.
@@ -68,12 +90,22 @@ MAX_PERIOD = 8
 MIN_REPS = 4
 #: Leaf-call count at which the pipeline collapses the program into a
 #: single byte-gather (one numpy call instead of a python loop of copies).
+#: Also bounds a :class:`Record`: longer runs of copies are either gathered
+#: or (past :data:`GATHER_MAX_BYTES`) large enough to amortize their calls.
 GATHER_MIN_CALLS = 32
 #: Never materialize a gather index over more than this many packed bytes
 #: (the index costs 8 bytes per packed byte).
 GATHER_MAX_BYTES = 1 << 20
 
-_as_strided = np.lib.stride_tricks.as_strided
+#: Execution word per unit width (bytes).
+_UNIT_DTYPES = {1: np.dtype(np.uint8), 2: np.dtype(np.uint16),
+                4: np.dtype(np.uint32), 8: np.dtype(np.uint64)}
+
+
+def _widest_unit(*values: int) -> int:
+    """The widest unit in {8, 4, 2, 1} dividing every one of ``values``."""
+    g = gcd(*values)
+    return next(u for u in (8, 4, 2, 1) if g % u == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +114,13 @@ _as_strided = np.lib.stride_tricks.as_strided
 
 @dataclass(frozen=True)
 class CopyBlock:
-    """Copy ``nbytes`` from source offset ``src_off`` to wire ``dst_off``."""
+    """Copy ``nbytes`` from source offset ``src_off`` to wire ``dst_off``,
+    ``unit`` bytes at a time (whole units only: ``nbytes // unit`` of them)."""
 
     src_off: int
     dst_off: int
     nbytes: int
+    unit: int = 1
 
 
 @dataclass(frozen=True)
@@ -106,33 +140,62 @@ class StridedLoop:
 
 
 class Gather:
-    """Byte gather: wire byte ``dst_off + j`` reads source ``src_index[j]``.
+    """Lane gather: wire lane ``j`` (``unit`` bytes at ``dst_off + j *
+    unit``) reads source lane ``src_index[j]`` (at ``src_index[j] * unit``).
 
     Carries a numpy ``intp`` index array, so equality is defined by value
     (``np.array_equal``) rather than identity.
     """
 
-    __slots__ = ("src_index", "dst_off")
+    __slots__ = ("src_index", "dst_off", "unit")
 
-    def __init__(self, src_index, dst_off: int = 0):
+    def __init__(self, src_index, dst_off: int = 0, unit: int = 1):
         self.src_index = np.ascontiguousarray(src_index, dtype=np.intp)
         self.dst_off = int(dst_off)
+        self.unit = int(unit)
 
     @property
     def nbytes(self) -> int:
-        return int(self.src_index.shape[0])
+        return int(self.src_index.shape[0]) * self.unit
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gather):
             return NotImplemented
-        return (self.dst_off == other.dst_off
+        return (self.dst_off == other.dst_off and self.unit == other.unit
                 and np.array_equal(self.src_index, other.src_index))
 
     def __hash__(self):  # pragma: no cover - identity is enough
         return id(self)
 
     def __repr__(self) -> str:
-        return f"Gather({self.nbytes} bytes, dst_off={self.dst_off})"
+        return (f"Gather({self.nbytes} bytes, dst_off={self.dst_off}, "
+                f"unit={self.unit})")
+
+
+@dataclass(frozen=True)
+class Record:
+    """The loop-free copies of one element as a single structured move.
+
+    ``fields`` are :class:`CopyBlock` ops; the executor views memory and
+    wire as two structured void dtypes holding the same fields at their
+    source and wire offsets and assigns one to the other — one numpy call
+    and one pass over the source however many fields there are.
+    """
+
+    fields: tuple
+
+    def dtypes(self) -> tuple[np.dtype, np.dtype]:
+        """``(memory, wire)`` dtypes.  Each itemsize stops at the last field
+        end (rows are strided explicitly), so the short final element of a
+        message stays in bounds."""
+        names = [f"f{i}" for i in range(len(self.fields))]
+        formats = [f"V{f.nbytes}" for f in self.fields]
+        return tuple(
+            np.dtype({"names": names, "formats": formats, "offsets": offs,
+                      "itemsize": max(o + f.nbytes
+                                      for o, f in zip(offs, self.fields))})
+            for offs in ([f.src_off for f in self.fields],
+                         [f.dst_off for f in self.fields]))
 
 
 @dataclass(frozen=True)
@@ -141,7 +204,8 @@ class Program:
 
     ``size``/``extent``/``row_span`` mirror the typemap quantities the
     executor needs; ``src_lo``/``src_hi`` are the true bounds every source
-    offset must stay within (the ``RPD601`` invariant).
+    offset must stay within (the ``RPD601`` invariant); ``block_overlap``
+    says two blocks of one element share a memory byte.
     """
 
     ops: tuple
@@ -150,6 +214,15 @@ class Program:
     row_span: int
     src_lo: int
     src_hi: int
+    block_overlap: bool = False
+
+    @property
+    def order_observable(self) -> bool:
+        """An unpack writes some memory byte more than once — successive
+        rows alias (``row_span > extent``) or blocks of one element overlap
+        — so the order of its writes shows in the result and only the
+        reference engine's order (block-major, rows ascending) is right."""
+        return self.block_overlap or self.row_span > self.extent
 
     def with_ops(self, ops: Iterable) -> "Program":
         """The same envelope around a rewritten op list."""
@@ -165,12 +238,16 @@ def lower_typemap(tm: Typemap) -> Program:
     per merged block, wire offsets dense in declaration (pack) order."""
     ops = []
     pos = 0
-    for b in tm.merged_blocks():
+    blocks = tm.merged_blocks()
+    for b in blocks:
         ops.append(CopyBlock(b.offset, pos, b.length))
         pos += b.length
+    spans = sorted((b.offset, b.end) for b in blocks)
     return Program(tuple(ops), size=tm.size, extent=tm.extent,
                    row_span=max(tm.true_ub, tm.extent),
-                   src_lo=min(tm.true_lb, 0), src_hi=tm.true_ub)
+                   src_lo=min(tm.true_lb, 0), src_hi=tm.true_ub,
+                   block_overlap=any(a[1] > b[0]
+                                     for a, b in zip(spans, spans[1:])))
 
 
 def op_count(ops: Iterable) -> int:
@@ -180,13 +257,15 @@ def op_count(ops: Iterable) -> int:
         n += 1
         if isinstance(op, StridedLoop):
             n += op_count(op.body)
+        elif isinstance(op, Record):
+            n += len(op.fields)
     return n
 
 
 def leaf_calls(ops: Iterable) -> int:
-    """Numpy calls per element the slice/gather executor issues: one per
-    :class:`CopyBlock` leaf (loops vectorize into the call) or
-    :class:`Gather`."""
+    """Numpy calls per message the executor issues: one per
+    :class:`CopyBlock` leaf (loops and element rows vectorize into the
+    call), :class:`Record` or :class:`Gather`."""
     n = 0
     for op in ops:
         if isinstance(op, StridedLoop):
@@ -202,11 +281,22 @@ def moved_bytes(ops: Iterable) -> int:
     for op in ops:
         if isinstance(op, StridedLoop):
             total += op.count * moved_bytes(op.body)
-        elif isinstance(op, Gather):
-            total += op.nbytes
+        elif isinstance(op, Record):
+            total += moved_bytes(op.fields)
         else:
             total += op.nbytes
     return total
+
+
+def leaves(ops: Iterable, dims: tuple = ()) -> Iterator[tuple]:
+    """``(leaf, dims)`` for every non-loop op, ``dims`` the enclosing
+    ``(count, src_stride, dst_stride)`` loop dimensions, outermost first."""
+    for op in ops:
+        if isinstance(op, StridedLoop):
+            yield from leaves(
+                op.body, dims + ((op.count, op.src_stride, op.dst_stride),))
+        else:
+            yield op, dims
 
 
 # ---------------------------------------------------------------------------
@@ -217,32 +307,38 @@ def enumerate_bytes(prog: Program) -> tuple[np.ndarray, np.ndarray]:
     """``(src, dst)`` byte offsets of every write, in execution order.
 
     The arrays have one entry per packed byte the program writes; this is
-    the ground truth the verifier checks invariants against.
+    the ground truth the verifier checks invariants against.  Bytes are
+    enumerated the way the executor moves them — in whole units — so a
+    unit too wide for its leaf shows up as wire bytes never written.
     """
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
 
     def emit(op, sbase: int, dbase: int) -> None:
         if isinstance(op, CopyBlock):
-            s0 = sbase + op.src_off
-            d0 = dbase + op.dst_off
-            srcs.append(np.arange(s0, s0 + op.nbytes, dtype=np.intp))
-            dsts.append(np.arange(d0, d0 + op.nbytes, dtype=np.intp))
+            off = np.arange(op.nbytes - op.nbytes % op.unit, dtype=np.intp)
+            srcs.append(sbase + op.src_off + off)
+            dsts.append(dbase + op.dst_off + off)
         elif isinstance(op, Gather):
-            srcs.append(op.src_index + sbase)
+            lane = np.arange(op.unit, dtype=np.intp)
+            srcs.append((op.src_index[:, None] * op.unit + lane).ravel()
+                        + sbase)
             d0 = dbase + op.dst_off
             dsts.append(np.arange(d0, d0 + op.nbytes, dtype=np.intp))
+        elif isinstance(op, Record):
+            for f in op.fields:
+                emit(f, sbase, dbase)
+        elif len(op.body) == 1 and isinstance(op.body[0], CopyBlock):
+            # Vectorized common case: a loop over one block.
+            b = op.body[0]
+            it = np.arange(op.count, dtype=np.intp)[:, None]
+            off = np.arange(b.nbytes - b.nbytes % b.unit,
+                            dtype=np.intp)[None, :]
+            srcs.append(((sbase + b.src_off) + it * op.src_stride
+                         + off).ravel())
+            dsts.append(((dbase + b.dst_off) + it * op.dst_stride
+                         + off).ravel())
         else:
-            if len(op.body) == 1 and isinstance(op.body[0], CopyBlock):
-                # Vectorized common case: a loop over one block.
-                b = op.body[0]
-                it = np.arange(op.count, dtype=np.intp)[:, None]
-                off = np.arange(b.nbytes, dtype=np.intp)[None, :]
-                srcs.append(((sbase + b.src_off) + it * op.src_stride
-                             + off).ravel())
-                dsts.append(((dbase + b.dst_off) + it * op.dst_stride
-                             + off).ravel())
-                return
             for i in range(op.count):
                 for b in op.body:
                     emit(b, sbase + i * op.src_stride,
@@ -398,9 +494,21 @@ def _promote_ops(ops: tuple) -> tuple:
     return _coalesce_ops(tuple(out))
 
 
+def _reordering(name: str, rewrite: Callable[[Program], Program]) -> Pass:
+    """A pass whose output may write memory in another order than the
+    reference engine does, so it leaves order-observable programs alone.
+
+    numpy orders a copy's dimensions by stride: a loop dimension, or a unit
+    as wide as the row stride, can run ahead of the row dimension; a fancy
+    scatter keeps no order among repeated index entries; a structured
+    assignment is numpy's to schedule.
+    """
+    return Pass(name, lambda p: p if p.order_observable else rewrite(p))
+
+
 coalesce_blocks = Pass(
     "coalesce-blocks", lambda p: p.with_ops(_coalesce_ops(p.ops)))
-canonicalize_strides = Pass(
+canonicalize_strides = _reordering(
     "canonicalize-strides", lambda p: p.with_ops(_canonicalize_ops(p.ops)))
 collapse_loops = Pass(
     "collapse-loops", lambda p: p.with_ops(_collapse_ops(p.ops)))
@@ -409,20 +517,80 @@ promote_contiguity = Pass(
 
 
 def _form_gather(prog: Program) -> Program:
-    """Collapse a still call-heavy program into one :class:`Gather`.
-
-    A plan may execute vectorized across element rows, and the fancy
-    *scatter* on the unpack side is only order-safe there when rows do not
-    alias, so aliasing layouts (``row_span > extent``) keep their copies.
-    """
+    """Collapse a still call-heavy program into one :class:`Gather`."""
     if (leaf_calls(prog.ops) < GATHER_MIN_CALLS
-            or prog.size > GATHER_MAX_BYTES
-            or prog.row_span > prog.extent):
+            or prog.size > GATHER_MAX_BYTES):
         return prog
     return prog.with_ops((Gather(byte_map(prog), 0),))
 
 
-form_gather = Pass("form-gather", _form_gather)
+form_gather = _reordering("form-gather", _form_gather)
+
+
+def _fuse_records(prog: Program) -> Program:
+    """Fold each run of 2..:data:`GATHER_MIN_CALLS`-1 consecutive top-level
+    copies into a :class:`Record`.
+
+    A strided copy of a few units per row spends its time on per-row loop
+    overhead, and one such copy per field reads the source once per field;
+    the structured assignment walks the rows once.  A field must lie inside
+    ``[0, extent)`` — the record dtype spans one row — and eligibility is
+    settled here, at compile time: if numpy would not assign the dtype pair
+    the run keeps its per-leaf copies.
+    """
+    out: list = []
+    for fusable, run in groupby(prog.ops, lambda op: (
+            isinstance(op, CopyBlock)
+            and 0 <= op.src_off <= prog.extent - op.nbytes)):
+        run = tuple(run)
+        if fusable and 2 <= len(run) < GATHER_MIN_CALLS:
+            rec = Record(run)
+            mem, wire = rec.dtypes()
+            if (np.can_cast(mem, wire, "same_kind")
+                    and np.can_cast(wire, mem, "same_kind")):
+                run = (rec,)
+        out.extend(run)
+    return prog.with_ops(out)
+
+
+fuse_records = _reordering("fuse-records", _fuse_records)
+
+
+def _widen_gather(op: Gather, align: int) -> Gather:
+    """``op`` (a byte gather) over the widest lanes its index allows: every
+    lane must be ``unit`` consecutive source bytes starting on a multiple
+    of ``unit``."""
+    idx = op.src_index
+    for unit in (8, 4, 2):
+        if gcd(align, op.dst_off, idx.shape[0]) % unit:
+            continue
+        lanes = idx.reshape(-1, unit)
+        if (not (lanes[:, 0] % unit).any()
+                and (lanes == lanes[:, :1] + np.arange(unit)).all()):
+            return Gather(lanes[:, 0] // unit, op.dst_off, unit)
+    return op
+
+
+def _widen_ops(ops: tuple, align: int) -> tuple:
+    """Assign units; ``align`` is the gcd of everything the enclosing
+    dimensions add to an address (extent, size, loop strides)."""
+    out: list = []
+    for op in ops:
+        if isinstance(op, StridedLoop):
+            op = replace(op, body=_widen_ops(
+                op.body, gcd(align, op.src_stride, op.dst_stride)))
+        elif isinstance(op, CopyBlock):
+            op = replace(op, unit=_widest_unit(
+                align, op.src_off, op.dst_off, op.nbytes))
+        elif isinstance(op, Gather) and op.unit == 1:
+            op = _widen_gather(op, align)
+        out.append(op)
+    return tuple(out)
+
+
+widen_units = _reordering(
+    "widen-units",
+    lambda p: p.with_ops(_widen_ops(p.ops, gcd(p.extent, p.size))))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +600,7 @@ form_gather = Pass("form-gather", _form_gather)
 def default_pipeline() -> tuple[Pass, ...]:
     """The standard pass pipeline of every plan compilation."""
     return (coalesce_blocks, canonicalize_strides, collapse_loops,
-            promote_contiguity, form_gather)
+            promote_contiguity, form_gather, fuse_records, widen_units)
 
 
 def run_pipeline(prog: Program,
@@ -455,141 +623,85 @@ def run_pipeline(prog: Program,
 
 
 # ---------------------------------------------------------------------------
-# executors
+# executor
 # ---------------------------------------------------------------------------
 
-def _collect_items(ops: tuple, dims: tuple = ()) -> Iterator[tuple]:
-    """Flatten ops to executor items: ``("copy", src_off, dst_off, nbytes,
-    dims)`` with ``dims`` the enclosing ``(count, src_stride, dst_stride)``
-    loop dimensions, or ``("gather", index, dst_off)``."""
-    for op in ops:
-        if isinstance(op, StridedLoop):
-            yield from _collect_items(
-                op.body,
-                dims + ((op.count, op.src_stride, op.dst_stride),))
-        elif isinstance(op, Gather):
-            if dims:
-                raise NotImplementedError(
-                    "Gather inside a StridedLoop is not executable")
-            yield ("gather", op.src_index, op.dst_off)
-        else:
-            yield ("copy", op.src_off, op.dst_off, op.nbytes, dims)
-
-
 class IRExecutor:
-    """Executes a final-form program with vectorized numpy calls.
+    """Executes a final-form program: one numpy call per leaf.
 
-    ``pack_rows``/``unpack_rows`` run ``nrows`` whole elements at once
-    (element ``r`` based at ``r * extent`` in memory, ``r * size`` on the
-    wire); ``pack_one``/``unpack_one`` run a single element whose buffers
-    the caller has already re-based (the short-final-element tail).
+    ``pack``/``unpack`` run ``nrows`` elements at once, element ``r`` based
+    at ``r * extent`` in ``mem`` and ``r * size`` on the ``wire`` (both flat
+    ``uint8`` arrays).  Each leaf is compiled to a pair of view descriptors;
+    a view covers exactly the bytes its leaf touches, so the last element
+    may stop at its true upper bound, and is built by the bounds-checked
+    ``np.ndarray`` constructor: a plan whose offsets leave either buffer
+    raises ``ValueError`` instead of touching foreign memory.
 
-    A :class:`Gather` over aliasing rows (``row_span > extent``) is
-    rejected: the vectorized fancy scatter would not keep the reference
-    engine's element-by-element write order there.
+    A :class:`Gather` in an order-observable program is rejected: the
+    fancy scatter would not keep the reference engine's write order there.
     """
 
-    __slots__ = ("size", "extent", "row_span", "kind", "_items")
+    __slots__ = ("kind", "_items")
 
     def __init__(self, prog: Program):
-        self.size = prog.size
-        self.extent = prog.extent
-        self.row_span = prog.row_span
-        self._items = tuple(_collect_items(prog.ops))
         #: Backend label: ``slices`` or ``gather``.
         self.kind = "slices"
-        if any(it[0] == "gather" for it in self._items):
-            self.kind = "gather"
-            if prog.row_span > prog.extent:
-                raise ValueError(
-                    f"Gather over aliasing rows (row_span {prog.row_span} "
-                    f"> extent {prog.extent}) is not executable")
-
-    # -- vectorized whole-row execution -----------------------------------
-
-    def _views(self, op, buf: np.ndarray, nrows: int, row_stride: int,
-               src_side: bool, writeable: bool) -> np.ndarray:
-        _, so, do, nb, dims = op
-        off = so if src_side else do
-        shape = (nrows, *(d[0] for d in dims), nb)
-        strides = (row_stride,
-                   *((d[1] if src_side else d[2]) for d in dims), 1)
-        # The base points at iteration 0 of every loop dim; a negative
-        # source stride then walks to lower addresses, which stay inside
-        # the caller's buffer because every absolute offset is >= 0.
-        return _as_strided(buf[off:], shape=shape, strides=strides,
-                           writeable=writeable)
-
-    def pack_rows(self, src: np.ndarray, out: np.ndarray,
-                  nrows: int) -> None:
-        """Pack ``nrows`` full elements of ``src`` into ``out``."""
-        size = self.size
-        for it in self._items:
-            if it[0] == "copy":
-                dv = self._views(it, out, nrows, size, False, True)
-                sv = self._views(it, src, nrows, self.extent, True, False)
-                dv[...] = sv
+        #: Per leaf ``(index, mem view, wire view)``, a view being ``(dtype,
+        #: shape below the row dimension, offset, strides)``; ``index`` is
+        #: ``None`` for a plain assignment between the two views.
+        self._items = []
+        for op, dims in leaves(prog.ops):
+            counts = tuple(d[0] for d in dims)
+            mstr = (prog.extent, *(d[1] for d in dims))
+            wstr = (prog.size, *(d[2] for d in dims))
+            if isinstance(op, Gather):
+                if dims:
+                    raise NotImplementedError(
+                        "Gather inside a StridedLoop is not executable")
+                if prog.order_observable:
+                    raise ValueError(
+                        "Gather over aliasing rows or overlapping blocks "
+                        f"(row_span {prog.row_span}, extent {prog.extent}) "
+                        "is not executable")
+                self.kind = "gather"
+                idx, unit = op.src_index, op.unit
+                dt = _UNIT_DTYPES[unit]
+                lanes = int(idx.max()) + 1 if idx.shape[0] else 0
+                self._items.append((
+                    idx, (dt, (lanes,), 0, (*mstr, unit)),
+                    (dt, idx.shape, op.dst_off, (*wstr, unit))))
+            elif isinstance(op, Record):
+                mdt, wdt = op.dtypes()
+                self._items.append((None, (mdt, counts, 0, mstr),
+                                    (wdt, counts, 0, wstr)))
             else:
-                _, idx, do = it
-                rows = _as_strided(src, shape=(nrows, self.row_span),
-                                   strides=(self.extent, 1),
-                                   writeable=False)
-                out2d = out[: nrows * size].reshape(nrows, size)
-                np.take(rows, idx, axis=1,
-                        out=out2d[:, do:do + idx.shape[0]])
+                dt = _UNIT_DTYPES[op.unit]
+                shape = (*counts, op.nbytes // op.unit)
+                self._items.append((
+                    None, (dt, shape, op.src_off, (*mstr, op.unit)),
+                    (dt, shape, op.dst_off, (*wstr, op.unit))))
 
-    def unpack_rows(self, dst: np.ndarray, packed: np.ndarray,
-                    nrows: int) -> None:
-        """Scatter ``nrows`` elements of the packed stream into ``dst``."""
-        size = self.size
-        for it in self._items:
-            if it[0] == "copy":
-                sv = self._views(it, packed, nrows, size, False, False)
-                dv = self._views(it, dst, nrows, self.extent, True, True)
-                dv[...] = sv
+    def pack(self, mem: np.ndarray, wire: np.ndarray, nrows: int) -> None:
+        """Pack ``nrows`` elements of ``mem`` into ``wire``."""
+        for idx, (mdt, mshape, moff, mstr), (wdt, wshape, woff, wstr) \
+                in self._items:
+            mv = np.ndarray((nrows, *mshape), mdt, mem, moff, mstr)
+            wv = np.ndarray((nrows, *wshape), wdt, wire, woff, wstr)
+            if idx is None:
+                wv[...] = mv
             else:
-                _, idx, do = it
-                src2d = packed[: nrows * size].reshape(nrows, size)
-                rows = _as_strided(dst, shape=(nrows, self.row_span),
-                                   strides=(self.extent, 1))
-                rows[:, idx] = src2d[:, do:do + idx.shape[0]]
+                # Every index is below the view's lane count by
+                # construction; "clip" only skips numpy's own range pass
+                # and the bounce buffer its "raise" mode puts behind out=.
+                np.take(mv, idx, axis=1, out=wv, mode="clip")
 
-    # -- single-element execution (the short final element) ----------------
-
-    def pack_one(self, src: np.ndarray, out: np.ndarray) -> None:
-        """Pack one element; ``src``/``out`` are already element-based."""
-        for it in self._items:
-            if it[0] == "copy":
-                _, so, do, nb, dims = it
-                if not dims:
-                    out[do:do + nb] = src[so:so + nb]
-                    continue
-                shape = (*(d[0] for d in dims), nb)
-                sv = _as_strided(src[so:], shape=shape,
-                                 strides=(*(d[1] for d in dims), 1),
-                                 writeable=False)
-                dv = _as_strided(out[do:], shape=shape,
-                                 strides=(*(d[2] for d in dims), 1))
-                dv[...] = sv
+    def unpack(self, mem: np.ndarray, wire: np.ndarray, nrows: int) -> None:
+        """Scatter ``nrows`` elements of ``wire`` into ``mem``."""
+        for idx, (mdt, mshape, moff, mstr), (wdt, wshape, woff, wstr) \
+                in self._items:
+            mv = np.ndarray((nrows, *mshape), mdt, mem, moff, mstr)
+            wv = np.ndarray((nrows, *wshape), wdt, wire, woff, wstr)
+            if idx is None:
+                mv[...] = wv
             else:
-                _, idx, do = it
-                np.take(src, idx, out=out[do:do + idx.shape[0]])
-
-    def unpack_one(self, dst: np.ndarray, packed: np.ndarray) -> None:
-        """Scatter one element; ``dst``/``packed`` are element-based."""
-        for it in self._items:
-            if it[0] == "copy":
-                _, so, do, nb, dims = it
-                if not dims:
-                    dst[so:so + nb] = packed[do:do + nb]
-                    continue
-                shape = (*(d[0] for d in dims), nb)
-                sv = _as_strided(packed[do:], shape=shape,
-                                 strides=(*(d[2] for d in dims), 1),
-                                 writeable=False)
-                dv = _as_strided(dst[so:], shape=shape,
-                                 strides=(*(d[1] for d in dims), 1))
-                dv[...] = sv
-            else:
-                _, idx, do = it
-                dst[idx] = packed[do:do + idx.shape[0]]
+                mv[:, idx] = wv

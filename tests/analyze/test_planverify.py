@@ -16,8 +16,9 @@ from repro.analyze.planverify import (MISCOMPILE_CORPUS, check_wellformed,
                                       verify_miscompile_corpus,
                                       verify_typemap)
 from repro.core import INT32, create_struct, hindexed, resized
-from repro.core.planir import (CopyBlock, Gather, Pass, Program,
-                               default_pipeline)
+from repro.core.planir import (CopyBlock, Gather, Pass, Program, Record,
+                               byte_map, default_pipeline, leaf_calls)
+from repro.types import struct_simple_datatype
 
 HERE = os.path.dirname(__file__)
 REPO = os.path.abspath(os.path.join(HERE, os.pardir, os.pardir))
@@ -56,6 +57,44 @@ class TestWellformed:
         assert "my-pass" in d.message
 
 
+class TestUnitsAndRecords:
+    """The verifier walks the bytes the way the executor moves them."""
+
+    def test_too_wide_unit_leaves_wire_bytes_unwritten(self):
+        p = prog([CopyBlock(0, 0, 12, unit=8)], size=12)
+        (d,) = check_wellformed(p)
+        assert d.code == "RPD600"
+        assert "writes 8 bytes but the typemap packs 12" in d.message
+        assert list(byte_map(p)[8:]) == [-1] * 4
+
+    def test_record_enumerates_its_fields_as_one_call(self):
+        fields = (CopyBlock(0, 0, 4), CopyBlock(8, 4, 4))
+        fused = prog([Record(fields)], size=8)
+        assert check_wellformed(fused) == []
+        assert leaf_calls(fused.ops) == 1
+        assert list(byte_map(fused)) == [0, 1, 2, 3, 8, 9, 10, 11]
+        assert predict_pack_time(fused) < predict_pack_time(
+            prog(fields, size=8))
+
+    def test_lane_gather_enumerates_whole_lanes(self):
+        wide = prog([Gather([0, 2], 0, unit=4)], size=8)
+        assert check_wellformed(wide) == []
+        assert list(byte_map(wide)) == [0, 1, 2, 3, 8, 9, 10, 11]
+        narrow = prog([Gather(byte_map(wide), 0)], size=8)
+        # The cost model charges a gather per lane, not per byte.
+        assert predict_pack_time(wide) < predict_pack_time(narrow)
+
+    def test_report_carries_units_and_record_width(self):
+        rep = verify_datatype(struct_simple_datatype(), subject="s")
+        assert (rep.units, rep.record_width, rep.calls) == ((), 2, 1)
+        by_name = dict(ddtbench_corpus())
+        rep = verify_datatype(by_name["LAMMPS"], subject="LAMMPS")
+        assert (rep.executor, rep.units, rep.record_width) == \
+            ("gather", (4,), 0)
+        assert rep.to_dict()["units"] == [4]
+        assert verify_datatype(by_name["MILC"]).units == (8,)
+
+
 class TestTranslationValidation:
     def test_clean_pipeline_validates(self):
         t = resized(create_struct([1, 1], [0, 8], [INT32, INT32]), 0, 16)
@@ -92,6 +131,11 @@ class TestMiscompileCorpus:
         for fx in MISCOMPILE_CORPUS:
             got = {d.code for d in fx.verify()}
             assert fx.expected_codes <= got, (fx.name, sorted(got))
+
+    def test_kernel_fixtures_caught_by_their_designated_codes(self):
+        designated = {fx.name: fx.expected_codes for fx in MISCOMPILE_CORPUS}
+        assert designated["unit-too-wide"] == {"RPD600"}
+        assert designated["record-fields-swapped"] == {"RPD610"}
 
     def test_corpus_spans_all_detection_channels(self):
         codes = set()
@@ -202,6 +246,16 @@ class TestPlansCli:
         for entry in doc["reports"]:
             assert entry["verified"] is True
             assert entry["calls"] == 1
+
+    def test_format_json_lists_each_plan(self, capsys):
+        assert plans_main(["--ddtbench", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"]["findings"] == 0
+        plans = {p["subject"]: p for p in doc["plans"]}
+        assert set(plans) == {name for name, _ in ddtbench_corpus()}
+        assert plans["LAMMPS"]["units"] == [4]
+        assert plans["WRF_x_vec"]["units"] == [8]
+        assert all(p["record_width"] == 0 for p in plans.values())
 
     def test_dispatch_through_main(self, capsys):
         assert main(["plans", "--ddtbench"]) == 0

@@ -5,15 +5,16 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import (FLOAT32, FLOAT64, INT32, PackCursor, UnpackCursor,
-                        clear_plan_cache, contiguous, create_struct, pack,
-                        pack_plan, pack_reference, pack_window_reference,
-                        packed_size, plan_cache_info, required_span, resized,
-                        unpack, unpack_reference, unpack_window_reference,
-                        vector)
+from repro.core import (BYTE, FLOAT32, FLOAT64, INT16, INT32, PackCursor,
+                        UnpackCursor, clear_plan_cache, contiguous,
+                        create_struct, hindexed, lower_typemap, pack,
+                        pack_plan,
+                        pack_reference, pack_window_reference, packed_size,
+                        plan_cache_info, required_span, resized, unpack,
+                        unpack_reference, unpack_window_reference, vector)
 from repro.ddtbench.registry import make_workload
 from repro.errors import MPIError
 from repro.types import make_struct_simple, struct_simple_datatype
@@ -303,6 +304,105 @@ class TestAliasingLayouts:
         unpack(t, a, count, packed)
         unpack_reference(t, b, count, packed)
         assert bytes(a) == bytes(b)
+
+
+# -- kernel differential -------------------------------------------------------
+
+BASES = [BYTE, INT16, INT32, FLOAT64]  # widest units 1, 2, 4, 8
+
+
+@st.composite
+def strided_blocks(draw):
+    """Equal blocks one byte stride apart, lowest displacement ``first``:
+    odd displacements and strides, descending order (negative loop strides
+    after canonicalization), and strides shorter than a block (send-side
+    overlapping blocks)."""
+    base = draw(st.sampled_from(BASES))
+    nblocks = draw(st.integers(1, 12))
+    blocklen = draw(st.integers(1, 3))
+    stride = draw(st.integers(-24, 24).filter(bool))
+    first = draw(st.integers(0, 5))
+    displs = [first + i * abs(stride) for i in range(nblocks)]
+    if stride < 0:
+        displs.reverse()
+    return hindexed([blocklen] * nblocks, displs, base)
+
+
+@st.composite
+def mixed_struct(draw):
+    """Fields of any base at arbitrary (odd included) gaps."""
+    offset, lens, displs, types = 0, [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        offset += draw(st.integers(0, 9))
+        base = draw(st.sampled_from(BASES))
+        blen = draw(st.integers(1, 4))
+        lens.append(blen)
+        displs.append(offset)
+        types.append(base)
+        offset += blen * base.size
+    return create_struct(lens, displs, types)
+
+
+@st.composite
+def any_layout(draw):
+    """A layout resized to any extent from 1 to past its true upper bound:
+    aliasing rows (``extent < true_ub``), a short final element (``extent >
+    true_ub``), and ``extent``/``size`` that no unit above 1 divides."""
+    t = draw(st.one_of(strided_blocks(), mixed_struct()))
+    return resized(t, 0, draw(st.integers(1, t.typemap.true_ub + 9)))
+
+
+class TestKernelDifferential:
+    """Plan kernels against the reference engine over the layouts and the
+    buffers they must survive."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(any_layout(), st.sampled_from([0, 1, 2, 7]))
+    # Rows alias and block 3 of row r lands on block 0 of row r + 1: rolled
+    # into a loop, numpy wrote it rows-first, the reference blocks-first.
+    @example(resized(hindexed([2] * 4, [0, 4, 8, 12], BYTE), 0, 12), 7)
+    def test_plan_matches_reference(self, t, count):
+        span = max(required_span(t, count), 1)
+        rng = np.random.default_rng(5)
+        # An exact-size buffer on an odd address: the last element stops at
+        # its true upper bound and no unit above 1 is aligned.
+        src = rng.integers(0, 256, span + 1, dtype=np.uint8)[1:]
+        ref = pack_reference(t, src, count)
+        assert bytes(pack(t, src, count)) == bytes(ref)
+        assert bytes(pack(t, bytes(src), count)) == bytes(ref)  # read-only
+        # An independent stream, so that where two writes land on one byte
+        # it shows which came last.
+        wire = rng.integers(0, 256, ref.shape[0], dtype=np.uint8).tobytes()
+        want = np.full(span, 0xEE, dtype=np.uint8)
+        unpack_reference(t, want, count, wire)
+        for wrap in (bytearray, lambda b: memoryview(bytearray(b))):
+            got = wrap(b"\xEE" * span)
+            unpack(t, got, count, wire)
+            assert bytes(got) == bytes(want)
+
+    @settings(deadline=None)
+    @given(any_layout(), st.sampled_from([1, 2, 7]), st.integers(1, 97))
+    def test_cursor_windows_stay_byte_identical(self, t, count, step):
+        span = required_span(t, count)
+        rng = np.random.default_rng(6)
+        src = rng.integers(0, 256, span, dtype=np.uint8)
+        full = pack_reference(t, src, count)
+        total = full.shape[0]
+        wire = rng.integers(0, 256, total, dtype=np.uint8)
+        got = np.full(span, 0xEE, dtype=np.uint8)
+        want = np.full(span, 0xEE, dtype=np.uint8)
+        with PackCursor(t, src, count) as pc, \
+                UnpackCursor(t, got, count) as uc:
+            for off in range(0, total, step):
+                w = pc.window(off, min(step, total - off))
+                assert bytes(w) == bytes(full[off:off + step])
+                uc.write(off, wire[off:off + step])
+                unpack_window_reference(t, want, count, off,
+                                        wire[off:off + step])
+        # The cursor scatters whole batches of elements, the reference one
+        # window at a time: the same bytes unless write order is observable.
+        if not lower_typemap(t.typemap).order_observable:
+            assert bytes(got) == bytes(want)
 
 
 # -- plan cache --------------------------------------------------------------

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (FLOAT64, INT32, CopyBlock, Gather, PackPlan, Program,
-                        StridedLoop, byte_map, contiguous, create_struct,
-                        hindexed, lower_typemap, pack, pack_reference,
-                        required_span, resized, run_pipeline, unpack,
-                        unpack_reference, vector)
+from repro.core import (BYTE, FLOAT64, INT16, INT32, CopyBlock, Gather,
+                        PackPlan, Program, Record, StridedLoop, byte_map,
+                        contiguous, create_struct, hindexed, lower_typemap,
+                        pack, pack_reference, required_span, resized,
+                        run_pipeline, unpack, unpack_reference, vector)
 from repro.core import planir
 from repro.core.planir import IRExecutor
 from repro.core.typemap import Typemap
 from repro.ddtbench.registry import WORKLOADS, make_workload
+from repro.types import struct_simple_datatype
 
 DDTBENCH_NAMES = sorted(WORKLOADS)
 
@@ -40,7 +41,8 @@ def plan_with(t, executor):
     if executor == "gather":
         prog = prog.with_ops((Gather(byte_map(prog), 0),))
     else:
-        prog, _ = run_pipeline(prog, planir.default_pipeline()[:-1])
+        prog, _ = run_pipeline(prog, [p for p in planir.default_pipeline()
+                                      if p is not planir.form_gather])
     plan._exec = IRExecutor(prog)
     assert plan._exec.kind == executor
     return plan
@@ -77,7 +79,7 @@ class TestPasses:
     def test_canonicalize_forms_strided_loop(self):
         t = vector(16, 1, 2, FLOAT64)
         prog, applied = run_pipeline(lower_typemap(t.typemap))
-        assert applied == ("canonicalize-strides",)
+        assert applied == ("canonicalize-strides", "widen-units")
         assert len(prog.ops) == 1
         lp = prog.ops[0]
         assert isinstance(lp, StridedLoop)
@@ -228,6 +230,117 @@ class TestExecutorSelection:
         plan = PackPlan(make_workload(name).derived_datatype().typemap)
         gathers = {"LAMMPS", "LAMMPS_full", "SPECFEM3D_oc"}
         assert plan.executor == ("gather" if name in gathers else "slices")
+
+
+class TestKernelSelection:
+    """What the two kernel passes decide, read off the final IR."""
+
+    def test_struct_simple_is_one_record(self):
+        plan = PackPlan(struct_simple_datatype().typemap)
+        assert plan.ir.ops == (Record((CopyBlock(0, 0, 12),
+                                       CopyBlock(16, 12, 8))),)
+        assert plan.passes == ("fuse-records",)
+        # One numpy call per message, whatever the count.
+        assert planir.leaf_calls(plan.ir.ops) == 1
+        assert plan.executor == "slices"
+
+    def test_vector_is_one_8_byte_unit_loop(self):
+        plan = PackPlan(vector(16, 1, 2, FLOAT64).typemap)
+        assert plan.ir.ops == (
+            StridedLoop(16, 16, 8, (CopyBlock(0, 0, 8, unit=8),)),)
+
+    def test_lammps_is_a_4_byte_lane_gather(self):
+        t = make_workload("LAMMPS").derived_datatype()
+        (g,) = PackPlan(t.typemap).ir.ops
+        assert isinstance(g, Gather) and g.unit == 4
+        assert g.nbytes == t.size == 4 * g.src_index.shape[0]
+
+    @pytest.mark.parametrize("t,unit", [
+        (resized(create_struct([3], [0], [FLOAT64]), 0, 32), 8),
+        (resized(create_struct([3], [0], [INT32]), 0, 16), 4),
+        (resized(create_struct([3], [2], [INT16]), 0, 10), 2),
+        (resized(create_struct([3], [0], [BYTE]), 0, 8), 1),
+        # each of displacement, extent and loop stride: one odd multiple of
+        # 4 caps an 8-byte layout at 4
+        (resized(create_struct([2], [4], [FLOAT64]), 0, 24), 4),
+        (resized(create_struct([2], [0], [FLOAT64]), 0, 20), 4),
+        (hindexed([1] * 6, [20 * i for i in range(6)], FLOAT64), 4),
+        (resized(create_struct([2], [1], [FLOAT64]), 0, 24), 1),
+    ], ids=["f64", "i32", "i16", "byte", "displ", "extent", "loop-stride",
+            "odd-displ"])
+    def test_widest_unit_dividing_every_address(self, t, unit):
+        plan = PackPlan(t.typemap)
+        assert [op.unit for op, _ in planir.leaves(plan.ir.ops)] == [unit]
+
+    @pytest.mark.parametrize("t", [
+        resized(hindexed([2] * 4, [0, 4, 8, 12], INT32), 0, 24),
+        hindexed([2] * 4, [0, 4, 8, 12], INT32),
+        resized(create_struct([1, 1], [0, 8], [INT32, INT32]), 0, 8),
+    ], ids=["aliasing-rows", "overlapping-blocks", "aliasing-struct"])
+    def test_order_observable_layouts_keep_the_reference_shape(self, t):
+        """No loop, record, gather or wide unit where an unpack writes a
+        byte twice: the plan is the reference engine's own op sequence."""
+        lowered = lower_typemap(t.typemap)
+        assert lowered.order_observable
+        plan = PackPlan(t.typemap)
+        assert plan.ir.ops == lowered.ops and plan.passes == ()
+
+    def test_record_needs_numpy_to_assign_the_dtype_pair(self, monkeypatch):
+        """Eligibility is decided when the plan compiles: a refused pair
+        leaves per-leaf unit copies, which still execute."""
+        monkeypatch.setattr(planir.np, "can_cast", lambda *a, **k: False)
+        t = struct_simple_datatype()
+        plan = PackPlan(t.typemap)
+        assert plan.ir.ops == (CopyBlock(0, 0, 12, unit=4),
+                               CopyBlock(16, 12, 8, unit=4))
+        src = np.random.default_rng(3).integers(
+            0, 256, required_span(t, 5), dtype=np.uint8)
+        out = np.empty(t.size * 5, dtype=np.uint8)
+        plan.pack_into(src, 5, out)
+        assert bytes(out) == bytes(pack_reference(t, src, 5))
+
+
+class TestOutOfRangePlansRaise:
+    """Views are built by the bounds-checked ndarray constructor: a plan
+    that leaves the caller's buffer raises, in both directions, where the
+    ``as_strided`` executor read (or wrote) whatever lay past the end."""
+
+    @staticmethod
+    def both_directions_raise(ex, mem, wire, count):
+        with pytest.raises(ValueError, match="size of buffer"):
+            ex.pack(mem, wire.copy(), count)
+        with pytest.raises(ValueError, match="size of buffer"):
+            ex.unpack(mem.copy(), wire, count)
+
+    @pytest.mark.parametrize("t", [vector(16, 2, 4, FLOAT64),
+                                   short_final_t()],
+                             ids=["loop", "block"])
+    def test_shift_src_mutant_on_an_exact_size_buffer(self, t):
+        from repro.analyze.planverify import _bug_shift_src
+        count = 3
+        mem = np.zeros(required_span(t, count), dtype=np.uint8)
+        wire = np.zeros(t.size * count, dtype=np.uint8)
+        good = PackPlan(t.typemap).ir
+        IRExecutor(good).pack(mem, wire, count)  # the exact size suffices
+        self.both_directions_raise(IRExecutor(_bug_shift_src(good)),
+                                   mem, wire, count)
+
+    def test_negative_stride_loop_on_a_short_buffer(self):
+        t = descending_hindexed()
+        plan = PackPlan(t.typemap)
+        (lp,) = plan.ir.ops
+        assert lp.src_stride < 0  # iteration 0 sits at the highest address
+        mem = np.zeros(required_span(t, 2) - 1, dtype=np.uint8)
+        wire = np.zeros(t.size * 2, dtype=np.uint8)
+        self.both_directions_raise(plan._exec, mem, wire, 2)
+        self.both_directions_raise(plan._exec, mem[:t.extent], wire, 2)
+
+    def test_short_wire_buffer(self):
+        t = struct_simple_datatype()
+        plan = PackPlan(t.typemap)
+        mem = np.zeros(required_span(t, 4), dtype=np.uint8)
+        wire = np.zeros(t.size * 4 - 1, dtype=np.uint8)
+        self.both_directions_raise(plan._exec, mem, wire, 4)
 
 
 # -- property-based ----------------------------------------------------------
