@@ -14,7 +14,8 @@ the regression gates: windowed pack/unpack on non-contiguous types, and
 whole-message pack/unpack on ``struct-simple`` and ``vector-f64``, must beat
 the reference engine by the required factors; the Hunold/Träff
 self-consistency guidelines must hold (a derived pack does not lose to the
-hand-written pack, ``count=n`` of T does not lose to ``count=1`` of
+hand-written pack — nor a derived round trip to manual pack + contiguous
+send end to end — and ``count=n`` of T does not lose to ``count=1`` of
 ``contiguous(n, T)``); and throughput must stay above the checked-in floors
 in ``baseline.json``.
 
@@ -41,7 +42,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
 from benchmarks.perf.corpus import CorpusEntry, build_corpus  # noqa: E402
-from repro.core import contiguous  # noqa: E402
+from repro.core import FLOAT64, contiguous, vector  # noqa: E402
 from repro.core.packing import (pack, pack_reference, pack_window_reference,
                                 unpack, unpack_reference,
                                 unpack_window_reference)  # noqa: E402
@@ -49,7 +50,8 @@ from repro.core.packplan import PackCursor, UnpackCursor  # noqa: E402
 from repro.core.typecache import clear_plan_cache  # noqa: E402
 from repro.ddtbench.registry import make_workload  # noqa: E402
 from repro.mpi.runtime import run  # noqa: E402
-from repro.types import (manual_pack_struct_simple,
+from repro.types import (make_struct_simple, manual_pack_struct_simple,
+                         manual_unpack_struct_simple,
                          struct_simple_datatype)  # noqa: E402
 
 FRAG_SIZE = 8192          # the fabric's pipeline granularity (LinkParams)
@@ -70,6 +72,11 @@ WHOLE_MESSAGE_GATED = ("struct-simple", "vector-f64")
 # 10% of count=1 of contiguous(n, T).
 DERIVED_OVER_MANUAL_CEILING = 1.0
 COUNT_N_OVER_CONTIG_N_CEILING = 1.1
+# The same guideline end to end: a steady-state derived send/recv round trip
+# must not lose to manual pack + contiguous BYTE send/recv + manual unpack.
+# Winnable only because the library copies no more often than the user
+# would: two passes over the payload (pack, unpack) on both sides.
+DERIVED_OVER_MANUAL_E2E_CEILING = 1.0
 BASELINE_PATH = Path(__file__).with_name("baseline.json")
 # Multi-core scaling gate: at 4 ranks the shm backend (one process per
 # rank, packing in parallel into shared arenas) must reach at least this
@@ -219,9 +226,94 @@ def bench_guidelines(entry: CorpusEntry, k: int) -> dict:
     }
 
 
+_VEC_SPAN = 31  # doubles per vector(16, 1, 2, FLOAT64) element
+
+
+def _vec_slab(buf: np.ndarray) -> np.ndarray:
+    return buf.reshape(-1, _VEC_SPAN)[:, ::2]
+
+
+def _vec_unpack(packed: np.ndarray, buf: np.ndarray) -> None:
+    _vec_slab(buf)[...] = packed.view(np.float64).reshape(-1, 16)
+
+
+#: name -> (datatype, count, make buffer, manual pack, manual unpack)
+E2E_LAYOUTS = {
+    "struct-simple-4m": (
+        struct_simple_datatype, (4 << 20) // 20, make_struct_simple,
+        manual_pack_struct_simple, manual_unpack_struct_simple),
+    "vector-f64-16m": (
+        lambda: vector(16, 1, 2, FLOAT64), (16 << 20) // 128,
+        lambda n: np.arange(n * _VEC_SPAN, dtype=np.float64),
+        lambda buf: np.ascontiguousarray(_vec_slab(buf)).view(np.uint8)
+        .reshape(-1), _vec_unpack),
+}
+
+
+def _e2e_guideline_main(layout: str, warmup: int, trips: int):
+    make_dtype, count, make_buf, manual_pack, manual_unpack = \
+        E2E_LAYOUTS[layout]
+
+    def main(comm):
+        dtype = make_dtype()
+        sbuf, rbuf = make_buf(count), make_buf(count)
+        landed = np.empty(dtype.size * count, dtype=np.uint8)
+        peer = 1 - comm.rank
+
+        def derived_trip():
+            if comm.rank == 0:
+                comm.send(sbuf, peer, 41, datatype=dtype, count=count)
+                comm.recv(rbuf, peer, 42, datatype=dtype, count=count)
+            else:
+                comm.recv(rbuf, peer, 41, datatype=dtype, count=count)
+                comm.send(rbuf, peer, 42, datatype=dtype, count=count)
+
+        def manual_trip():
+            if comm.rank == 0:
+                comm.send(manual_pack(sbuf), peer, 43)
+                comm.recv(landed, peer, 44)
+                manual_unpack(landed, rbuf)
+            else:
+                comm.recv(landed, peer, 43)
+                manual_unpack(landed, rbuf)
+                comm.send(manual_pack(rbuf), peer, 44)
+
+        # Alternate the two so a slow phase of the host slows both.
+        trips_of = {"derived": derived_trip, "manual": manual_trip}
+        samples = {name: [] for name in trips_of}
+        for i in range(warmup + trips):
+            for name, trip in trips_of.items():
+                rbuf.view(np.uint8)[...] = 0
+                t0 = time.perf_counter()
+                trip()
+                if i >= warmup:
+                    samples[name].append(time.perf_counter() - t0)
+                assert np.array_equal(manual_pack(rbuf), manual_pack(sbuf)), \
+                    (layout, name)
+        return {name: statistics.median(v) for name, v in samples.items()}
+
+    return main
+
+
+def bench_guideline_e2e(trips: int) -> dict:
+    """``derived_over_manual_e2e``: steady-state round trips inside one
+    ``run()`` (inproc), derived send/recv against manual pack + contiguous
+    BYTE send/recv + manual unpack.  The gated ratio is the worst layout."""
+    layouts = {}
+    for layout in E2E_LAYOUTS:
+        rank0 = run(_e2e_guideline_main(layout, warmup=3, trips=trips),
+                    nprocs=2, transport="inproc", timeout=600.0).results[0]
+        layouts[layout] = {
+            "derived_us": rank0["derived"] * 1e6,
+            "manual_us": rank0["manual"] * 1e6,
+            "ratio": rank0["derived"] / rank0["manual"]}
+    return {"layouts": layouts, "trips": trips,
+            "ratio": max(v["ratio"] for v in layouts.values()),
+            "ceiling": DERIVED_OVER_MANUAL_E2E_CEILING}
+
+
 def _pingpong_main(iters: int, count: int):
     dtype = struct_simple_datatype()
-    from repro.types import make_struct_simple
 
     def main(comm):
         sbuf = make_struct_simple(count)
@@ -543,6 +635,8 @@ def main(argv=None) -> int:
 
     report["guidelines"] = bench_guidelines(
         next(e for e in corpus if e.name == "struct-simple"), k)
+    report["guidelines"]["derived_over_manual_e2e"] = bench_guideline_e2e(
+        trips=9 if args.quick else 25)
     for name, g in report["guidelines"].items():
         print(f"{'guideline ' + name:34s} {g['ratio']:5.2f} "
               f"(ceiling {g['ceiling']:.1f})")
@@ -599,7 +693,8 @@ def main(argv=None) -> int:
     if args.out.exists():
         prev = json.loads(args.out.read_text())
         report["before"] = prev.get("before") or {
-            key: prev[key] for key in ("corpus", "message_rate")
+            key: prev[key] for key in ("corpus", "message_rate",
+                                       "guidelines")
             if key in prev}
 
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

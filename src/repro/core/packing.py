@@ -32,21 +32,8 @@ import numpy as np
 
 from ..errors import MPI_ERR_BUFFER, MPIError
 from .datatype import Datatype
-from .packplan import _as_u8
+from .packplan import _as_u8, required_span  # noqa: F401 (re-exported)
 from .typecache import pack_plan
-
-
-def required_span(dtype: Datatype, count: int) -> int:
-    """Bytes of user buffer a send/recv of ``count`` elements touches.
-
-    MPI semantics: the buffer spans ``lb .. (count-1)*extent + ub`` relative
-    to the base address; with lb==0 this is simply ``count * extent`` except
-    that the final element only needs its true upper bound.
-    """
-    if count == 0:
-        return 0
-    tm = dtype.typemap
-    return (count - 1) * dtype.extent + max(tm.true_ub, 0)
 
 
 def packed_size(dtype: Datatype, count: int) -> int:

@@ -65,6 +65,19 @@ def _as_u8(buf, writable: bool = False) -> np.ndarray:
     return out
 
 
+def required_span(dtype: Datatype, count: int) -> int:
+    """Bytes of user buffer a send/recv of ``count`` elements touches.
+
+    MPI semantics: the buffer spans ``lb .. (count-1)*extent + ub`` relative
+    to the base address; with lb==0 this is simply ``count * extent`` except
+    that the final element only needs its true upper bound.
+    """
+    if count == 0:
+        return 0
+    tm = dtype.typemap
+    return (count - 1) * dtype.extent + max(tm.true_ub, 0)
+
+
 class PackPlan:
     """A typemap compiled to its executable packing form.
 
@@ -253,6 +266,11 @@ class UnpackCursor:
         self.count = count
         self.total = dtype.size * count
         self._dst = _as_u8(buf, writable=True)
+        need = required_span(dtype, count)
+        if self._dst.shape[0] < need:
+            raise MPIError(MPI_ERR_BUFFER,
+                           f"recv buffer too small: need {need} bytes, "
+                           f"have {self._dst.shape[0]}")
         self._plan = pack_plan(dtype)
         self._pool = pool
         self._pos = 0  # next expected in-order stream offset

@@ -450,29 +450,8 @@ class MessageHandle:
             raise MPIError(MPI_ERR_RANK, "message already received")
         self._received = True
         buf, count, datatype = self._comm._resolve(buf, count, datatype)
-        if isinstance(datatype, CustomDatatype):
-            return self._comm._localize(
-                self._comm.engine.recv_custom_message(self._msg, buf, count,
-                                                      datatype))
-        from ..core.packing import packed_size
-        from ..ucp.dtypes import ContigData
-        if datatype.is_contiguous:
-            nbytes = packed_size(datatype, count)
-            info = self._comm.worker.msg_recv(
-                self._msg, ContigData(buf, nbytes, writable=True))
-            return self._comm._localize(Status.from_recv_info(info))
-        # Derived path: receive packed, then unpack.
-        nbytes = packed_size(datatype, count)
-        worker = self._comm.worker
-        temp = worker.memory.acquire(nbytes, worker.clock, worker.model)
-        info = worker.msg_recv(self._msg, ContigData(temp, nbytes, writable=True))
-        from ..core.packing import unpack
-        nelem = info.nbytes // datatype.size if datatype.size else 0
-        unpack(datatype, buf, nelem, temp[: info.nbytes])
-        nblocks = nelem * len(datatype.typemap.merged_blocks())
-        worker.clock.advance(worker.model.typemap_pack_time(nblocks, info.nbytes))
-        worker.memory.recycle(temp)
-        return self._comm._localize(Status.from_recv_info(info))
+        return self._comm._localize(
+            self._comm.engine.recv_message(self._msg, buf, count, datatype))
 
 
 def _msg_info(msg):

@@ -8,9 +8,9 @@ datatype                  transport descriptor        modelled cost
 ========================  ==========================  =========================
 predefined / contiguous   CONTIG (zero-copy)          protocol only
 derived, non-contiguous   CONTIG over a temp buffer   alloc + typemap walk
-                                                      (per-block ``elem_cost``
-                                                      — the Open MPI gap
-                                                      penalty of Fig. 5)
+                          (the send temp is the       (per-block ``elem_cost``
+                          wire chunk; the receive     — the Open MPI gap
+                          temp is modelled only)      penalty of Fig. 5)
 custom                    IOV: packed fragments        callbacks + packed-byte
                           first, then regions          copies; regions move
                           (CONTIG when the whole       zero-copy
@@ -33,9 +33,10 @@ from ..core.custom import (CustomDatatype, CustomRecvOperation,
                            CustomSendOperation)
 from ..core.datatype import Datatype
 from ..core.packing import pack, packed_size, unpack
+from ..core.packplan import UnpackCursor
 from ..errors import MPIError, TruncationError
 from ..ucp.context import Worker
-from ..ucp.dtypes import ContigData, HandlerData, IovData
+from ..ucp.dtypes import ContigData, HandlerData, IovData, ScatterData
 from ..ucp.wire import WireMessage
 from .requests import Request, Status
 
@@ -102,19 +103,21 @@ class TransferEngine:
         """Pack through the typemap engine, then send contiguous."""
         nbytes = packed_size(dtype, count)
         clock = self.worker.clock
-        temp = self.worker.memory.acquire(nbytes, clock, self.model)
-        pack(dtype, buf, count, out=temp)
-        nblocks = count * len(dtype.typemap.merged_blocks())
-        clock.advance(self.model.typemap_pack_time(nblocks, nbytes))
-        sig = dtype.signature(count) if self.worker.sanitizer is not None \
-            else None
-        req = ep.tag_send(tag64, ContigData(temp, nbytes), force_rndv=sync,
-                          signature=sig)
-        self.worker.memory.release(temp)  # transport copied or owns the ref
-        if not req.msg.rndv:
-            # Eager staging copied the bytes; the bounce buffer is free now.
-            # Rendezvous keeps a live view — delivery returns it instead.
-            self.worker.memory.pool.release(temp)
+        memory = self.worker.memory
+        temp = memory.acquire(nbytes, clock, self.model)
+        try:
+            pack(dtype, buf, count, out=temp)
+            nblocks = count * len(dtype.typemap.merged_blocks())
+            clock.advance(self.model.typemap_pack_time(nblocks, nbytes))
+            sig = dtype.signature(count) if self.worker.sanitizer is not None \
+                else None
+            req = ep.tag_send(tag64, ContigData(temp, nbytes),
+                              force_rndv=sync, signature=sig)
+        except BaseException:
+            memory.recycle(temp)  # never injected: the temp is still ours
+            raise
+        # The temp is the wire chunk now (adopted or aliased): delivery's.
+        memory.release(temp)
         return Request(req)
 
     def _send_custom(self, ep, tag64: int, buf, count: int,
@@ -175,39 +178,79 @@ class TransferEngine:
 
     def _recv_derived(self, tag64: int, mask: int, buf, count: int,
                       dtype: Datatype, peers=None) -> Request:
-        nbytes = packed_size(dtype, count)
-        clock = self.worker.clock
-        temp = self.worker.memory.acquire(nbytes, clock, self.model)
-        desc = ContigData(temp, nbytes, writable=True)
-        if self.worker.sanitizer is not None:
-            desc.expected_signature = dtype.signature(count)
+        desc, finish, unbook = self._derived_delivery(buf, count, dtype)
         treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
 
         def on_complete() -> Status:
+            status = finish(treq.wait())
+            unbook()
+            return status
+
+        return Request(treq, on_complete=on_complete, on_cancel=unbook)
+
+    def recv_message(self, msg: WireMessage, buf, count: int,
+                     dtype: Datatype) -> Status:
+        """Mprobe-style receive of an already-claimed message."""
+        if isinstance(dtype, CustomDatatype):
+            desc = HandlerData(self._custom_recv_handler(buf, count, dtype))
+        elif dtype.is_contiguous:
+            desc = ContigData(buf, packed_size(dtype, count), writable=True)
+        else:
+            desc, finish, unbook = self._derived_delivery(buf, count, dtype)
             try:
-                info = treq.wait()
-                got = info.nbytes
-                if got % max(dtype.size, 1):
+                return finish(self.worker.msg_recv(msg, desc))
+            finally:
+                unbook()
+        return Status.from_recv_info(self.worker.msg_recv(msg, desc))
+
+    def _derived_delivery(self, buf, count: int, dtype: Datatype):
+        """The one derived receive path: ``(descriptor, finish, unbook)``.
+
+        The baseline's receive temp is booked (first-touch cost, tracker
+        accounting, ``byte_ceiling``) but never built: the descriptor unpacks
+        the wire chunks straight into ``buf``.  ``finish(info)`` runs after
+        the message completed (a rendezvous sender waits for none of it):
+        it charges the typemap walk and raises the receiver's own errors.
+        """
+        nbytes = packed_size(dtype, count)
+        clock = self.worker.clock
+        memory = self.worker.memory
+        memory.reserve(nbytes, clock, self.model)
+        size = dtype.size
+        error: MPIError | None = None
+
+        def scatter(chunks) -> None:
+            nonlocal error
+            lengths = [c.shape[0] for c in chunks]
+            got = sum(lengths)
+            try:
+                if size and got % size:
                     raise TruncationError(
                         f"received {got} bytes, not a whole number of "
-                        f"{dtype.size}-byte elements")
-                nelem = got // dtype.size if dtype.size else 0
-                unpack(dtype, buf, nelem, temp[:got])
-                nblocks = nelem * len(dtype.typemap.merged_blocks())
-                clock.advance(self.model.typemap_pack_time(nblocks, got))
-            except BaseException:
-                # Failed delivery (truncation, peer failure, poisoned
-                # message) must not strand the bounce buffer in the pool's
-                # outstanding set.
-                self.worker.memory.recycle(temp)
-                raise
-            self.worker.memory.recycle(temp)
+                        f"{size}-byte elements")
+                nelem = got // size if size else 0
+                if len(chunks) == 1:
+                    unpack(dtype, buf, nelem, chunks[0])
+                    return
+                with UnpackCursor(dtype, buf, nelem) as cursor:
+                    for offset, chunk in zip(self._offsets(lengths), chunks):
+                        cursor.write(offset, chunk)
+            except MPIError as exc:
+                error = exc  # the receiver's own fault, not the message's
+
+        desc = ScatterData(nbytes, scatter)
+        if self.worker.sanitizer is not None:
+            desc.expected_signature = dtype.signature(count)
+
+        def finish(info) -> Status:
+            if error is not None:
+                raise error
+            nblocks = (info.nbytes // size if size else 0) \
+                * len(dtype.typemap.merged_blocks())
+            clock.advance(self.model.typemap_pack_time(nblocks, info.nbytes))
             return Status.from_recv_info(info)
 
-        def on_cancel() -> None:
-            self.worker.memory.recycle(temp)
-
-        return Request(treq, on_complete=on_complete, on_cancel=on_cancel)
+        return desc, finish, lambda: memory.release(nbytes)
 
     def _custom_recv_handler(self, buf, count: int, dtype: CustomDatatype):
         """Build the delivery handler that runs on the receiving thread."""
@@ -257,13 +300,6 @@ class TransferEngine:
                 region.writable_view()[: chunk.shape[0]] = chunk
             clock.advance(self.model.callback_time(op.ncallbacks)
                           + self.model.copy_time(op.bytes_unpacked))
-
-    def recv_custom_message(self, msg: WireMessage, buf, count: int,
-                            dtype: CustomDatatype) -> Status:
-        """Mprobe-style receive of an already-claimed custom message."""
-        info = self.worker.msg_recv(
-            msg, HandlerData(self._custom_recv_handler(buf, count, dtype)))
-        return Status.from_recv_info(info)
 
     @staticmethod
     def _offsets(lengths) -> list[int]:

@@ -86,8 +86,9 @@ class Request:
                  on_cancel: Optional[Callable[[], None]] = None):
         self._req = transport_req
         self._on_complete = on_complete
-        #: Cleanup hook run exactly once on a successful cancel (the engine
-        #: uses it to return bounce buffers to the pool).
+        #: Cleanup hook run exactly once when the operation ends without
+        #: completing — a successful cancel or a wait that raised an MPI
+        #: error (the engine uses it to un-book a modelled bounce buffer).
         self._on_cancel = on_cancel
         #: Error-handler context (the owning Communicator); consulted when
         #: a wait raises an MPI error so ``MPI_ERRORS_ARE_FATAL`` can abort
@@ -124,6 +125,7 @@ class Request:
                 self._status = Status.from_recv_info(result)
         except MPIError as exc:
             self._done = True
+            self._run_cancel_hook()
             if self._errctx is not None:
                 self._errctx._handle_mpi_error(exc)
             raise
@@ -136,17 +138,17 @@ class Request:
         """Cancel the operation if it has not completed (MPI_Cancel).
 
         Returns True when the cancel won the race: the transport operation
-        is withdrawn, any bounce buffers go back to the pool (via the
-        engine's ``on_cancel`` hook), and a later :meth:`wait` returns a
-        Status with ``cancelled=True`` (the MPI_Test_cancelled convention).
+        is withdrawn, the engine's ``on_cancel`` hook un-books what the post
+        booked, and a later :meth:`wait` returns a Status with
+        ``cancelled=True`` (the MPI_Test_cancelled convention).
         False (no effect) once the operation matched or completed — in MPI
         terms the operation completes normally.
 
         Idempotent: a second cancel is a no-op returning False.  The
-        ``on_cancel`` hook is consumed on first use — it recycles pool
-        buffers, and a stale second invocation could release a buffer the
-        pool has already handed to a new owner (the double-recycle the
-        model checker's RPD703 ownership invariant guards against).
+        ``on_cancel`` hook is consumed on first use — a stale second
+        invocation would release what a new owner has since booked (the
+        double-recycle the model checker's RPD703 ownership invariant
+        guards against).
         """
         if self._done or self.cancelled:
             return False
@@ -160,12 +162,15 @@ class Request:
         st = Status(source=-1, tag=-1, nbytes=0)
         st.cancelled = True
         self._status = st
-        hook, self._on_cancel = self._on_cancel, None
-        if hook is not None:
-            hook()
+        self._run_cancel_hook()
         if self._san_record is not None:
             self._san_record.mark_cancelled()
         return True
+
+    def _run_cancel_hook(self) -> None:
+        hook, self._on_cancel = self._on_cancel, None
+        if hook is not None:
+            hook()
 
     @staticmethod
     def waitall(requests: Sequence["Request"],

@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import (MPIError, ProcFailedError, ProcFailedPendingError,
                       TransportError, TruncationError)
 from . import constants
-from .dtypes import ContigData, GenericData, HandlerData, IovData
+from .dtypes import ContigData, GenericData, HandlerData, IovData, ScatterData
 from .faults import (FaultInjector, FaultPlan, ReliabilityConfig,
                      fragment_bounds, fragment_crcs)
 from .memory import MemoryTracker
@@ -289,8 +289,8 @@ class RecvRequest:
 
         True when the receive was removed from the matcher before any
         message matched it; False (and no effect) otherwise.  Data-side
-        cleanup (returning bounce buffers) is the caller's job — see
-        ``repro.mpi.requests.Request.cancel``.
+        cleanup (un-booking a modelled bounce buffer) is the caller's job —
+        see ``repro.mpi.requests.Request.cancel``.
         """
         if self.info is not None or self._posted.matched.is_set():
             return False
@@ -381,13 +381,14 @@ class Worker:
     def _release_chunks(self, msg: WireMessage) -> None:
         """Return a delivered message's staging chunks to the sender's pool.
 
-        Only eager staging and pooled bounce buffers actually come back —
+        Only eager staging and packed temps actually come back —
         rendezvous chunks that are live views of the sender's user buffers
         are not pool-owned and the release is a no-op for them.  Callback
         descriptors (GENERIC, handler) may retain chunk references, so only
-        the CONTIG/IOV copy paths release.  How the release crosses the
-        rank boundary is the transport's business: in-process it reaches
-        the sender's pool directly, remote backends acknowledge instead.
+        the CONTIG/IOV copy paths (and a failed delivery) release.  How the
+        release crosses the rank boundary is the transport's business:
+        in-process it reaches the sender's pool directly, remote backends
+        acknowledge instead.
         """
         self.fabric.transport.release_chunks(self, msg)
 
@@ -405,6 +406,7 @@ class Worker:
         try:
             info = self._deliver(msg, data)
         except BaseException as exc:
+            self._release_chunks(msg)  # nobody will read a dead message
             msg.mark_failed(self.clock.now, exc)
             transport.on_delivery_failed(self, msg, exc)
             raise
@@ -462,17 +464,12 @@ class Worker:
         self.clock.advance(msg.recv_cost)
 
         hdr = msg.header
-        if isinstance(data, ContigData):
+        if isinstance(data, (ContigData, ScatterData)):
             if hdr.total_bytes > data.nbytes:
                 raise TruncationError(
                     f"message of {hdr.total_bytes} bytes into a "
                     f"{data.nbytes}-byte buffer")
-            pos = 0
-            view = data.view
-            for chunk in msg.chunks:
-                n = chunk.shape[0]
-                view[pos:pos + n] = chunk
-                pos += n
+            data.scatter(msg.chunks)
             self._release_chunks(msg)
         elif isinstance(data, IovData):
             entries = data.entries()
@@ -567,12 +564,9 @@ class Endpoint:
         worker.clock.advance(plan.sender_cost)
         pool = worker.memory.pool
         if plan.eager_copy:
+            # Adopts what already is a buffer of this pool (the engine's
+            # packed temp, GENERIC pipeline fragments) instead of copying.
             chunks = copy_chunks(entries, pool=pool)
-            if isinstance(data, GenericData):
-                # Pipeline fragments are transient scratch; once staged on
-                # the wire they go straight back to the pool.
-                for frag in entries:
-                    pool.release(frag)
         else:
             # Rendezvous/iov: the envelope carries the sender's live views
             # by design — the in-process stand-in for RDMA get.  The

@@ -55,6 +55,26 @@ class ContigData:
     def entries(self) -> list[np.ndarray]:
         return [self.view[: self.nbytes]]
 
+    def scatter(self, chunks: Sequence[np.ndarray]) -> None:
+        """Receive side: lay the wire chunks end to end into the buffer."""
+        pos = 0
+        for chunk in chunks:
+            n = chunk.shape[0]
+            self.view[pos:pos + n] = chunk
+            pos += n
+
+
+class ScatterData:
+    """A CONTIG receive whose buffer is modelled, not built: same capacity
+    check as :class:`ContigData`, then ``scatter(chunks)`` — the MPI engine's
+    derived-datatype unpack — moves the payload out of the wire chunks."""
+
+    kind = DATATYPE_CONTIG
+
+    def __init__(self, nbytes: int, scatter: Callable[[Sequence], None]):
+        self.nbytes = self.total_bytes = int(nbytes)
+        self.scatter = scatter
+
 
 class IovData:
     """UCP_DATATYPE_IOV: an ordered list of contiguous entries.

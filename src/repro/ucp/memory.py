@@ -8,13 +8,13 @@ serialization strategy makes, both to charge virtual time for it and to let
 tests assert the memory-amplification properties the paper claims (e.g. the
 basic-pickle path allocates ~2x the payload, the out-of-band path does not).
 
-:class:`BufferPool` recycles those transient buffers (packed bounce buffers,
+:class:`BufferPool` recycles those transient buffers (packed send temps,
 fragment scratch, eager wire staging) through size-classed free lists so the
 hot send/receive path stops hitting the allocator.  Pooling is a *wall-clock*
 optimization only: :meth:`MemoryTracker.acquire` charges exactly the same
 accounting and virtual time as :meth:`MemoryTracker.allocate`, so every
 figure and every memory assertion is unchanged whether a buffer came from
-the pool or the allocator.
+the pool or the allocator (or, with :meth:`MemoryTracker.reserve`, nowhere).
 """
 
 from __future__ import annotations
@@ -134,6 +134,13 @@ class BufferPool:
             self.dropped += 1
             return True
 
+    def owns(self, buf) -> bool:
+        """True when ``buf`` is (a view of) a buffer this pool has handed
+        out and not yet got back."""
+        root = self._resolve_root(buf)
+        with self._lock:
+            return self._out.get(id(root)) is root
+
     def snapshot(self) -> dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
@@ -231,14 +238,21 @@ class MemoryTracker:
                 return
         raise MemoryQuotaError(ceiling, live, nbytes)
 
-    def allocate(self, nbytes: int, clock: VirtualClock | None = None,
-                 model: CostModel | None = None) -> np.ndarray:
-        """Allocate a fresh uint8 buffer, charging first-touch cost."""
+    def reserve(self, nbytes: int, clock: VirtualClock | None = None,
+                model: CostModel | None = None) -> None:
+        """Book a transient buffer — accounting and first-touch cost —
+        without building it: all a *modelled* buffer (the derived receive's
+        bounce buffer) needs.  Pair with ``release(nbytes)``."""
         if nbytes < 0:
             raise ValueError(f"negative allocation: {nbytes}")
         self._account(nbytes)
         if clock is not None and model is not None:
             clock.advance(model.alloc_time(nbytes))
+
+    def allocate(self, nbytes: int, clock: VirtualClock | None = None,
+                 model: CostModel | None = None) -> np.ndarray:
+        """Allocate a fresh uint8 buffer, charging first-touch cost."""
+        self.reserve(nbytes, clock, model)
         return np.zeros(nbytes, dtype=np.uint8)
 
     def acquire(self, nbytes: int, clock: VirtualClock | None = None,
@@ -250,11 +264,7 @@ class MemoryTracker:
         every memory assertion — but the bytes come from :attr:`pool` when
         it has a fit (and come back dirty, not zeroed; callers overwrite).
         """
-        if nbytes < 0:
-            raise ValueError(f"negative allocation: {nbytes}")
-        self._account(nbytes)
-        if clock is not None and model is not None:
-            clock.advance(model.alloc_time(nbytes))
+        self.reserve(nbytes, clock, model)
         return self.pool.acquire(nbytes)
 
     def release(self, buf_or_nbytes) -> None:

@@ -7,11 +7,15 @@ outside the sending GIL), and each rank owns a
 ``multiprocessing.shared_memory`` *arena* that every peer maps.  The
 rank's :class:`~repro.ucp.memory.BufferPool` is arena-backed
 (:class:`ArenaBufferPool`), so PackPlans execute **directly into the
-shared segment**: a non-contiguous send packs into an arena slab, the
-message frame carries only ``(offset, nbytes)``, and the receiver
-scatters straight out of the sender's segment into the user buffer — one
-copy end to end, zero bounce-buffer hops.  This is the TEMPI-style
-interposed-staging design with the stage *being* the wire.
+shared segment**: a non-contiguous send packs into an arena slab, that
+slab is the wire chunk on either protocol, the message frame carries only
+``(offset, nbytes)``, and the receiver's PackPlan unpacks straight out of
+the sender's segment into the user buffer.  Pack and unpack are the only
+two passes over a derived payload, with no staging or bounce-buffer hop
+between them; a contiguous payload is copied twice as well (staged into
+the arena, scattered out of it) — no datatype crosses in one copy.  This
+is the TEMPI-style interposed-staging design with the stage *being* the
+wire.
 
 Control plane: per-directed-pair ``multiprocessing.Pipe`` streams carry
 the portable envelope and the ack frames; a demux thread per process

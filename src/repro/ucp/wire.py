@@ -83,9 +83,10 @@ class WireMessage:
     header:
         The :class:`WireHeader`.
     chunks:
-        Payload entries.  Eager: freshly copied uint8 arrays (sender buffers
-        may be reused immediately).  Rendezvous: live read views of the
-        sender's buffers, pulled when the receiver completes the match.
+        Payload entries.  Eager: private uint8 arrays (staging copies or
+        adopted packed temps; sender buffers may be reused immediately).
+        Rendezvous: live read views of the sender's buffers, pulled when the
+        receiver completes the match.
     send_ready:
         Sender virtual time at which the payload is ready to move.
     sender_cost_charged:
@@ -144,18 +145,23 @@ class WireMessage:
 
 def copy_chunks(buffers: Sequence[np.ndarray],
                 pool=None) -> list[np.ndarray]:
-    """Eager-copy a list of buffer views into private chunks.
+    """Stage a list of buffer views as private wire chunks.
 
     With ``pool`` (a :class:`repro.ucp.memory.BufferPool`) the staging chunks
     are pool-acquired instead of freshly allocated; the delivery path returns
-    them to the sender's pool once the payload has been scattered.
+    them to the sender's pool once the payload has been scattered.  An entry
+    that already is an outstanding buffer of ``pool`` (the engine's packed
+    temp) is adopted, not copied: ownership moves to the message, and
+    delivery returns it exactly as it returns a staging copy.
     """
     if pool is None:
         return [np.array(b, dtype=np.uint8, copy=True) for b in buffers]
     out = []
     for b in buffers:
         src = np.asarray(b, dtype=np.uint8).reshape(-1)
-        chunk = pool.acquire(src.shape[0])
-        chunk[:] = src
+        chunk = src
+        if not pool.owns(src):
+            chunk = pool.acquire(src.shape[0])
+            chunk[:] = src
         out.append(chunk)
     return out

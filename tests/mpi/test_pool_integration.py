@@ -58,3 +58,209 @@ class TestPoolHitRate:
         echoed = run(_pingpong(6, RNDV_COUNT), nprocs=2).results[0]
         expect = make_struct_simple(RNDV_COUNT)
         assert np.array_equal(echoed, expect)
+
+
+def _acquires(pool):
+    return pool["hits"] + pool["misses"]
+
+
+def _books(comm):
+    snap = comm.memory.snapshot()
+    return snap["pool"]["outstanding"], snap["live_bytes"]
+
+
+class TestTwoPassesNotFour:
+    """A derived message is packed into its wire chunk and unpacked straight
+    out of it: the receive-side bounce buffer is accounted, never built."""
+
+    def _one_way(self, count):
+        dtype = struct_simple_datatype()
+
+        def main(comm):
+            buf = make_struct_simple(count)
+            if comm.rank == 0:
+                comm.send(buf, 1, 3, datatype=dtype, count=count)
+                return None
+            buf[:] = 0
+            comm.recv(buf, 0, 3, datatype=dtype, count=count)
+            return buf
+
+        return run(main, nprocs=2, trace_messages=True)
+
+    def test_eager_costs_one_acquire_on_the_sender_only(self):
+        res = self._one_way(EAGER_COUNT)
+        assert res.traces[0][0]["protocol"] == "eager"
+        assert [_acquires(m["pool"]) for m in res.memory] == [1, 0]
+        assert np.array_equal(res.results[1],
+                              make_struct_simple(EAGER_COUNT))
+
+    def test_rendezvous_costs_one_acquire_on_the_sender_only(self):
+        res = self._one_way(RNDV_COUNT)
+        assert res.traces[0][0]["protocol"] == "rndv"
+        assert [_acquires(m["pool"]) for m in res.memory] == [1, 0]
+        assert np.array_equal(res.results[1], make_struct_simple(RNDV_COUNT))
+
+    def test_modelled_bounce_buffer_is_still_booked(self):
+        """Both temps of the paper's baseline stay in the books: one
+        allocation per send and one per receive, each of the packed size."""
+        res = self._one_way(EAGER_COUNT)
+        for snap in res.memory:
+            assert snap["allocation_count"] == 1
+            assert snap["total_allocated"] == 20 * EAGER_COUNT
+            assert snap["live_bytes"] == 0
+
+    def test_generic_fragments_are_adopted_not_restaged(self):
+        """GENERIC pipeline fragments are pool buffers already: tag_send
+        puts them on the wire as they are and delivery returns them."""
+        from repro.ucp import ContigData, GenericData, UcpContext
+        w0, w1 = UcpContext().create_fabric(2).workers
+        payload = np.arange(20_000, dtype=np.uint8)
+
+        def packfn(offset, dst):
+            dst[:] = payload[offset:offset + dst.shape[0]]
+            return int(dst.shape[0])
+
+        w0.endpoint(1).tag_send(7, GenericData(payload.shape[0],
+                                               pack=packfn)).wait()
+        pool = w0.memory.pool.snapshot()
+        assert _acquires(pool) == 3 and pool["outstanding"] == 3
+        out = np.zeros_like(payload)
+        w1.tag_recv(7, ContigData(out, writable=True)).wait()
+        assert np.array_equal(out, payload)
+        assert w0.memory.pool.snapshot()["outstanding"] == 0
+
+    def test_cancelled_derived_send_returns_the_adopted_temp(self):
+        dtype = struct_simple_datatype()
+
+        def main(comm):
+            if comm.rank == 1:
+                return None
+            for count in (EAGER_COUNT, RNDV_COUNT):
+                req = comm.isend(make_struct_simple(count), 1, 9,
+                                 datatype=dtype, count=count)
+                assert req.cancel()
+                assert _books(comm) == (0, 0)
+            return "ok"
+
+        assert run(main, nprocs=2, timeout=30).results[0] == "ok"
+
+
+class TestSendFailureBeforeInjection:
+    """``_send_derived`` must not strand its packed temp when the send dies
+    before the message exists (it did: outstanding 1, live_bytes 160)."""
+
+    @staticmethod
+    def _failing_send(sender, **run_kwargs):
+        def main(comm):
+            from repro.mpi.comm import ERRORS_RETURN
+            comm.set_errhandler(ERRORS_RETURN)
+            if comm.rank == 1:
+                return None
+            try:
+                sender(comm)
+            except BaseException as exc:
+                return type(exc).__name__, str(exc), _books(comm)
+            return "sent", "", _books(comm)
+
+        return run(main, nprocs=2, timeout=30, **run_kwargs).results[0]
+
+    def test_short_send_buffer(self):
+        dtype = struct_simple_datatype()
+        name, text, books = self._failing_send(
+            lambda comm: comm.send(make_struct_simple(8)[:4], 1, 1,
+                                   datatype=dtype, count=8))
+        assert name == "MPIError" and "send buffer too small" in text
+        assert books == (0, 0)
+
+    def test_pack_raising_a_non_mpi_error(self):
+        dtype = struct_simple_datatype()
+        name, _, books = self._failing_send(
+            lambda comm: comm.send([1, 2, 3], 1, 1, datatype=dtype, count=1))
+        assert name == "TypeError"
+        assert books == (0, 0)
+
+    def test_memory_quota(self):
+        dtype = struct_simple_datatype()
+
+        def sender(comm):
+            comm.memory.byte_ceiling = 100
+            comm.send(make_struct_simple(8), 1, 1, datatype=dtype, count=8)
+
+        name, _, books = self._failing_send(sender)
+        assert name == "MemoryQuotaError"
+        assert books == (0, 0)
+
+    def test_rank_crash_inside_tag_send(self):
+        """The fault plan's crash checkpoint fires inside ``tag_send``,
+        after the temp was acquired and packed."""
+        dtype = struct_simple_datatype()
+        name, _, books = self._failing_send(
+            lambda comm: comm.send(make_struct_simple(8), 1, 1,
+                                   datatype=dtype, count=8),
+            faults={"crash": {0: 1e-12}})
+        assert name == "RankCrashError"
+        assert books == (0, 0)
+
+
+class TestMrecvDerived:
+    """``MessageHandle.mrecv`` takes the engine's one derived-delivery path
+    (it used to carry its own bounce-and-unpack copy)."""
+
+    @staticmethod
+    def _mrecv(send, count):
+        dtype = struct_simple_datatype()
+
+        def main(comm):
+            from repro.mpi.comm import ERRORS_RETURN
+            comm.set_errhandler(ERRORS_RETURN)
+            if comm.rank == 0:
+                send(comm)
+                return None
+            out = make_struct_simple(8)
+            out[:] = 0
+            handle, _ = comm.mprobe(0, 5)
+            try:
+                handle.mrecv(out, datatype=dtype, count=count)
+                outcome = "ok"
+            except Exception as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            return outcome, _books(comm), bool(out.view(np.uint8).any())
+
+        res = run(main, nprocs=2, timeout=30)
+        return res.results[1], res.memory
+
+    def test_roundtrip(self):
+        dtype = struct_simple_datatype()
+        (outcome, books, touched), _ = self._mrecv(
+            lambda comm: comm.send(make_struct_simple(8), 1, 5,
+                                   datatype=dtype, count=8), count=8)
+        assert (outcome, books, touched) == ("ok", (0, 0), True)
+
+    def test_truncation_leaks_nothing(self):
+        dtype = struct_simple_datatype()
+        (outcome, books, touched), memory = self._mrecv(
+            lambda comm: comm.send(make_struct_simple(8), 1, 5,
+                                   datatype=dtype, count=8), count=4)
+        assert outcome.startswith("TruncationError")
+        assert books == (0, 0) and not touched
+        assert [m["pool"]["outstanding"] for m in memory] == [0, 0]
+
+    def test_partial_element_raises_like_recv(self):
+        (outcome, books, touched), _ = self._mrecv(
+            lambda comm: comm.send(np.arange(1, 31, dtype=np.uint8), 1, 5),
+            count=4)
+        assert "received 30 bytes, not a whole number of 20-byte " \
+            "elements" in outcome
+        assert books == (0, 0) and not touched
+
+
+def test_serve_struct_workload_closes_its_books():
+    """``repro-serve --jobs 300 --workload struct --strict``: warm worker
+    sets recycle their trackers, so one stranded buffer is a PoolLeakError
+    for the next job."""
+    from repro.serve.cli import build_parser, run_service_load, verify_report
+    report = run_service_load(build_parser().parse_args(
+        ["--jobs", "300", "--workload", "struct", "--strict"]))
+    assert verify_report(report) == []
+    assert report["jobs"]["completed"] == 300
+    assert report["jobs"]["pool_leaks"] == 0

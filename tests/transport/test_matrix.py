@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mpi.runtime import run
-from repro.types import (DoubleVec, double_vec_custom_datatype,
+from repro.types import (STRUCT_SIMPLE, DoubleVec, double_vec_custom_datatype,
                          make_struct_simple, struct_simple_custom_datatype,
                          struct_simple_datatype)
 
@@ -242,3 +242,160 @@ class TestMemoryAccounting:
         snap = res.memory[0]["pool"]
         assert snap["arena_spills"] == 0
         assert snap["arena_used"] > 0
+
+
+# Recorded at the parent commit (receive bounce buffer built and copied
+# into): what is modelled must not move when the buffer stops being real.
+PINGPONG_CLOCK_RANK0 = {128: 4.392106666666664e-05,
+                        2048: 0.0004980650666666668}
+
+
+class TestDerivedTwoPasses:
+    """Derived datatypes pack into the wire chunk and unpack straight out
+    of it on every backend — and everything modelled stays where it was."""
+
+    @staticmethod
+    def _acquires(snap):
+        return snap["pool"]["hits"] + snap["pool"]["misses"]
+
+    def _pingpong(self, backend, count, iters=4):
+        def fn(comm):
+            dtype = struct_simple_datatype()
+            buf = make_struct_simple(count)
+            for _ in range(iters):
+                if comm.rank == 0:
+                    comm.send(buf, 1, 31, datatype=dtype, count=count)
+                    comm.recv(buf, 1, 32, datatype=dtype, count=count)
+                else:
+                    comm.recv(buf, 0, 31, datatype=dtype, count=count)
+                    comm.send(buf, 0, 32, datatype=dtype, count=count)
+            return buf.tobytes()
+
+        return run(fn, nprocs=2, transport=backend)
+
+    def test_one_acquire_per_message_none_to_receive(self, backend):
+        for count in (128, 2048):  # eager, rendezvous
+            res = self._pingpong(backend, count)
+            assert res.results[0] == make_struct_simple(count).tobytes()
+            for snap in res.memory:
+                assert self._acquires(snap) == 4, (backend, count, snap)
+                assert snap["pool"]["outstanding"] == 0
+
+    def test_clocks_and_tracker_totals_pinned(self, backend):
+        for count in (128, 2048):
+            res = self._pingpong(backend, count)
+            assert res.clocks[0] == PINGPONG_CLOCK_RANK0[count]
+            for snap in res.memory:
+                assert (snap["live_bytes"], snap["peak_bytes"],
+                        snap["total_allocated"], snap["allocation_count"]) \
+                    == (0, 20 * count, 8 * 20 * count, 8)
+
+    def test_mixed_paths_match_the_reference_engine(self, backend):
+        """custom (IOV, five packed fragments) -> derived goes through the
+        UnpackCursor; derived -> contiguous lands the packed stream."""
+        from repro.core.packing import pack_reference, unpack_reference
+        n = 2000
+        derived = struct_simple_datatype()
+
+        def fn(comm):
+            custom = struct_simple_custom_datatype()
+            if comm.rank == 0:
+                comm.send(make_struct_simple(n), 1, 1, datatype=custom,
+                          count=n)
+                comm.send(make_struct_simple(n), 1, 2, datatype=derived,
+                          count=n)
+                return None
+            out = np.zeros(n, dtype=STRUCT_SIMPLE)
+            st = comm.recv(out, 0, 1, datatype=derived, count=n)
+            flat = np.zeros(20 * n, dtype=np.uint8)
+            comm.recv(flat, 0, 2)
+            return (out.tobytes(), flat.tobytes(), len(st.entry_lengths),
+                    comm.memory.snapshot()["pool"]["misses"])
+
+        res = run(fn, nprocs=2, transport=backend)
+        got, flat, nchunks, recv_acquires = res.results[1]
+        packed = pack_reference(derived, make_struct_simple(n), n)
+        want = np.zeros(n, dtype=STRUCT_SIMPLE)
+        unpack_reference(derived, want, n, packed)
+        assert nchunks == 5 and recv_acquires == 0
+        assert got == want.tobytes()
+        assert flat == packed.tobytes()
+        assert [s["pool"]["outstanding"] for s in res.memory] == [0, 0]
+
+    @staticmethod
+    def _failed_recv(backend, send, post, **run_kwargs):
+        """Rank 1 receives into a zeroed 8-element buffer through ``post``;
+        returns (outcome, (outstanding, live_bytes), buffer touched) of
+        rank 1 and the job's memory snapshots."""
+        def fn(comm):
+            from repro.mpi.comm import ERRORS_RETURN
+            comm.set_errhandler(ERRORS_RETURN)
+            if comm.rank == 0:
+                send(comm)
+                return None
+            out = np.zeros(8, dtype=STRUCT_SIMPLE)
+            try:
+                outcome = post(comm, out)
+            except Exception as exc:
+                outcome = type(exc).__name__
+            snap = comm.memory.snapshot()
+            return (outcome, (snap["pool"]["outstanding"],
+                              snap["live_bytes"]),
+                    bool(out.view(np.uint8).any()))
+
+        res = run(fn, nprocs=2, transport=backend, timeout=30, **run_kwargs)
+        assert [s["pool"]["outstanding"] for s in res.memory] == [0, 0]
+        return res.results[1]
+
+    @staticmethod
+    def _send8(comm):
+        comm.send(make_struct_simple(8), 1, 1,
+                  datatype=struct_simple_datatype(), count=8)
+
+    def test_truncation(self, backend):
+        got = self._failed_recv(
+            backend, self._send8,
+            lambda comm, out: comm.recv(
+                out, 0, 1, datatype=struct_simple_datatype(), count=4))
+        assert got == ("TruncationError", (0, 0), False)
+
+    def test_partial_element(self, backend):
+        got = self._failed_recv(
+            backend,
+            lambda comm: comm.send(np.arange(1, 31, dtype=np.uint8), 1, 1),
+            lambda comm, out: comm.recv(
+                out, 0, 1, datatype=struct_simple_datatype(), count=4))
+        assert got == ("TruncationError", (0, 0), False)
+
+    def test_cancel_of_an_unmatched_receive(self, backend):
+        def post(comm, out):
+            req = comm.irecv(out, 0, 77, datatype=struct_simple_datatype(),
+                             count=8)
+            assert req.cancel() and req.wait().cancelled
+            return "cancelled"
+
+        got = self._failed_recv(backend, lambda comm: None, post)
+        assert got == ("cancelled", (0, 0), False)
+
+    def test_poisoned_message(self, backend):
+        got = self._failed_recv(
+            backend, self._send8,
+            lambda comm, out: comm.recv(
+                out, 0, 1, datatype=struct_simple_datatype(), count=8),
+            faults={"seed": 7, "drop": 1.0, "window": (0, 1)},
+            reliability={"enabled": True, "retry_limit": 2})
+        assert got == ("ProcFailedError", (0, 0), False)
+
+    def test_short_and_read_only_buffers(self, backend):
+        def short(comm, out):
+            return comm.recv(out[:4], 0, 1,
+                             datatype=struct_simple_datatype(), count=8)
+
+        def read_only(comm, out):
+            out.flags.writeable = False
+            return comm.recv(out, 0, 1, datatype=struct_simple_datatype(),
+                             count=8)
+
+        for post in (short, read_only):
+            got = self._failed_recv(backend, self._send8, post)
+            assert got == ("MPIError", (0, 0), False)
