@@ -33,6 +33,7 @@ Numbering scheme:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,6 +41,10 @@ from ..errors import (MPI_ERR_ARG, MPI_ERR_BUFFER, MPI_ERR_COMM,
                       MPI_ERR_INTERN, MPI_ERR_OTHER, MPI_ERR_PENDING,
                       MPI_ERR_PROC_FAILED, MPI_ERR_REQUEST, MPI_ERR_TAG,
                       MPI_ERR_TRUNCATE, MPI_ERR_TYPE, error_name)
+
+#: JSON schema version of every ``--format json`` / ``--report`` document;
+#: bump only on incompatible output changes.
+SCHEMA_VERSION = 1
 
 #: Severity levels, most severe first.  ``perf`` findings (smells) and
 #: ``notice`` findings (tool status, e.g. incomplete analysis or an unused
@@ -283,3 +288,10 @@ def sort_diagnostics(diags) -> list[Diagnostic]:
     """Stable ordering used by every reporter: file, line, col, code."""
     return sorted(diags, key=lambda d: (d.file or "", d.line, d.col, d.code,
                                         d.subject))
+
+
+def tally(diags) -> dict:
+    """The ``by_code``/``by_severity`` counts of every JSON summary."""
+    return {f"by_{attr}": dict(sorted(Counter(
+        getattr(d, attr) for d in diags).items()))
+        for attr in ("code", "severity")}

@@ -322,9 +322,8 @@ def verify_datatype(dtype, *, params: LinkParams = DEFAULT_PARAMS,
 
 def ddtbench_corpus() -> list[tuple[str, object]]:
     """``(name, derived datatype)`` for every registered DDTBench workload."""
-    from ..ddtbench.registry import WORKLOADS
-    return [(name, cls().derived_datatype())
-            for name, cls in WORKLOADS.items()]
+    from .subjects import ddtbench_workloads
+    return [(name, w.derived_datatype()) for name, w in ddtbench_workloads()]
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +493,14 @@ MISCOMPILE_CORPUS: tuple[MiscompileFixture, ...] = (
 
 
 def verify_miscompile_corpus(*, path: Optional[str] = None
-                             ) -> tuple[list[Diagnostic], list[str]]:
-    """Run every seeded fixture; returns ``(findings, missed fixtures)``.
+                             ) -> tuple[list[Diagnostic], list[str], int]:
+    """Run every seeded fixture; returns ``(findings, missed, nfiles)``
+    like the mutant and race corpora.
 
     ``missed`` names fixtures whose expected codes did NOT all fire — a
     regression in the verifier itself.  CI asserts findings are non-empty
-    and ``missed`` is empty.
+    and ``missed`` is empty.  ``nfiles`` is 0: the fixtures are in-memory
+    typemaps, not files.
     """
     findings: list[Diagnostic] = []
     missed: list[str] = []
@@ -510,4 +511,4 @@ def verify_miscompile_corpus(*, path: Optional[str] = None
         if not fx.expected_codes <= got:
             missed.append(f"{fx.name}: expected {sorted(fx.expected_codes)}, "
                           f"got {sorted(got)}")
-    return findings, missed
+    return findings, missed, 0

@@ -56,7 +56,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .diagnostics import Diagnostic
-from .suppress import apply_suppressions
+from .subjects import py_files
+from .suppress import suppress_files
 
 __all__ = ["analyze_paths", "run_corpus", "corpus_dir",
            "shipped_audit_paths", "RaceReport"]
@@ -1042,29 +1043,6 @@ class _Analyzer:
 # entry points
 # ---------------------------------------------------------------------------
 
-def _expand(paths) -> list[str]:
-    out: list[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    d for d in dirnames
-                    if d != "__pycache__" and not d.startswith(".")
-                    and d != "races_corpus")
-                for fn in sorted(filenames):
-                    if fn.endswith(".py"):
-                        out.append(os.path.join(dirpath, fn))
-        elif os.path.isfile(path):
-            out.append(path)
-        else:
-            raise FileNotFoundError(path)
-    dedup: list[str] = []
-    for p in out:
-        if p not in dedup:
-            dedup.append(p)
-    return dedup
-
-
 def analyze_paths(paths) -> tuple[list[Diagnostic], int, RaceReport]:
     """Jointly analyze every ``.py`` file under ``paths``.
 
@@ -1072,7 +1050,7 @@ def analyze_paths(paths) -> tuple[list[Diagnostic], int, RaceReport]:
     on the flagged line suppress, with RPD590 notices for directives that
     suppressed nothing — same contract as the linter and flow verifier.
     """
-    files = _expand(paths)
+    files = py_files(paths, exclude=("races_corpus",))
     an = _Analyzer()
     sources: dict[str, str] = {}
     for path in files:
@@ -1110,14 +1088,7 @@ def analyze_paths(paths) -> tuple[list[Diagnostic], int, RaceReport]:
                     if stmt.value is not None:
                         an._scan_expr(stmt.value, ctx)
     an.emit_aggregate()
-    findings: list[Diagnostic] = []
-    for path in sorted(sources):
-        per_file = [d for d in an.direct if d.file == path]
-        kept, notices = apply_suppressions(per_file, path,
-                                           source=sources[path])
-        findings.extend(kept)
-        findings.extend(notices)
-    findings.extend(d for d in an.direct if d.file not in sources)
+    findings = suppress_files(an.direct, sorted(sources), sources)
     an.report.files = len(files)
     return findings, len(files), an.report
 

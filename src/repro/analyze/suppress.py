@@ -1,4 +1,4 @@
-"""Inline ``# noqa`` suppressions shared by the linter and flow verifier.
+"""Inline ``# noqa`` suppressions shared by every source-level engine.
 
 A finding is suppressed when the flagged physical line carries a ``noqa``
 comment — either blanket (``# noqa``) or listing the code (``# noqa:
@@ -102,3 +102,20 @@ def apply_suppressions(findings, path: str, source: Optional[str] = None):
             hint="remove the stale noqa comment",
             file=path, line=directive.line, col=directive.col))
     return kept, notices
+
+
+def suppress_files(findings, files, sources=None) -> list[Diagnostic]:
+    """:func:`apply_suppressions` over every file in ``files``.
+
+    Findings attributed to no listed file pass through untouched;
+    ``sources`` optionally maps a path to its already-read text.
+    """
+    by_file: dict = {path: [] for path in files}
+    out: list[Diagnostic] = []
+    for diag in findings:
+        by_file.get(diag.file, out).append(diag)
+    for path, per_file in by_file.items():
+        kept, notices = apply_suppressions(
+            per_file, path, source=(sources or {}).get(path))
+        out += kept + notices
+    return out

@@ -68,13 +68,14 @@ class TransferEngine:
 
     def start_send(self, dest: int, tag64: int, buf, count: int,
                    dtype: Datatype, sync: bool = False) -> Request:
-        """Start a send; ``sync=True`` gives MPI_Ssend completion semantics
-        (the custom/IOV path is already rendezvous-like, so the flag only
-        changes contiguous transfers)."""
+        """Start a send; ``sync=True`` gives MPI_Ssend completion semantics:
+        every CONTIG transfer is forced onto rendezvous, including a custom
+        type that degenerates to one region or to an empty message (only the
+        IOV protocol is rendezvous-like on its own)."""
         ep = self.worker.endpoint(dest)
         san = self.worker.sanitizer
         if isinstance(dtype, CustomDatatype):
-            req = self._send_custom(ep, tag64, buf, count, dtype)
+            req = self._send_custom(ep, tag64, buf, count, dtype, sync=sync)
         elif dtype.is_contiguous:
             nbytes = packed_size(dtype, count)
             sig = dtype.signature(count) if san is not None else None
@@ -121,7 +122,7 @@ class TransferEngine:
         return Request(req)
 
     def _send_custom(self, ep, tag64: int, buf, count: int,
-                     dtype: CustomDatatype) -> Request:
+                     dtype: CustomDatatype, sync: bool = False) -> Request:
         clock = self.worker.clock
         with CustomSendOperation(dtype, buf, count) as op:
             frags = op.pack_fragments(self.frag_size)
@@ -138,7 +139,7 @@ class TransferEngine:
             entries = [np.asarray(f) for f in frags]
             entries += [r.read_bytes() for r in regions]
             desc = IovData(entries, packed_entries=len(frags))
-        return Request(ep.tag_send(tag64, desc))
+        return Request(ep.tag_send(tag64, desc, force_rndv=sync))
 
     # ------------------------------------------------------------------
     # receive
@@ -195,6 +196,8 @@ class TransferEngine:
             desc = HandlerData(self._custom_recv_handler(buf, count, dtype))
         elif dtype.is_contiguous:
             desc = ContigData(buf, packed_size(dtype, count), writable=True)
+            if self.worker.sanitizer is not None:
+                desc.expected_signature = dtype.signature(count)
         else:
             desc, finish, unbook = self._derived_delivery(buf, count, dtype)
             try:

@@ -1,14 +1,13 @@
 """``repro-analyze sanitize`` — run programs under the dynamic sanitizer.
 
-Program convention: a file defines ``main(comm)`` (the same entry the
-examples use for ``repro.mpi.run``) and optionally a module-level rank
-count (``NPROCS``/``NRANKS``/``PROCS``).  Files without a ``main(comm)``
-entry are skipped with a notice, so whole directories (``examples/``) can
-be swept.  ``--ddtbench`` instead runs the DDTBench workload registry as
-sanitized pingpongs over every practicable transfer method.
-
-Exit status: 0 clean, 1 findings (error severity by default; any severity
-under ``--strict``) or an aborted job, 2 usage errors.
+Programs are files with a ``main(comm)`` entry
+(:func:`repro.analyze.subjects.load_entry`); files without one are skipped
+with a notice, so whole directories (``examples/``) can be swept.
+``--ddtbench`` instead runs the DDTBench workload registry as sanitized
+pingpongs over every practicable transfer method.  The engine runs through
+:func:`repro.analyze.driver.run` like the static ones; its severity policy
+prints every finding and fails on errors only (any severity under
+``--strict``) or on an aborted job.
 """
 
 from __future__ import annotations
@@ -16,157 +15,85 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import importlib.util
-import inspect
+import functools
 import io
-import json
-import os
-import sys
 from typing import Optional
 
-from ..analyze.diagnostics import Diagnostic, sort_diagnostics
+from ..analyze.driver import (DYNAMIC_POLICY, Engine, Outcome, UsageError,
+                              run)
+from ..analyze.subjects import ddtbench_workloads, load_entry, py_files
 from ..errors import RuntimeAbort
-from ..ucp.transport import TransportUnavailableError
-from .report import SCHEMA_VERSION, SanitizeReport
+from .report import SanitizeReport
 
-#: Module attributes consulted (in order) for a program's rank count.
-_NPROC_ATTRS = ("NPROCS", "NRANKS", "PROCS")
-
-#: Transfer methods the ddtbench sweep exercises.
-_DDT_METHODS = ("derived", "custom-pack", "custom-region")
+#: Transfer methods the ddtbench sweep exercises -> the workload's factory.
+_DDT_METHODS = {"derived": "derived_datatype",
+                "custom-pack": "custom_pack_datatype",
+                "custom-region": "custom_region_datatype"}
 
 
-def _load_entry(path: str):
-    """Import a program file; returns (fn, nprocs, job_kwargs, error).
+def _sanitized(fn, nprocs: int, program: str, timeout: float,
+               transport: Optional[str], **job_kwargs) -> SanitizeReport:
+    """One job under the sanitizer; an abort is a report, not an error."""
+    from ..mpi import run as run_job
 
-    ``fn`` is None with a human reason in ``error`` when the file defines
-    no ``main(comm)``-style entry (not a failure — the file is skipped).
-    ``job_kwargs`` carries the program's optional fault-injection setup
-    (module-level ``FAULTS`` / ``RELIABILITY``, in the dict/bool forms
-    :func:`repro.mpi.run` accepts), so seeded chaos fixtures run under
-    the sanitizer with their faults live.
-    """
-    modname = "_repro_sanitize_" + os.path.basename(path)[:-3].replace(
-        "-", "_") + f"_{abs(hash(os.path.abspath(path))) % 10 ** 8}"
     try:
-        spec = importlib.util.spec_from_file_location(modname, path)
-        mod = importlib.util.module_from_spec(spec)
-        sys.modules[modname] = mod
+        # The program's prints are not tool output; swallow them.
         with contextlib.redirect_stdout(io.StringIO()):
-            spec.loader.exec_module(mod)
-    except Exception as exc:
-        sys.modules.pop(modname, None)
-        return None, 0, {}, f"import failed: {type(exc).__name__}: {exc}"
-    sys.modules.pop(modname, None)
-
-    fn = getattr(mod, "main", None)
-    if callable(fn):
-        try:
-            params = list(inspect.signature(fn).parameters.values())
-        except (TypeError, ValueError):
-            params = []
-        required = [p for p in params if p.default is inspect.Parameter.empty
-                    and p.kind in (p.POSITIONAL_ONLY,
-                                   p.POSITIONAL_OR_KEYWORD)]
-        if len(required) == 1 and required[0].name == "comm":
-            nprocs = next((int(getattr(mod, a)) for a in _NPROC_ATTRS
-                           if isinstance(getattr(mod, a, None), int)), 2)
-            job_kwargs = {}
-            faults = getattr(mod, "FAULTS", None)
-            if faults is not None:
-                job_kwargs["faults"] = faults
-            reliability = getattr(mod, "RELIABILITY", None)
-            if reliability is not None:
-                job_kwargs["reliability"] = reliability
-            return fn, nprocs, job_kwargs, ""
-    return None, 0, {}, "no main(comm) entry"
+            result = run_job(fn, nprocs=nprocs, sanitize=True,
+                             timeout=timeout, transport=transport,
+                             **job_kwargs)
+        report = result.sanitizer_report
+        report.reliability = result.reliability
+    except RuntimeAbort as exc:
+        report = exc.sanitizer_report or SanitizeReport(
+            nprocs=nprocs, aborted=True,
+            failures={r: f"{type(e).__name__}: {e}"
+                      for r, e in exc.failures.items()})
+    report.program = program
+    return report
 
 
 def run_program(path: str, nprocs: Optional[int] = None,
                 timeout: float = 60.0,
                 transport: Optional[str] = None) -> Optional[SanitizeReport]:
     """Run one program file under the sanitizer; None when skipped."""
-    from ..mpi import run
-
-    fn, module_nprocs, job_kwargs, error = _load_entry(path)
+    fn, module_nprocs, job_kwargs, error = load_entry(path)
     if fn is None:
         if error.startswith("import failed"):
             return SanitizeReport(
                 nprocs=0, aborted=True, failures={-1: error}, program=path)
         return None
-    n = nprocs or module_nprocs
-    try:
-        # The program's own prints are not part of the tool's output
-        # (they would corrupt --format json); swallow them.
-        with contextlib.redirect_stdout(io.StringIO()):
-            result = run(fn, nprocs=n, sanitize=True, timeout=timeout,
-                         transport=transport, **job_kwargs)
-        report = result.sanitizer_report
-        report.reliability = result.reliability
-    except RuntimeAbort as exc:
-        report = exc.sanitizer_report or SanitizeReport(
-            nprocs=n, aborted=True,
-            failures={r: f"{type(e).__name__}: {e}"
-                      for r, e in exc.failures.items()})
-    report.program = path
-    return report
+    return _sanitized(fn, nprocs or module_nprocs, path, timeout, transport,
+                      **job_kwargs)
 
 
 def run_ddtbench(names=None, timeout: float = 60.0,
                  transport: Optional[str] = None) -> list[SanitizeReport]:
     """Sanitized pingpong of every registry workload x transfer method."""
-    from ..ddtbench import WORKLOADS, make_workload
-    from ..mpi import run
+    from ..ddtbench import make_workload
 
     reports = []
-    for name in (names or sorted(WORKLOADS)):
-        probe = make_workload(name)
+    for name, probe in ddtbench_workloads(names):
         for method in _DDT_METHODS:
             if method == "custom-region" and not probe.meta.memory_regions:
                 continue
 
             def fn(comm, _name=name, _method=method):
-                w = make_workload(_name)
-                if _method == "derived":
-                    dt = w.derived_datatype()
-                elif _method == "custom-pack":
-                    dt = w.custom_pack_datatype()
-                else:
-                    dt = w.custom_region_datatype()
+                w = make_workload(_name)   # one per rank, nothing shared
+                dt = getattr(w, _DDT_METHODS[_method])()
                 if comm.rank == 0:
                     comm.send(w.make_send_buffer(), dest=1,
                               datatype=dt, count=1)
                 else:
-                    rb = w.make_recv_buffer()
-                    comm.recv(rb, source=0, datatype=dt, count=1)
+                    comm.recv(w.make_recv_buffer(), source=0,
+                              datatype=dt, count=1)
 
-            label = f"ddtbench:{name}:{method}"
-            try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    result = run(fn, nprocs=2, sanitize=True,
-                                 timeout=timeout, transport=transport)
-                report = result.sanitizer_report
-            except RuntimeAbort as exc:
-                report = exc.sanitizer_report or SanitizeReport(
-                    nprocs=2, aborted=True,
-                    failures={r: f"{type(e).__name__}: {e}"
-                              for r, e in exc.failures.items()})
-            report.program = label
-            reports.append(report)
+            reports.append(_sanitized(fn, 2, f"ddtbench:{name}:{method}",
+                                      timeout, transport))
     return reports
 
 
-def _stamped(report: SanitizeReport) -> list[Diagnostic]:
-    """The report's findings with the program path on each diagnostic."""
-    return [dataclasses.replace(d, file=report.program)
-            for d in report.diagnostics]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro-analyze sanitize",
-        description="Run MPI programs on the simulated fabric with the "
-                    "dynamic sanitizer attached.")
+def _arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("programs", nargs="*",
                    help="program files or directories (main(comm) entries)")
     p.add_argument("--nprocs", type=int, default=None,
@@ -178,124 +105,59 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transport backend for the sanitized jobs "
                         "(inproc/asyncio; shm cannot host the sanitizer). "
                         "Default: $REPRO_TRANSPORT, else inproc")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default: text)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not just errors")
     p.add_argument("--ddtbench", action="store_true",
                    help="also run the DDTBench workload registry as "
                         "sanitized pingpongs")
     p.add_argument("--workloads", default="",
                    help="comma-separated ddtbench workload names "
                         "(default: all)")
-    return p
 
 
-def _iter_programs(paths) -> list[str]:
-    out = []
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(d for d in dirnames
-                                     if d != "__pycache__"
-                                     and not d.startswith("."))
-                for fn in sorted(filenames):
-                    if fn.endswith(".py"):
-                        out.append(os.path.join(dirpath, fn))
-        elif os.path.isfile(path):
-            out.append(path)
-        else:
-            raise FileNotFoundError(path)
-    return out
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0) and 2
-
+def _run(ns) -> Outcome:
     if not ns.programs and not ns.ddtbench:
-        parser.print_usage(sys.stderr)
-        print("error: no programs given (or use --ddtbench)",
-              file=sys.stderr)
-        return 2
-
-    try:
-        files = _iter_programs(ns.programs)
-    except FileNotFoundError as exc:
-        print(f"error: no such file or directory: {exc}", file=sys.stderr)
-        return 2
-
+        raise UsageError("no programs given (or use --ddtbench)")
     reports: list[SanitizeReport] = []
     skipped: list[str] = []
-    try:
-        for path in files:
-            report = run_program(path, nprocs=ns.nprocs, timeout=ns.timeout,
-                                 transport=ns.transport)
-            if report is None:
-                skipped.append(path)
-            else:
-                reports.append(report)
-        if ns.ddtbench:
-            names = [w for w in ns.workloads.split(",") if w] or None
-            reports.extend(run_ddtbench(names, timeout=ns.timeout,
-                                        transport=ns.transport))
-    except TransportUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for path in py_files(ns.programs):
+        report = run_program(path, nprocs=ns.nprocs, timeout=ns.timeout,
+                             transport=ns.transport)
+        if report is None:
+            skipped.append(path)
+        else:
+            reports.append(report)
+    if ns.ddtbench:
+        names = [w for w in ns.workloads.split(",") if w] or None
+        reports.extend(run_ddtbench(names, timeout=ns.timeout,
+                                    transport=ns.transport))
 
-    findings = sort_diagnostics(
-        [d for rep in reports for d in _stamped(rep)])
     aborted = [rep for rep in reports if rep.aborted]
-    if ns.strict:
-        failing = findings
-    else:
-        failing = [d for d in findings if d.severity == "error"]
+    faulted = [rep for rep in reports if rep.reliability]
+    summary = {
+        "programs": len(reports),
+        "skipped": skipped,
+        "aborted": [rep.program for rep in aborted],
+        "failures": {str(r): msg for rep in aborted
+                     for r, msg in sorted(rep.failures.items())},
+    }
+    if faulted:
+        summary["reliability"] = {rep.program: rep.reliability_totals()
+                                  for rep in faulted}
+    return Outcome(
+        # Each finding carries the program it was observed in.
+        [dataclasses.replace(d, file=rep.program)
+         for rep in reports for d in rep.diagnostics],
+        len(reports), summary=summary,
+        aborted=[f"{rep.program}: rank {r} failed: {msg}" for rep in aborted
+                 for r, msg in sorted(rep.failures.items())],
+        notes=[f"{rep.program}: reliability: {rep.reliability_text()}"
+               for rep in faulted]
+        + [f"skipped (no main(comm) entry): {path}" for path in skipped])
 
-    if ns.format == "json":
-        by_code: dict[str, int] = {}
-        for d in findings:
-            by_code[d.code] = by_code.get(d.code, 0) + 1
-        doc = {
-            "version": SCHEMA_VERSION,
-            "tool": "repro.sanitize",
-            "findings": [d.to_dict() for d in findings],
-            "summary": {
-                "programs": len(reports),
-                "skipped": skipped,
-                "findings": len(findings),
-                "aborted": [rep.program for rep in aborted],
-                "failures": {str(r): msg for rep in aborted
-                             for r, msg in sorted(rep.failures.items())},
-                "by_code": dict(sorted(by_code.items())),
-            },
-        }
-        reliability = {rep.program: rep.reliability_totals()
-                       for rep in reports if rep.reliability}
-        if reliability:
-            doc["summary"]["reliability"] = reliability
-        print(json.dumps(doc, indent=2))
-    else:
-        for d in findings:
-            print(d.format_text())
-        for rep in aborted:
-            for r, msg in sorted(rep.failures.items()):
-                print(f"{rep.program}: rank {r} failed: {msg}")
-        for rep in reports:
-            if not rep.reliability:
-                continue
-            totals = {k: v for k, v in rep.reliability_totals().items()
-                      if v}
-            shown = ", ".join(
-                f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in sorted(totals.items())) or "all zero"
-            print(f"{rep.program}: reliability: {shown}")
-        for path in skipped:
-            print(f"skipped (no main(comm) entry): {path}")
-        verdict = "clean" if not findings and not aborted else \
-            f"{len(findings)} finding(s)"
-        print(f"{verdict}: {len(reports)} sanitized job(s), "
-              f"{len(skipped)} skipped")
-    return 1 if failing or aborted else 0
+
+SANITIZE = Engine(
+    "sanitize", "repro.sanitize",
+    "Run MPI programs on the simulated fabric with the dynamic sanitizer "
+    "attached.", _arguments, _run, policy=DYNAMIC_POLICY,
+    unit="sanitized job(s)")
+
+main = functools.partial(run, SANITIZE)

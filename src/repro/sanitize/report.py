@@ -5,10 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..analyze.diagnostics import Diagnostic, sort_diagnostics
-
-#: JSON schema version shared with ``repro.analyze`` (PR 1's schema v1).
-SCHEMA_VERSION = 1
+from ..analyze.diagnostics import (SCHEMA_VERSION, Diagnostic,
+                                   sort_diagnostics, tally)
 
 
 @dataclass
@@ -48,13 +46,15 @@ class SanitizeReport:
                 totals[key] = totals.get(key, 0) + val
         return totals
 
+    def reliability_text(self) -> str:
+        """The nonzero job-wide counters on one line."""
+        return ", ".join(
+            f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in sorted(self.reliability_totals().items())
+            if v) or "all zero"
+
     def to_dict(self) -> dict:
         """JSON rendering (same envelope as ``repro.analyze --format json``)."""
-        by_code: dict[str, int] = {}
-        by_severity: dict[str, int] = {}
-        for d in self.diagnostics:
-            by_code[d.code] = by_code.get(d.code, 0) + 1
-            by_severity[d.severity] = by_severity.get(d.severity, 0) + 1
         doc = {
             "version": SCHEMA_VERSION,
             "tool": "repro.sanitize",
@@ -65,8 +65,7 @@ class SanitizeReport:
                 "aborted": self.aborted,
                 "failures": {str(r): msg for r, msg in
                              sorted(self.failures.items())},
-                "by_code": dict(sorted(by_code.items())),
-                "by_severity": dict(sorted(by_severity.items())),
+                **tally(self.diagnostics),
             },
         }
         if self.reliability:
@@ -80,12 +79,7 @@ class SanitizeReport:
             for r, msg in sorted(self.failures.items()):
                 lines.append(f"rank {r} failed: {msg}")
         if self.reliability:
-            totals = self.reliability_totals()
-            interesting = {k: v for k, v in totals.items() if v}
-            shown = ", ".join(
-                f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in sorted(interesting.items())) or "all zero"
-            lines.append(f"reliability: {shown}")
+            lines.append(f"reliability: {self.reliability_text()}")
         lines.append(f"{len(self.diagnostics)} finding(s) over "
                      f"{self.nprocs} rank(s)"
                      + (" [job aborted]" if self.aborted else ""))

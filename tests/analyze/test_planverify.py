@@ -123,7 +123,7 @@ class TestTranslationValidation:
 
 class TestMiscompileCorpus:
     def test_every_fixture_detected(self):
-        findings, missed = verify_miscompile_corpus()
+        findings, missed, _ = verify_miscompile_corpus()
         assert missed == []
         assert findings
 

@@ -32,6 +32,37 @@ class TestSsend:
 
         assert run(fn, nprocs=2).results[0] is True
 
+    @pytest.mark.parametrize("nbytes", [16, 0], ids=["one-region", "empty"])
+    def test_issend_of_degenerate_custom_type_waits_for_receive(self, nbytes):
+        """A custom type that collapses to CONTIG (one region, or nothing at
+        all) must still honour MPI_Ssend: no completion before the receive.
+        Sleep-free: the eager "go" message orders the receive after the
+        sender's ``test()``."""
+        from repro.core import type_create_custom
+        from repro.core.regions import Region
+
+        payload = [np.arange(nbytes, dtype=np.uint8)] if nbytes else []
+        dtype = type_create_custom(
+            query_fn=lambda s, b, c: 0,
+            region_count_fn=lambda s, b, c: len(payload),
+            region_fn=lambda s, b, c, n: [Region(p) for p in payload])
+
+        def fn(comm):
+            if comm.rank == 0:
+                req = comm.issend(object(), dest=1, tag=4, datatype=dtype)
+                incomplete = not req.test()
+                comm.send(np.zeros(1, dtype=np.uint8), dest=1, tag=5)
+                req.wait()
+                return incomplete
+            comm.recv(np.zeros(1, dtype=np.uint8), source=0, tag=5)
+            buf = np.zeros(nbytes, dtype=np.uint8)
+            comm.recv(buf, source=0, tag=4)   # the wire form is CONTIG
+            return buf.tolist()
+
+        res = run(fn, nprocs=2).results
+        assert res[0] is True
+        assert res[1] == list(range(nbytes))
+
     def test_plain_small_send_completes_immediately(self):
         """Contrast: eager MPI_Send buffers the message locally."""
         def fn(comm):

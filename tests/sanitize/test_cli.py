@@ -77,6 +77,12 @@ class TestCleanPrograms:
         assert doc["summary"]["programs"] == 0
         assert len(doc["summary"]["skipped"]) == 1
 
+    def test_duplicate_path_runs_the_job_once(self, capsys):
+        quickstart = os.path.join(REPO, "examples", "quickstart.py")
+        rc, doc = run_json([quickstart, quickstart], capsys)
+        assert rc == 0
+        assert doc["summary"]["programs"] == 1
+
     def test_nprocs_override(self, capsys):
         rc, doc = run_json(
             [os.path.join(REPO, "examples", "quickstart.py"),

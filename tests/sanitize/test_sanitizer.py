@@ -146,16 +146,23 @@ class TestBufferChecks:
 
 class TestSignatureChecks:
     def test_rpd410_mismatched_scalars_same_bytes(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send(np.arange(4, dtype=np.float64), dest=1, tag=3)
-            else:
-                buf = np.zeros(8, dtype=np.int32)
-                comm.recv(buf, source=0, tag=3)
+        def recv(comm, buf):
+            comm.recv(buf, source=0, tag=3)
 
-        rep = report_of(fn)
-        assert "RPD410" in rep.codes()
-        assert "RPD411" not in rep.codes()  # byte counts agree
+        def mrecv(comm, buf):
+            handle, _ = comm.mprobe(source=0, tag=3)
+            handle.mrecv(buf)
+
+        for receive in (recv, mrecv):
+            def fn(comm):
+                if comm.rank == 0:
+                    comm.send(np.arange(4, dtype=np.float64), dest=1, tag=3)
+                else:
+                    receive(comm, np.zeros(8, dtype=np.int32))
+
+            rep = report_of(fn)
+            assert "RPD410" in rep.codes(), receive.__name__
+            assert "RPD411" not in rep.codes()  # byte counts agree
 
     def test_rpd411_truncation(self):
         def fn(comm):
