@@ -70,6 +70,11 @@ class UnpackFn(Protocol):
 
     Consume one incoming fragment ``src`` located at virtual ``offset`` of
     the packed stream.
+
+    Lifetime: ``src`` is the transport's memory (a wire chunk, on ``shm`` a
+    view into the *sender's* arena) and is valid only during the call — the
+    paper's C contract.  Copy what you keep; the buffer is reused as soon
+    as the message is delivered, on every backend.
     """
 
     def __call__(self, state: Any, buf: Any, count: int, offset: int,

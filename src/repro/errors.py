@@ -102,6 +102,16 @@ def error_code(name: str) -> int:
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # Subclasses format their message from several constructor
+        # arguments, which pickle's default (``cls(*self.args)``) cannot
+        # replay.  Rebuild without ``__init__`` instead: the formatted
+        # ``args`` plus the attribute dict are the whole exception, so
+        # every error crosses a process boundary (acknowledgement frames,
+        # rank reports) with its class, text and attributes intact.
+        return (type(self).__new__, (type(self), *self.args),
+                self.__dict__ or None)
+
 
 class MPIError(ReproError):
     """An MPI-level failure carrying a numeric error class.

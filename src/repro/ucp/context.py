@@ -108,7 +108,6 @@ class Fabric:
                                     if memory_trackers is not None
                                     else None))
             for i in range(nworkers)]
-        transport.attach(self)
 
     def worker(self, index: int) -> "Worker":
         return self.workers[index]
@@ -205,7 +204,8 @@ class SendRequest:
 
         Returns True when the message was retracted from the destination's
         unexpected queue; its staging chunks go back to the sender's pool
-        so a cancelled send leaves no pool residue.  False (and no effect)
+        (through ``Transport.release_chunks``, like every message exit) so
+        a cancelled send leaves no pool residue.  False (and no effect)
         once a receive has matched — MPI's "cancel either completes or the
         operation completes, never both".
         """
@@ -378,39 +378,41 @@ class Worker:
         """Receive a message previously removed by an mprobe."""
         return self.deliver(msg, data)
 
-    def _release_chunks(self, msg: WireMessage) -> None:
-        """Return a delivered message's staging chunks to the sender's pool.
-
-        Only eager staging and packed temps actually come back —
-        rendezvous chunks that are live views of the sender's user buffers
-        are not pool-owned and the release is a no-op for them.  Callback
-        descriptors (GENERIC, handler) may retain chunk references, so only
-        the CONTIG/IOV copy paths (and a failed delivery) release.  How the
-        release crosses the rank boundary is the transport's business:
-        in-process it reaches the sender's pool directly, remote backends
-        acknowledge instead.
-        """
-        self.fabric.transport.release_chunks(self, msg)
-
     # -- delivery (receiver thread only) ------------------------------------
 
     def deliver(self, msg: WireMessage, data) -> RecvInfo:
         """Move payload into the descriptor and charge receive-side time.
 
-        On failure the message is marked failed (releasing a blocked
-        rendezvous sender with an error) and the exception re-raised.
-        Completion crosses back to the sender through the transport —
-        a direct event set in-process, an acknowledgement frame remotely.
+        The one receive-side exit of a message: whatever the descriptor
+        kind, and whether the delivery succeeded or raised, the wire chunks
+        go back exactly once, here, *before* the sender is completed — a
+        chunk handed to a receive callback is valid only during that call
+        (the paper's C contract).  Release and completion cross the rank
+        boundary through the transport: a pool release and an event set
+        in-process, one acknowledgement frame remotely.  A failed delivery
+        releases a blocked rendezvous sender with the error and re-raises.
         """
+        fi = self.fabric.injector
+        if fi is not None:
+            # Crash/stall checkpoint *ahead of* the delivery: a rank the
+            # plan kills here dies holding a claimed message (its sender
+            # learns from the failure detector, teardown reclaims the
+            # chunks) — that is a rank exit, not a failed delivery.
+            fi.on_progress(self)
         transport = self.fabric.transport
+        error = None
         try:
             info = self._deliver(msg, data)
         except BaseException as exc:
-            self._release_chunks(msg)  # nobody will read a dead message
-            msg.mark_failed(self.clock.now, exc)
-            transport.on_delivery_failed(self, msg, exc)
-            raise
-        transport.on_delivered(self, msg)
+            error = exc
+        transport.release_chunks(self, msg)
+        if error is None:
+            msg.mark_complete(self.clock.now)
+        else:
+            msg.mark_failed(self.clock.now, error)
+        transport.on_delivered(self, msg, error)
+        if error is not None:
+            raise error
         return info
 
     def _verify_crcs(self, msg: WireMessage) -> None:
@@ -444,17 +446,14 @@ class Worker:
                      "are NACKed and retransmitted")
 
     def _deliver(self, msg: WireMessage, data) -> RecvInfo:
-        fi = self.fabric.injector
-        if fi is not None:
-            fi.on_progress(self)
-            if msg.poisoned is not None:
-                # The sender's reliability retry budget ran out; the
-                # envelope arrived so this wait terminates, but the data
-                # never did.
-                self.clock.merge(msg.delivery_time(self.clock.now))
-                raise msg.poisoned
-            if msg.header.frag_crcs:
-                self._verify_crcs(msg)
+        # Both only ever set on a fault-injected fabric.
+        if msg.poisoned is not None:
+            # The sender's reliability retry budget ran out; the envelope
+            # arrived so this wait terminates, but the data never did.
+            self.clock.merge(msg.delivery_time(self.clock.now))
+            raise msg.poisoned
+        if msg.header.frag_crcs:
+            self._verify_crcs(msg)
         if self.sanitizer is not None:
             # Signature-match and truncation checks run before any data
             # moves, so a finding is reported even when delivery raises.
@@ -470,7 +469,6 @@ class Worker:
                     f"message of {hdr.total_bytes} bytes into a "
                     f"{data.nbytes}-byte buffer")
             data.scatter(msg.chunks)
-            self._release_chunks(msg)
         elif isinstance(data, IovData):
             entries = data.entries()
             if len(msg.chunks) != len(entries):
@@ -483,7 +481,6 @@ class Worker:
                         f"iov entry of {chunk.shape[0]} bytes into a "
                         f"{entry.shape[0]}-byte entry")
                 entry[: chunk.shape[0]] = chunk
-            self._release_chunks(msg)
         elif isinstance(data, GenericData):
             if data.unpack is None:
                 raise TransportError("GenericData has no unpack callback (send-only)")
@@ -501,7 +498,6 @@ class Worker:
             raise TransportError(
                 f"cannot deliver into descriptor {type(data).__name__}")
 
-        msg.mark_complete(self.clock.now)
         self.delivered_msgs += 1
         if self.config.trace_messages:
             self.trace.append({
@@ -527,11 +523,6 @@ class Endpoint:
     def __init__(self, src: Worker, dst_index: int):
         self.src = src
         self.dst_index = dst_index
-
-    @property
-    def dst(self) -> Worker:
-        """The destination worker object (in-process backends and tests)."""
-        return self.src.fabric.worker(self.dst_index)
 
     def tag_send(self, tag: int, data, force_rndv: bool = False,
                  signature=None) -> SendRequest:

@@ -112,7 +112,9 @@ class GenericData:
     Send side supplies ``pack(offset, dst) -> used`` and ``total_bytes``;
     receive side supplies ``unpack(offset, src)``.  The transport drives the
     callbacks fragment by fragment (``frag_size`` picked by the worker
-    config), charging per-fragment overhead.
+    config), charging per-fragment overhead.  ``src`` is a wire chunk, valid
+    only during the call: ``Worker.deliver`` returns every chunk to its
+    sender's pool when the delivery ends — copy what you keep.
     """
 
     kind = DATATYPE_GENERIC
@@ -162,6 +164,11 @@ class HandlerData:
     custom-datatype receives, where the destination of the region entries can
     depend on just-unpacked in-band data.  The handler returns the number of
     payload bytes it consumed (for truncation checking).
+
+    Lifetime: ``msg.chunks`` are valid only while the handler runs.  When it
+    returns (or raises) ``Worker.deliver`` gives them back to the sender —
+    eager staging returns to its pool, a remote sender's slab is freed by
+    the acknowledgement — so a handler copies what it keeps.
     """
 
     kind = "handler"

@@ -48,7 +48,7 @@ import numpy as np
 from ..errors import ProcFailedError, RankCrashError
 from .transitions import (duplicate_suppressed, resolve_retries,
                           retry_backoff)
-from .wire import WireMessage
+from .wire import WireHeader, WireMessage
 
 __all__ = [
     "FaultPlan", "ReliabilityConfig", "ReliabilityStats",
@@ -398,15 +398,13 @@ class FaultInjector:
                 ch = self._channels[key] = _Channel()
             return ch
 
-    def traces(self) -> dict[str, list[dict]]:
-        """Per-channel fault/recovery event logs (deterministic per seed)."""
+    def traces(self, src: Optional[int] = None) -> dict[str, list[dict]]:
+        """Per-channel fault/recovery event logs (deterministic per seed),
+        of every channel or of the ones rank ``src`` sends on."""
         with self._channels_lock:
-            items = sorted(self._channels.items())
+            items = sorted(kv for kv in self._channels.items()
+                           if src is None or kv[0][0] == src)
         return {f"{s}->{d}": list(ch.trace) for (s, d), ch in items}
-
-    @staticmethod
-    def _sanitizer(worker):
-        return worker.sanitizer
 
     # -- rank schedule (crash / stall) -------------------------------------
 
@@ -429,15 +427,17 @@ class FaultInjector:
 
     # -- the interposition point -------------------------------------------
 
-    def transmit(self, worker, dst_worker, msg: WireMessage, model) -> None:
+    def transmit(self, worker, dst: int, deposit, msg: WireMessage,
+                 model) -> None:
         """Apply the fault plan (and reliability recovery) to one message.
 
         Runs on the sender's thread at injection time; resolves the whole
         fault/retransmission history synchronously, charges the resulting
-        virtual time, then either deposits the (intact or corrupted)
-        message at the destination matcher or drops it.
+        virtual time, then either hands the (intact or corrupted) message
+        to ``deposit`` — the transport's way into rank ``dst``'s matcher —
+        or drops it.
         """
-        src, dst = worker.index, dst_worker.index
+        src = worker.index
         p = model.params
         ch = self._channel(src, dst)
         seq = ch.next_seq()
@@ -452,17 +452,17 @@ class FaultInjector:
         fates = self.plan.message_fates(src, dst, seq)
 
         if self.reliability.enabled:
-            self._transmit_reliable(worker, dst_worker, msg, model, ch, seq,
-                                    bounds, dropped, corrupted, fates)
+            self._transmit_reliable(worker, dst, deposit, msg, model, ch,
+                                    seq, bounds, dropped, corrupted, fates)
         else:
-            self._transmit_raw(worker, dst_worker, msg, model, ch, seq,
+            self._transmit_raw(worker, dst, deposit, msg, model, ch, seq,
                                bounds, dropped, corrupted, fates)
 
     # -- unreliable datagram semantics -------------------------------------
 
-    def _transmit_raw(self, worker, dst_worker, msg, model, ch, seq,
+    def _transmit_raw(self, worker, dst, deposit, msg, model, ch, seq,
                       bounds, dropped, corrupted, fates) -> None:
-        src, dst = worker.index, dst_worker.index
+        src = worker.index
         stats = self.stats[src]
 
         if dropped:
@@ -471,7 +471,7 @@ class FaultInjector:
             ch.trace.append({"event": "lost", "src": src, "dst": dst,
                              "seq": seq, "frags": sorted(dropped)})
             stats.add(lost_messages=1, lost_fragments=len(dropped))
-            san = self._sanitizer(worker)
+            san = worker.sanitizer
             if san is not None:
                 san.emit(
                     "RPD450",
@@ -483,16 +483,14 @@ class FaultInjector:
                     hint="enable the reliability protocol "
                          "(run(..., reliability=True)) or treat the "
                          "fabric as lossy")
-            pool = worker.memory.pool
-            for chunk in msg.chunks:
-                pool.release(chunk)
+            worker.fabric.transport.release_chunks(worker, msg)
             if msg.rndv:
                 # A rendezvous sender would block forever on the lost
                 # handshake; release it with the failure.
                 msg.mark_failed(worker.clock.now, ProcFailedError(
                     f"rendezvous message #{seq} to rank {dst} lost on the "
                     f"wire (no reliability protocol)"))
-            self._flush_held(ch, dst_worker)
+            self._flush_held(ch)
             return
 
         if corrupted:
@@ -530,19 +528,19 @@ class FaultInjector:
             stats.add(reordered=1)
             ch.trace.append({"event": "reorder-hold", "src": src,
                              "dst": dst, "seq": seq})
-            ch.held = (msg, dst_worker, dup)
+            ch.held = (deposit, msg, dup)
             return
 
-        dst_worker.matcher.deposit(msg)
+        deposit(msg)
         if dup is not None:
-            dst_worker.matcher.deposit(dup)
-        self._flush_held(ch, dst_worker)
+            deposit(dup)
+        self._flush_held(ch)
 
     # -- reliability protocol ----------------------------------------------
 
-    def _transmit_reliable(self, worker, dst_worker, msg, model, ch, seq,
+    def _transmit_reliable(self, worker, dst, deposit, msg, model, ch, seq,
                            bounds, dropped, corrupted, fates) -> None:
-        src, dst = worker.index, dst_worker.index
+        src = worker.index
         stats = self.stats[src]
         rel = self.reliability
         p = model.params
@@ -585,7 +583,7 @@ class FaultInjector:
                 f"exhausted", failed_ranks=(dst,))
             ch.trace.append({"event": "exhausted", "src": src, "dst": dst,
                              "seq": seq, "frags": sorted(remaining)})
-            san = self._sanitizer(worker)
+            san = worker.sanitizer
             if san is not None:
                 san.emit(
                     "RPD452",
@@ -603,8 +601,8 @@ class FaultInjector:
             # the envelope is still deposited so the receiver's wait
             # surfaces MPI_ERR_PROC_FAILED instead of hanging.
             msg.mark_failed(worker.clock.now, err)
-            dst_worker.matcher.deposit(msg)
-            self._flush_held(ch, dst_worker)
+            deposit(msg)
+            self._flush_held(ch)
             return
 
         # Fully recovered.  The payload arrives intact and in order: the
@@ -624,20 +622,19 @@ class FaultInjector:
                                  "dst": dst, "seq": seq})
             else:
                 stats.add(duplicates_delivered=1)
-                dst_worker.matcher.deposit(self._clone(msg))
+                deposit(self._clone(msg))
         if fates["reorder"]:
             stats.add(reorders_healed=1)
             ch.trace.append({"event": "reorder-healed", "src": src,
                              "dst": dst, "seq": seq})
-        dst_worker.matcher.deposit(msg)
-        self._flush_held(ch, dst_worker)
+        deposit(msg)
+        self._flush_held(ch)
 
     # -- plumbing ----------------------------------------------------------
 
     @staticmethod
     def _clone(msg: WireMessage) -> WireMessage:
         """An independent duplicate of a message (fresh events, same seq)."""
-        from .wire import WireHeader
         hdr = msg.header
         dup_hdr = WireHeader(tag=hdr.tag, source=hdr.source,
                              total_bytes=hdr.total_bytes,
@@ -655,15 +652,16 @@ class FaultInjector:
         dup.duplicate_of = hdr.msg_id
         return dup
 
-    def _flush_held(self, ch: _Channel, dst_worker) -> None:
+    @staticmethod
+    def _flush_held(ch: _Channel) -> None:
         """Deposit a reorder-held message after its successor went out."""
         if ch.held is None:
             return
-        held_msg, held_dst, held_dup = ch.held
+        deposit, held_msg, held_dup = ch.held
         ch.held = None
-        held_dst.matcher.deposit(held_msg)
+        deposit(held_msg)
         if held_dup is not None:
-            held_dst.matcher.deposit(held_dup)
+            deposit(held_dup)
 
     def flush_rank(self, rank: int) -> None:
         """Deposit every message rank ``rank`` still holds for reordering.
@@ -673,12 +671,10 @@ class FaultInjector:
         reorder machinery itself).
         """
         with self._channels_lock:
-            items = [(k, ch) for k, ch in sorted(self._channels.items())
+            items = [ch for k, ch in sorted(self._channels.items())
                      if k[0] == rank]
-        for (_, _dst), ch in items:
-            if ch.held is not None:
-                _, held_dst, _ = ch.held
-                self._flush_held(ch, held_dst)
+        for ch in items:
+            self._flush_held(ch)
 
     def drop_rank(self, rank: int) -> None:
         """A crashed rank's held messages die with it."""

@@ -156,7 +156,7 @@ class BufferPool:
 
         Faulted jobs can strand staging buffers: a crashed rank never
         waits its requests, an abandoned transfer never delivers.  The
-        runtime calls this at teardown (only on fault-injected fabrics)
+        runtime calls this at teardown (only on faulted or failed jobs)
         so ``snapshot()["outstanding"]`` ends at zero and the stranded
         bytes are accounted as returned rather than leaked.  Returns the
         number of buffers reclaimed.

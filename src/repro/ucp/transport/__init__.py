@@ -25,11 +25,11 @@ import os
 from .base import Transport, TransportUnavailableError
 from .envelope import assert_portable, decode_envelope, encode_envelope
 from .inproc import InprocTransport
-from .remote import PendingTable, RemoteDst
+from .remote import PendingTable
 
 __all__ = [
     "Transport", "TransportUnavailableError",
-    "InprocTransport", "PendingTable", "RemoteDst",
+    "InprocTransport", "PendingTable",
     "assert_portable", "encode_envelope", "decode_envelope",
     "TRANSPORT_NAMES", "DEFAULT_TRANSPORT", "ENV_VAR",
     "available_transports", "create_transport", "resolve_transport_name",

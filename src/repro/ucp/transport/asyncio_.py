@@ -30,7 +30,7 @@ import threading
 from ...errors import TransportError
 from . import envelope as env
 from .base import ThreadedTransport
-from .remote import DEAD, DONE, PendingTable, RemoteDst, RemoteTransportMixin
+from .remote import DEAD, DONE, PendingTable, RemoteTransportMixin
 
 _LEN = struct.Struct(">Q")
 
@@ -127,10 +127,6 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
     """Rank threads exchanging framed messages over localhost sockets."""
 
     name = "asyncio"
-    supports_faults = True
-    supports_sanitizer = True
-    supports_cancel = False
-    rndv_aliases_buffers = False
 
     def __init__(self):
         #: Guards the cross-thread state below (the I/O thread closes
@@ -145,10 +141,6 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
         self._drained = threading.Event()
         self._open_channels = 0
         self._io_error: BaseException | None = None
-
-    @classmethod
-    def available(cls) -> tuple[bool, str]:
-        return True, ""
 
     # -- plane lifecycle ---------------------------------------------------
 
@@ -171,7 +163,6 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
                 readers.append(_Channel(i, j, rsock))
         with self._lock:
             self._open_channels = len(readers)
-        self._drained = threading.Event()
         if not readers:
             self._drained.set()
         for ch in readers:
@@ -195,18 +186,16 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
                 sock.shutdown(socket.SHUT_WR)
             except OSError:
                 pass
-        if not self._drained.wait(timeout=30.0):
-            self._teardown()
+        drained = self._drained.wait(timeout=30.0)
+        self._teardown()
+        if not drained:
             raise TransportError(
                 "asyncio transport failed to drain in-flight frames")
-        self._teardown()
         with self._lock:
             io_error = self._io_error
         if io_error is not None:
             raise TransportError(
                 f"asyncio transport I/O failure: {io_error}") from io_error
-        for table in self._pending:
-            table.sweep()
 
     def abandon(self, fabric) -> None:
         """Timeout path: dismantle without draining (ranks still alive)."""
@@ -246,17 +235,6 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
 
     # -- sender side -------------------------------------------------------
 
-    def deposit_target(self, worker, dst_index: int):
-        if dst_index == worker.index:
-            # Self-sends never leave the rank; keep in-process semantics.
-            return worker.fabric.worker(dst_index)
-        transport = self
-
-        def _deposit(msg):
-            transport.encode_and_send(worker, dst_index, msg)
-
-        return RemoteDst(dst_index, _deposit)
-
     def pending_for(self, rank: int) -> PendingTable:
         return self._pending[rank]
 
@@ -273,8 +251,8 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
     def encode_payload(self, worker, msg) -> list[bytes]:
         return env.chunk_bytes(msg.chunks)
 
-    def materialize_payload(self, src_rank: int, doc, payload):
-        return env.bytes_chunks(payload, protocol=doc["protocol"])
+    def materialize_payload(self, src_rank: int, payload):
+        return env.bytes_chunks(payload)
 
     # -- I/O thread --------------------------------------------------------
 

@@ -27,13 +27,24 @@ the receiving rank's thread.  A backend that adds its own demux threads must
 keep them out of user callbacks (deposits into a :class:`TagMatcher` are the
 only fabric mutation a foreign thread may perform — the matcher is locked
 for exactly this reason).
+
+Exits are written once, here, for every backend: a *rank* ends in
+:func:`rank_main`, is torn down by :func:`quiesce` and described by one
+:class:`RankReport`, and :func:`conclude_job` turns the reports into the
+``JobResult`` or the ``RuntimeAbort``; a *message's* chunks go home through
+:meth:`Transport.release_chunks`.  The drivers (below and in ``shm.py``) keep
+what really differs: how ranks are spawned and joined, and how a report
+reaches the driver.
 """
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from ...errors import RankCrashError, TransportError
+from ...errors import RankCrashError, RuntimeAbort, TransportError
+from . import envelope as env
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..context import Fabric, UcpConfig, Worker
@@ -83,11 +94,12 @@ class Transport:
     #: driver's pools.
     supports_warm_pools = False
 
-    def attach(self, fabric: "Fabric") -> None:
-        """Called once from ``Fabric.__init__`` after workers exist."""
-        self.fabric = fabric
-
     # -- job gating --------------------------------------------------------
+
+    @classmethod
+    def available(cls) -> tuple[bool, str]:
+        """``(True, "")``, or False and why this platform can't run it."""
+        return True, ""
 
     def check_job_supported(self, config: "UcpConfig",
                             sanitize: bool = False) -> None:
@@ -106,26 +118,24 @@ class Transport:
 
     # -- send path (sending rank's thread) ---------------------------------
 
-    def deposit_target(self, worker: "Worker", dst_index: int):
-        """The object whose ``.matcher.deposit`` receives this send.
-
-        Must expose ``.index`` and ``.matcher.deposit(msg)`` — the only two
-        attributes the fault injector touches — so one fault layer drives
-        every backend.  In-process backends return the destination
-        :class:`Worker`; remote backends return a proxy that serializes
-        the message onto their data plane.
+    def deposit_for(self, worker: "Worker", dst_index: int
+                    ) -> Callable[["WireMessage"], None]:
+        """The callable that lands a message in rank ``dst_index``'s
+        matcher — all the fault injector knows of the destination, so one
+        fault layer drives every backend.  In-process it is the matcher's
+        ``deposit`` itself; remote backends serialize onto their data plane.
         """
-        return worker.fabric.worker(dst_index)
+        return worker.fabric.worker(dst_index).matcher.deposit
 
     def submit(self, worker: "Worker", dst_index: int, msg: "WireMessage",
                model) -> None:
         """Move one injected message toward its destination matcher."""
-        target = self.deposit_target(worker, dst_index)
+        deposit = self.deposit_for(worker, dst_index)
         fi = worker.fabric.injector
         if fi is None:
-            target.matcher.deposit(msg)
+            deposit(msg)
         else:
-            fi.transmit(worker, target, msg, model)
+            fi.transmit(worker, dst_index, deposit, msg, model)
 
     def try_cancel_send(self, worker: "Worker", dst_index: int,
                         msg: "WireMessage") -> bool:
@@ -137,38 +147,201 @@ class Transport:
         """
         if not self.supports_cancel:
             return False
-        dst_worker = worker.fabric.worker(dst_index)
-        if not dst_worker.matcher.retract(msg):
+        if not worker.fabric.worker(dst_index).matcher.retract(msg):
             return False
-        pool = worker.memory.pool
-        for chunk in msg.chunks:
-            pool.release(chunk)
-        msg.chunks = []
+        self.release_chunks(worker, msg)
         msg.mark_failed(worker.clock.now, TransportError("send cancelled"))
         return True
 
-    # -- receive path (receiving rank's thread) ----------------------------
+    # -- message exits -----------------------------------------------------
 
-    def release_chunks(self, recv_worker: "Worker",
-                       msg: "WireMessage") -> None:
-        """Return a delivered message's staging chunks to the sender's pool.
+    def release_chunks(self, worker: "Worker", msg: "WireMessage") -> None:
+        """Give a message's chunks back to the pool they came from.
 
-        In one address space the receiver releases directly into the
-        sender's (locked) pool; across a process boundary this becomes the
-        acknowledgement frame that lets the sender release its side.
+        The one seam every message exit goes through: delivered or failed
+        (``Worker.deliver``), cancelled, lost on the wire, unclaimed at job
+        end (:func:`quiesce`); ``worker`` is whichever local worker lets
+        go.  The release goes into the sender's (locked) pool and is a
+        no-op for chunks no pool owns — user-buffer views, and every
+        receiver-side chunk of a remote backend, whose sender releases its
+        staging when the acknowledgement arrives.
         """
-        pool = recv_worker.fabric.worker(msg.header.source).memory.pool
+        pool = worker.fabric.worker(msg.header.source).memory.pool
         for chunk in msg.chunks:
             pool.release(chunk)
         msg.chunks = []
 
-    def on_delivered(self, recv_worker: "Worker",
-                     msg: "WireMessage") -> None:
-        """Delivery completed; remote backends acknowledge here."""
+    def on_delivered(self, recv_worker: "Worker", msg: "WireMessage",
+                     error: BaseException | None = None) -> None:
+        """Delivery completed (or raised ``error``); remote backends
+        acknowledge — or NACK — the sender here."""
 
-    def on_delivery_failed(self, recv_worker: "Worker", msg: "WireMessage",
-                           exc: BaseException) -> None:
-        """Delivery raised; remote backends NACK the sender here."""
+    def sweep_pending(self, worker: "Worker") -> None:
+        """Teardown: give up on ``worker``'s unacknowledged sends (remote
+        backends release their staging here)."""
+
+
+@dataclass
+class RankReport:
+    """How one rank ended and what it left behind — plain data.
+
+    :func:`rank_main` fills ``result``/``failure``/``crashed``;
+    :meth:`snapshot` the rest, after :func:`quiesce` (``memory`` is None
+    until then).  The ``shm`` driver receives it over a pipe, so the
+    failure pickles as an ``encode_error`` blob (degrades, never raises).
+    """
+
+    rank: int
+    result: Any = None
+    #: What the rank's function raised (an application failure).
+    failure: Optional[BaseException] = None
+    #: Crashed by the fault plan — part of the experiment, not a failure.
+    crashed: bool = False
+    #: Reason of a ULFM abort this rank originated (``shm`` only).
+    abort_origin: Optional[str] = None
+    #: Final virtual time.
+    clock: float = 0.0
+    #: ``MemoryTracker.snapshot()`` (with ``"pool"``), plus the rank's
+    #: ``"reliability"`` counters on a fault-injected fabric.
+    memory: Optional[dict] = None
+    trace: list = field(default_factory=list)
+    #: Messages delivered to the application.
+    delivered: int = 0
+    #: Fault/recovery events of the channels this rank sends on.
+    fault_trace: dict = field(default_factory=dict)
+
+    def snapshot(self, fabric: "Fabric") -> None:
+        worker = fabric.worker(self.rank)
+        self.clock = worker.clock.now
+        self.memory = worker.memory.snapshot()
+        self.trace = list(worker.trace)
+        self.delivered = worker.delivered_msgs
+        injector = fabric.injector
+        if injector is not None:
+            self.memory["reliability"] = injector.stats[self.rank].snapshot()
+            self.fault_trace = injector.traces(src=self.rank)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "failure": env.encode_error(self.failure)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.failure = env.decode_error(self.failure)
+
+
+def rank_main(fabric: "Fabric", rank: int, fn: Callable,
+              engine_config=None) -> RankReport:
+    """Run one rank's function and classify how it ended.
+
+    The only code, on any backend, that builds the rank's ``Communicator``
+    and tells injector, detector and sanitizer whether the rank returned,
+    was crashed by the fault plan, or raised.  Never raises.
+    """
+    from ...mpi.comm import Communicator
+
+    worker = fabric.worker(rank)
+    injector, san = fabric.injector, worker.sanitizer
+    report = RankReport(rank)
+    comm = Communicator(worker, len(fabric.workers), comm_id=0,
+                        engine_config=engine_config)
+    try:
+        report.result = fn(comm)
+    except RankCrashError:
+        # A crash *scheduled by the fault plan* is part of the experiment,
+        # not an application failure: record it, drop the rank's in-flight
+        # state, let the survivors finish.
+        report.crashed = True
+        if injector is not None:
+            injector.drop_rank(rank)
+    except BaseException as exc:  # report, don't kill the interpreter
+        report.failure = exc
+        if injector is not None:
+            # Peers blocked on this rank must not hang on its corpse.
+            injector.detector.mark_dead(rank, f"{type(exc).__name__}: {exc}")
+    else:
+        if injector is not None:
+            injector.flush_rank(rank)
+            injector.detector.mark_finished(rank)
+    if san is not None:
+        if report.crashed or report.failure is not None:
+            san.rank_failed(rank)
+        else:
+            san.finalize_rank(rank)
+    return report
+
+
+def quiesce(fabric: "Fabric", ranks: Sequence[int], failed: bool) -> None:
+    """The one teardown of the ranks this process hosts, safe only once
+    their functions ended and the data plane drained (pools quiescent).
+
+    The sanitizer's RPD421 sweep goes first — it must still see the
+    unclaimed messages.  Then messages nobody will ever claim and sends
+    nobody acknowledged give their chunks back, and on a faulted or failed
+    job whatever is still outstanding is force-reclaimed: faults never
+    masquerade as pool leaks, and the job service gets its warm trackers
+    back balanced.
+    """
+    transport = fabric.transport
+    workers = [fabric.worker(r) for r in ranks]
+    san = workers[0].sanitizer
+    if san is not None and not failed:
+        san.finalize_job(fabric)
+    for w in workers:
+        for msg in w.matcher.unmatched_messages():
+            transport.release_chunks(w, msg)
+        transport.sweep_pending(w)
+    if failed or fabric.injector is not None:
+        for w in workers:
+            w.memory.pool.reclaim()
+
+
+def conclude_job(reports: Sequence[Optional[RankReport]], fabric,
+                 transport: str, timeout: float, san=None):
+    """The ``JobResult`` of the reports — or the ``RuntimeAbort``: a failure
+    per rank that failed and a ``TimeoutError`` per rank that never
+    reported (``None``), so callers (the job service's warm-pool hygiene and
+    quota classification) see the root cause *and* that ranks were left
+    running.
+    """
+    from ...mpi.runtime import JobResult
+
+    failures: dict[int, BaseException] = {}
+    for r, rep in enumerate(reports):
+        if rep is None:
+            failures[r] = TimeoutError(
+                f"rank {r} still running after {timeout}s (deadlock?)")
+        elif rep.failure is not None:
+            failures[r] = rep.failure
+    if not failures:
+        # Every function returned, yet a rank process never got through
+        # its teardown (only a remote driver can see this).
+        failures = {rep.rank: TimeoutError(
+            f"rank {rep.rank} returned but its teardown did not finish "
+            f"within {timeout}s") for rep in reports if rep.memory is None}
+    if failures:
+        abort = RuntimeAbort(failures)
+        if san is not None:
+            abort.sanitizer_report = san.report(aborted=True,
+                                                failures=failures)
+        raise abort
+
+    fault_trace: dict[str, list] = {}
+    for rep in reports:
+        fault_trace.update(rep.fault_trace)
+    return JobResult(
+        results=[rep.result for rep in reports],
+        fabric=fabric,
+        clocks=[rep.clock for rep in reports],
+        memory=[rep.memory for rep in reports],
+        traces=[rep.trace for rep in reports],
+        sanitizer_report=san.report() if san is not None else None,
+        reliability=[rep.memory["reliability"] for rep in reports
+                     if "reliability" in rep.memory],
+        fault_trace=fault_trace,
+        crashed=[rep.rank for rep in reports if rep.crashed],
+        transport=transport,
+        msgs_delivered=[rep.delivered for rep in reports],
+    )
 
 
 class ThreadedTransport(Transport):
@@ -176,23 +349,10 @@ class ThreadedTransport(Transport):
 
     ``inproc`` and ``asyncio`` both run one Python thread per rank over a
     single fabric; they differ only in the data plane, which the ``wire``/
-    ``unwire`` hooks install.  The driver body is the seed semantics of
-    ``repro.mpi.run`` verbatim: per-rank failure collection, fault-plan
-    crash accounting, sanitizer lifecycle, deadlock timeout, faulted-job
-    pool teardown.
+    ``unwire`` hooks install.  The rank lifecycle, teardown and result
+    assembly are the module-level functions above; what is left here is
+    spawning and joining threads under the deadlock timeout.
     """
-
-    def _reclaim_pools(self, fabric: "Fabric") -> None:
-        """Release unclaimed messages' staging chunks, then force-reclaim.
-
-        Only safe once every rank thread has joined (the pools are
-        quiescent).
-        """
-        for w in fabric.workers:
-            for msg in w.matcher.unmatched_messages():
-                self.release_chunks(w, msg)
-        for w in fabric.workers:
-            w.memory.pool.reclaim()
 
     def wire(self, fabric: "Fabric") -> None:
         """Install the data plane before rank threads start."""
@@ -209,15 +369,10 @@ class ThreadedTransport(Transport):
                 config: "UcpConfig", engine_config=None,
                 timeout: float = 120.0, sanitize: bool = False,
                 memory_trackers=None, fabric_hook=None):
-        import threading
-
-        from ...mpi.comm import Communicator
-        from ...mpi.runtime import JobResult, RuntimeAbort
         from ..context import UcpContext
 
         fabric = UcpContext(config).create_fabric(
             nprocs, transport=self, memory_trackers=memory_trackers)
-        injector = fabric.injector
 
         san = None
         if sanitize:
@@ -234,124 +389,29 @@ class ThreadedTransport(Transport):
             # failure detector (the mid-flight kill handle) race-free.
             fabric_hook(fabric)
 
-        results: list[Any] = [None] * nprocs
-        failures: dict[int, BaseException] = {}
-        crashes: dict[int, BaseException] = {}
-        failures_lock = threading.Lock()
+        reports: list[Optional[RankReport]] = [None] * nprocs
 
         def worker_main(rank: int) -> None:
-            comm = Communicator(fabric.worker(rank), nprocs, comm_id=0,
-                                engine_config=engine_config)
-            try:
-                results[rank] = fns[rank](comm)
-            except RankCrashError as exc:
-                # A crash *scheduled by the fault plan* is part of the
-                # experiment, not an application failure: record it, drop
-                # the rank's in-flight state, let the survivors finish.
-                with failures_lock:
-                    crashes[rank] = exc
-                if injector is not None:
-                    injector.drop_rank(rank)
-                if san is not None:
-                    san.rank_failed(rank)
-            except BaseException as exc:  # report, don't kill the interpreter
-                with failures_lock:
-                    failures[rank] = exc
-                if injector is not None:
-                    # Peers blocked on this rank must not hang on its corpse.
-                    injector.detector.mark_dead(
-                        rank, f"{type(exc).__name__}: {exc}")
-                if san is not None:
-                    san.rank_failed(rank)
-            else:
-                if injector is not None:
-                    injector.flush_rank(rank)
-                    injector.detector.mark_finished(rank)
-                if san is not None:
-                    san.finalize_rank(rank)
+            reports[rank] = rank_main(fabric, rank, fns[rank], engine_config)
 
         threads = [threading.Thread(target=worker_main, args=(r,),
                                     name=f"mpi-rank-{r}", daemon=True)
                    for r in range(nprocs)]
         for t in threads:
             t.start()
-        deadline_hit = False
         for t in threads:
             t.join(timeout=timeout)
-            if t.is_alive():
-                deadline_hit = True
-        if deadline_hit:
+        # A rank whose thread is still alive has no report — and must not
+        # grow one while the job is being concluded.
+        reports = [None if t.is_alive() else rep
+                   for t, rep in zip(threads, reports)]
+        if None in reports:
+            # Live threads may still touch the pools: no teardown.
             self.abandon(fabric)
-            alive = [t.name for t in threads if t.is_alive()]
-            # Every abandoned rank gets an explicit TimeoutError entry —
-            # even when another rank already failed — so callers (the job
-            # service's warm-pool hygiene, quota classification) can see
-            # that live threads were left behind, not just that some rank
-            # raised.
-            for r, t in enumerate(threads):
-                if t.is_alive():
-                    failures.setdefault(
-                        r, TimeoutError(
-                            f"rank {r} still running after {timeout}s "
-                            f"(deadlock?)"))
-            abort = RuntimeAbort(failures or {
-                -1: TimeoutError(f"ranks still running after {timeout}s "
-                                 f"(deadlock?): {alive}")})
-            if san is not None:
-                abort.sanitizer_report = san.report(aborted=True,
-                                                    failures=failures)
-            raise abort
-        self.unwire(fabric)
-        if failures:
-            abort = RuntimeAbort(failures)
-            if san is not None:
-                abort.sanitizer_report = san.report(aborted=True,
-                                                    failures=failures)
-            # Every rank thread joined, so the pools are quiescent: run
-            # the same unclaimed-message/force-reclaim teardown as the
-            # success path (after the sanitizer report, which must still
-            # see the unclaimed messages).  A failed job must not leave
-            # buffers outstanding — callers recycling warm trackers
-            # (the job service) would otherwise see every aborted job as
-            # a pool leak.
-            self._reclaim_pools(fabric)
-            raise abort
-
-        report = None
-        if san is not None:
-            san.finalize_job(fabric)
-            report = san.report()
-
-        reliability_stats: list[dict] = []
-        fault_trace: dict[str, list] = {}
-        if injector is not None:
-            # Faulted-job teardown: messages nobody will ever claim (sent
-            # to a crashed rank, abandoned transfers) give their staging
-            # chunks back, then any buffer still outstanding is
-            # force-reclaimed so faults never masquerade as pool leaks.
-            # Runs after the sanitizer sweep so RPD421 findings still see
-            # the unclaimed messages.
-            self._reclaim_pools(fabric)
-            reliability_stats = [s.snapshot() for s in injector.stats]
-            fault_trace = injector.traces()
-
-        memory = []
-        for i, w in enumerate(fabric.workers):
-            snap = w.memory.snapshot()
-            if injector is not None:
-                snap["reliability"] = reliability_stats[i]
-            memory.append(snap)
-
-        return JobResult(
-            results=results,
-            fabric=fabric,
-            clocks=[w.clock.now for w in fabric.workers],
-            memory=memory,
-            traces=[list(w.trace) for w in fabric.workers],
-            sanitizer_report=report,
-            reliability=reliability_stats,
-            fault_trace=fault_trace,
-            crashed=sorted(crashes),
-            transport=self.name,
-            msgs_delivered=[w.delivered_msgs for w in fabric.workers],
-        )
+        else:
+            self.unwire(fabric)
+            quiesce(fabric, range(nprocs),
+                    failed=any(rep.failure is not None for rep in reports))
+            for rep in reports:
+                rep.snapshot(fabric)
+        return conclude_job(reports, fabric, self.name, timeout, san)

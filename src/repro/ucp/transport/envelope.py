@@ -86,9 +86,17 @@ def encode_error(exc: BaseException | None) -> bytes | None:
 
 
 def decode_error(blob: bytes | None) -> BaseException | None:
+    """Inverse of :func:`encode_error`, and as total: a blob that does not
+    unpickle here degrades to a :class:`TransportError` carrying its repr
+    instead of killing the thread that read the frame."""
     if blob is None:
         return None
-    return pickle.loads(blob)
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:
+        return TransportError(
+            f"undecodable error frame ({type(exc).__name__}: {exc}): "
+            f"{blob[:200]!r}")
 
 
 def encode_envelope(msg: WireMessage) -> dict:
@@ -157,18 +165,11 @@ def chunk_bytes(chunks) -> list[bytes]:
             for c in chunks]
 
 
-def bytes_chunks(payloads, copy_protocols=("generic",), protocol="eager"
-                 ) -> list[np.ndarray]:
+def bytes_chunks(payloads) -> list[np.ndarray]:
     """Materialize received payload bytes as delivery chunks.
 
-    Contig/iov deliveries only *read* chunks (they scatter into the user
-    buffer), so a read-only zero-copy view over the frame bytes suffices.
-    Generic-protocol deliveries hand chunks to user unpack callbacks that
-    may retain them past delivery; those get private copies.
+    Deliveries only *read* chunks, and only during the delivery (the
+    callback lifetime contract, see :class:`~repro.ucp.dtypes.HandlerData`),
+    so a read-only zero-copy view over the frame bytes suffices.
     """
-    out = []
-    copy = protocol in copy_protocols
-    for blob in payloads:
-        arr = np.frombuffer(blob, dtype=np.uint8)
-        out.append(np.array(arr, copy=True) if copy else arr)
-    return out
+    return [np.frombuffer(blob, dtype=np.uint8) for blob in payloads]

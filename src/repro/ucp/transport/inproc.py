@@ -17,11 +17,3 @@ class InprocTransport(ThreadedTransport):
     """Ranks as threads of one process over directly shared objects."""
 
     name = "inproc"
-    supports_faults = True
-    supports_sanitizer = True
-    supports_cancel = True
-    rndv_aliases_buffers = True
-
-    @classmethod
-    def available(cls) -> tuple[bool, str]:
-        return True, ""

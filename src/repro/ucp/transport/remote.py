@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Callable, Optional
 
 from ...errors import ProcFailedError, TransportError
@@ -47,91 +48,34 @@ class PendingTable:
     """Sender-side table of in-flight messages keyed by ``msg_id``.
 
     Owns the RPD811 control plane that used to ride the envelope: the
-    completion event, the error slot and the staging chunks all stay here;
-    the acknowledgement frame carries only the key and plain data.
+    completion event, the error slot and the staging chunks all stay here,
+    on the registered original; the acknowledgement frame carries only the
+    key and plain data.
 
     Thread contract: ``register`` runs on the sending rank's thread,
-    ``resolve``/``sweep`` on the demux thread — hence the lock.
+    ``pop``/``drain`` on the demux thread — hence the lock.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._entries: dict[int, tuple[WireMessage, object]] = {}
+        self._entries: dict[int, WireMessage] = {}
 
-    def register(self, msg: WireMessage, pool) -> None:
+    def register(self, msg: WireMessage) -> None:
         with self._lock:
-            self._entries[msg.header.msg_id] = (msg, pool)
+            self._entries[msg.header.msg_id] = msg
 
-    def resolve(self, msg_id: int, completion_time: float,
-                error: BaseException | None) -> bool:
-        """Apply one acknowledgement; False for unknown ids (late acks
-        after a sweep, acks for a cancelled message)."""
+    def pop(self, msg_id: int) -> Optional[WireMessage]:
+        """The message an acknowledgement is for (None for unknown ids —
+        late acks after a sweep)."""
         with self._lock:
-            entry = self._entries.pop(msg_id, None)
-        if entry is None:
-            return False
-        msg, pool = entry
-        for chunk in msg.chunks:
-            pool.release(chunk)
-        msg.chunks = []
-        if msg.completed.is_set():
-            # Already resolved sender-side (poisoned/exhausted transfers
-            # are failed at injection); the ack only releases staging.
-            return True
-        if error is not None:
-            msg.mark_failed(completion_time, error)
-        else:
-            msg.mark_complete(completion_time)
-        return True
+            return self._entries.pop(msg_id, None)
 
-    def sweep(self) -> int:
-        """Release every still-pending entry (job teardown).
-
-        Messages nobody acknowledged — unmatched at job end, sent to a
-        crashed rank — give their staging back so remote jobs show the
-        same no-leak pool accounting as inproc teardown.
-        """
+    def drain(self) -> list[WireMessage]:
+        """Every message nobody acknowledged (job teardown)."""
         with self._lock:
-            entries = list(self._entries.values())
+            msgs = list(self._entries.values())
             self._entries.clear()
-        for msg, pool in entries:
-            for chunk in msg.chunks:
-                pool.release(chunk)
-            msg.chunks = []
-        return len(entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-class _ProxyMatcher:
-    """Duck-typed ``matcher`` attribute of :class:`RemoteDst`."""
-
-    __slots__ = ("_deposit",)
-
-    def __init__(self, deposit: Callable[[WireMessage], None]):
-        self._deposit = deposit
-
-    def deposit(self, msg: WireMessage) -> None:
-        self._deposit(msg)
-
-
-class RemoteDst:
-    """Destination proxy handed to the fault injector.
-
-    Exposes exactly the two attributes :meth:`FaultInjector.transmit`
-    touches (``index`` and ``matcher.deposit``), so the whole fault layer —
-    drop/corrupt/duplicate/reorder/delay, the reliability retransmission
-    schedule, CRC stamping — runs unchanged on the sender's thread and the
-    already-faulted message is what gets encoded onto the wire.
-    """
-
-    __slots__ = ("index", "matcher")
-
-    def __init__(self, index: int, deposit: Callable[[WireMessage], None]):
-        self.index = index
-        self.matcher = _ProxyMatcher(deposit)
+        return msgs
 
 
 class RemoteTransportMixin:
@@ -150,12 +94,22 @@ class RemoteTransportMixin:
 
     # -- sender side -------------------------------------------------------
 
+    def deposit_for(self, worker, dst_index: int):
+        """Deposit by frame.  The whole fault layer — drop/corrupt/
+        duplicate/reorder/delay, the reliability retransmission schedule,
+        CRC stamping — runs unchanged on the sender's thread and the
+        already-faulted message is what gets encoded onto the wire."""
+        if dst_index == worker.index:
+            # Self-sends never leave the rank; keep in-process semantics.
+            return super().deposit_for(worker, dst_index)
+        return partial(self.encode_and_send, worker, dst_index)
+
     def encode_and_send(self, worker, dst_index: int,
                         msg: WireMessage) -> None:
         """Stage, register and emit one message frame (sender thread)."""
         doc = env.encode_envelope(msg)
         payload = self.encode_payload(worker, msg)
-        self.pending_for(worker.index).register(msg, worker.memory.pool)
+        self.pending_for(worker.index).register(msg)
         self.send_frame(worker.index, dst_index, (MSG, doc, payload))
 
     # -- receiver side -----------------------------------------------------
@@ -171,63 +125,51 @@ class RemoteTransportMixin:
         kind = frame[0]
         if kind == MSG:
             _, doc, payload = frame
-            chunks = self.materialize_payload(src_rank, doc, payload)
+            chunks = self.materialize_payload(src_rank, payload)
             msg = env.decode_envelope(doc, chunks)
             recv_worker.matcher.deposit(msg)
         elif kind == ACK:
             _, msg_id, completion_time, err_blob = frame
-            self.pending_for(recv_worker.index).resolve(
-                msg_id, completion_time, env.decode_error(err_blob))
-        elif kind == DEAD:
-            detector = self._local_detector(recv_worker)
-            if detector is not None:
-                detector.apply_remote_dead(frame[1], frame[2])
-        elif kind == DONE:
-            detector = self._local_detector(recv_worker)
-            if detector is not None:
-                detector.apply_remote_finished(frame[1])
-        elif kind == ABORT:
-            detector = self._local_detector(recv_worker)
-            if detector is not None:
-                detector.apply_remote_abort(frame[1])
+            msg = self.pending_for(recv_worker.index).pop(msg_id)
+            if msg is None:
+                return
+            self.release_chunks(recv_worker, msg)  # the staging, at last
+            if msg.completed.is_set():
+                # Already resolved sender-side (poisoned/exhausted
+                # transfers are failed at injection): staging only.
+                return
+            error = env.decode_error(err_blob)
+            if error is not None:
+                msg.mark_failed(completion_time, error)
+            else:
+                msg.mark_complete(completion_time)
+        elif kind in (DEAD, DONE, ABORT):
+            injector = recv_worker.fabric.injector
+            if injector is not None:
+                detector = injector.detector
+                {DEAD: detector.apply_remote_dead,
+                 DONE: detector.apply_remote_finished,
+                 ABORT: detector.apply_remote_abort}[kind](*frame[1:])
         elif kind != BYE:
             raise TransportError(f"unknown transport frame kind {kind!r}")
 
-    @staticmethod
-    def _local_detector(worker):
-        injector = worker.fabric.injector
-        return None if injector is None else injector.detector
+    # -- message exits -----------------------------------------------------
+    # ``release_chunks`` is the base one: receiver-side chunks are
+    # transport-materialized (frame bytes, arena views) and foreign to
+    # every pool, so letting go of them releases nothing — the sender's
+    # staging comes back via the acknowledgement frame.
 
-    # -- receive-path hooks (called from Worker.deliver) -------------------
-
-    def release_chunks(self, recv_worker, msg: WireMessage) -> None:
-        if getattr(msg, "remote_origin", None) is None:
-            # Self-send: the message never crossed the boundary and keeps
-            # in-process pool semantics.
-            super().release_chunks(recv_worker, msg)
-            return
-        # Receiver-side chunks are transport-materialized (frame bytes or
-        # arena views); dropping the references is the whole release.  The
-        # sender's staging comes back via the acknowledgement frame.
-        msg.chunks = []
-
-    def on_delivered(self, recv_worker, msg: WireMessage) -> None:
+    def on_delivered(self, recv_worker, msg: WireMessage,
+                     error: BaseException | None = None) -> None:
         origin = getattr(msg, "remote_origin", None)
-        if origin is None:
-            return
-        msg.chunks = []
-        self.send_frame(recv_worker.index, origin,
-                        (ACK, msg.header.msg_id, msg.completion_time, None))
+        if origin is not None:
+            self.send_frame(recv_worker.index, origin,
+                            (ACK, msg.header.msg_id, msg.completion_time,
+                             env.encode_error(error)))
 
-    def on_delivery_failed(self, recv_worker, msg: WireMessage,
-                           exc: BaseException) -> None:
-        origin = getattr(msg, "remote_origin", None)
-        if origin is None:
-            return
-        msg.chunks = []
-        self.send_frame(recv_worker.index, origin,
-                        (ACK, msg.header.msg_id, msg.completion_time,
-                         env.encode_error(exc)))
+    def sweep_pending(self, worker) -> None:
+        for msg in self.pending_for(worker.index).drain():
+            self.release_chunks(worker, msg)
 
 
 class BroadcastingDetector:

@@ -32,16 +32,18 @@ still be reading it.
 from __future__ import annotations
 
 import os
-import pickle
+import threading
+import time
+from dataclasses import replace
+from multiprocessing.connection import wait as conn_wait
 from typing import Optional
 
 import numpy as np
 
-from ...errors import ProcFailedError, RankCrashError, TransportError
+from ...errors import ProcFailedError, TransportError
 from ..memory import BufferPool
-from . import envelope as env
-from .base import Transport, TransportUnavailableError
-from .remote import (BYE, BroadcastingDetector, PendingTable, RemoteDst,
+from .base import RankReport, Transport, conclude_job, quiesce, rank_main
+from .remote import (BYE, BroadcastingDetector, PendingTable,
                      RemoteTransportMixin)
 
 #: Arena segment size per rank (``REPRO_SHM_ARENA_MB`` overrides).
@@ -164,16 +166,11 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
     """The transport attached to one rank process's fabric."""
 
     name = "shm"
-    supports_faults = True
     supports_sanitizer = False
-    supports_cancel = False
     supports_shared_address_space = False
-    rndv_aliases_buffers = False
 
-    def __init__(self, rank: int, out_conns: dict, in_conns: dict, arenas):
-        self._rank = rank
+    def __init__(self, out_conns: dict, arenas):
         self._out = out_conns
-        self._in = in_conns
         self._pending = PendingTable()
         self._arena_views = {r: np.frombuffer(shm.buf, dtype=np.uint8)
                              for r, shm in arenas.items()}
@@ -198,16 +195,6 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
             except (OSError, ValueError):
                 pass  # peer already gone; its detector no longer matters
 
-    def deposit_target(self, worker, dst_index: int):
-        if dst_index == worker.index:
-            return worker.fabric.worker(dst_index)
-        transport = self
-
-        def _deposit(msg):
-            transport.encode_and_send(worker, dst_index, msg)
-
-        return RemoteDst(dst_index, _deposit)
-
     # -- payloads ----------------------------------------------------------
 
     def encode_payload(self, worker, msg) -> list:
@@ -217,11 +204,12 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
         ``copy_chunks``, packed rendezvous temps the engine acquired from
         the arena pool — cross as bare ``(offset, nbytes)`` references:
         the zero-copy path.  Foreign chunks (live user-buffer views on a
-        rendezvous send, injector-corrupted private copies) are staged
-        into an arena slab here; that wall-clock copy is the process
-        boundary's "memory registration" and charges no virtual time.
-        After encoding, ``msg.chunks`` holds exactly the slabs the
-        acknowledgement must release.
+        rendezvous send, injector-corrupted private copies, spilled slabs)
+        leave the message here, staged into an arena slab — that
+        wall-clock copy is the process boundary's "memory registration"
+        and charges no virtual time — or, arena exhausted, as raw bytes on
+        the pipe.  After encoding, ``msg.chunks`` holds exactly the slabs
+        the acknowledgement must release.
         """
         pool = worker.memory.pool
         payload = []
@@ -229,60 +217,49 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
         for chunk in msg.chunks:
             c = np.ascontiguousarray(chunk, dtype=np.uint8).reshape(-1)
             off = pool.arena_offset(c)
+            if off is None:
+                slab = pool.acquire(c.nbytes)
+                off = pool.arena_offset(slab)
+                if off is None:
+                    pool.release(slab)
+                    payload.append((REF_RAW, c.tobytes()))
+                else:
+                    slab[:] = c
+                pool.release(chunk)  # no-op for user-buffer views
+                chunk = slab
             if off is not None:
                 payload.append((REF_ARENA, int(off), int(c.nbytes)))
                 retained.append(chunk)
-                continue
-            if c.nbytes:
-                block = pool.acquire(c.nbytes)
-                boff = pool.arena_offset(block)
-                if boff is not None:
-                    block[:] = c
-                    payload.append((REF_ARENA, int(boff), int(c.nbytes)))
-                    retained.append(block)
-                    continue
-                pool.release(block)
-            payload.append((REF_RAW, c.tobytes()))
         msg.chunks = retained
         return payload
 
-    def materialize_payload(self, src_rank: int, doc, payload):
+    def materialize_payload(self, src_rank: int, payload):
         """Map payload references to chunks (demux thread, no copy).
 
         Arena references become read views straight into the sender's
-        segment — the receiver's delivery scatter is the only copy.
-        Generic-protocol payloads are copied out immediately because user
-        unpack callbacks may retain chunks past the acknowledgement (after
-        which the sender is free to reuse the slab).
+        segment — the receiver's delivery is the only copy, and the views
+        are valid only during it: the acknowledgement that follows frees
+        the sender to reuse the slab (the callback lifetime contract).
         """
-        copy = doc["protocol"] == "generic"
         chunks = []
         for ref in payload:
             if ref[0] == REF_ARENA:
                 _, off, nbytes = ref
-                view = self._arena_views[src_rank][off:off + nbytes]
-                chunks.append(np.array(view, copy=True) if copy else view)
+                chunks.append(self._arena_views[src_rank][off:off + nbytes])
             elif ref[0] == REF_RAW:
-                arr = np.frombuffer(ref[1], dtype=np.uint8)
-                chunks.append(np.array(arr, copy=True) if copy else arr)
+                chunks.append(np.frombuffer(ref[1], dtype=np.uint8))
             else:
                 raise TransportError(f"unknown payload reference {ref[0]!r}")
         return chunks
-
-    def sweep(self) -> None:
-        self._pending.sweep()
 
 
 def _child_main(rank: int, fn, nprocs: int, config, engine_config,
                 out_conns: dict, in_conns: dict, arenas,
                 result_conn) -> None:
-    """One rank process: fabric + demux + the rank function + teardown."""
-    import threading
-
-    from ...mpi.comm import Communicator
+    """One rank process: fabric + demux + the shared rank lifecycle."""
     from ..context import UcpContext
 
-    transport = _ShmChildTransport(rank, out_conns, in_conns, arenas)
+    transport = _ShmChildTransport(out_conns, arenas)
     fabric = UcpContext(config).create_fabric(nprocs, transport=transport)
     worker = fabric.worker(rank)
     worker.memory.pool = ArenaBufferPool(arenas[rank])
@@ -291,102 +268,57 @@ def _child_main(rank: int, fn, nprocs: int, config, engine_config,
         injector.detector = BroadcastingDetector(
             injector.detector, rank, transport.broadcast)
 
-    demux_done = threading.Event()
+    demux_errors: list[BaseException] = []
 
     def demux() -> None:
-        from multiprocessing.connection import wait as conn_wait
-        live = dict(in_conns)
-        try:
-            while live:
-                for conn in conn_wait(list(live.values()), timeout=0.1):
-                    src = next(r for r, c in live.items() if c is conn)
-                    try:
-                        frame = conn.recv()
-                    except (EOFError, OSError):
-                        del live[src]
-                        continue
-                    if frame[0] == BYE:
-                        del live[src]
-                        continue
-                    transport.deliver_frame(worker, src, frame)
-        finally:
-            demux_done.set()
+        live = {conn: src for src, conn in in_conns.items()}
+        while live:
+            for conn in conn_wait(list(live), timeout=0.1):
+                try:
+                    frame = conn.recv()
+                except (EOFError, OSError):
+                    frame = (BYE,)
+                if frame[0] == BYE:
+                    del live[conn]
+                    continue
+                try:
+                    transport.deliver_frame(worker, live[conn], frame)
+                except Exception as exc:  # record; the drain must not die
+                    demux_errors.append(exc)
 
     demux_thread = threading.Thread(target=demux, name=f"shm-demux-{rank}",
                                     daemon=True)
     demux_thread.start()
 
-    result = None
-    failure: BaseException | None = None
-    crashed: BaseException | None = None
-    comm = Communicator(worker, nprocs, comm_id=0,
-                        engine_config=engine_config)
-    try:
-        result = fn(comm)
-    except RankCrashError as exc:
-        crashed = exc
-        if injector is not None:
-            injector.drop_rank(rank)
-    except BaseException as exc:
-        failure = exc
-        if injector is not None:
-            injector.detector.mark_dead(rank,
-                                        f"{type(exc).__name__}: {exc}")
-    else:
-        if injector is not None:
-            injector.flush_rank(rank)
-            injector.detector.mark_finished(rank)
+    report = rank_main(fabric, rank, fn, engine_config)
+    # How the function ended goes out *before* waiting on any peer, so a
+    # job that times out on a blocked peer still names this rank's exit.
+    result_conn.send(replace(report, result=None))
 
     transport.broadcast((BYE, rank))
     # Peers keep delivering (and acknowledging) until each sends its own
-    # sentinel; the demux drains them all before the pool snapshot.
-    demux_done.wait()
-    demux_thread.join(timeout=5.0)
-
-    # Teardown mirrors the threaded driver: unclaimed messages and
-    # unacknowledged staging give their buffers back, then a faulted pool
-    # force-reclaims so faults never masquerade as leaks.
-    for msg in worker.matcher.unmatched_messages():
-        transport.release_chunks(worker, msg)
-    transport.sweep()
-    reliability = {}
-    fault_trace = {}
+    # sentinel; the demux drains them all before the teardown.
+    demux_thread.join()
+    if demux_errors and report.failure is None:
+        report.failure = TransportError(
+            f"shm transport I/O failure on rank {rank}: "
+            f"{demux_errors[0]!r}")
+    quiesce(fabric, (rank,), failed=report.failure is not None)
+    report.snapshot(fabric)
     if injector is not None:
-        worker.memory.pool.reclaim()
-        reliability = injector.stats[rank].snapshot()
-        fault_trace = {ch: events for ch, events in
-                       injector.traces().items()
-                       if ch.startswith(f"{rank}->")}
-
-    snap = worker.memory.snapshot()
-    if injector is not None:
-        snap["reliability"] = reliability
-    row = {
-        "rank": rank,
-        "result": result,
-        "failure": env.encode_error(failure),
-        "abort_origin": (injector.detector.abort_origin
-                         if injector is not None else None),
-        "crashed": env.encode_error(crashed),
-        "clock": worker.clock.now,
-        "memory": snap,
-        "trace": list(worker.trace),
-        "delivered": worker.delivered_msgs,
-        "reliability": reliability,
-        "fault_trace": fault_trace,
-    }
+        report.abort_origin = injector.detector.abort_origin
     try:
-        result_conn.send(row)
+        result_conn.send(report)
     except Exception:
-        row["result"] = None
-        row["failure"] = env.encode_error(TransportError(
+        report.result = None
+        report.failure = TransportError(
             f"rank {rank} result is not picklable across the shm "
-            f"process boundary"))
-        result_conn.send(row)
+            f"process boundary")
+        result_conn.send(report)
     result_conn.close()
 
 
-def _arbitrate_abort(rows: dict, failures: dict) -> dict:
+def _arbitrate_abort(reports) -> None:
     """Deterministic ULFM abort attribution across rank processes.
 
     On the threaded backends the detector is one shared object: the first
@@ -399,26 +331,23 @@ def _arbitrate_abort(rows: dict, failures: dict) -> dict:
     originator keeps its own error, every other hopeless-wait failure is
     rewritten to the victim form naming the winner's reason.
     """
-    origins = {r: rows[r].get("abort_origin") for r in rows
-               if rows[r].get("abort_origin")}
+    origins = [rep for rep in reports if rep.abort_origin]
     if not origins:
-        return failures
-    winner = min(origins)
-    reason = origins[winner]
-    for r, err in list(failures.items()):
-        if (r != winner and isinstance(err, ProcFailedError)
+        return
+    winner = origins[0]
+    for rep in reports:
+        err = rep.failure
+        if (rep is not winner and isinstance(err, ProcFailedError)
                 and "job aborted" not in str(err)):
-            failures[r] = ProcFailedError(
-                f"job aborted (MPI_ERRORS_ARE_FATAL): {reason}",
-                failed_ranks=err.failed_ranks)
-    return failures
+            rep.failure = ProcFailedError(
+                f"job aborted (MPI_ERRORS_ARE_FATAL): "
+                f"{winner.abort_origin}", failed_ranks=err.failed_ranks)
 
 
 class ShmTransport(Transport):
-    """Parent-side driver: fork rank processes, assemble the JobResult."""
+    """Parent-side driver: fork rank processes, collect their reports."""
 
     name = "shm"
-    supports_faults = True
     supports_sanitizer = False
     supports_cancel = False
     supports_shared_address_space = False
@@ -427,18 +356,6 @@ class ShmTransport(Transport):
     @classmethod
     def available(cls) -> tuple[bool, str]:
         return _shm_support()
-
-    def check_job_supported(self, config, sanitize: bool = False) -> None:
-        ok, why = _shm_support()
-        if not ok:
-            raise TransportUnavailableError(
-                f"transport 'shm' is unavailable on this platform: {why}; "
-                f"use --transport inproc or asyncio")
-        if sanitize:
-            raise TransportUnavailableError(
-                "transport 'shm' does not support sanitize=True (the "
-                "sanitizer needs one shared address space); use "
-                "--transport inproc or asyncio")
 
     @staticmethod
     def arena_bytes() -> int:
@@ -449,36 +366,29 @@ class ShmTransport(Transport):
     def run_job(self, fns, nprocs: int, config, engine_config=None,
                 timeout: float = 120.0, sanitize: bool = False):
         import multiprocessing as mp
-        import time
         from multiprocessing import shared_memory
 
-        from ...mpi.runtime import JobResult, RuntimeAbort
         from ..context import UcpContext
 
         self.check_job_supported(config, sanitize=sanitize)
         ctx = mp.get_context("fork")
 
-        # Directed control channels i->j, a result pipe per rank, and one
-        # arena per rank.
-        recv_ends: dict[tuple[int, int], object] = {}
-        send_ends: dict[tuple[int, int], object] = {}
-        for i in range(nprocs):
-            for j in range(nprocs):
-                if i != j:
-                    r, s = ctx.Pipe(duplex=False)
-                    recv_ends[(i, j)] = r
-                    send_ends[(i, j)] = s
+        # Directed control channels i->j as (recv end, send end), a result
+        # pipe per rank, and one arena per rank.
+        channels = {(i, j): ctx.Pipe(duplex=False) for i in range(nprocs)
+                    for j in range(nprocs) if i != j}
         result_pipes = [ctx.Pipe(duplex=False) for _ in range(nprocs)]
         arenas = {}
         procs = []
+        reports: list[Optional[RankReport]] = [None] * nprocs
         try:
             for r in range(nprocs):
                 arenas[r] = shared_memory.SharedMemory(
                     create=True, size=self.arena_bytes())
             for r in range(nprocs):
-                out_conns = {j: send_ends[(r, j)] for j in range(nprocs)
+                out_conns = {j: channels[(r, j)][1] for j in range(nprocs)
                              if j != r}
-                in_conns = {i: recv_ends[(i, r)] for i in range(nprocs)
+                in_conns = {i: channels[(i, r)][0] for i in range(nprocs)
                             if i != r}
                 procs.append(ctx.Process(
                     target=_child_main,
@@ -489,32 +399,31 @@ class ShmTransport(Transport):
             for p in procs:
                 p.start()
 
-            rows: dict[int, dict] = {}
+            # Each rank reports twice: how its function ended, then (after
+            # its teardown) the full snapshot.  At the deadline whatever
+            # arrived stands — a rank that never reported is the timeout.
+            waiting = {conn: r for r, (conn, _) in enumerate(result_pipes)}
             deadline = time.monotonic() + timeout
-            for r in range(nprocs):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not result_pipes[r][0].poll(remaining):
-                    if not procs[r].is_alive() \
-                            and result_pipes[r][0].poll(0):
-                        rows[r] = result_pipes[r][0].recv()
-                        continue
-                    alive = [p.name for p in procs if p.is_alive()]
-                    raise RuntimeAbort({-1: TimeoutError(
-                        f"ranks still running after {timeout}s "
-                        f"(deadlock?): {alive}")})
-                rows[r] = result_pipes[r][0].recv()
-            for p in procs:
-                p.join(timeout=10.0)
+            while waiting:
+                ready = conn_wait(list(waiting), timeout=max(
+                    deadline - time.monotonic(), 0.0))
+                if not ready:
+                    break
+                for conn in ready:
+                    rep = reports[waiting[conn]] = conn.recv()
+                    if rep.memory is not None:
+                        del waiting[conn]
+            if not waiting:
+                for p in procs:
+                    p.join(timeout=10.0)
         finally:
             for p in procs:
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=5.0)
-            for conn_pair in result_pipes:
-                conn_pair[0].close()
-                conn_pair[1].close()
-            for conn in list(recv_ends.values()) + list(send_ends.values()):
-                conn.close()
+            for ends in result_pipes + list(channels.values()):
+                ends[0].close()
+                ends[1].close()
             for shm in arenas.values():
                 try:
                     shm.close()
@@ -522,36 +431,13 @@ class ShmTransport(Transport):
                 except Exception:
                     pass
 
-        failures = {r: env.decode_error(rows[r]["failure"])
-                    for r in rows if rows[r]["failure"] is not None}
-        if failures:
-            raise RuntimeAbort(_arbitrate_abort(rows, failures))
-        crashes = sorted(r for r in rows
-                         if rows[r]["crashed"] is not None)
-
+        _arbitrate_abort([rep for rep in reports if rep is not None])
+        job = conclude_job(reports, None, self.name, timeout)
         # Parent-side fabric mirror: clocks and traces are filled from the
-        # per-rank rows so result introspection (max_clock, traces) works
-        # like the threaded backends.
-        fabric = UcpContext(config).create_fabric(nprocs, transport=self)
-        for r in range(nprocs):
-            fabric.worker(r).clock.merge(rows[r]["clock"])
-            fabric.worker(r).trace = list(rows[r]["trace"])
-        fault_trace: dict[str, list] = {}
-        for r in range(nprocs):
-            fault_trace.update(rows[r]["fault_trace"])
-
-        return JobResult(
-            results=[rows[r]["result"] for r in range(nprocs)],
-            fabric=fabric,
-            clocks=[rows[r]["clock"] for r in range(nprocs)],
-            memory=[rows[r]["memory"] for r in range(nprocs)],
-            traces=[list(rows[r]["trace"]) for r in range(nprocs)],
-            sanitizer_report=None,
-            reliability=[rows[r]["reliability"] for r in range(nprocs)]
-            if fabric.injector is not None else [],
-            fault_trace=fault_trace,
-            crashed=crashes,
-            transport=self.name,
-            msgs_delivered=[rows[r].get("delivered", 0)
-                            for r in range(nprocs)],
-        )
+        # reports so result introspection (max_clock, traces) works like
+        # the threaded backends.
+        job.fabric = UcpContext(config).create_fabric(nprocs, transport=self)
+        for w, rep in zip(job.fabric.workers, reports):
+            w.clock.merge(rep.clock)
+            w.trace = list(rep.trace)
+        return job

@@ -7,9 +7,15 @@ the receiver sees.
 """
 
 import numpy as np
+import pytest
 
+from repro.core.custom import type_create_custom
+from repro.core.regions import Region
 from repro.mpi import run
 from repro.types import make_struct_simple, struct_simple_datatype
+from repro.ucp.transport import TRANSPORT_NAMES
+from tests.conftest import require_transport_capability
+from tests.transport.conftest import require_backend
 
 #: Packed bytes/element is 20; this count packs to 40 KiB, above the 32 KiB
 #: eager limit, so the message goes rendezvous and fragments at 8 KiB.
@@ -130,6 +136,7 @@ class TestTwoPassesNotFour:
         assert w0.memory.pool.snapshot()["outstanding"] == 0
 
     def test_cancelled_derived_send_returns_the_adopted_temp(self):
+        require_transport_capability("cancel")
         dtype = struct_simple_datatype()
 
         def main(comm):
@@ -143,6 +150,49 @@ class TestTwoPassesNotFour:
             return "ok"
 
         assert run(main, nprocs=2, timeout=30).results[0] == "ok"
+
+
+def _single_region_job(comm):
+    """Three sends of the paper's simplest custom type: no packed bytes, one
+    64-byte region.  It degenerates to an eager CONTIG message, which the
+    receiver takes through a ``HandlerData`` descriptor."""
+    data = np.arange(64, dtype=np.uint8)
+    dtype = type_create_custom(
+        query_fn=lambda s, b, c: 0,
+        region_count_fn=lambda s, b, c: 1,
+        region_fn=lambda s, b, c, n: [Region(b)])
+    for _ in range(3):
+        if comm.rank == 0:
+            comm.send(data, dest=1, tag=4, datatype=dtype)
+        else:
+            out = np.zeros(64, dtype=np.uint8)
+            comm.recv(out, source=0, tag=4, datatype=dtype)
+            assert (out == data).all()
+
+
+class TestHandlerReceiveReturnsStaging:
+    """A custom-datatype receive hands the wire chunks back like every other
+    descriptor (``Worker.deliver`` is the one release site).  On inproc the
+    handler branch never did: rank 0 ended at ``outstanding 3``."""
+
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    def test_books_balance_on_every_backend(self, transport):
+        require_backend(transport)
+        res = run(_single_region_job, nprocs=2, transport=transport,
+                  timeout=30)
+        pool = res.memory[0]["pool"]
+        assert pool["hits"] + pool["misses"] == 3
+        assert [m["pool"]["outstanding"] for m in res.memory] == [0, 0]
+
+    def test_the_job_completes_under_the_job_service(self):
+        """Warm trackers are leak-asserted at check-in: the leak failed a
+        *correct* job with ``PoolLeakError``."""
+        from repro.serve import JobService, JobSpec, JobStatus
+        with JobService(slots=1, max_queue=4) as svc:
+            h = svc.submit(JobSpec(fn=_single_region_job, name="region"))
+            assert h.wait(30)
+            assert h.status == JobStatus.COMPLETED, h.error
+        assert svc.report()["jobs"]["pool_leaks"] == 0
 
 
 class TestSendFailureBeforeInjection:

@@ -6,6 +6,7 @@ are its fast in-tree cousins."""
 from repro.serve import JobService, JobSpec, JobStatus
 from repro.serve.cli import build_parser, run_service_load, verify_report
 from repro.serve.workloads import pingpong_job
+from tests.conftest import require_transport_capability
 
 
 def _assert_clean(report):
@@ -72,6 +73,7 @@ class TestWarmReuseAcrossChaos:
     def test_pools_and_plans_stay_warm(self):
         """Healthy jobs after a chaotic one are served from warm state:
         the bank reports warm hits and the pool reports cache hits."""
+        require_transport_capability("warm_pools")
         with JobService(slots=1, max_queue=16) as svc:
             svc.submit(JobSpec(fn=pingpong_job(iters=4), name="warmup"))
             svc.wait_idle(timeout=60)

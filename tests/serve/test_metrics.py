@@ -6,6 +6,7 @@ from repro.core import clear_plan_cache
 from repro.serve import JobService, JobSpec, LatencyStats, ServiceMetrics, \
     percentile
 from repro.serve.workloads import pingpong_job, struct_pingpong_job
+from tests.conftest import require_transport_capability
 
 
 class TestPercentile:
@@ -80,6 +81,7 @@ class TestServiceReport:
         """Every struct job builds its datatype afresh; the layout-keyed
         plan cache must still compile it once (two slots may race the first
         compile) and serve every later job from that one plan."""
+        require_transport_capability("shared_address_space")
         clear_plan_cache()
         with JobService(slots=2, max_queue=128) as svc:
             for i in range(100):

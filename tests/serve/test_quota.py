@@ -9,6 +9,7 @@ from repro.serve.workloads import (deadlock_job, pingpong_job, spin_job,
                                    struct_pingpong_job)
 from repro.ucp.netsim import BudgetedClock
 
+from tests.conftest import require_transport_capability
 from tests.transport.conftest import require_backend
 
 
@@ -36,6 +37,7 @@ class TestBudgetedClock:
 
 class TestTimeBudget:
     def test_budget_trip_fails_job_as_quota(self):
+        require_transport_capability("warm_pools")
         with JobService(slots=1, max_queue=4) as svc:
             h = svc.submit(JobSpec(
                 fn=spin_job(iters=100000), name="budgeted",
@@ -118,6 +120,7 @@ class TestWallTimeout:
     def test_timed_out_trackers_are_retired_not_reused(self):
         """Abandoned rank threads may still touch their pools, so the
         warm set of a timed-out job must never be banked again."""
+        require_transport_capability("warm_pools")
         with JobService(slots=1, max_queue=4) as svc:
             h = svc.submit(JobSpec(
                 fn=deadlock_job(tag=91), name="deadlock",

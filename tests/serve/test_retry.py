@@ -8,6 +8,7 @@ from repro.serve import (DETERMINISTIC, QUOTA, RETRYABLE, SAME_FAULTS,
                          JobService, JobSpec, JobStatus, QuotaPolicy,
                          RetryPolicy, classify_failure)
 from repro.serve.workloads import failing_job, pingpong_job
+from tests.conftest import require_transport_capability
 
 CRASH = {"seed": 3, "crash": {1: 5e-6}}
 
@@ -131,6 +132,7 @@ class TestRetryPaths:
 
 class TestKill:
     def test_kill_takes_down_running_job(self):
+        require_transport_capability("warm_pools")
         import time
         with JobService(slots=1, max_queue=4) as svc:
             h = svc.submit(JobSpec(
@@ -157,6 +159,7 @@ class TestKill:
     def test_armed_kill_fires_at_start(self):
         """A kill requested while the job is still queued lands the
         moment the attempt's fault detector exists."""
+        require_transport_capability("warm_pools")
         with JobService(slots=1, max_queue=8) as svc:
             blocker = svc.submit(JobSpec(fn=pingpong_job(iters=2000),
                                          name="blocker"))

@@ -43,7 +43,7 @@ def run_matrix(fn, nprocs: int, backends=TRANSPORT_NAMES, **kwargs) -> dict:
     Returns ``{backend: JobResult}`` (unavailable backends omitted).
     Traces are compared event-for-event — virtual-time identity is the
     strong form of the conformance contract, byte-identical results the
-    weak one.
+    weak one — and every rank must end with the books inproc ends with.
     """
     results = {}
     for name in backends:
@@ -63,4 +63,12 @@ def run_matrix(fn, nprocs: int, backends=TRANSPORT_NAMES, **kwargs) -> dict:
             f"{name}: crash accounting diverges from inproc"
         assert got.traces == ref.traces, \
             f"{name}: message traces diverge from inproc"
+        assert books(got) == books(ref), \
+            f"{name}: pool outstanding / live bytes diverge from inproc"
     return results
+
+
+def books(result) -> list[tuple[int, int]]:
+    """Per rank: (pool buffers outstanding, tracker live bytes)."""
+    return [(m["pool"]["outstanding"], m["live_bytes"])
+            for m in result.memory]

@@ -8,13 +8,17 @@ to the original's.
 
 from __future__ import annotations
 
+import inspect
 import pickle
 import threading
 
 import numpy as np
 import pytest
 
+import repro.errors
+from repro.core.custom import type_create_custom
 from repro.errors import TransportError
+from repro.mpi.runtime import run
 from repro.ucp.transport.envelope import (assert_portable, bytes_chunks,
                                           chunk_bytes, decode_envelope,
                                           decode_error, encode_envelope,
@@ -126,6 +130,37 @@ class TestErrorCodec:
         assert isinstance(err, TransportError)
         assert "Evil" in str(err)
 
+    def test_undecodable_blob_degrades_to_transport_error(self):
+        """Symmetric with ``encode_error``: the thread that reads an ack
+        frame must survive whatever is in it."""
+        err = decode_error(b"\x80\x05 not a pickle")
+        assert isinstance(err, TransportError)
+        assert "not a pickle" in str(err)
+
+    #: One value per constructor parameter name used in ``repro.errors``.
+    SAMPLE = {"code": repro.errors.MPI_ERR_TRUNCATE, "message": "went wrong",
+              "cause": None, "diagnostics": (), "failed_ranks": {3, 1},
+              "rank": 2, "vtime": 1.5e-3, "job": "j#1", "outstanding": 1,
+              "leaked_bytes": 64, "budget": 1e-3, "now": 2e-3,
+              "ceiling": 100, "live_bytes": 80, "requested": 40,
+              "failures": {0: ValueError("boom"), 1: TimeoutError("late")}}
+
+    @pytest.mark.parametrize("cls", [
+        c for _, c in inspect.getmembers(repro.errors, inspect.isclass)
+        if issubclass(c, BaseException)], ids=lambda c: c.__name__)
+    def test_every_error_class_roundtrips(self, cls):
+        """Any of them can ride an ack frame or a rank report: class, text
+        and attributes must all survive (four of them did not even
+        unpickle — multi-argument ``__init__``)."""
+        params = [p for p in inspect.signature(cls.__init__).parameters
+                  if p in self.SAMPLE]
+        exc = cls(**{p: self.SAMPLE[p] for p in params}) \
+            if params else cls("went wrong")
+        back = decode_error(encode_error(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc) and back.args == exc.args
+        assert repr(vars(back)) == repr(vars(exc))
+
 
 class TestPayloadCodec:
     def test_chunk_bytes_roundtrip(self):
@@ -136,11 +171,30 @@ class TestPayloadCodec:
         assert (out[0] == chunks[0]).all()
         assert out[1].size == 0
 
-    def test_generic_protocol_chunks_are_private_copies(self):
-        """Unpack callbacks may retain chunks past delivery; the generic
-        protocol therefore gets copies, not frame views."""
-        payloads = chunk_bytes([np.arange(8, dtype=np.uint8)])
-        view = bytes_chunks(payloads, protocol="eager")[0]
-        copy = bytes_chunks(payloads, protocol="generic")[0]
-        assert not view.flags.writeable  # frombuffer view of the frame
-        assert copy.flags.writeable      # private, retainable
+    def test_callback_chunks_are_valid_during_the_call(self, backend):
+        """The callback lifetime contract (``UnpackFn``): ``src`` holds the
+        right bytes while the unpack callback runs and is the transport's
+        again afterwards — no backend makes private copies for callbacks,
+        and every pool balances once the message is delivered."""
+        payload = np.arange(48, dtype=np.uint8)
+
+        def pack(state, buf, count, offset, dst):
+            n = min(dst.shape[0], 48 - offset)
+            dst[:n] = buf[offset:offset + n]
+            return int(n)
+
+        def fn(comm):
+            seen = []
+            dtype = type_create_custom(
+                query_fn=lambda s, b, c: 48, pack_fn=pack,
+                unpack_fn=lambda s, b, c, off, src: seen.append(bytes(src)))
+            if comm.rank == 0:
+                comm.send(payload, dest=1, datatype=dtype)
+            else:
+                comm.recv(np.empty(48, np.uint8), source=0, datatype=dtype)
+            return b"".join(seen)
+
+        res = run(fn, nprocs=2, transport=backend, timeout=30)
+        assert res.results[1] == payload.tobytes()
+        assert [m["pool"]["outstanding"] for m in res.memory] == [0, 0]
+        assert [m["live_bytes"] for m in res.memory] == [0, 0]
