@@ -170,11 +170,12 @@ class StructSpec:
             """Per-operation cache of the in-band stream (send) or the
             incremental parse position (recv)."""
 
-            __slots__ = ("packed", "cursor", "objs")
+            __slots__ = ("packed", "cursor", "filled", "objs")
 
             def __init__(self):
                 self.packed: np.ndarray | None = None
                 self.cursor = 0
+                self.filled = 0
                 self.objs: list[Any] | None = None
 
         def state_fn(context, buf, count):
@@ -203,12 +204,14 @@ class StructSpec:
             return int(step)
 
         def unpack_fn(state, buf, count, offset, src):
-            # Accumulate fragments, attempting a parse after each one.  The
-            # stream is self-delimiting (field sizes are known, dynamic
-            # lengths are in-band), so a parse succeeds exactly when the
-            # full stream has arrived; a short stream raises and is retried
-            # on the next fragment.  Fragments may arrive at arbitrary
-            # offsets, so this derivation tolerates out-of-order delivery.
+            # Accumulate fragments; whenever they cover the stream without a
+            # hole up to the highest byte seen, attempt a parse.  The stream
+            # is self-delimiting (field sizes are known, dynamic lengths are
+            # in-band), so the parse succeeds exactly when the full stream
+            # has arrived and raises on a short one, to be retried on a
+            # later fragment.  Fragments may arrive at arbitrary offsets, so
+            # this derivation tolerates out-of-order delivery; the engine's
+            # one whole-stream window costs one parse.
             if state.packed is None:
                 state.packed = np.zeros(0, dtype=np.uint8)
             end = offset + src.shape[0]
@@ -218,6 +221,9 @@ class StructSpec:
                 state.packed = grown
             state.packed[offset:end] = src
             state.cursor = max(state.cursor, end)
+            state.filled += src.shape[0]
+            if state.filled < state.cursor:
+                return  # a hole: earlier bytes are still on their way
             try:
                 _parse(state, buf, count)
             except Exception:
@@ -230,17 +236,24 @@ class StructSpec:
             objs = spec._objs(buf, count)
             data = state.packed if state.packed is not None else np.empty(0, np.uint8)
             pos = 0
+
+            def take(nbytes: int) -> np.ndarray:
+                nonlocal pos
+                if pos + nbytes > data.shape[0]:
+                    raise CallbackError(
+                        f"packed stream of {data.shape[0]} bytes ends inside "
+                        f"a {nbytes}-byte field at offset {pos}")
+                pos += nbytes
+                return data[pos - nbytes:pos]
+
             for o in objs:
                 for f in spec.fields:
                     if f.is_scalar:
-                        n = f.itemsize
-                        val = data[pos:pos + n].view(f.dtype)[0]
+                        val = take(f.itemsize).view(f.dtype)[0]
                         setattr(o, f.name, f.dtype.type(val))
-                        pos += n
                         continue
                     if f.is_dynamic:
-                        ln = int(data[pos:pos + _LEN_DTYPE.itemsize].view(_LEN_DTYPE)[0])
-                        pos += _LEN_DTYPE.itemsize
+                        ln = int(take(_LEN_DTYPE.itemsize).view(_LEN_DTYPE)[0])
                     else:
                         ln = int(f.shape)
                     nbytes = ln * f.itemsize
@@ -248,9 +261,7 @@ class StructSpec:
                         # Allocate the destination now; the region pass fills it.
                         setattr(o, f.name, np.empty(ln, dtype=f.dtype))
                     else:
-                        arr = data[pos:pos + nbytes].copy().view(f.dtype)
-                        setattr(o, f.name, arr)
-                        pos += nbytes
+                        setattr(o, f.name, take(nbytes).copy().view(f.dtype))
             state.objs = objs
             return objs
 

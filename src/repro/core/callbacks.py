@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from ..errors import CallbackError
 from .regions import Region
 
@@ -57,7 +59,14 @@ class PackFn(Protocol):
     Pack bytes starting at virtual ``offset`` of the packed stream into
     ``dst`` (a writable uint8 numpy view); return the number of bytes
     written.  Partial fills are allowed — the engine calls again with the
-    advanced offset and a fresh fragment.
+    advanced offset and the window right behind what was written.  The
+    window is never longer than what is left of the stream and may be all
+    of it: the engine offers the whole packed stream in one call.
+
+    ``dst`` arrives **dirty**: it is pool memory (the message's wire buffer,
+    as ``GenericData.pack_entries`` hands out), not zeroed.  Every byte the
+    returned ``used`` claims goes on the wire, so a byte claimed but not
+    written is the callback's bug.
     """
 
     def __call__(self, state: Any, buf: Any, count: int, offset: int,
@@ -69,7 +78,8 @@ class UnpackFn(Protocol):
     """``MPI_Type_custom_unpack_function`` (Listing 4).
 
     Consume one incoming fragment ``src`` located at virtual ``offset`` of
-    the packed stream.
+    the packed stream.  The engine delivers the whole packed stream as one
+    fragment (the ``ooo_fragments`` ablation: ``frag_size`` slices of it).
 
     Lifetime: ``src`` is the transport's memory (a wire chunk, on ``shm`` a
     view into the *sender's* arena) and is valid only during the call — the
@@ -177,3 +187,59 @@ class OperationState:
             invoke("state_free_fn", self._cb.state_free_fn, self.state)
         else:
             self._alive = False
+
+
+class _Staging:
+    """Per-operation staging of a whole packed stream (sub-stream windows)."""
+
+    __slots__ = ("packed", "filled")
+
+    def __init__(self):
+        self.packed: np.ndarray | None = None
+        self.filled = 0
+
+
+def whole_stream_callbacks(packed_size: Callable[[Any, int], int],
+                           pack_whole: Callable[[Any, int, Any], Any],
+                           unpack_whole: Callable[[Any, Any, int], Any]):
+    """``(state_fn, pack_fn, unpack_fn)`` for a type whose kernels move the
+    whole packed stream at once.
+
+    ``packed_size(buf, count)`` is the stream length, ``pack_whole(buf,
+    count, out)`` fills exactly that many bytes of ``out`` and
+    ``unpack_whole(src, buf, count)`` consumes them.  A window that covers
+    the stream — what the engine offers — is packed into and unpacked out of
+    directly, with no intermediate.  Only sub-stream windows (a test driving
+    a fragment grid, the out-of-order ablation) stage the stream in the
+    per-operation state: the pack side doles it out, the unpack side scatters
+    once every byte has arrived, in whatever order.
+    """
+
+    def state_fn(context, buf, count):
+        return _Staging()
+
+    def pack_fn(state, buf, count, offset, dst):
+        total = packed_size(buf, count)
+        if offset == 0 and dst.shape[0] >= total:
+            pack_whole(buf, count, dst[:total])
+            return total
+        if state.packed is None:
+            state.packed = np.empty(total, dtype=np.uint8)
+            pack_whole(buf, count, state.packed)
+        step = min(dst.shape[0], total - offset)
+        dst[:step] = state.packed[offset:offset + step]
+        return step
+
+    def unpack_fn(state, buf, count, offset, src):
+        total = packed_size(buf, count)
+        if offset == 0 and src.shape[0] >= total:
+            unpack_whole(src[:total], buf, count)
+            return
+        if state.packed is None:
+            state.packed = np.empty(total, dtype=np.uint8)
+        state.packed[offset:offset + src.shape[0]] = src
+        state.filled += src.shape[0]
+        if state.filled >= total:
+            unpack_whole(state.packed, buf, count)
+
+    return state_fn, pack_fn, unpack_fn

@@ -15,8 +15,13 @@ callback choreography of Section III:
   regions (so region placement may depend on just-unpacked metadata, which is
   exactly what the pickle-5 out-of-band strategy needs).
 
-The drivers move real bytes and keep accounting (callback invocations,
-fragment counts) that :mod:`repro.mpi.engine` converts into virtual time.
+The drivers move real bytes and count real callback invocations
+(``ncallbacks``).  The pack loop fills *one* buffer: every fragment is a view
+of it and nothing is allocated per fragment, so the engine can hand it a
+pooled wire buffer and offer ``pack_fn`` the whole stream as one window while
+unit tests drive any window size through the same loop.  What the network
+model charges is :mod:`repro.mpi.engine`'s business: it swaps the real
+pack/unpack calls for the modelled ``frag_size`` grid.
 """
 
 from __future__ import annotations
@@ -140,14 +145,20 @@ class CustomSendOperation:
             self._packed_size = n
         return self._packed_size
 
-    def pack_fragments(self, frag_size: int) -> list[np.ndarray]:
+    def pack_fragments(self, frag_size: int,
+                       out: np.ndarray | None = None) -> list[np.ndarray]:
         """Run the pack loop; returns the packed fragments in order.
 
-        The pack callback may fill a fragment only partially (the paper
-        allows postponing data that does not align with the fragment size),
-        in which case the fragment is trimmed and the next call resumes at
-        the advanced offset.  A pack callback that makes no progress is an
-        error (would loop forever).
+        The stream is packed into one buffer of ``packed_size()`` bytes —
+        ``out`` when given (the engine's pooled wire buffer), else a fresh
+        one — and every fragment is a view of it.  ``frag_size`` caps the
+        window each ``pack_fn`` call is offered: the engine offers the
+        whole stream, tests any grid.  The pack callback may fill its window
+        only partially (the paper allows postponing data that does not align
+        with the fragment size), in which case the fragment is trimmed and
+        the next window starts right behind it, so the fragments laid end to
+        end are always ``out[:packed_size()]``.  A pack callback that makes
+        no progress is an error (would loop forever).
         """
         if frag_size <= 0:
             raise MPIError(MPI_ERR_COUNT, f"fragment size must be positive, got {frag_size}")
@@ -156,10 +167,15 @@ class CustomSendOperation:
         if total > 0 and cb.pack_fn is None:
             raise CallbackError(
                 f"type {self.dtype.name!r} reports packed_size={total} but has no pack_fn")
+        if out is None:
+            out = np.empty(total, dtype=np.uint8)
+        elif out.shape[0] < total:
+            raise MPIError(MPI_ERR_COUNT,
+                           f"{out.shape[0]}-byte buffer for a {total}-byte packed stream")
         frags: list[np.ndarray] = []
         offset = 0
         while offset < total:
-            dst = np.zeros(min(frag_size, total - offset), dtype=np.uint8)
+            dst = out[offset:offset + min(frag_size, total - offset)]
             used = invoke("pack_fn", cb.pack_fn, self.state, self.buf,
                           self.count, offset, dst)
             self.ncallbacks += 1
@@ -201,10 +217,11 @@ class CustomRecvOperation:
     """Receive-side driver: state -> unpack loop -> regions.
 
     Fragments are delivered via :meth:`unpack_fragment`; the engine delivers
-    them in increasing-offset order (our prototype, like the paper's, always
-    provides in-order unpacking; out-of-order delivery is exercised by the
-    ``inorder`` ablation).  :meth:`recv_regions` must only be called after
-    all packed data is unpacked — region placement may depend on it.
+    the packed stream as the one chunk it arrived in (our prototype, like
+    the paper's, always provides in-order unpacking; out-of-order delivery
+    of ``frag_size`` slices is exercised by the ``inorder`` ablation).
+    :meth:`recv_regions` must only be called after all packed data is
+    unpacked — region placement may depend on it.
     """
 
     def __init__(self, dtype: CustomDatatype, buf: Any, count: int):

@@ -38,9 +38,21 @@ class Region:
     buffer: Any
     nbytes: int | None = None
     datatype: Datatype = field(default_factory=lambda: BYTE)
+    #: Flat uint8 view of ``buffer``, built once: the engine reads or writes
+    #: every region through it on every transfer.
+    _view: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        view = self.view()
+        if isinstance(self.buffer, np.ndarray):
+            if not self.buffer.flags.c_contiguous:
+                raise MPIError(MPI_ERR_BUFFER, "region buffer must be C-contiguous")
+            view = self.buffer.view(np.uint8).reshape(-1)
+        else:
+            mv = memoryview(self.buffer)
+            if not mv.contiguous:
+                raise MPIError(MPI_ERR_BUFFER, "region buffer must be contiguous")
+            view = np.frombuffer(mv, dtype=np.uint8)
+        self._view = view
         if self.nbytes is None:
             self.nbytes = view.shape[0]
         if self.nbytes < 0:
@@ -60,31 +72,17 @@ class Region:
 
     def view(self) -> np.ndarray:
         """Flat uint8 view of the underlying buffer."""
-        if isinstance(self.buffer, np.ndarray):
-            if not self.buffer.flags.c_contiguous:
-                raise MPIError(MPI_ERR_BUFFER, "region buffer must be C-contiguous")
-            return self.buffer.view(np.uint8).reshape(-1)
-        mv = memoryview(self.buffer)
-        if not mv.contiguous:
-            raise MPIError(MPI_ERR_BUFFER, "region buffer must be contiguous")
-        return np.frombuffer(mv, dtype=np.uint8)
+        return self._view
 
     def writable_view(self) -> np.ndarray:
         """Flat writable uint8 view (receive side)."""
-        if isinstance(self.buffer, np.ndarray):
-            v = self.view()
-        else:
-            mv = memoryview(self.buffer)
-            if mv.readonly:
-                raise MPIError(MPI_ERR_BUFFER, "receive region buffer is read-only")
-            v = np.frombuffer(mv, dtype=np.uint8)
-        if not v.flags.writeable:
+        if not self._view.flags.writeable:
             raise MPIError(MPI_ERR_BUFFER, "receive region buffer is read-only")
-        return v
+        return self._view
 
     def read_bytes(self) -> np.ndarray:
         """The region's bytes (length-trimmed read view)."""
-        return self.view()[: self.nbytes]
+        return self._view[: self.nbytes]
 
 
 def total_region_bytes(regions: Sequence[Region]) -> int:

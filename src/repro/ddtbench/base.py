@@ -29,6 +29,7 @@ import numpy as np
 from ..core import (BYTE, CustomDatatype, DerivedDatatype, Region,
                     coroutine_pack_callbacks, from_numpy_dtype, hindexed,
                     resized, type_create_custom)
+from ..core.callbacks import whole_stream_callbacks
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,11 @@ class WorkloadMeta:
 
 
 class RunLayout:
-    """Ordered contiguous byte runs into one backing buffer."""
+    """Ordered contiguous byte runs into one backing buffer (immutable)."""
+
+    #: Layouts of at most this many merged runs are copied run by run (one
+    #: slice assignment each); longer run lists through one lane index.
+    SLICE_COPY_MAX_RUNS = 64
 
     def __init__(self, runs: Iterable[tuple[int, int]], buffer_bytes: int):
         arr = np.asarray(list(runs), dtype=np.int64)
@@ -55,10 +60,8 @@ class RunLayout:
                 raise ValueError("run lengths must be positive")
             if (arr[:, 0] < 0).any() or (arr[:, 0] + arr[:, 1] > buffer_bytes).any():
                 raise ValueError("run outside backing buffer")
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.runs[:, 1].sum()) if self.runs.size else 0
+        self.total_bytes = int(arr[:, 1].sum())
+        self._program = None  # decided by the first gather/scatter
 
     @property
     def run_count(self) -> int:
@@ -74,41 +77,67 @@ class RunLayout:
                 merged.append([int(off), int(ln)])
         return RunLayout(merged, self.buffer_bytes)
 
+    def _copy_program(self):
+        """How gather/scatter move the bytes: ``(copies, index, unit)``.
+
+        Decided once per layout, never per call.  Few merged runs: ``copies``
+        pairs each run's memory slice with its packed slice.  Many: ``index``
+        names the memory lane behind every packed lane, in the widest
+        ``unit`` (8/4/2/1 bytes) dividing every offset, every length and
+        the buffer.
+        """
+        if self._program is None:
+            runs = self.merged().runs
+            offs, lens = runs[:, 0], runs[:, 1]
+            starts = np.cumsum(lens) - lens  # packed position of each run
+            if len(runs) <= self.SLICE_COPY_MAX_RUNS:
+                copies = [(slice(o, o + n), slice(p, p + n)) for o, n, p
+                          in zip(offs.tolist(), lens.tolist(), starts.tolist())]
+                self._program = (copies, None, 1)
+            else:
+                common = np.gcd(np.gcd.reduce(runs, axis=None),
+                                self.buffer_bytes)
+                unit = next(u for u in (8, 4, 2, 1) if common % u == 0)
+                index = (np.repeat((offs - starts) // unit, lens // unit)
+                         + np.arange(self.total_bytes // unit))
+                self._program = (None, index, unit)
+        return self._program
+
+    @staticmethod
+    def _lanes(buf: np.ndarray, nbytes: int, unit: int) -> np.ndarray:
+        """The first ``nbytes`` of ``buf`` as ``unit``-byte lanes."""
+        flat = buf.view(np.uint8).reshape(-1)
+        if flat.shape[0] < nbytes:
+            raise ValueError(
+                f"{flat.shape[0]}-byte buffer where the layout needs {nbytes}")
+        return flat[:nbytes].view(f"u{unit}")
+
     def gather(self, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized pack of all runs (groups runs of equal length)."""
-        total = self.total_bytes
+        """Pack all runs into ``out`` (a fresh buffer when None)."""
         if out is None:
-            out = np.empty(total, dtype=np.uint8)
-        src = buf.view(np.uint8).reshape(-1)
-        if not self.runs.size:
-            return out
-        pos_starts = np.zeros(self.run_count, dtype=np.int64)
-        np.cumsum(self.runs[:-1, 1], out=pos_starts[1:])
-        for ln in np.unique(self.runs[:, 1]):
-            sel = self.runs[:, 1] == ln
-            offs = self.runs[sel, 0]
-            outs = pos_starts[sel]
-            idx = offs[:, None] + np.arange(ln)[None, :]
-            oidx = outs[:, None] + np.arange(ln)[None, :]
-            out[oidx.ravel()] = src[idx.ravel()]
+            out = np.empty(self.total_bytes, dtype=np.uint8)
+        copies, index, unit = self._copy_program()
+        src = self._lanes(buf, self.buffer_bytes, unit)
+        dst = self._lanes(out, self.total_bytes, unit)
+        if index is None:
+            for mem, pos in copies:
+                dst[pos] = src[mem]
+        else:
+            # In range by construction (runs lie inside buffer_bytes, which
+            # _lanes checked); "clip" only skips numpy's bounce buffer.
+            np.take(src, index, out=dst, mode="clip")
         return out
 
     def scatter(self, packed: np.ndarray, buf: np.ndarray) -> None:
-        """Vectorized unpack of all runs."""
-        dst = buf.view(np.uint8).reshape(-1)
-        packed = packed.view(np.uint8).reshape(-1)
-        if not self.runs.size:
-            return
-        pos_starts = np.zeros(self.run_count, dtype=np.int64)
-        np.cumsum(self.runs[:-1, 1], out=pos_starts[1:])
-        for ln in np.unique(self.runs[:, 1]):
-            sel = self.runs[:, 1] == ln
-            offs = self.runs[sel, 0]
-            ins = pos_starts[sel]
-            idx = offs[:, None] + np.arange(ln)[None, :]
-            iidx = ins[:, None] + np.arange(ln)[None, :]
-            dst[idx.ravel()] = packed[iidx.ravel()]
-        # noqa: vectorized over equal-length run groups
+        """Unpack all runs (the inverse of :meth:`gather`)."""
+        copies, index, unit = self._copy_program()
+        src = self._lanes(packed, self.total_bytes, unit)
+        dst = self._lanes(buf, self.buffer_bytes, unit)
+        if index is None:
+            for mem, pos in copies:
+                dst[mem] = src[pos]
+        else:
+            dst[index] = src
 
 
 class Workload:
@@ -176,39 +205,20 @@ class Workload:
     # -- custom datatypes ---------------------------------------------------
 
     def custom_pack_datatype(self) -> CustomDatatype:
-        """Pack-only custom type over the backing buffer."""
+        """Pack-only custom type over the backing buffer: gathers straight
+        into, and scatters straight out of, a window that covers the stream
+        (what the engine offers)."""
         layout = self.layout
-
-        class _State:
-            __slots__ = ("packed", "filled")
-
-            def __init__(self):
-                self.packed: np.ndarray | None = None
-                self.filled = 0
-
-        def state_fn(context, buf, count):
-            return _State()
+        state_fn, pack_fn, unpack_fn = whole_stream_callbacks(
+            lambda buf, count: layout.total_bytes,
+            lambda buf, count, out: layout.gather(buf, out=out),
+            lambda src, buf, count: layout.scatter(src, buf))
 
         def state_free_fn(state):
             state.packed = None
 
         def query_fn(state, buf, count):
             return layout.total_bytes
-
-        def pack_fn(state, buf, count, offset, dst):
-            if state.packed is None:
-                state.packed = layout.gather(buf)
-            step = min(dst.shape[0], state.packed.shape[0] - offset)
-            dst[:step] = state.packed[offset:offset + step]
-            return int(step)
-
-        def unpack_fn(state, buf, count, offset, src):
-            if state.packed is None:
-                state.packed = np.zeros(layout.total_bytes, dtype=np.uint8)
-            state.packed[offset:offset + src.shape[0]] = src
-            state.filled += src.shape[0]
-            if state.filled >= layout.total_bytes:
-                layout.scatter(state.packed, buf)
 
         return type_create_custom(query_fn=query_fn, pack_fn=pack_fn,
                                   unpack_fn=unpack_fn, state_fn=state_fn,

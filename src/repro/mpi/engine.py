@@ -11,14 +11,25 @@ derived, non-contiguous   CONTIG over a temp buffer   alloc + typemap walk
                           (the send temp is the       (per-block ``elem_cost``
                           wire chunk; the receive     — the Open MPI gap
                           temp is modelled only)      penalty of Fig. 5)
-custom                    IOV: packed fragments        callbacks + packed-byte
-                          first, then regions          copies; regions move
-                          (CONTIG when the whole       zero-copy
-                          message is one region)
+custom                    IOV: the packed stream as    callbacks + packed-byte
+                          one entry (a pooled wire     copies on the
+                          buffer ``pack_fn`` fills     ``frag_size`` grid;
+                          in one window), then the     regions move zero-copy
+                          regions (CONTIG when the
+                          whole message is one
+                          region)
 ========================  ==========================  =========================
 
+Modelled grid vs real window: the paper's pipeline packs and unpacks a custom
+type fragment by fragment, and that is what the clocks are charged —
+``ceil(packed / frag_size)`` pack and unpack callbacks and as many IOV
+entries per message.  The bytes move in one window each way: one ``pack_fn``
+call straight into the wire buffer, one ``unpack_fn`` call straight out of
+it (modelled fragments are accounted, not materialised — the rule the
+derived path's two temps already follow).
+
 Receive-side custom delivery runs as a :class:`~repro.ucp.dtypes.HandlerData`
-callback on the receiving thread: unpack the in-band fragments first, *then*
+callback on the receiving thread: unpack the in-band stream first, *then*
 query the receiver's regions (whose placement may depend on the unpacked
 metadata) and scatter into them — the two-stage choreography of Section III.
 """
@@ -123,23 +134,35 @@ class TransferEngine:
 
     def _send_custom(self, ep, tag64: int, buf, count: int,
                      dtype: CustomDatatype, sync: bool = False) -> Request:
-        clock = self.worker.clock
-        with CustomSendOperation(dtype, buf, count) as op:
-            frags = op.pack_fragments(self.frag_size)
-            regions = op.regions()
-            packed_bytes = sum(int(f.shape[0]) for f in frags)
-            clock.advance(self.model.callback_time(op.ncallbacks)
-                          + self.model.copy_time(packed_bytes))
-        if not frags and len(regions) == 1:
-            # Single contiguous buffer: the prototype prefers CONTIG.
-            desc = ContigData(regions[0].read_bytes())
-        elif not frags and not regions:
-            desc = ContigData(np.empty(0, dtype=np.uint8))
-        else:
-            entries = [np.asarray(f) for f in frags]
-            entries += [r.read_bytes() for r in regions]
-            desc = IovData(entries, packed_entries=len(frags))
-        return Request(ep.tag_send(tag64, desc, force_rndv=sync))
+        """One pass, one buffer: ``pack_fn`` fills a pooled wire buffer in
+        one window and that buffer is the message's single packed entry;
+        the model still charges the paper's ``frag_size`` pipeline."""
+        pool = self.worker.memory.pool
+        wire = None
+        try:
+            with CustomSendOperation(dtype, buf, count) as op:
+                total = op.packed_size()
+                # Modelled like the fragments it replaces: not booked with
+                # the tracker, no first-touch charge.
+                wire = pool.acquire(total)
+                real = len(op.pack_fragments(max(total, 1), out=wire))
+                regions = op.regions()
+                modelled = self._charge_callbacks(op, real, total)
+            packed = [wire] if total else []
+            if not packed and len(regions) == 1:
+                # Single contiguous buffer: the prototype prefers CONTIG.
+                desc = ContigData(regions[0].read_bytes())
+            elif not packed and not regions:
+                desc = ContigData(np.empty(0, dtype=np.uint8))
+            else:
+                desc = IovData(packed + [r.read_bytes() for r in regions],
+                               packed_entries=len(packed),
+                               entry_count=modelled + len(regions))
+            return Request(ep.tag_send(tag64, desc, force_rndv=sync))
+        except BaseException:
+            if wire is not None:
+                pool.release(wire)  # never injected: the buffer is still ours
+            raise
 
     # ------------------------------------------------------------------
     # receive
@@ -271,7 +294,6 @@ class TransferEngine:
         hdr = msg.header
         k = hdr.packed_entries
         chunks = msg.chunks
-        clock = self.worker.clock
         san = self.worker.sanitizer
         with CustomRecvOperation(dtype, buf, count) as op:
             if san is not None:
@@ -287,8 +309,15 @@ class TransferEngine:
                 san.check_packed_promise(self.worker.index, hdr.source,
                                          dtype, promised, actual)
             packed = list(zip(self._offsets(hdr.entry_lengths[:k]), chunks[:k]))
-            if self.config.ooo_fragments and not dtype.inorder and len(packed) > 1:
-                packed = packed[::-1]
+            frag = self.frag_size
+            if self.config.ooo_fragments:
+                # The ablation delivers on the modelled grid, not in the one
+                # window the message really arrived in.
+                packed = [(offset + start, chunk[start:start + frag])
+                          for offset, chunk in packed
+                          for start in range(0, chunk.shape[0], frag)]
+                if not dtype.inorder:
+                    packed.reverse()
             for offset, chunk in packed:
                 op.unpack_fragment(offset, chunk)
             region_lens = list(hdr.entry_lengths[k:])
@@ -301,8 +330,19 @@ class TransferEngine:
                 raise
             for chunk, region in zip(chunks[k:], regions):
                 region.writable_view()[: chunk.shape[0]] = chunk
-            clock.advance(self.model.callback_time(op.ncallbacks)
-                          + self.model.copy_time(op.bytes_unpacked))
+            self._charge_callbacks(op, len(packed), op.bytes_unpacked)
+
+    def _charge_callbacks(self, op, real: int, packed_bytes: int) -> int:
+        """Charge a custom operation's callbacks and packed-byte copy as
+        the model sees them: ``op.ncallbacks`` counts real invocations, of
+        which the ``real`` pack (or unpack) calls are swapped for the
+        paper's pipeline, one per ``frag_size`` fragment of the packed
+        stream.  Returns that modelled fragment count."""
+        modelled = -(-packed_bytes // self.frag_size)
+        self.worker.clock.advance(
+            self.model.callback_time(op.ncallbacks - real + modelled)
+            + self.model.copy_time(packed_bytes))
+        return modelled
 
     @staticmethod
     def _offsets(lengths) -> list[int]:

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..core import (BYTE, FLOAT64, INT32, CustomDatatype, DerivedDatatype,
                     Region, create_struct, resized, type_create_custom)
+from ..core.callbacks import whole_stream_callbacks
 
 STRUCT_VEC_DATA_LEN = 2048
 
@@ -122,10 +123,13 @@ def struct_vec_datatype() -> DerivedDatatype:
 # Manual packing (the "packed" method)
 # ---------------------------------------------------------------------------
 
-def manual_pack_struct_simple(arr: np.ndarray) -> np.ndarray:
-    """Vectorized user-code packing into a fresh 20 B/element buffer."""
+def manual_pack_struct_simple(arr: np.ndarray,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized user-code packing at 20 B/element, into ``out`` (exactly
+    that many uint8) when given, else into a fresh buffer."""
     count = arr.shape[0]
-    out = np.empty(count * STRUCT_SIMPLE_PACKED, dtype=np.uint8)
+    if out is None:
+        out = np.empty(count * STRUCT_SIMPLE_PACKED, dtype=np.uint8)
     o2 = out.reshape(count, STRUCT_SIMPLE_PACKED)
     o2[:, 0:4] = arr["a"][:, None].view(np.uint8).reshape(count, 4)
     o2[:, 4:8] = arr["b"][:, None].view(np.uint8).reshape(count, 4)
@@ -183,38 +187,26 @@ def manual_unpack_struct_vec(packed: np.ndarray, arr: np.ndarray) -> None:
 # Custom datatypes (the paper's API)
 # ---------------------------------------------------------------------------
 
+def _scalars_packed_size(buf, count) -> int:
+    return count * STRUCT_SIMPLE_PACKED
+
+
+def _scalar_callbacks():
+    """``(state_fn, pack_fn, unpack_fn)`` moving the a,b,c,d fields of a
+    struct-simple *or* struct-vec array as 20 packed bytes per element,
+    straight into and out of a window that covers the stream."""
+    return whole_stream_callbacks(
+        _scalars_packed_size,
+        lambda buf, count, out: manual_pack_struct_simple(buf[:count], out=out),
+        lambda src, buf, count: manual_unpack_struct_simple(src, buf[:count]))
+
+
 def struct_simple_custom_datatype() -> CustomDatatype:
     """Pack-only custom type: gathers a,b,c,d into the in-band stream."""
-
-    class _State:
-        __slots__ = ("packed",)
-
-        def __init__(self):
-            self.packed: np.ndarray | None = None
-
-    def state_fn(context, buf, count):
-        return _State()
-
-    def _packed(state: _State, buf, count) -> np.ndarray:
-        if state.packed is None:
-            state.packed = manual_pack_struct_simple(buf[:count])
-        return state.packed
+    state_fn, pack_fn, unpack_fn = _scalar_callbacks()
 
     def query_fn(state, buf, count):
-        return count * STRUCT_SIMPLE_PACKED
-
-    def pack_fn(state, buf, count, offset, dst):
-        packed = _packed(state, buf, count)
-        step = min(dst.shape[0], packed.shape[0] - offset)
-        dst[:step] = packed[offset:offset + step]
-        return int(step)
-
-    def unpack_fn(state, buf, count, offset, src):
-        if state.packed is None:
-            state.packed = np.empty(count * STRUCT_SIMPLE_PACKED, dtype=np.uint8)
-        state.packed[offset:offset + src.shape[0]] = src
-        if offset + src.shape[0] >= count * STRUCT_SIMPLE_PACKED:
-            manual_unpack_struct_simple(state.packed, buf[:count])
+        return _scalars_packed_size(buf, count)
 
     return type_create_custom(query_fn=query_fn, pack_fn=pack_fn,
                               unpack_fn=unpack_fn, state_fn=state_fn,
@@ -244,38 +236,10 @@ def struct_simple_no_gap_custom_datatype() -> CustomDatatype:
 
 def struct_vec_custom_datatype() -> CustomDatatype:
     """Scalars packed in-band, each element's ``data`` array as a region."""
-
-    class _State:
-        __slots__ = ("packed",)
-
-        def __init__(self):
-            self.packed: np.ndarray | None = None
-
-    def state_fn(context, buf, count):
-        return _State()
+    state_fn, pack_fn, unpack_fn = _scalar_callbacks()
 
     def query_fn(state, buf, count):
-        return count * STRUCT_SIMPLE_PACKED  # only a,b,c,d go in-band
-
-    def pack_fn(state, buf, count, offset, dst):
-        if state.packed is None:
-            state.packed = manual_pack_struct_simple(_scalar_view(buf[:count]))
-        packed = state.packed
-        step = min(dst.shape[0], packed.shape[0] - offset)
-        dst[:step] = packed[offset:offset + step]
-        return int(step)
-
-    def unpack_fn(state, buf, count, offset, src):
-        if state.packed is None:
-            state.packed = np.empty(count * STRUCT_SIMPLE_PACKED, dtype=np.uint8)
-        state.packed[offset:offset + src.shape[0]] = src
-        if offset + src.shape[0] >= count * STRUCT_SIMPLE_PACKED:
-            p2 = state.packed.reshape(count, STRUCT_SIMPLE_PACKED)
-            sub = buf[:count]
-            sub["a"] = p2[:, 0:4].copy().view(np.int32).reshape(count)
-            sub["b"] = p2[:, 4:8].copy().view(np.int32).reshape(count)
-            sub["c"] = p2[:, 8:12].copy().view(np.int32).reshape(count)
-            sub["d"] = p2[:, 12:20].copy().view(np.float64).reshape(count)
+        return _scalars_packed_size(buf, count)  # only a,b,c,d go in-band
 
     def region_count_fn(state, buf, count):
         return count
@@ -288,11 +252,3 @@ def struct_vec_custom_datatype() -> CustomDatatype:
                               region_count_fn=region_count_fn,
                               region_fn=region_fn, state_fn=state_fn,
                               name="custom:struct-vec")
-
-
-def _scalar_view(arr: np.ndarray) -> np.ndarray:
-    """View the scalar fields of a struct-vec array as struct-simple rows."""
-    out = np.zeros(arr.shape[0], dtype=STRUCT_SIMPLE)
-    for f in ("a", "b", "c", "d"):
-        out[f] = arr[f]
-    return out

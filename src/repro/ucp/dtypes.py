@@ -81,26 +81,29 @@ class IovData:
 
     ``packed_entries`` marks how many leading entries are in-band packed
     data (custom-datatype framing); pure scatter/gather uses 0.
+    ``entry_count`` is what the cost model charges per-entry overhead for
+    (``plan_send``): the real entry count unless the sender models more —
+    the MPI engine ships a custom type's packed stream as *one* entry and
+    books it as the ``frag_size`` fragments of the paper's pipeline, the
+    way :class:`ScatterData` carries a modelled size.
     """
 
     kind = DATATYPE_IOV
 
     def __init__(self, buffers: Sequence[Any], writable: bool = False,
-                 packed_entries: int = 0):
+                 packed_entries: int = 0, entry_count: int | None = None):
         self._views = [_u8view(b, writable) for b in buffers]
         self.packed_entries = packed_entries
         if not 0 <= packed_entries <= len(self._views):
             raise TransportError(
                 f"packed_entries {packed_entries} out of range for "
                 f"{len(self._views)} entries")
+        self.entry_count = (len(self._views) if entry_count is None
+                            else int(entry_count))
 
     @property
     def total_bytes(self) -> int:
         return sum(v.shape[0] for v in self._views)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._views)
 
     def entries(self) -> list[np.ndarray]:
         return list(self._views)

@@ -20,7 +20,8 @@ Protocol rules (mirroring UCX and the paper's prototype):
 * CONTIG > eager_limit   -> **rndv**: zero-copy, but pays an RTS/CTS
   handshake and registration.  The switch is the Fig. 7 dip.
 * IOV                     -> **iov**: always rendezvous-like scatter/gather
-  with per-entry overhead; no eager/rndv discontinuity (why ``custom`` is
+  with per-entry overhead on the descriptor's *modelled* entry count
+  (``IovData.entry_count``); no eager/rndv discontinuity (why ``custom`` is
   smooth in Fig. 7).
 * GENERIC                 -> **generic**: pack-callback pipeline; fragments
   are eagerly copied (they are transient), with per-fragment overhead.

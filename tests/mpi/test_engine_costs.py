@@ -181,6 +181,170 @@ class TestOutOfOrderAblation:
         assert log == sorted(log)
 
 
+class TestModelledGridRealWindow:
+    """``op.ncallbacks`` counts real invocations; the clocks are charged
+    real - real pack/unpack calls + ceil(packed / frag_size): the paper's
+    fragment pipeline is accounted, the bytes move in one window."""
+
+    PACKED = 20000  # three modelled fragments of 8192
+
+    def _stream_type(self, how):
+        """A pack-only type of ``PACKED`` bytes with the same callback set
+        (state, free, query, pack, unpack) whichever way it fills."""
+        total = self.PACKED
+
+        def pack_some(limit):
+            def pack_fn(state, buf, count, offset, dst):
+                n = min(dst.shape[0], total - offset, limit)
+                dst[:n] = buf[offset:offset + n]
+                return int(n)
+            return pack_fn
+
+        def unpack_fn(state, buf, count, offset, src):
+            buf[offset:offset + src.shape[0]] = src
+
+        if how == "coroutine":
+            from repro.core import coroutine_pack_callbacks
+
+            def pack_gen(context, buf, count):
+                dst = yield
+                pos = 0
+                while pos < total:
+                    n = min(len(dst), total - pos)
+                    dst[:n] = buf[pos:pos + n]
+                    pos += n
+                    dst = yield n
+
+            def unpack_gen(context, buf, count):
+                src = yield
+                pos = 0
+                while True:
+                    buf[pos:pos + len(src)] = src
+                    pos += len(src)
+                    src = yield len(src)
+
+            state_fn, free_fn, pack_fn, unpack_fn = coroutine_pack_callbacks(
+                pack_gen, unpack_gen)
+            inorder = True
+        else:
+            # "partial": whole 100-byte elements per call, never the window.
+            pack_fn = pack_some(100 if how == "partial" else total)
+            state_fn, free_fn, inorder = \
+                (lambda ctx, b, c: None), (lambda st: None), False
+        return type_create_custom(
+            query_fn=lambda s, b, c: total, pack_fn=pack_fn,
+            unpack_fn=unpack_fn, state_fn=state_fn, state_free_fn=free_fn,
+            inorder=inorder)
+
+    def _clocks(self, how):
+        data = (np.arange(self.PACKED) % 253).astype(np.uint8)
+
+        def fn(comm):
+            dtype = self._stream_type(how)
+            if comm.rank == 0:
+                comm.send(data, 1, 1, datatype=dtype)
+                return None
+            out = np.zeros_like(data)
+            comm.recv(out, 0, 1, datatype=dtype)
+            return bool((out == data).all())
+
+        res = run(fn, nprocs=2)
+        assert res.results[1]
+        return res.clocks
+
+    def test_struct_simple_clocks_are_the_parent_commits(self):
+        """Recorded before the engine stopped materialising fragments: five
+        pack + five unpack callbacks and five packed IOV entries."""
+        from repro.types import struct_simple_custom_datatype
+        n = 2000
+
+        def fn(comm):
+            dtype = struct_simple_custom_datatype()
+            if comm.rank == 0:
+                comm.send(make_struct_simple(n), 1, 1, datatype=dtype,
+                          count=n)
+            else:
+                comm.recv(np.zeros(n, STRUCT_SIMPLE), 0, 1, datatype=dtype,
+                          count=n)
+
+        assert run(fn, nprocs=2).clocks == [1.8800000000000003e-05,
+                                            1.8800000000000003e-05]
+
+    def test_every_fill_pattern_is_charged_the_same_grid(self):
+        full = self._clocks("full")
+        assert self._clocks("partial") == full
+        assert self._clocks("coroutine") == full
+        # ...and the grid is what is charged: a finer one costs more.
+        fine = DEFAULT_PARAMS.with_overrides(frag_size=1024)
+        data = np.zeros(self.PACKED, np.uint8)
+        dtype = self._stream_type("full")
+        finer = one_way_time(
+            lambda c: c.send(data, dest=1, datatype=dtype),
+            lambda c: c.recv(np.zeros_like(data), source=0, datatype=dtype),
+            params=fine)
+        assert finer > full[1]
+
+    def test_one_window_each_way_in_one_pooled_buffer(self):
+        """An engine send of a pack-only type: one ``pack_fn`` call into a
+        buffer of the sender's pool, one ``unpack_fn`` call — in-process on
+        a view of that same buffer; the message is one packed entry."""
+        require_transport_capability("shared_address_space")
+        total = self.PACKED
+        windows = []
+
+        def address(arr):
+            return arr.__array_interface__["data"][0]
+
+        def fn(comm):
+            pool = comm.worker.fabric.worker(0).memory.pool
+            data = (np.arange(total) % 251).astype(np.uint8)
+
+            def pack_fn(state, buf, count, offset, dst):
+                windows.append(("pack", offset, dst.shape[0], address(dst),
+                                pool.owns(dst)))
+                dst[:] = buf
+                return total
+
+            def unpack_fn(state, buf, count, offset, src):
+                windows.append(("unpack", offset, src.shape[0], address(src),
+                                pool.owns(src)))
+                buf[:] = src
+
+            dtype = type_create_custom(query_fn=lambda s, b, c: total,
+                                       pack_fn=pack_fn, unpack_fn=unpack_fn)
+            if comm.rank == 0:
+                comm.send(data, 1, 1, datatype=dtype)
+                return None
+            out = np.zeros_like(data)
+            status = comm.recv(out, 0, 1, datatype=dtype)
+            return status.entry_lengths, bool((out == data).all())
+
+        res = run(fn, nprocs=2)
+        assert res.results[1] == ((total,), True)
+        packed, unpacked = windows
+        where = packed[3]
+        assert packed == ("pack", 0, total, where, True)
+        assert unpacked[:3] == ("unpack", 0, total)
+        if res.transport == "inproc":  # the wire is the sender's memory
+            assert unpacked[3:] == (where, True)
+        assert [m["pool"]["outstanding"] for m in res.memory] == [0, 0]
+
+    def test_entry_lengths_are_the_packed_stream_then_the_regions(self):
+        from repro.types import (STRUCT_VEC, make_struct_vec,
+                                 struct_vec_custom_datatype)
+
+        def fn(comm):
+            dtype = struct_vec_custom_datatype()
+            if comm.rank == 0:
+                comm.send(make_struct_vec(3), 1, 1, datatype=dtype, count=3)
+                return None
+            status = comm.recv(np.zeros(3, STRUCT_VEC), 0, 1, datatype=dtype,
+                               count=3)
+            return status.entry_lengths, status.packed_entries
+
+        assert run(fn, nprocs=2).results[1] == ((60, 8192, 8192, 8192), 1)
+
+
 class TestMemoryEffects:
     def test_derived_send_allocates_bounce(self):
         count = 100

@@ -15,6 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +108,39 @@ def _handler(nbytes):
     return traffic
 
 
+def _custom_send_fails(tag_send=None, **broken):
+    """A custom send that dies after its pooled wire buffer was taken —
+    inside ``pack_fn``, at the ``used`` check, in ``region_fn`` after a
+    successful pack, or in ``tag_send`` itself: the buffer never became a
+    message, so the send gives it back (nothing is received)."""
+    def traffic(comm):
+        if comm.rank == 1:
+            return None
+        data = (np.arange(EAGER) % 233).astype(np.uint8)
+
+        def pack_fn(state, buf, count, offset, dst):
+            dst[:] = buf[offset:offset + dst.shape[0]]
+            return dst.shape[0]
+
+        callbacks = dict(
+            query_fn=lambda s, b, c: EAGER, pack_fn=pack_fn,
+            region_count_fn=lambda s, b, c: 1,
+            region_fn=lambda s, b, c, n: [Region(b)])
+        dtype = type_create_custom(**{**callbacks, **broken})
+        if tag_send is not None:  # for this one send only
+            comm.worker.endpoint = lambda dst: SimpleNamespace(
+                tag_send=tag_send)
+        try:
+            return _name(lambda: comm.send(data, 1, TAG, datatype=dtype))
+        finally:
+            vars(comm.worker).pop("endpoint", None)
+    return traffic
+
+
+def _boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
 def _truncated(comm):
     """A rendezvous message into a buffer too small: the delivery fails,
     and fails the blocked sender with it."""
@@ -153,6 +187,13 @@ MESSAGE_EXITS = {
     "iov-rndv": (_iov(RNDV), None),
     "handler-eager": (_handler(64), None),
     "handler-rndv": (_handler(RNDV), None),
+    "custom-pack-raises": (_custom_send_fails(pack_fn=_boom), None),
+    "custom-pack-overclaims": (_custom_send_fails(
+        pack_fn=lambda s, b, c, off, dst: dst.shape[0] + 1), None),
+    "custom-pack-stalls": (_custom_send_fails(
+        pack_fn=lambda s, b, c, off, dst: 0), None),
+    "custom-region-raises": (_custom_send_fails(region_fn=_boom), None),
+    "custom-tag-send-raises": (_custom_send_fails(tag_send=_boom), None),
     "truncated": (_truncated, None),
     "cancelled": (_cancelled, None),
     "lost": (_lost, DROP_FIRST),
@@ -277,6 +318,26 @@ def test_exit_matrix(message_exit, rank_exit, segments):
         assert multiprocessing.active_children() == [], backend
         assert [n for n in segments
                 if os.path.exists(f"/dev/shm/{n.lstrip('/')}")] == []
+
+
+@pytest.mark.parametrize("message_exit", [m for m in MESSAGE_EXITS
+                                          if m.startswith("custom-")])
+def test_a_failed_custom_send_completes_under_the_job_service(message_exit):
+    """Warm trackers are leak-asserted at check-in: a wire buffer stranded
+    by the failed send would fail the job with ``PoolLeakError``."""
+    from repro.serve import JobService, JobSpec, JobStatus
+    traffic, _ = MESSAGE_EXITS[message_exit]
+
+    def fn(comm):
+        comm.set_errhandler(ERRORS_RETURN)
+        return traffic(comm)
+
+    with JobService(slots=1, max_queue=4) as svc:
+        handle = svc.submit(JobSpec(fn=fn, name=message_exit))
+        assert handle.wait(30)
+        assert handle.status == JobStatus.COMPLETED, handle.error
+        assert handle.result.results[0] is not None  # the send did fail
+    assert svc.report()["jobs"]["pool_leaks"] == 0
 
 
 def test_wall_timeout_names_the_peer_that_already_raised():

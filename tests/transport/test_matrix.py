@@ -291,11 +291,15 @@ class TestDerivedTwoPasses:
                     == (0, 20 * count, 8 * 20 * count, 8)
 
     def test_mixed_paths_match_the_reference_engine(self, backend):
-        """custom (IOV, five packed fragments) -> derived goes through the
-        UnpackCursor; derived -> contiguous lands the packed stream."""
+        """custom -> derived: a pack-only type arrives as ONE packed entry
+        and is unpacked in place; a region-bearing one (MILC: eight regions)
+        goes through the UnpackCursor chunk by chunk.  derived -> contiguous
+        lands the packed stream."""
         from repro.core.packing import pack_reference, unpack_reference
+        from repro.ddtbench import make_workload
         n = 2000
         derived = struct_simple_datatype()
+        milc = make_workload("MILC")
 
         def fn(comm):
             custom = struct_simple_custom_datatype()
@@ -304,22 +308,30 @@ class TestDerivedTwoPasses:
                           count=n)
                 comm.send(make_struct_simple(n), 1, 2, datatype=derived,
                           count=n)
+                comm.send(milc.make_send_buffer(), 1, 3,
+                          datatype=milc.custom_region_datatype())
                 return None
             out = np.zeros(n, dtype=STRUCT_SIMPLE)
             st = comm.recv(out, 0, 1, datatype=derived, count=n)
             flat = np.zeros(20 * n, dtype=np.uint8)
             comm.recv(flat, 0, 2)
-            return (out.tobytes(), flat.tobytes(), len(st.entry_lengths),
+            lattice = milc.make_recv_buffer()
+            st3 = comm.recv(lattice, 0, 3, datatype=milc.derived_datatype())
+            return (out.tobytes(), flat.tobytes(), st.entry_lengths,
+                    len(st3.entry_lengths), lattice.tobytes(),
                     comm.memory.snapshot()["pool"]["misses"])
 
         res = run(fn, nprocs=2, transport=backend)
-        got, flat, nchunks, recv_acquires = res.results[1]
+        got, flat, entries, nregions, lattice, recv_acquires = res.results[1]
         packed = pack_reference(derived, make_struct_simple(n), n)
         want = np.zeros(n, dtype=STRUCT_SIMPLE)
         unpack_reference(derived, want, n, packed)
-        assert nchunks == 5 and recv_acquires == 0
+        assert entries == (20 * n,) and nregions == 8 and recv_acquires == 0
         assert got == want.tobytes()
         assert flat == packed.tobytes()
+        want = milc.make_recv_buffer()
+        milc.manual_unpack(milc.manual_pack(milc.make_send_buffer()), want)
+        assert lattice == want.tobytes()
         assert [s["pool"]["outstanding"] for s in res.memory] == [0, 0]
 
     @staticmethod
