@@ -720,7 +720,7 @@ def main(argv=None) -> int:
         prev = json.loads(args.out.read_text())
         report["before"] = prev.get("before") or {
             key: prev[key] for key in ("corpus", "message_rate",
-                                       "guidelines")
+                                       "guidelines", "ddtbench_roundtrip")
             if key in prev}
 
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

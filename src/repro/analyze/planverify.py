@@ -392,6 +392,12 @@ def _bug_record_fields_swapped(prog: Program) -> Program:
     return prog.with_ops(out)
 
 
+def _bug_reverse_gather(prog: Program) -> Program:
+    return prog.with_ops(tuple(
+        Gather(op.src_index[::-1], op.dst_off, op.unit)
+        if isinstance(op, Gather) else op for op in prog.ops))
+
+
 def _bug_duplicate(prog: Program) -> Program:
     if prog.ops:
         return prog.with_ops(prog.ops + (prog.ops[0],))
@@ -426,6 +432,12 @@ def _fixture_vector_i32() -> Typemap:
     pipeline runs at 4-byte units (8 does not divide it)."""
     from ..core import INT32, vector
     return vector(16, 3, 4, INT32).typemap
+
+
+def _fixture_run_list() -> Typemap:
+    """48 four-byte runs at irregular offsets, spelled as a run list (what a
+    DDTBench ``RunLayout`` hands the compiler): a 4-byte-lane Gather."""
+    return Typemap.from_runs([(4 * (i * i % 97), 4) for i in range(48)], 400)
 
 
 @dataclass(frozen=True)
@@ -489,6 +501,10 @@ MISCOMPILE_CORPUS: tuple[MiscompileFixture, ...] = (
         frozenset({"RPD610"}),
         Pass("bug:record-fields-swapped", _bug_record_fields_swapped),
         _fixture_struct),
+    MiscompileFixture(
+        "run-list-gather-reversed", "reads the lanes of the gather a run "
+        "list compiles to back to front", frozenset({"RPD610"}),
+        Pass("bug:reverse-gather", _bug_reverse_gather), _fixture_run_list),
 )
 
 

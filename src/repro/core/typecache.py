@@ -105,7 +105,8 @@ _plan_stats = {"hits": 0, "contig_hits": 0, "compiled_hits": 0,
 
 
 def pack_plan(dtype: Datatype, count: int = 1) -> PackPlan:
-    """The compiled plan for packing elements of ``dtype``.
+    """The compiled plan for packing elements of ``dtype`` (a datatype, or
+    any other carrier of a ``.typemap``).
 
     Compiled on first use per layout key and cached in an LRU of
     :data:`PLAN_CACHE_MAXSIZE` entries.  ``count`` selects nothing (one

@@ -13,6 +13,8 @@ operations every derived-type constructor needs:
 
 Blocks keep their *declaration order* because MPI's pack order is the
 typemap order, not the address order.
+A layout that already is a list of byte runs (a DDTBench ``RunLayout``)
+enters through :meth:`Typemap.from_runs`.
 """
 
 from __future__ import annotations
@@ -103,6 +105,15 @@ class Typemap:
         self.extent = (nat_ub - self.lb) if extent is None else extent
         if self.extent < 0:
             raise ValueError(f"negative extent: {self.extent}")
+
+    @classmethod
+    def from_runs(cls, runs, extent: int) -> "Typemap":
+        """Ordered ``(offset, length)`` byte runs into ``extent`` bytes: one
+        untyped :class:`Block` per run in run (= pack) order, ``lb`` 0 — the
+        layout of an ``hindexed`` over the runs resized to ``[0, extent)``,
+        so both spellings share one :meth:`layout_key` and one pack plan."""
+        return cls((Block(int(off), int(ln), int(ln)) for off, ln in runs),
+                   lb=0, extent=extent)
 
     # -- derived quantities ---------------------------------------------
 

@@ -22,13 +22,14 @@ we derive every transfer method of the paper's Fig. 10:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from ..core import (BYTE, CustomDatatype, DerivedDatatype, Region,
-                    coroutine_pack_callbacks, from_numpy_dtype, hindexed,
-                    resized, type_create_custom)
+from ..core import (BYTE, CustomDatatype, DerivedDatatype, PackPlan, Region,
+                    Typemap, coroutine_pack_callbacks, from_numpy_dtype,
+                    hindexed, pack_plan, resized, type_create_custom)
 from ..core.callbacks import whole_stream_callbacks
 
 
@@ -43,25 +44,21 @@ class WorkloadMeta:
 
 
 class RunLayout:
-    """Ordered contiguous byte runs into one backing buffer (immutable)."""
-
-    #: Layouts of at most this many merged runs are copied run by run (one
-    #: slice assignment each); longer run lists through one lane index.
-    SLICE_COPY_MAX_RUNS = 64
+    """Ordered contiguous byte runs into one backing buffer (immutable):
+    the validated runs, two sizes, and the typemap of the runs — the key
+    under which :func:`~repro.core.typecache.pack_plan` serves the plan
+    :meth:`gather`/:meth:`scatter` execute, the same plan the ``hindexed``
+    spelling of the layout compiles to."""
 
     def __init__(self, runs: Iterable[tuple[int, int]], buffer_bytes: int):
-        arr = np.asarray(list(runs), dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
+        arr = np.asarray(list(runs), dtype=np.int64).reshape(-1, 2)
         self.runs = arr
         self.buffer_bytes = buffer_bytes
-        if arr.size:
-            if (arr[:, 1] <= 0).any():
-                raise ValueError("run lengths must be positive")
-            if (arr[:, 0] < 0).any() or (arr[:, 0] + arr[:, 1] > buffer_bytes).any():
-                raise ValueError("run outside backing buffer")
+        if (arr[:, 1] <= 0).any():
+            raise ValueError("run lengths must be positive")
+        if (arr[:, 0] < 0).any() or (arr.sum(axis=1) > buffer_bytes).any():
+            raise ValueError("run outside backing buffer")
         self.total_bytes = int(arr[:, 1].sum())
-        self._program = None  # decided by the first gather/scatter
 
     @property
     def run_count(self) -> int:
@@ -69,75 +66,41 @@ class RunLayout:
 
     def merged(self) -> "RunLayout":
         """Coalesce runs adjacent in both order and memory (region extraction)."""
-        merged: list[list[int]] = []
-        for off, ln in self.runs:
-            if merged and merged[-1][0] + merged[-1][1] == off:
-                merged[-1][1] += int(ln)
-            else:
-                merged.append([int(off), int(ln)])
-        return RunLayout(merged, self.buffer_bytes)
+        blocks = self.typemap.merged_blocks()
+        return RunLayout([(b.offset, b.length) for b in blocks],
+                         self.buffer_bytes)
 
-    def _copy_program(self):
-        """How gather/scatter move the bytes: ``(copies, index, unit)``.
+    @cached_property
+    def typemap(self) -> Typemap:
+        """The runs as a typemap (the layout's key into the plan cache)."""
+        return Typemap.from_runs(self.runs.tolist(), self.buffer_bytes)
 
-        Decided once per layout, never per call.  Few merged runs: ``copies``
-        pairs each run's memory slice with its packed slice.  Many: ``index``
-        names the memory lane behind every packed lane, in the widest
-        ``unit`` (8/4/2/1 bytes) dividing every offset, every length and
-        the buffer.
-        """
-        if self._program is None:
-            runs = self.merged().runs
-            offs, lens = runs[:, 0], runs[:, 1]
-            starts = np.cumsum(lens) - lens  # packed position of each run
-            if len(runs) <= self.SLICE_COPY_MAX_RUNS:
-                copies = [(slice(o, o + n), slice(p, p + n)) for o, n, p
-                          in zip(offs.tolist(), lens.tolist(), starts.tolist())]
-                self._program = (copies, None, 1)
-            else:
-                common = np.gcd(np.gcd.reduce(runs, axis=None),
-                                self.buffer_bytes)
-                unit = next(u for u in (8, 4, 2, 1) if common % u == 0)
-                index = (np.repeat((offs - starts) // unit, lens // unit)
-                         + np.arange(self.total_bytes // unit))
-                self._program = (None, index, unit)
-        return self._program
+    @cached_property
+    def plan(self) -> PackPlan:
+        """The compiled pack plan: looked up once, then held."""
+        return pack_plan(self)
 
     @staticmethod
-    def _lanes(buf: np.ndarray, nbytes: int, unit: int) -> np.ndarray:
-        """The first ``nbytes`` of ``buf`` as ``unit``-byte lanes."""
+    def _flat(buf: np.ndarray, nbytes: int) -> np.ndarray:
+        """``buf`` as flat bytes, refused when shorter than ``nbytes``."""
         flat = buf.view(np.uint8).reshape(-1)
         if flat.shape[0] < nbytes:
             raise ValueError(
                 f"{flat.shape[0]}-byte buffer where the layout needs {nbytes}")
-        return flat[:nbytes].view(f"u{unit}")
+        return flat
 
     def gather(self, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Pack all runs into ``out`` (a fresh buffer when None)."""
         if out is None:
             out = np.empty(self.total_bytes, dtype=np.uint8)
-        copies, index, unit = self._copy_program()
-        src = self._lanes(buf, self.buffer_bytes, unit)
-        dst = self._lanes(out, self.total_bytes, unit)
-        if index is None:
-            for mem, pos in copies:
-                dst[pos] = src[mem]
-        else:
-            # In range by construction (runs lie inside buffer_bytes, which
-            # _lanes checked); "clip" only skips numpy's bounce buffer.
-            np.take(src, index, out=dst, mode="clip")
+        self.plan.pack_into(self._flat(buf, self.buffer_bytes), 1,
+                            self._flat(out, self.total_bytes))
         return out
 
     def scatter(self, packed: np.ndarray, buf: np.ndarray) -> None:
-        """Unpack all runs (the inverse of :meth:`gather`)."""
-        copies, index, unit = self._copy_program()
-        src = self._lanes(packed, self.total_bytes, unit)
-        dst = self._lanes(buf, self.buffer_bytes, unit)
-        if index is None:
-            for mem, pos in copies:
-                dst[mem] = src[pos]
-        else:
-            dst[index] = src
+        """Unpack all runs; runs that overlap are written in run order."""
+        self.plan.unpack_into(self._flat(buf, self.buffer_bytes), 1,
+                              self._flat(packed, self.total_bytes))
 
 
 class Workload:

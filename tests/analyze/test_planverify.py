@@ -136,6 +136,16 @@ class TestMiscompileCorpus:
         designated = {fx.name: fx.expected_codes for fx in MISCOMPILE_CORPUS}
         assert designated["unit-too-wide"] == {"RPD600"}
         assert designated["record-fields-swapped"] == {"RPD610"}
+        assert designated["run-list-gather-reversed"] == {"RPD610"}
+
+    def test_the_run_list_fixture_is_a_lane_gather(self):
+        # What DDTBench's custom-pack types execute: a typemap built from a
+        # run list, compiled (cleanly, until the bug runs) to a lane gather.
+        (fx,) = [f for f in MISCOMPILE_CORPUS
+                 if f.name == "run-list-gather-reversed"]
+        report = verify_typemap(fx.typemap_factory())
+        assert (report.executor, report.units) == ("gather", (4,))
+        assert report.verified
 
     def test_corpus_spans_all_detection_channels(self):
         codes = set()

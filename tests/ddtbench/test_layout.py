@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from repro.core.planir import (GATHER_MIN_CALLS, MIN_REPS, StridedLoop,
+                               leaves)
 from repro.ddtbench.base import RunLayout
+
+from .test_layout_kernels import gather_reference
 
 
 class TestValidation:
@@ -86,16 +90,65 @@ class TestGatherScatter:
         lay.scatter(np.zeros(0, np.uint8), np.zeros(8, np.uint8))
 
 
+#: What each shape of run list is there to reach in the plan compiler.
+SHAPES = {
+    "bytes": "up to 20 byte-granular runs anywhere (they may overlap)",
+    "aligned": "4/8-byte-aligned runs: widen-units",
+    "strided": "constant-stride runs: canonicalize-strides",
+    "irregular": ">= GATHER_MIN_CALLS irregular runs: form-gather",
+    "adjacent": "runs adjacent in order and memory: coalesce-blocks",
+    "overlapping": "each run overlaps the next: write order is observable",
+}
+
+
 @st.composite
-def layouts(draw):
-    nbytes = draw(st.integers(16, 512))
-    nruns = draw(st.integers(0, 20))
-    runs = []
-    for _ in range(nruns):
-        ln = draw(st.integers(1, 16))
-        off = draw(st.integers(0, nbytes - ln))
-        runs.append((off, ln))
-    return RunLayout(runs, nbytes)
+def layouts(draw, shape=None):
+    shape = shape or draw(st.sampled_from(sorted(SHAPES)))
+    if shape == "bytes":
+        nbytes = draw(st.integers(16, 512))
+        lens = draw(st.lists(st.integers(1, 16), max_size=20))
+        return RunLayout([(draw(st.integers(0, nbytes - ln)), ln)
+                          for ln in lens], nbytes)
+    # Ascending runs, the gap after each one chosen by the shape; a negative
+    # gap starts the next run inside this one.
+    unit = draw(st.sampled_from([1, 4, 8] if shape != "aligned" else [4, 8]))
+    floor = {"irregular": GATHER_MIN_CALLS, "strided": MIN_REPS}.get(shape, 2)
+    n = draw(st.integers(floor, floor + 80))
+    if shape == "strided":
+        lens = [draw(st.integers(1, 6))] * n
+        gaps = [draw(st.integers(1, 9))] * n
+    else:
+        lens = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        gap = {"adjacent": st.sampled_from([0, 0, 3]),
+               "overlapping": st.integers(-1, 0)}.get(shape, st.integers(1, 9))
+        gaps = draw(st.lists(gap, min_size=n, max_size=n))
+    runs, off, end = [], unit * draw(st.integers(0, 3)), 0
+    for ln, gap in zip(lens, gaps):
+        runs.append((off, ln * unit))
+        end = max(end, off + ln * unit)
+        off += (ln + gap) * unit
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "descending":
+        runs.reverse()
+    elif order == "shuffled":
+        draw(st.randoms(use_true_random=False)).shuffle(runs)
+    return RunLayout(runs, end + unit * draw(st.integers(0, 2)))
+
+
+def kernels(lay: RunLayout) -> set:
+    """What the layout's plan executes: ``(leaf kind, unit)`` per leaf, plus
+    ``"loop"``/``"merged"``/``"ordered"`` for a strided loop / coalesced
+    runs / a write order kept across more runs than a gather would take."""
+    ir = lay.plan.ir
+    found = {(type(op).__name__, getattr(op, "unit", None))
+             for op, _ in leaves(ir.ops)}
+    if any(isinstance(op, StridedLoop) for op in ir.ops):
+        found.add("loop")
+    if lay.plan.nblocks < lay.run_count:
+        found.add("merged")
+    if ir.order_observable and lay.run_count > GATHER_MIN_CALLS:
+        found.add("ordered")
+    return found
 
 
 class TestProperties:
@@ -118,3 +171,30 @@ class TestProperties:
     @given(layouts())
     def test_merged_never_more_runs(self, lay):
         assert lay.merged().run_count <= lay.run_count
+
+    @settings(max_examples=200)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_the_plan_moves_the_bytes_the_runs_name(self, lay, seed):
+        rng = np.random.default_rng(seed)
+        buf = rng.integers(0, 256, size=lay.buffer_bytes, dtype=np.uint8)
+        packed = lay.gather(buf)
+        assert packed.tobytes() == gather_reference(lay, buf).tobytes()
+        # Scatter an independent stream, so write order shows: the oracle
+        # copies run by run, a later run overwriting an earlier one.
+        stream = rng.integers(0, 256, size=lay.total_bytes, dtype=np.uint8)
+        want = buf.copy()
+        pos = 0
+        for off, ln in lay.runs:
+            want[off:off + ln] = stream[pos:pos + ln]
+            pos += ln
+        lay.scatter(stream, buf)
+        assert buf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, kernel", [
+        ("irregular", ("Gather", 1)), ("irregular", ("Gather", 4)),
+        ("aligned", ("CopyBlock", 8)), ("aligned", ("Record", None)),
+        ("strided", "loop"), ("adjacent", "merged"),
+        ("overlapping", "ordered"),
+    ], ids=str)
+    def test_the_strategy_reaches_every_kernel(self, shape, kernel):
+        find(layouts(shape), lambda lay: kernel in kernels(lay))

@@ -1,15 +1,17 @@
-"""``RunLayout.gather``/``scatter`` against the byte-index implementation
-they replaced (kept here as the reference), on every registry workload —
-from MILC's 8 runs (slice copies) to LAMMPS_full's 8192 (one cached lane
-index)."""
+"""``RunLayout.gather``/``scatter`` — the layout's pack plan — against a
+byte-index implementation (kept here as the reference), on every registry
+workload: from NAS_LU_x's single copy over MILC's one strided copy to
+LAMMPS_full's 4-byte-lane gather.  And the rule that makes the differential
+worth having: one plan per layout, whichever way the layout is spelled."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import clear_plan_cache, pack_plan, plan_cache_info
 from repro.ddtbench.base import RunLayout
-from repro.ddtbench.registry import WORKLOADS, make_workload
+from repro.ddtbench.registry import WORKLOADS, all_workloads, make_workload
 
 
 def _byte_index(layout: RunLayout):
@@ -71,25 +73,76 @@ def test_scatter_matches_the_byte_index(workload):
     assert got.tobytes() == want.tobytes()
 
 
-def test_the_copy_program_is_decided_once(workload, monkeypatch):
-    layout, buf = workload.layout, workload.make_send_buffer()
+def test_the_copy_program_is_decided_once(workload):
+    """It is the pack plan behind the layout's key — the very object the
+    user's hindexed spelling compiles to — and a layout that holds it never
+    goes back to the cache."""
+    layout, derived = workload.layout, workload.derived_datatype()
+    assert layout.typemap.layout_key() == derived.typemap.layout_key()
+    buf, recv = workload.make_send_buffer(), workload.make_recv_buffer()
     packed = layout.gather(buf)
-    program = layout._copy_program()
-    copies, index, _ = program
-    assert (index is None) == (layout.merged().run_count
-                               <= RunLayout.SLICE_COPY_MAX_RUNS)
-    # Building a program needs the merged runs; from here on that fails.
-    monkeypatch.setattr(RunLayout, "merged", None)
-    layout.gather(buf, out=packed)
-    layout.scatter(packed, workload.make_recv_buffer())
-    assert layout._copy_program() is program
-    assert layout._copy_program()[1] is index
+    assert layout.plan is pack_plan(derived)
+    before = plan_cache_info()
+    for _ in range(100):
+        layout.gather(buf, out=packed)
+        layout.scatter(packed, recv)
+    assert plan_cache_info() == before
+    assert workload.exchanged_equal(buf, recv)
+
+
+def test_one_plan_per_workload():
+    """All 12 workloads, by both spellings, in either order: 12 compiles
+    and 12 cache entries, not 24."""
+    clear_plan_cache()
+    workloads = all_workloads()
+    assert len(workloads) == 12
+    for i, w in enumerate(workloads):
+        if i % 2:
+            assert w.layout.plan is pack_plan(w.derived_datatype())
+        else:
+            assert pack_plan(w.derived_datatype()) is w.layout.plan
+    info = plan_cache_info()
+    assert (info["size"], info["misses"], info["hits"]) == (12, 12, 12)
 
 
 def test_a_short_buffer_is_refused():
-    layout = make_workload("WRF_x_vec").layout  # lane index, mode="clip"
-    with pytest.raises(ValueError, match="layout needs"):
-        layout.gather(np.zeros(layout.buffer_bytes - 8, dtype=np.uint8))
-    with pytest.raises(ValueError, match="layout needs"):
-        layout.scatter(np.zeros(layout.total_bytes - 8, dtype=np.uint8),
-                       np.zeros(layout.buffer_bytes, dtype=np.uint8))
+    """Before any byte moves, naming the bytes needed and the bytes given —
+    whichever kernel the plan would have run."""
+    for w in all_workloads():
+        layout = w.layout
+        need, have = layout.buffer_bytes, layout.buffer_bytes - 8
+        with pytest.raises(ValueError,
+                           match=f"{have}-byte buffer .* layout needs {need}"):
+            layout.gather(np.zeros(have, dtype=np.uint8))
+        out = np.full(layout.total_bytes - 8, 0xA5, dtype=np.uint8)
+        with pytest.raises(ValueError,
+                           match=f"layout needs {layout.total_bytes}"):
+            layout.gather(w.make_send_buffer(), out=out)
+        assert (out == 0xA5).all()
+        recv = w.make_recv_buffer()
+        flat = recv.view(np.uint8).reshape(-1)
+        with pytest.raises(ValueError,
+                           match=f"layout needs {layout.total_bytes}"):
+            layout.scatter(np.ones(layout.total_bytes - 8, dtype=np.uint8),
+                           recv)
+        with pytest.raises(ValueError, match=f"layout needs {need}"):
+            layout.scatter(np.ones(layout.total_bytes, dtype=np.uint8),
+                           flat[:have])
+        assert not flat.any()
+
+
+def test_overlapping_runs_scatter_in_run_order():
+    """200 runs, each overlapping the next: the last run to name a byte
+    wins, at any run count (a fancy-index scatter leaves it unspecified)."""
+    runs = [(3 * i, 8) for i in range(200)]
+    layout = RunLayout(runs, 3 * 200 + 8)
+    packed = np.random.default_rng(5).integers(
+        0, 256, size=layout.total_bytes, dtype=np.uint8)
+    want = np.zeros(layout.buffer_bytes, dtype=np.uint8)
+    for i, (off, ln) in enumerate(runs):
+        want[off:off + ln] = packed[8 * i:8 * i + 8]
+    got = np.zeros_like(want)
+    layout.scatter(packed, got)
+    assert got.tobytes() == want.tobytes()
+    assert layout.plan.executor == "slices"
+    assert layout.gather(got).tobytes() == gather_reference(layout, got).tobytes()
