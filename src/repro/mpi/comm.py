@@ -326,15 +326,25 @@ class Communicator:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         """Blocking MPI_Probe (message stays matchable)."""
-        tag64, mask = self._recv_pattern(source, tag)
-        msg = self.worker.tag_probe(tag64, mask, remove=False, block=True)
+        msg = self._probe(source, tag, remove=False, block=True)
         return self._localize(Status.from_recv_info(_msg_info(msg)))
+
+    def _probe(self, source: int, tag: int, remove: bool, block: bool):
+        """One probe; blocking, it parks as a receive posted with the same
+        source and tag would (same peers, same error handler)."""
+        tag64, mask = self._recv_pattern(source, tag)
+        try:
+            return self.worker.tag_probe(tag64, mask, remove=remove,
+                                         block=block,
+                                         peers=self._recv_peers(source))
+        except MPIError as exc:
+            self._handle_mpi_error(exc)
+            raise
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
                ) -> Optional[Status]:
         """Nonblocking MPI_Iprobe."""
-        tag64, mask = self._recv_pattern(source, tag)
-        msg = self.worker.tag_probe(tag64, mask, remove=False, block=False)
+        msg = self._probe(source, tag, remove=False, block=False)
         if msg is None:
             return None
         return self._localize(Status.from_recv_info(_msg_info(msg)))
@@ -342,16 +352,14 @@ class Communicator:
     def mprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
                ) -> tuple["MessageHandle", Status]:
         """Blocking MPI_Mprobe: claim the message for a later mrecv."""
-        tag64, mask = self._recv_pattern(source, tag)
-        msg = self.worker.tag_probe(tag64, mask, remove=True, block=True)
+        msg = self._probe(source, tag, remove=True, block=True)
         return (MessageHandle(self, msg),
                 self._localize(Status.from_recv_info(_msg_info(msg))))
 
     def improbe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG
                 ) -> Optional[tuple["MessageHandle", Status]]:
         """Nonblocking MPI_Improbe."""
-        tag64, mask = self._recv_pattern(source, tag)
-        msg = self.worker.tag_probe(tag64, mask, remove=True, block=False)
+        msg = self._probe(source, tag, remove=True, block=False)
         if msg is None:
             return None
         return (MessageHandle(self, msg),

@@ -209,35 +209,46 @@ class Request:
         return all(r.test() for r in requests)
 
     @staticmethod
-    def waitany(requests: Sequence["Request"],
-                poll_interval: float = 1e-4) -> tuple[int, Optional[Status]]:
+    def _park_for_any(pending: Sequence["Request"], what: str) -> None:
+        """Park the calling rank until one of ``pending`` (unfinished, none
+        testing complete) does; hopeless only when all of them are."""
+        waits = [r._req.waiting_on() for r in pending]
+        targets = None if any(t is None for t, _ in waits) \
+            else sorted({rank for t, _ in waits for rank in t})
+        try:
+            pending[0]._req._worker.park(
+                None, targets, f"{what} over {len(pending)} request(s), "
+                f"first: {waits[0][1]}",
+                ready=lambda: any(r.test() for r in pending))
+        except MPIError as exc:
+            if pending[0]._errctx is not None:
+                pending[0]._errctx._handle_mpi_error(exc)
+            raise
+
+    @staticmethod
+    def waitany(requests: Sequence["Request"]
+                ) -> tuple[int, Optional[Status]]:
         """Complete one ready request (MPI_Waitany); returns (index, status).
 
-        Polls ``test()`` across the set; the first request reporting
-        completion is waited (running its delivery work on this thread).
+        The first request reporting completion is waited (running its
+        delivery work on this thread).
         """
         if not requests:
             raise MPIError(MPI_ERR_REQUEST, "waitany on an empty request list")
-        import time
         while True:
-            active = False
-            for i, r in enumerate(requests):
-                if r._done:
-                    continue  # inactive, as in MPI_Waitany
-                active = True
+            pending = [(i, r) for i, r in enumerate(requests) if not r._done]
+            if not pending:  # finished requests are inactive: MPI_UNDEFINED
+                return -1, None
+            for i, r in pending:
                 if r.test():
                     return i, r.wait()
-            if not active:
-                return -1, None  # MPI_UNDEFINED: all requests inactive
-            time.sleep(poll_interval)
+            Request._park_for_any([r for _, r in pending], "waitany")
 
     @staticmethod
-    def waitsome(requests: Sequence["Request"],
-                 poll_interval: float = 1e-4
+    def waitsome(requests: Sequence["Request"]
                  ) -> list[tuple[int, Optional[Status]]]:
         """Complete every currently-ready request, blocking for at least
         one (MPI_Waitsome)."""
-        import time
         while True:
             pending = [(i, r) for i, r in enumerate(requests) if not r._done]
             if not pending:
@@ -245,7 +256,7 @@ class Request:
             done = [(i, r) for i, r in pending if r.test()]
             if done:
                 return [(i, r.wait()) for i, r in done]
-            time.sleep(poll_interval)
+            Request._park_for_any([r for _, r in pending], "waitsome")
 
 
 class CompletedRequest(Request):

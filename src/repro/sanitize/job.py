@@ -8,9 +8,9 @@ levels:
   acquisition, signature attachment, custom-callback contract checks;
 * **request** (``repro.mpi.requests``) — checksum verification and buffer
   release at wait time;
-* **transport wait** (``repro.ucp.context``) — every blocking wait runs
-  through :meth:`wait_event`, which maintains the cross-rank wait-for
-  graph and converts cycles into diagnostics in bounded time;
+* **transport wait** (``repro.ucp.context``) — every blocking wait is
+  ``Worker.park``, which keeps its wait-for edge here while parked and asks
+  :meth:`check_wait` every poll period: cycles end in bounded time;
 * **delivery** (``Worker.deliver``) — wire-signature matching and
   truncation pre-checks at the tag matcher.
 
@@ -31,7 +31,7 @@ from typing import Optional
 from ..analyze.diagnostics import Diagnostic
 from ..core.signature import format_signature, signature_compatible
 from ..errors import DeadlockError
-from ..ucp.constants import unpack_tag
+from ..ucp.constants import VERDICT_GRACE, unpack_tag
 from .buffers import BufferTracker
 from .report import SanitizeReport
 
@@ -114,7 +114,7 @@ class WaitEdge:
     """One rank's current blocking dependency in the wait-for graph."""
 
     __slots__ = ("rank", "targets", "satisfied", "detail", "thread_id",
-                 "vtime")
+                 "vtime", "since")
 
     def __init__(self, rank: int, targets, satisfied, detail: str,
                  vtime: float):
@@ -126,14 +126,12 @@ class WaitEdge:
         self.detail = detail
         self.thread_id = threading.get_ident()
         self.vtime = vtime
+        #: Wall-clock time the rank parked.
+        self.since = time.monotonic()
 
 
 class JobSanitizer:
     """Dynamic verification state for one SPMD job."""
-
-    #: Wall-clock granularity of sanitized blocking waits; also bounds the
-    #: deadlock detection latency (a few intervals, not the job timeout).
-    poll_interval = 0.02
 
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
@@ -144,7 +142,8 @@ class JobSanitizer:
         self._requests: dict[int, list[RequestRecord]] = {
             r: [] for r in range(nprocs)}
         self._edges: dict[int, WaitEdge] = {}
-        self._finished: set[int] = set()
+        #: rank -> wall-clock time it ended.
+        self._finished: dict[int, float] = {}
         self.abort = threading.Event()
         self._abort_reason = ""
         self._deadlock_reported = False
@@ -338,41 +337,31 @@ class JobSanitizer:
     # wait-for graph / deadlock detection
     # ------------------------------------------------------------------
 
-    def wait_event(self, rank: int, event: threading.Event, targets,
-                   detail: str, vtime: float,
-                   timeout: Optional[float] = None) -> bool:
-        """Sanitized replacement for ``event.wait(timeout)``.
-
-        Registers a wait-for edge while blocked and runs deadlock
-        detection every :attr:`poll_interval`.  Raises
-        :class:`~repro.errors.DeadlockError` once a deadlock is proven
-        (by this rank or any other).
-        """
-        if event.is_set():
-            return True
-        edge = WaitEdge(rank, targets, event.is_set, detail, vtime)
+    def enter_wait(self, rank: int, targets, satisfied, detail: str,
+                   vtime: float) -> None:
+        """``rank`` parks: register its wait-for edge (``Worker.park``)."""
         with self._lock:
-            self._edges[rank] = edge
-        deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            while True:
-                if event.wait(self.poll_interval):
-                    return True
-                if self.abort.is_set():
-                    raise DeadlockError(
-                        self._abort_reason
-                        or "job aborted by the sanitizer")
-                self._check_deadlock()
-                if deadline is not None and time.monotonic() >= deadline:
-                    return False
-        finally:
-            with self._lock:
-                self._edges.pop(rank, None)
+            self._edges[rank] = WaitEdge(rank, targets, satisfied, detail,
+                                         vtime)
+
+    def leave_wait(self, rank: int) -> None:
+        with self._lock:
+            self._edges.pop(rank, None)
+
+    def check_wait(self, analyze: bool) -> None:
+        """One poll tick of a parked rank: raise ``DeadlockError`` once a
+        deadlock is proven, by this rank or any other — without ``analyze``
+        (the caller has a better reason for its own wait) by another."""
+        if analyze and not self.abort.is_set():
+            self._check_deadlock()
+        if self.abort.is_set():
+            raise DeadlockError(self._abort_reason
+                                or "job aborted by the sanitizer")
 
     def _check_deadlock(self) -> None:
         with self._lock:
             edges = dict(self._edges)
-            finished = set(self._finished)
+            finished = dict(self._finished)
         stuck = {r: e for r, e in edges.items() if not e.satisfied()}
         # Fixpoint: a rank is only permanently stuck if *every* rank that
         # could satisfy it is itself stuck or already finished (a finished
@@ -382,7 +371,7 @@ class JobSanitizer:
         while changed and stuck:
             changed = False
             for r in list(stuck):
-                hopeless = stuck.keys() | finished
+                hopeless = stuck.keys() | finished.keys()
                 if any(t not in hopeless for t in stuck[r].targets):
                     del stuck[r]
                     changed = True
@@ -391,6 +380,12 @@ class JobSanitizer:
         # Events may have fired while we analyzed; a satisfied edge means
         # the picture above was transient, not a deadlock.
         if any(e.satisfied() for e in stuck.values()):
+            return
+        # Nor one that has not held for a while: a frame in flight (sockets)
+        # makes its parked or ended sender, and its receiver, look stuck.
+        settled = max([e.since for e in stuck.values()]
+                      + list(finished.values()))
+        if time.monotonic() - settled < VERDICT_GRACE:
             return
         with self._lock:
             if self._deadlock_reported:
@@ -407,7 +402,7 @@ class JobSanitizer:
                              if "\n" in message else message)
         self.abort.set()
 
-    def _deadlock_message(self, stuck: dict, finished: set) -> str:
+    def _deadlock_message(self, stuck: dict, finished: dict) -> str:
         frames = sys._current_frames()
         lines = [f"{len(stuck)} rank(s) permanently blocked:"]
         cycle = self._find_cycle(stuck)
@@ -462,14 +457,15 @@ class JobSanitizer:
                     rank=rank,
                     hint="wait()/waitall() every nonblocking request; an "
                          "unwaited request may not have moved its data")
-        with self._lock:
-            self._finished.add(rank)
-        self.buffers.drop_rank(rank)
+        self._rank_ended(rank)
 
     def rank_failed(self, rank: int) -> None:
         """A rank raised; mark it finished without leak noise."""
+        self._rank_ended(rank)
+
+    def _rank_ended(self, rank: int) -> None:
         with self._lock:
-            self._finished.add(rank)
+            self._finished[rank] = time.monotonic()
         self.buffers.drop_rank(rank)
 
     def finalize_job(self, fabric) -> None:

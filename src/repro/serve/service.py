@@ -216,8 +216,9 @@ class JobHandle:
         """Request a mid-flight kill of a *running* job.
 
         Aborts the job through its fabric's ULFM failure detector: every
-        blocked wait observes ``job aborted`` and raises
-        ``MPI_ERR_PROC_FAILED`` in bounded time.  The kill is one-shot —
+        rank parked in a blocking call (``recv``, ``send``, ``probe``,
+        ``mprobe``, ``waitany``, ``waitsome``) observes ``job aborted`` and
+        raises ``MPI_ERR_PROC_FAILED`` in bounded time.  The kill is one-shot —
         it takes down the current attempt; whether the job retries is the
         retry policy's call (a kill is classified retryable, like any
         proc failure).  Returns False when the job is already terminal or

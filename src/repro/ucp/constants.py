@@ -12,6 +12,13 @@ DATATYPE_CONTIG = "contig"
 DATATYPE_IOV = "iov"
 DATATYPE_GENERIC = "generic"
 
+#: Seconds between two ticks of the one poll loop, ``Worker.park``.
+POLL_PERIOD = 0.005
+#: Seconds a "this wait can never complete" verdict is held before it is
+#: raised: ``rank`` times for the failure detector's, once (unchanged
+#: throughout) for the sanitizer's.
+VERDICT_GRACE = 0.025
+
 # Tag packing: | comm (16) | source (16) | user tag (32) |
 TAG_USER_BITS = 32
 TAG_SOURCE_BITS = 16

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import (MPIError, ProcFailedError, ProcFailedPendingError,
-                      TransportError, TruncationError)
+from ..errors import (MPIError, ProcFailedPendingError, TransportError,
+                      TruncationError)
 from . import constants
 from .dtypes import ContigData, GenericData, HandlerData, IovData, ScatterData
 from .faults import (FaultInjector, FaultPlan, ReliabilityConfig,
@@ -119,33 +119,6 @@ class Fabric:
         return self.model
 
 
-def _wait_with_detector(worker: "Worker", event, targets, what: str,
-                        timeout: float | None) -> bool:
-    """Block on ``event`` while polling the failure detector.
-
-    Used instead of a bare ``Event.wait`` whenever the fabric has a fault
-    injector: a wait whose every candidate peer crashed (or the whole job
-    aborted under ``MPI_ERRORS_ARE_FATAL``) raises
-    :class:`~repro.errors.ProcFailedError` in bounded time instead of
-    hanging until the job's wall-clock timeout — the ULFM "surviving ranks
-    keep running" guarantee.
-    """
-    detector = worker.fabric.injector.detector
-    deadline = None if timeout is None else _time.monotonic() + timeout
-    while True:
-        if event.is_set():
-            return True
-        detector.check_hopeless(targets, what)
-        poll = 0.005
-        if deadline is not None:
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0.0:
-                return False
-            poll = min(poll, remaining)
-        if event.wait(timeout=poll):
-            return True
-
-
 class SendRequest:
     """Handle for an injected message."""
 
@@ -164,30 +137,21 @@ class SendRequest:
             return True
         return self.msg.completed.is_set()
 
+    def waiting_on(self) -> tuple[tuple[int, ...], str]:
+        """``(targets, what)`` of a blocking wait on this request."""
+        what = self.san_detail or (
+            f"send of {self.msg.total_bytes} bytes to rank {self.dst}")
+        return (self.dst,), (
+            f"{what} ({wait_semantics(self.msg.header.protocol, True)})")
+
     def wait(self, timeout: float | None = None) -> None:
         """Block until the message no longer needs the send buffer."""
         if self.msg.rndv:
             fi = self._worker.fabric.injector
-            san = self._worker.sanitizer
-            base = self.san_detail or (
-                f"send of {self.msg.total_bytes} bytes to rank {self.dst}")
             if fi is not None:
                 fi.on_progress(self._worker)
-                targets = (self.dst,) if self.dst is not None else ()
-                if not _wait_with_detector(self._worker, self.msg.completed,
-                                           targets, base, timeout):
-                    raise TransportError(
-                        "send wait timed out (receiver never arrived)")
-            elif san is not None and self.dst is not None:
-                detail = (f"{base} — "
-                          f"{wait_semantics(self.msg.header.protocol, True)}")
-                if not san.wait_event(self._worker.index, self.msg.completed,
-                                      (self.dst,), detail,
-                                      self._worker.clock.now, timeout=timeout):
-                    raise TransportError(
-                        "send wait timed out (receiver never arrived)")
-            elif not self.msg.completed.wait(timeout=timeout):
-                raise TransportError("send wait timed out (receiver never arrived)")
+            self._worker.park(self.msg.completed, *self.waiting_on(),
+                              timeout=timeout)
             # Rendezvous completion happens at the receiver's clock.
             self._worker.clock.merge(self.msg.completion_time)
             err = self.msg.error
@@ -245,42 +209,18 @@ class RecvRequest:
         """True when a message has matched (data may still need delivery)."""
         return self.info is not None or self._posted.matched.is_set()
 
+    def waiting_on(self) -> tuple[Optional[tuple[int, ...]], str]:
+        """``(targets, what)`` of a blocking wait on this request."""
+        return self.peers, self.san_detail or "recv (posted tag match)"
+
     def wait(self, timeout: float | None = None) -> RecvInfo:
         if self.info is not None:
             return self.info
         fi = self._worker.fabric.injector
-        san = self._worker.sanitizer
-        detail = self.san_detail or "recv (posted tag match)"
         if fi is not None:
             fi.on_progress(self._worker)
-            wildcard = self.peers is None
-            targets = tuple(self.peers) if self.peers is not None else tuple(
-                r for r in range(len(self._worker.fabric.workers))
-                if r != self._worker.index)
-            try:
-                ok = _wait_with_detector(self._worker, self._posted.matched,
-                                         targets, detail, timeout)
-            except ProcFailedError as exc:
-                # ULFM: a wildcard (ANY_SOURCE) receive whose potential
-                # sender failed is *pending*, not definitively failed —
-                # unless the whole job aborted.
-                if wildcard and exc.failed_ranks \
-                        and fi.detector.aborted is None:
-                    raise ProcFailedPendingError(
-                        f"wildcard {detail}: {exc}",
-                        failed_ranks=exc.failed_ranks) from exc
-                raise
-            if not ok:
-                raise TransportError("recv wait timed out (no matching send)")
-        elif san is not None:
-            targets = self.peers if self.peers is not None \
-                else range(len(self._worker.fabric.workers))
-            if not san.wait_event(self._worker.index, self._posted.matched,
-                                  targets, detail, self._worker.clock.now,
-                                  timeout=timeout):
-                raise TransportError("recv wait timed out (no matching send)")
-        elif not self._posted.matched.wait(timeout=timeout):
-            raise TransportError("recv wait timed out (no matching send)")
+        self._worker.park(self._posted.matched, *self.waiting_on(),
+                          timeout=timeout)
         self.info = self._worker.deliver(self._posted.msg, self._data)
         return self.info
 
@@ -360,19 +300,99 @@ class Worker:
 
     def tag_probe(self, tag: int, mask: int = constants.TAG_FULL_MASK,
                   remove: bool = False, block: bool = False,
-                  timeout: float | None = None) -> Optional[WireMessage]:
-        """Probe the unexpected queue (mprobe semantics with remove=True)."""
+                  timeout: float | None = None,
+                  peers=None) -> Optional[WireMessage]:
+        """Probe the unexpected queue (mprobe semantics with remove=True);
+        it never holds a message an already-*posted* receive consumed.  A
+        blocking probe parks as a receive posted with the same pattern
+        would: ``peers`` are the ranks that could send it (None: any)."""
         self.clock.advance(self.model.probe_time())
-        if block:
-            msg = self.matcher.wait_probe(tag, mask, remove=remove,
-                                          timeout=timeout)
-        else:
+        deadline = None if timeout is None else _time.monotonic() + timeout
+        while True:
+            if block:
+                # Cleared ahead of the scan: a deposit racing it re-sets it.
+                self.matcher.arrival.clear()
             msg = self.matcher.probe(tag, mask, remove=remove)
+            if msg is not None or not block:
+                break
+            self.park(self.matcher.arrival, peers,
+                      "mprobe" if remove else "probe",
+                      timeout=None if deadline is None
+                      else max(deadline - _time.monotonic(), 0.0))
         if msg is not None:
             # The probe observed the envelope, which cannot arrive earlier
             # than one wire latency after the sender injected it.
             self.clock.merge(msg.send_ready + self.model.params.latency)
         return msg
+
+    # -- the one blocking wait ------------------------------------------------
+
+    def park(self, wake, targets, what: str, timeout: float | None = None,
+             ready=None) -> None:
+        """Park this rank until ``wake`` is set — the only place a rank
+        blocks (DESIGN.md, "One blocking wait").
+
+        ``targets`` are the worker indices that could satisfy the wait
+        (None: a wildcard, any other rank); ``what`` names it in errors and
+        deadlock evidence.  A wait no single event ends passes ``wake=None``
+        and its condition as ``ready``, and is polled.  Pristine, an event
+        wait is one ``Event.wait``; otherwise one loop asks the failure
+        detector, then the sanitizer, every ``POLL_PERIOD``, and a rank
+        holds its *own* hopeless verdict back ``index * VERDICT_GRACE`` so
+        the lowest blocked rank raises first.
+        """
+        fi, san = self.fabric.injector, self.sanitizer
+        if fi is None and san is None and ready is None:
+            if wake.wait(timeout):
+                return
+        else:
+            ready = ready or wake.is_set
+            nap = wake.wait if wake is not None else _time.sleep
+            wildcard = targets is None
+            if wildcard:
+                targets = [r for r in range(len(self.fabric.workers))
+                           if r != self.index]
+            detector = fi.detector if fi is not None else None
+            start = _time.monotonic()
+            hopeless_since = None
+            if san is not None:
+                san.enter_wait(self.index, targets, ready, what,
+                               self.clock.now)
+            try:
+                while not ready():
+                    now = _time.monotonic()
+                    verdict = detector.check_hopeless(targets, what) \
+                        if detector is not None else None
+                    if san is not None:
+                        san.check_wait(analyze=verdict is None)
+                    if verdict is not None:
+                        aborted = detector.aborted is not None
+                        hopeless_since = hopeless_since or now
+                        if aborted or now - hopeless_since >= (
+                                self.index * constants.VERDICT_GRACE):
+                            if wildcard and verdict.failed_ranks \
+                                    and not aborted:
+                                # ULFM: a wildcard wait whose potential
+                                # sender failed is *pending*, not failed.
+                                raise ProcFailedPendingError(
+                                    f"wildcard {what}: {verdict}",
+                                    failed_ranks=verdict.failed_ranks)
+                            raise verdict
+                    tick = constants.POLL_PERIOD
+                    if timeout is not None:
+                        tick = min(tick, start + timeout - now)
+                        if tick <= 0.0:
+                            break
+                    nap(tick)
+                else:
+                    return
+            finally:
+                if san is not None:
+                    san.leave_wait(self.index)
+        raise TransportError(
+            f"rank {self.index}: {what} timed out waiting on "
+            + ("any rank" if targets is None
+               else "rank(s) " + ",".join(str(t) for t in targets)))
 
     def msg_recv(self, msg: WireMessage, data) -> RecvInfo:
         """Receive a message previously removed by an mprobe."""

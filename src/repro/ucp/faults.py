@@ -243,10 +243,10 @@ class ReliabilityStats:
 class FailureDetector:
     """Job-wide knowledge of dead, finished and aborted ranks.
 
-    Blocking waits poll :meth:`check_hopeless` so that an operation whose
-    every possible peer has crashed (or finished without matching)
-    surfaces an error in bounded time instead of hanging — the "surviving
-    ranks keep running" half of the ULFM semantics.
+    The one blocking wait (``Worker.park``) polls :meth:`check_hopeless`
+    so that an operation whose every possible peer has crashed (or finished
+    without matching) surfaces an error in bounded time instead of hanging
+    — the "surviving ranks keep running" half of the ULFM semantics.
     """
 
     def __init__(self, nprocs: int):
@@ -293,17 +293,17 @@ class FailureDetector:
         with self._lock:
             return self._abort_reason
 
-    def check_hopeless(self, targets, what: str = "wait") -> None:
-        """Raise when ``targets`` can no longer satisfy a blocking wait.
+    def check_hopeless(self, targets, what: str) -> Optional[ProcFailedError]:
+        """The error of a blocking wait ``targets`` can no longer satisfy
+        (None while they still can; ``Worker.park`` decides when to raise).
 
-        * job aborted (fatal error handler fired anywhere) — raise
-          :class:`ProcFailedError` naming the abort reason;
-        * every target is dead or finished, with at least one dead —
-          :class:`ProcFailedError` naming the dead peers;
+        * job aborted (fatal error handler fired anywhere) — names the
+          abort reason;
+        * every target is dead or finished, with at least one dead — names
+          the dead peers;
         * every target finished cleanly (no crash) — the wait is an
-          application bug (a peer returned without matching); raise
-          :class:`ProcFailedError` flagging that too, so faulted jobs
-          always terminate.
+          application bug (a peer returned without matching); flagged too,
+          so faulted jobs always terminate.
         """
         with self._lock:
             reason = self._abort_reason
@@ -311,17 +311,17 @@ class FailureDetector:
             hopeless = all(t in self._dead or t in self._finished
                            for t in targets)
         if reason is not None:
-            raise ProcFailedError(
+            return ProcFailedError(
                 f"job aborted (MPI_ERRORS_ARE_FATAL): {reason}",
                 failed_ranks=dead)
         if not hopeless:
-            return
+            return None
         if dead:
-            raise ProcFailedError(
+            return ProcFailedError(
                 f"{what} depends on failed rank(s) "
                 f"{','.join(str(r) for r in sorted(dead))}",
                 failed_ranks=dead)
-        raise ProcFailedError(
+        return ProcFailedError(
             f"{what} can never complete: all candidate peer(s) "
             f"{','.join(str(t) for t in sorted(set(targets)))} finished "
             f"without a matching operation")

@@ -45,7 +45,10 @@ class TagMatcher:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        #: Set whenever a message joins the unexpected queue: the wake-up
+        #: of a blocking probe (``Worker.tag_probe``), which clears it on
+        #: the owning rank's thread before every scan.
+        self.arrival = threading.Event()
         self._posted: deque[PostedRecv] = deque()
         self._unexpected: deque[WireMessage] = deque()
 
@@ -53,21 +56,22 @@ class TagMatcher:
 
     def deposit(self, msg: WireMessage) -> None:
         """Offer an arriving message; match a posted recv or queue it."""
-        with self._cond:
+        with self._lock:
             for i, posted in enumerate(self._posted):
                 if posted.accepts(msg):
                     del self._posted[i]
                     posted.attach(msg)
                     return
             self._unexpected.append(msg)
-            self._cond.notify_all()
+        if not self.arrival.is_set():
+            self.arrival.set()
 
     # -- receiver side ----------------------------------------------------
 
     def post(self, tag: int, mask: int) -> PostedRecv:
         """Post a receive; claims an unexpected message when one matches."""
         posted = PostedRecv(tag, mask)
-        with self._cond:
+        with self._lock:
             for i, msg in enumerate(self._unexpected):
                 if posted.accepts(msg):
                     del self._unexpected[i]
@@ -78,7 +82,7 @@ class TagMatcher:
 
     def cancel(self, posted: PostedRecv) -> bool:
         """Remove an unmatched posted receive; False if already matched."""
-        with self._cond:
+        with self._lock:
             try:
                 self._posted.remove(posted)
                 return True
@@ -92,7 +96,7 @@ class TagMatcher:
         Used by the fault machinery when a sender-side cancel or a job
         teardown needs to withdraw traffic that no receive will consume.
         """
-        with self._cond:
+        with self._lock:
             try:
                 self._unexpected.remove(msg)
                 return True
@@ -106,31 +110,13 @@ class TagMatcher:
         ``remove=True`` implements mprobe semantics: the message is removed
         from matching and must be received via its handle.
         """
-        with self._cond:
+        with self._lock:
             for i, msg in enumerate(self._unexpected):
                 if (msg.header.tag & mask) == (tag & mask):
                     if remove:
                         del self._unexpected[i]
                     return msg
         return None
-
-    def wait_probe(self, tag: int, mask: int, remove: bool = False,
-                   timeout: float | None = None) -> Optional[WireMessage]:
-        """Blocking probe: wait until a matching message is queued.
-
-        Note: a message destined for an already-*posted* receive never
-        enters the unexpected queue, matching MPI's rule that probe only
-        sees messages that no posted receive would consume.
-        """
-        with self._cond:
-            while True:
-                for i, msg in enumerate(self._unexpected):
-                    if (msg.header.tag & mask) == (tag & mask):
-                        if remove:
-                            del self._unexpected[i]
-                        return msg
-                if not self._cond.wait(timeout=timeout):
-                    return None
 
     # -- introspection ------------------------------------------------------
 

@@ -195,7 +195,8 @@ def exhaustion_reports_failure() -> bool:
 def crash_observed_reports_failure() -> bool:
     """A blocking wait whose peer crashed must raise, never succeed.
 
-    The live implementation enforces this through
+    The live implementation enforces this for every blocking call at once:
+    :meth:`repro.ucp.context.Worker.park` polls
     :meth:`repro.ucp.faults.FailureDetector.check_hopeless`.
     """
     return True

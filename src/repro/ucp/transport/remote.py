@@ -27,11 +27,10 @@ crosses the boundary exactly as the inproc receiver would have seen it.
 from __future__ import annotations
 
 import threading
-import time
 from functools import partial
 from typing import Callable, Optional
 
-from ...errors import ProcFailedError, TransportError
+from ...errors import TransportError
 from ..wire import WireMessage
 from . import envelope as env
 
@@ -182,10 +181,8 @@ class BroadcastingDetector:
     broadcast without re-broadcasting (no echo storms).
     """
 
-    def __init__(self, inner, local_rank: int,
-                 broadcast: Callable[[tuple], None]):
+    def __init__(self, inner, broadcast: Callable[[tuple], None]):
         self._inner = inner
-        self._local_rank = local_rank
         self._broadcast = broadcast
         #: Reason of an abort this rank originated (its own fatal handler
         #: fired before any peer's abort arrived), else None.  The driver
@@ -217,37 +214,6 @@ class BroadcastingDetector:
 
     def apply_remote_abort(self, reason: str) -> None:
         self._inner.abort_job(reason)
-
-    # -- hopeless-wait ordering --------------------------------------------
-
-    #: Per-rank grace before raising a hopeless-wait error (seconds).
-    HOPELESS_GRACE = 0.025
-    #: Upper bound on the grace so high ranks don't stall error exits.
-    HOPELESS_GRACE_CAP = 0.5
-
-    def check_hopeless(self, targets, what: str = "wait") -> None:
-        """Rank-staggered hopeless detection.
-
-        On the threaded backends one shared detector serializes fatal
-        errors: the first blocked rank to poll raises its own error, its
-        fatal handler records the abort, and every later poller observes
-        the abort and raises the victim form instead.  With one detector
-        per process that serialization disappears — a rank can raise its
-        own error in the window between a peer's transition frame and
-        that peer's abort frame.  Re-impose the order: when a wait turns
-        hopeless and no abort is recorded yet, wait ``rank * GRACE``
-        before re-checking, so the lowest blocked rank raises (and
-        broadcasts its abort) first and higher ranks see the victim form.
-        """
-        try:
-            self._inner.check_hopeless(targets, what)
-            return
-        except ProcFailedError:
-            if self._local_rank == 0 or self._inner.aborted is not None:
-                raise
-        time.sleep(min(self._local_rank * self.HOPELESS_GRACE,
-                       self.HOPELESS_GRACE_CAP))
-        self._inner.check_hopeless(targets, what)
 
     # -- queries delegate --------------------------------------------------
 

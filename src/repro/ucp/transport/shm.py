@@ -266,7 +266,7 @@ def _child_main(rank: int, fn, nprocs: int, config, engine_config,
     injector = fabric.injector
     if injector is not None:
         injector.detector = BroadcastingDetector(
-            injector.detector, rank, transport.broadcast)
+            injector.detector, transport.broadcast)
 
     demux_errors: list[BaseException] = []
 

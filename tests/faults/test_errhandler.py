@@ -69,7 +69,12 @@ class TestErrhandlerModes:
         with pytest.raises(RuntimeAbort) as ei:
             run(fn, nprocs=3, faults=FIRST_MSG_LOST, timeout=30)
         assert set(ei.value.failures) == {1, 2}
+        # Rank 2's wait turns hopeless too once rank 0 finishes; the lowest
+        # blocked rank raises first (``Worker.park``), so rank 2 reports
+        # rank 1's abort and never an error of its own — on every backend.
         assert "aborted" in str(ei.value.failures[2])
+        assert "rank 1 (comm 0)" in str(ei.value.failures[2])
+        assert "aborted" not in str(ei.value.failures[1])
 
     def test_errors_return_contains_failure_to_one_rank(self):
         def fn(comm):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TransportError
 from repro.ucp.constants import TAG_FULL_MASK, match_mask, pack_tag
+from repro.ucp.context import UcpContext
 from repro.ucp.faults import FaultPlan
 from repro.ucp.tagmatch import TagMatcher
 from repro.ucp.wire import WireHeader, WireMessage
@@ -100,23 +102,35 @@ class TestProbe:
     def test_probe_miss(self):
         assert TagMatcher().probe(T(3), TAG_FULL_MASK) is None
 
+    # Blocking probes park in ``Worker.park`` (the one blocking wait); the
+    # matcher only raises ``arrival``.
+
     def test_wait_probe_blocks_until_deposit(self):
-        m = TagMatcher()
+        worker = UcpContext().create_fabric(2).worker(1)
         got = []
 
         def prober():
-            got.append(m.wait_probe(T(4), TAG_FULL_MASK))
+            got.append(worker.tag_probe(T(4), block=True))
 
         t = threading.Thread(target=prober)
         t.start()
-        m.deposit(msg(T(4), nbytes=6))
+        worker.matcher.deposit(msg(T(9)))  # wakes the prober, matches nothing
+        worker.matcher.deposit(msg(T(4), nbytes=6))
         t.join(timeout=5)
         assert not t.is_alive()
         assert got[0].header.total_bytes == 6
+        # Peeked, not claimed: both messages are still queued.
+        assert worker.matcher.pending_counts() == (0, 2)
 
     def test_wait_probe_timeout(self):
-        m = TagMatcher()
-        assert m.wait_probe(T(4), TAG_FULL_MASK, timeout=0.05) is None
+        worker = UcpContext().create_fabric(2).worker(1)
+        worker.matcher.deposit(msg(T(9)))
+        with pytest.raises(TransportError,
+                           match=r"rank 1: probe timed out waiting on any rank"):
+            worker.tag_probe(T(4), block=True, timeout=0.05)
+        with pytest.raises(TransportError, match=r"mprobe .* rank\(s\) 0"):
+            worker.tag_probe(T(4), remove=True, block=True, timeout=0.05,
+                             peers=(0,))
 
 
 def reordered_deposit_order(plan, src, dst, count):
