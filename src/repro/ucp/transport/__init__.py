@@ -10,12 +10,18 @@ variable, then the default ``inproc``.
                   cancel).
 ``shm``           One forked process per rank + shared-memory arenas;
                   PackPlans execute directly into the shared segment
-                  (multi-core packing, zero bounce-buffer copy).  Faults
-                  yes, sanitizer no.
-``asyncio``       Threads + localhost socket pairs; every envelope is
-                  framed through the portable codec (the RPD810/811
-                  portability proof).  Full capability, not a perf plane.
+                  (multi-core packing, zero bounce-buffer copy); frames on
+                  pipes, one demux loop per rank process.  Faults yes,
+                  sanitizer no.
+``asyncio``       The socket plane: threads + localhost socket pairs, one
+                  demux thread for all ranks, no event loop; every
+                  envelope is framed through the portable codec (the
+                  RPD810/811 portability proof).  Full capability, not a
+                  perf plane.
 ================  =========================================================
+
+Both remote backends share one frame plane (:mod:`.remote`): one channel
+type, one demux loop and one failure-detector rule.
 """
 
 from __future__ import annotations

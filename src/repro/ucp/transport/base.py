@@ -197,8 +197,6 @@ class RankReport:
     failure: Optional[BaseException] = None
     #: Crashed by the fault plan — part of the experiment, not a failure.
     crashed: bool = False
-    #: Reason of a ULFM abort this rank originated (``shm`` only).
-    abort_origin: Optional[str] = None
     #: Final virtual time.
     clock: float = 0.0
     #: ``MemoryTracker.snapshot()`` (with ``"pool"``), plus the rank's
@@ -357,8 +355,9 @@ class ThreadedTransport(Transport):
     def wire(self, fabric: "Fabric") -> None:
         """Install the data plane before rank threads start."""
 
-    def unwire(self, fabric: "Fabric") -> None:
-        """Drain and dismantle the data plane after rank threads join."""
+    def unwire(self, fabric: "Fabric", reports: Sequence[RankReport]) -> None:
+        """Drain and dismantle the data plane after rank threads join; a
+        rank the plane failed gets that failure in its report."""
 
     def abandon(self, fabric: "Fabric") -> None:
         """Dismantle without draining (deadlock-timeout path)."""
@@ -409,7 +408,7 @@ class ThreadedTransport(Transport):
             # Live threads may still touch the pools: no teardown.
             self.abandon(fabric)
         else:
-            self.unwire(fabric)
+            self.unwire(fabric, reports)
             quiesce(fabric, range(nprocs),
                     failed=any(rep.failure is not None for rep in reports))
             for rep in reports:

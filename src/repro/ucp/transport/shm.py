@@ -1,11 +1,10 @@
 """The shared-memory backend: one process per rank, payloads by reference.
 
-This is the multi-core plane the ISSUE and the Adefemi 2025 single-node
-shared-memory DDT study call for: each rank is a forked
-``multiprocessing`` process (its packing finally runs on its own core,
-outside the sending GIL), and each rank owns a
-``multiprocessing.shared_memory`` *arena* that every peer maps.  The
-rank's :class:`~repro.ucp.memory.BufferPool` is arena-backed
+This is the multi-core plane the Adefemi 2025 single-node shared-memory
+DDT study calls for: each rank is a forked ``multiprocessing`` process
+(its packing finally runs on its own core, outside the sending GIL), and
+each rank owns a ``multiprocessing.shared_memory`` *arena* that every
+peer maps.  The rank's :class:`~repro.ucp.memory.BufferPool` is arena-backed
 (:class:`ArenaBufferPool`), so PackPlans execute **directly into the
 shared segment**: a non-contiguous send packs into an arena slab, that
 slab is the wire chunk on either protocol, the message frame carries only
@@ -17,11 +16,12 @@ the arena, scattered out of it) — no datatype crosses in one copy.  This
 is the TEMPI-style interposed-staging design with the stage *being* the
 wire.
 
-Control plane: per-directed-pair ``multiprocessing.Pipe`` streams carry
-the portable envelope and the ack frames; a demux thread per process
-drains them.  Failure-detector state (crashes, finishes, ULFM aborts)
-crosses as broadcast frames through :class:`BroadcastingDetector`, so
-bounded-time hopeless-wait detection keeps working across processes.
+Control plane: the frame plane of :mod:`.remote` — per-directed-pair
+``multiprocessing.Pipe`` channels carry the portable envelope and the ack
+frames, one demux loop per rank process drains them, and the
+:class:`~.remote.PlaneDetector` rule (one hosted rank: apply on the first
+read) keeps crashes, finishes and ULFM aborts converging across processes,
+so bounded-time hopeless-wait detection keeps working.
 
 Staging ownership: an arena slab referenced by an in-flight frame stays
 checked out of the sender's pool until the receiver's acknowledgement
@@ -32,7 +32,6 @@ still be reading it.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import replace
 from multiprocessing.connection import wait as conn_wait
@@ -40,11 +39,10 @@ from typing import Optional
 
 import numpy as np
 
-from ...errors import ProcFailedError, TransportError
+from ...errors import TransportError
 from ..memory import BufferPool
 from .base import RankReport, Transport, conclude_job, quiesce, rank_main
-from .remote import (BYE, BroadcastingDetector, PendingTable,
-                     RemoteTransportMixin)
+from .remote import RemoteTransportMixin
 
 #: Arena segment size per rank (``REPRO_SHM_ARENA_MB`` overrides).
 DEFAULT_ARENA_MB = 64
@@ -169,31 +167,9 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
     supports_sanitizer = False
     supports_shared_address_space = False
 
-    def __init__(self, out_conns: dict, arenas):
-        self._out = out_conns
-        self._pending = PendingTable()
+    def __init__(self, arenas):
         self._arena_views = {r: np.frombuffer(shm.buf, dtype=np.uint8)
                              for r, shm in arenas.items()}
-
-    # -- plumbing ----------------------------------------------------------
-
-    def pending_for(self, rank: int) -> PendingTable:
-        return self._pending
-
-    def send_frame(self, src_rank: int, dst_rank: int, frame) -> None:
-        try:
-            self._out[dst_rank].send(frame)
-        except (OSError, ValueError) as exc:
-            raise TransportError(
-                f"shm transport channel {src_rank}->{dst_rank} closed: "
-                f"{exc}") from exc
-
-    def broadcast(self, frame) -> None:
-        for dst in sorted(self._out):
-            try:
-                self._out[dst].send(frame)
-            except (OSError, ValueError):
-                pass  # peer already gone; its detector no longer matters
 
     # -- payloads ----------------------------------------------------------
 
@@ -256,57 +232,25 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
 def _child_main(rank: int, fn, nprocs: int, config, engine_config,
                 out_conns: dict, in_conns: dict, arenas,
                 result_conn) -> None:
-    """One rank process: fabric + demux + the shared rank lifecycle."""
+    """One rank process: fabric + frame plane + the shared rank lifecycle."""
     from ..context import UcpContext
 
-    transport = _ShmChildTransport(out_conns, arenas)
+    transport = _ShmChildTransport(arenas)
     fabric = UcpContext(config).create_fabric(nprocs, transport=transport)
-    worker = fabric.worker(rank)
-    worker.memory.pool = ArenaBufferPool(arenas[rank])
-    injector = fabric.injector
-    if injector is not None:
-        injector.detector = BroadcastingDetector(
-            injector.detector, transport.broadcast)
-
-    demux_errors: list[BaseException] = []
-
-    def demux() -> None:
-        live = {conn: src for src, conn in in_conns.items()}
-        while live:
-            for conn in conn_wait(list(live), timeout=0.1):
-                try:
-                    frame = conn.recv()
-                except (EOFError, OSError):
-                    frame = (BYE,)
-                if frame[0] == BYE:
-                    del live[conn]
-                    continue
-                try:
-                    transport.deliver_frame(worker, live[conn], frame)
-                except Exception as exc:  # record; the drain must not die
-                    demux_errors.append(exc)
-
-    demux_thread = threading.Thread(target=demux, name=f"shm-demux-{rank}",
-                                    daemon=True)
-    demux_thread.start()
+    fabric.worker(rank).memory.pool = ArenaBufferPool(arenas[rank])
+    transport.open_plane(fabric, (rank,), out_conns, in_conns)
 
     report = rank_main(fabric, rank, fn, engine_config)
     # How the function ended goes out *before* waiting on any peer, so a
     # job that times out on a blocked peer still names this rank's exit.
     result_conn.send(replace(report, result=None))
 
-    transport.broadcast((BYE, rank))
     # Peers keep delivering (and acknowledging) until each sends its own
-    # sentinel; the demux drains them all before the teardown.
-    demux_thread.join()
-    if demux_errors and report.failure is None:
-        report.failure = TransportError(
-            f"shm transport I/O failure on rank {rank}: "
-            f"{demux_errors[0]!r}")
+    # ``bye``; the plane drains them all before the teardown.  The
+    # driver's deadline bounds the wait.
+    transport.plane.close([report])
     quiesce(fabric, (rank,), failed=report.failure is not None)
     report.snapshot(fabric)
-    if injector is not None:
-        report.abort_origin = injector.detector.abort_origin
     try:
         result_conn.send(report)
     except Exception:
@@ -316,32 +260,6 @@ def _child_main(rank: int, fn, nprocs: int, config, engine_config,
             f"process boundary")
         result_conn.send(report)
     result_conn.close()
-
-
-def _arbitrate_abort(reports) -> None:
-    """Deterministic ULFM abort attribution across rank processes.
-
-    On the threaded backends the detector is one shared object: the first
-    fatal error records the abort reason, and every other blocked rank
-    observes it and fails with the victim form (``job aborted ...``).
-    With one detector per process that ordering races — a rank can raise
-    its own hopeless-wait error in the window between a peer's transition
-    arriving and the peer's abort broadcast arriving.  Re-impose the
-    shared-detector outcome at collection time: the lowest-ranked abort
-    originator keeps its own error, every other hopeless-wait failure is
-    rewritten to the victim form naming the winner's reason.
-    """
-    origins = [rep for rep in reports if rep.abort_origin]
-    if not origins:
-        return
-    winner = origins[0]
-    for rep in reports:
-        err = rep.failure
-        if (rep is not winner and isinstance(err, ProcFailedError)
-                and "job aborted" not in str(err)):
-            rep.failure = ProcFailedError(
-                f"job aborted (MPI_ERRORS_ARE_FATAL): "
-                f"{winner.abort_origin}", failed_ranks=err.failed_ranks)
 
 
 class ShmTransport(Transport):
@@ -386,10 +304,10 @@ class ShmTransport(Transport):
                 arenas[r] = shared_memory.SharedMemory(
                     create=True, size=self.arena_bytes())
             for r in range(nprocs):
-                out_conns = {j: channels[(r, j)][1] for j in range(nprocs)
-                             if j != r}
-                in_conns = {i: channels[(i, r)][0] for i in range(nprocs)
-                            if i != r}
+                out_conns = {(r, j): channels[(r, j)][1]
+                             for j in range(nprocs) if j != r}
+                in_conns = {channels[(i, r)][0]: (i, r)
+                            for i in range(nprocs) if i != r}
                 procs.append(ctx.Process(
                     target=_child_main,
                     args=(r, fns[r], nprocs, config, engine_config,
@@ -431,7 +349,6 @@ class ShmTransport(Transport):
                 except Exception:
                     pass
 
-        _arbitrate_abort([rep for rep in reports if rep is not None])
         job = conclude_job(reports, None, self.name, timeout)
         # Parent-side fabric mirror: clocks and traces are filled from the
         # reports so result introspection (max_clock, traces) works like

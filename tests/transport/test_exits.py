@@ -268,7 +268,7 @@ def segments(monkeypatch):
 
 def _fabric_threads():
     return {t for t in threading.enumerate() if t.name.startswith(
-        ("mpi-rank-", "shm-demux-", "ucp-asyncio-io"))}
+        ("mpi-rank-", "ucp-demux-"))}
 
 
 def _run_cell(backend, message_exit, rank_exit):
@@ -354,10 +354,10 @@ def test_wall_timeout_names_the_peer_that_already_raised():
 
 
 def test_a_demux_thread_failure_is_that_ranks_failure(monkeypatch):
-    """An exception escaping ``deliver_frame`` on shm's demux thread is
-    recorded and reported as the rank's failure (like asyncio's
-    ``_record_io_error``) instead of ending the thread with a traceback."""
-    require_backend("shm")
+    """An exception escaping ``deliver_frame`` in the demux loop is the
+    receiving rank's failure on both remote backends: a ``RuntimeAbort``
+    through ``conclude_job`` (so the job service sees it and ``quiesce``
+    runs), never a thread traceback or a bare ``TransportError``."""
     from repro.ucp.transport import remote
 
     real = remote.RemoteTransportMixin.deliver_frame
@@ -368,11 +368,17 @@ def test_a_demux_thread_failure_is_that_ranks_failure(monkeypatch):
         real(self, recv_worker, src_rank, frame)
 
     monkeypatch.setattr(remote.RemoteTransportMixin, "deliver_frame", flaky)
-    with pytest.raises(RuntimeAbort) as ei:
-        run(MESSAGE_EXITS["contig-eager"][0], nprocs=2, transport="shm",
-            timeout=30)
-    failures = ei.value.failures
-    assert set(failures) == {0} and "bad frame" in str(failures[0])
+    before = _fabric_threads()
+    for backend in BACKENDS:
+        if backend == "inproc":
+            continue
+        with pytest.raises(RuntimeAbort) as ei:
+            run(MESSAGE_EXITS["contig-eager"][0], nprocs=2,
+                transport=backend, timeout=30)
+        failures = ei.value.failures
+        assert set(failures) == {0} and "bad frame" in str(failures[0]), \
+            backend
+        assert _fabric_threads() - before == set(), backend
 
 
 def test_an_exhausted_arena_still_balances_the_books(monkeypatch):
