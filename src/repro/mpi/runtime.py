@@ -127,12 +127,14 @@ def run(fn: Callable[[Communicator], Any] | Sequence[Callable[[Communicator], An
         to install instead of fresh ones — the job-service seam that lets
         buffer pools survive across jobs.  Only supported by backends
         whose ranks share the driver's address space
-        (``supports_warm_pools``).
+        (``supports_shared_address_space``).
     fabric_hook:
-        Callable invoked with the live :class:`~repro.ucp.context.Fabric`
-        after the data plane is wired and before any rank starts; the job
-        service uses it to install budgeted clocks and capture the kill
-        handle.  Same backend support as ``memory_trackers``.
+        Callable invoked on the driver thread with the live
+        :class:`~repro.ucp.context.Fabric` after the data plane is wired
+        and before any rank starts — the running-kill seam: the job
+        service captures the failure detector with it, so a kill can reach
+        a job that is already running.  Same backend support as
+        ``memory_trackers``; the hook never runs in a forked rank process.
     """
     if callable(fn):
         fns = [fn] * nprocs
@@ -151,10 +153,10 @@ def run(fn: Callable[[Communicator], Any] | Sequence[Callable[[Communicator], An
                        faults=faults, reliability=reliability)
 
     backend = create_transport(transport)
-    backend.check_job_supported(config, sanitize=sanitize)
+    backend.check_job_supported(sanitize=sanitize)
     extra = {}
     if memory_trackers is not None or fabric_hook is not None:
-        if not backend.supports_warm_pools:
+        if not backend.supports_shared_address_space:
             from ..ucp.transport.base import TransportUnavailableError
             raise TransportUnavailableError(
                 f"transport '{backend.name}' does not support warm worker "

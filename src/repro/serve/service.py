@@ -18,14 +18,16 @@ scheduler threads through :func:`repro.mpi.run`.  What makes it a
 * **Quotas** — wall-clock timeout (the deadlock backstop), a virtual-time
   budget enforced *at the clock* (ranks stop exactly at the boundary),
   and a transient-memory ceiling enforced before any buffer is handed
-  out.
+  out.  Budget and ceiling are installed at rank entry, on the rank's own
+  thread in the rank's own process, so every backend enforces them the
+  same way.
 * **Retry engine** — failures are classified
   (:func:`~repro.serve.spec.classify_failure`); only the
   ``MPI_ERR_PROC_FAILED`` family retries, with budgeted exponential
   backoff + deterministic jitter; budget exhaustion lands the job in the
   dead-letter list with its last error attached.
-* **Chaos kills** — :meth:`JobHandle.kill` aborts a *running* job through
-  the fabric's ULFM failure detector: every blocked wait raises
+* **Chaos kills** — :meth:`JobHandle.kill` aborts a job through the
+  fabric's ULFM failure detector: every blocked wait raises
   ``MPI_ERR_PROC_FAILED`` in bounded time, rank threads join cleanly, and
   teardown returns every pool buffer — a kill leaks nothing.
 * **Drain semantics** — :meth:`JobService.shutdown` stops admission,
@@ -54,7 +56,7 @@ from ..ucp.netsim import BudgetedClock
 from ..ucp.transport import TransportUnavailableError, create_transport
 from .metrics import ServiceMetrics
 from .spec import (QUOTA, RETRYABLE, AdmissionError, JobSpec, JobStatus,
-                   classify_failure)
+                   QuotaPolicy, classify_failure)
 
 __all__ = ["JobService", "JobHandle", "WarmSetBank"]
 
@@ -213,7 +215,7 @@ class JobHandle:
     # -- kill machinery ----------------------------------------------------
 
     def kill(self, reason: str = "killed by service") -> bool:
-        """Request a mid-flight kill of a *running* job.
+        """Kill a queued or running job.
 
         Aborts the job through its fabric's ULFM failure detector: every
         rank parked in a blocking call (``recv``, ``send``, ``probe``,
@@ -221,11 +223,12 @@ class JobHandle:
         raises ``MPI_ERR_PROC_FAILED`` in bounded time.  The kill is one-shot —
         it takes down the current attempt; whether the job retries is the
         retry policy's call (a kill is classified retryable, like any
-        proc failure).  Returns False when the job is already terminal or
-        has no live fault detector to deliver the abort (a pristine
-        fabric has no detector; give the job ``reliability=True`` to make
-        it killable).  Queued jobs cannot be killed here — drain the
-        service, or wait for them to start.
+        proc failure).  A queued job's kill is armed and fires at its
+        next attempt's rank entry, on every backend.  Returns False when
+        the job is terminal, or running with no detector the driver can
+        reach: a pristine fabric has none (give the job
+        ``reliability=True`` to make it killable), nor does a backend
+        without a shared address space (``shm``).
         """
         with self._lock:
             if self._status in JobStatus.TERMINAL:
@@ -234,26 +237,25 @@ class JobHandle:
             if detector is None:
                 if self._status == JobStatus.RUNNING:
                     return False
-                # Not started yet: arm the kill; the next attempt's
-                # fabric hook fires it the moment the detector exists.
                 self._kill_reason = reason
                 return True
         detector.abort_job(f"job killed: {reason}")
         return True
 
-    def _kill_armed(self) -> bool:
-        """True when a kill was requested before any detector existed."""
+    def _take_kill_reason(self) -> Optional[str]:
+        """The reason of a kill armed while queued, consumed so that only
+        the attempt starting now fires it."""
         with self._lock:
-            return self._kill_reason is not None
+            reason, self._kill_reason = self._kill_reason, None
+        return reason
 
-    def _attach_detector(self, detector) -> None:
-        """Fabric hook half of the kill path (driver thread, pre-start)."""
+    def _attach_detector(self, fabric) -> None:
+        """The ``fabric_hook``: capture the running-kill handle (driver
+        thread, before any rank starts)."""
+        injector = fabric.injector
         with self._lock:
-            self._detector = detector
-            pending = self._kill_reason
-            self._kill_reason = None
-        if pending is not None and detector is not None:
-            detector.abort_job(f"job killed: {pending}")
+            self._detector = injector.detector if injector is not None \
+                else None
 
     def _detach_detector(self) -> None:
         with self._lock:
@@ -278,6 +280,28 @@ class JobHandle:
             }
 
 
+def _rank_entry(fn, quota: QuotaPolicy, kill_reason: Optional[str]):
+    """Wrap rank function ``fn``: the one way into a job's ranks.
+
+    The wrapper runs first on the rank's own thread, in the rank's own
+    process, so it works alike on every backend: it installs the
+    virtual-time budget and the memory ceiling on the rank's worker, and
+    fires a kill that was armed while the job was queued.
+    """
+    def entry(comm):
+        worker = comm.worker
+        if quota.time_budget is not None:
+            worker.clock = BudgetedClock(quota.time_budget,
+                                         start=worker.clock.now)
+        if quota.max_pool_bytes is not None:
+            worker.memory.byte_ceiling = quota.max_pool_bytes
+        if kill_reason is not None:
+            worker.fabric.injector.detector.abort_job(
+                f"job killed: {kill_reason}")
+        return fn(comm)
+    return entry
+
+
 class JobService:
     """A long-lived scheduler running jobs over warm workers.
 
@@ -291,9 +315,9 @@ class JobService:
         :class:`~repro.serve.spec.AdmissionError` ``[saturated]``.
     transport:
         Default backend for jobs that don't override it.  Warm worker
-        reuse, budget clocks and kill handles need
-        ``supports_warm_pools`` (inproc/asyncio); on other backends jobs
-        still run with quotas enforced post-hoc.
+        sets and kills of running jobs need
+        ``supports_shared_address_space`` (inproc/asyncio); quotas and
+        kills of queued jobs work on every backend.
     """
 
     def __init__(self, slots: int = 2, max_queue: int = 64,
@@ -309,7 +333,7 @@ class JobService:
         #: Probe instance: capability flags only, never runs a job.
         probe = create_transport(transport)
         self.transport = probe.name
-        self._warm_capable = probe.supports_warm_pools
+        self._warm_capable = probe.supports_shared_address_space
         self.metrics = ServiceMetrics()
         self.bank = WarmSetBank()
         self._cv = threading.Condition()
@@ -453,51 +477,39 @@ class JobService:
         if spec.transport is not None:
             # Per-job override: probe its capabilities, don't assume ours.
             try:
-                warm = create_transport(spec.transport).supports_warm_pools
+                warm = create_transport(
+                    spec.transport).supports_shared_address_space
             except TransportUnavailableError as exc:
                 return exc
-        trackers = self.bank.checkout(spec.nprocs) if warm else None
-        if trackers is not None and spec.quota.max_pool_bytes is not None:
-            for tracker in trackers:
-                tracker.byte_ceiling = spec.quota.max_pool_bytes
+        kill_reason = handle._take_kill_reason()
         faults = spec.faults_for_attempt(attempt)
         reliability = spec.reliability
-        if warm and faults is None and reliability is None \
+        if faults is None and reliability is None \
                 and (spec.quota.time_budget is not None
-                     or handle._kill_armed()):
+                     or kill_reason is not None):
             # A budget trip (or a kill) must release the *other* ranks'
             # blocked waits too, which takes a failure detector — and a
             # pristine fabric has none.  An empty fault plan buys exactly
             # the detector: no scheduled faults, no reliability protocol.
             faults = FaultPlan()
-
-        def hook(fabric) -> None:
-            if spec.quota.time_budget is not None:
-                for w in fabric.workers:
-                    w.clock = BudgetedClock(spec.quota.time_budget)
-            injector = fabric.injector
-            handle._attach_detector(
-                injector.detector if injector is not None else None)
+        fns = [spec.fn] * spec.nprocs if callable(spec.fn) else spec.fn
+        fns = [_rank_entry(f, spec.quota, kill_reason) for f in fns]
+        trackers = self.bank.checkout(spec.nprocs) if warm else None
 
         dirty = False
         error: Optional[BaseException] = None
         try:
-            result = run(spec.fn, nprocs=spec.nprocs, params=spec.params,
-                         engine_config=spec.engine_config,
-                         timeout=spec.quota.wall_timeout,
-                         trace_messages=spec.trace_messages,
-                         sanitize=spec.sanitize,
-                         faults=faults,
-                         reliability=reliability,
-                         transport=transport,
-                         memory_trackers=trackers,
-                         fabric_hook=hook if warm else None)
-            quota_error = self._post_hoc_quota(spec, result) if not warm \
-                else None
-            if quota_error is not None:
-                error = quota_error
-            else:
-                handle.result = result
+            handle.result = run(fns, nprocs=spec.nprocs, params=spec.params,
+                                engine_config=spec.engine_config,
+                                timeout=spec.quota.wall_timeout,
+                                trace_messages=spec.trace_messages,
+                                sanitize=spec.sanitize,
+                                faults=faults,
+                                reliability=reliability,
+                                transport=transport,
+                                memory_trackers=trackers,
+                                fabric_hook=handle._attach_detector
+                                if warm else None)
         except RuntimeAbort as exc:
             error = exc
             if any(isinstance(f, TimeoutError)
@@ -520,28 +532,6 @@ class JobService:
                 if dirty:
                     self.metrics.inc("pools_retired")
         return error
-
-    @staticmethod
-    def _post_hoc_quota(spec: JobSpec,
-                        result: JobResult) -> Optional[BaseException]:
-        """Quota enforcement for backends without driver-side hooks.
-
-        A forked-process backend (``shm``) cannot carry a budget clock or
-        a byte ceiling across the fork, so the quota is checked against
-        the job's reported clocks and memory peaks instead: the job still
-        ran to completion, but a budget breach fails it deterministically.
-        """
-        from ..errors import MemoryQuotaError, TimeBudgetExceeded
-        if spec.quota.time_budget is not None \
-                and result.max_clock > spec.quota.time_budget:
-            return TimeBudgetExceeded(spec.quota.time_budget,
-                                      result.max_clock)
-        if spec.quota.max_pool_bytes is not None:
-            for snap in result.memory:
-                if snap.get("peak_bytes", 0) > spec.quota.max_pool_bytes:
-                    return MemoryQuotaError(spec.quota.max_pool_bytes,
-                                            snap["peak_bytes"], 0)
-        return None
 
     def _aggregate_sanitizer(self, result: Optional[JobResult]) -> None:
         report = getattr(result, "sanitizer_report", None)

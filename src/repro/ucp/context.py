@@ -581,8 +581,8 @@ class Endpoint:
         else:
             # Rendezvous/iov: the envelope carries the sender's live views
             # by design — the in-process stand-in for RDMA get.  The
-            # in-process backends deliver the alias as-is; remote backends
-            # (``rndv_aliases_buffers`` False) replace it with staged
+            # in-process backend delivers the alias as-is; the remote
+            # backends (``RemoteTransportMixin``) replace it with staged
             # memory or an arena mapping at encode time (see DESIGN.md,
             # transport portability).
             chunks = entries  # noqa: RPD810

@@ -219,7 +219,7 @@ class MemoryTracker:
         self.allocation_count = 0
         #: Per-job transient-memory quota (bytes of live transient
         #: allocations); None — the default — disables the check entirely.
-        #: Set by the job service before rank threads start, never mid-job.
+        #: Set by the job service on the rank's own thread at entry.
         self.byte_ceiling: int | None = None
         self.pool = BufferPool()
 

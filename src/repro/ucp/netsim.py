@@ -167,8 +167,8 @@ class VirtualClock:
 class BudgetedClock(VirtualClock):
     """A rank clock that enforces a virtual-time budget.
 
-    The job service installs one per worker (before rank threads start)
-    when a job carries a virtual-time quota: the first :meth:`advance` or
+    The job service sets one on the rank's own thread at entry when a job
+    carries a virtual-time quota: the first :meth:`advance` or
     :meth:`merge` that crosses the budget raises
     :class:`~repro.errors.TimeBudgetExceeded`, stopping the rank exactly at
     the quota boundary.  The default :class:`VirtualClock` path is

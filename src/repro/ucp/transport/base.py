@@ -74,25 +74,14 @@ class Transport:
 
     #: Registry name (``--transport`` value).
     name = "base"
-    #: Whether fault plans / reliability work on this backend.
-    supports_faults = True
-    #: Whether the runtime sanitizer (cross-rank shared object) can attach.
-    supports_sanitizer = True
     #: Whether ``SendRequest.cancel`` can retract an in-flight message.
     supports_cancel = True
     #: Whether ranks run in the driver's address space (threaded SPMD).
     #: When False, closure side effects inside rank functions are invisible
-    #: to the caller and arbitrary live objects cannot ride messages.
+    #: to the caller and arbitrary live objects cannot ride messages; the
+    #: sanitizer (one cross-rank shared object), warm memory trackers and
+    #: ``fabric_hook`` need it.
     supports_shared_address_space = True
-    #: Whether rendezvous envelopes alias the sender's live buffers
-    #: (RPD810).  Remote backends must stage instead.
-    rndv_aliases_buffers = True
-    #: Whether the driver can hand workers recycled memory trackers (warm
-    #: buffer pools) and observe the live fabric via ``fabric_hook`` —
-    #: the job-service seams.  Only meaningful when ranks share the
-    #: driver's address space; per-job forked processes cannot reuse the
-    #: driver's pools.
-    supports_warm_pools = False
 
     # -- job gating --------------------------------------------------------
 
@@ -101,20 +90,13 @@ class Transport:
         """``(True, "")``, or False and why this platform can't run it."""
         return True, ""
 
-    def check_job_supported(self, config: "UcpConfig",
-                            sanitize: bool = False) -> None:
+    def check_job_supported(self, sanitize: bool = False) -> None:
         """Raise :class:`TransportUnavailableError` if this job can't run."""
-        if sanitize and not self.supports_sanitizer:
+        if sanitize and not self.supports_shared_address_space:
             raise TransportUnavailableError(
                 f"transport '{self.name}' does not support sanitize=True "
                 f"(the sanitizer needs one shared address space); use "
                 f"--transport inproc or asyncio")
-        needs_faults = (config.faults is not None
-                        or config.reliability is not None)
-        if needs_faults and not self.supports_faults:
-            raise TransportUnavailableError(
-                f"transport '{self.name}' does not support fault injection; "
-                f"use --transport inproc or asyncio")
 
     # -- send path (sending rank's thread) ---------------------------------
 
@@ -362,8 +344,6 @@ class ThreadedTransport(Transport):
     def abandon(self, fabric: "Fabric") -> None:
         """Dismantle without draining (deadlock-timeout path)."""
 
-    supports_warm_pools = True
-
     def run_job(self, fns: Sequence[Callable], nprocs: int,
                 config: "UcpConfig", engine_config=None,
                 timeout: float = 120.0, sanitize: bool = False,
@@ -384,8 +364,8 @@ class ThreadedTransport(Transport):
         if fabric_hook is not None:
             # Job-service seam: runs on the driver thread after the data
             # plane is wired and before any rank thread starts, so the
-            # hook may install budgeted clocks or capture the injector's
-            # failure detector (the mid-flight kill handle) race-free.
+            # hook captures the injector's failure detector (the running
+            # kill handle) race-free.
             fabric_hook(fabric)
 
         reports: list[Optional[RankReport]] = [None] * nprocs

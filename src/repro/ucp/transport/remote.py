@@ -245,7 +245,6 @@ class RemoteTransportMixin:
     :meth:`open_plane`.
     """
 
-    rndv_aliases_buffers = False
     supports_cancel = False
 
     def open_plane(self, fabric, hosted, outbound: dict,

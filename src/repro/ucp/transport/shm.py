@@ -164,7 +164,6 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
     """The transport attached to one rank process's fabric."""
 
     name = "shm"
-    supports_sanitizer = False
     supports_shared_address_space = False
 
     def __init__(self, arenas):
@@ -266,10 +265,8 @@ class ShmTransport(Transport):
     """Parent-side driver: fork rank processes, collect their reports."""
 
     name = "shm"
-    supports_sanitizer = False
     supports_cancel = False
     supports_shared_address_space = False
-    rndv_aliases_buffers = False
 
     @classmethod
     def available(cls) -> tuple[bool, str]:
@@ -288,7 +285,6 @@ class ShmTransport(Transport):
 
         from ..context import UcpContext
 
-        self.check_job_supported(config, sanitize=sanitize)
         ctx = mp.get_context("fork")
 
         # Directed control channels i->j as (recv end, send end), a result

@@ -222,7 +222,7 @@ class TestGracefulDegradation:
 
 class TestCancel:
     def test_cancel_unmatched_recv(self):
-        require_transport_capability("sanitizer")
+        require_transport_capability("shared_address_space")
 
         def fn(comm):
             if comm.rank == 0:
@@ -239,7 +239,7 @@ class TestCancel:
         assert res.sanitizer_report.clean
 
     def test_cancel_unclaimed_send_returns_buffers(self):
-        require_transport_capability("cancel", "sanitizer")
+        require_transport_capability("cancel", "shared_address_space")
 
         def fn(comm):
             if comm.rank == 1:
@@ -256,7 +256,7 @@ class TestCancel:
             assert mem["pool"]["outstanding"] == 0
 
     def test_cancel_derived_recv_recycles_bounce_buffer(self):
-        require_transport_capability("sanitizer")
+        require_transport_capability("shared_address_space")
         from repro.core import vector
         from repro.core.datatype import INT32
 
@@ -292,7 +292,7 @@ class TestCancel:
         assert run(fn, nprocs=2, timeout=30).results[1] == 96
 
     def test_waitall_with_cancelled_request_is_clean(self):
-        require_transport_capability("sanitizer")
+        require_transport_capability("shared_address_space")
 
         def fn(comm):
             data = np.full(16, 2, np.uint8)

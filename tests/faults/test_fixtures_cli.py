@@ -18,7 +18,7 @@ from ..conftest import require_transport_capability
 @pytest.fixture(autouse=True)
 def _sanitizer_backend():
     """Every test here replays fixtures under the sanitizer."""
-    require_transport_capability("sanitizer")
+    require_transport_capability("shared_address_space")
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

@@ -128,7 +128,7 @@ def test_different_seeds_diverge():
 
 
 def test_corruption_without_reliability_reaches_app_as_rpd451():
-    require_transport_capability("sanitizer")
+    require_transport_capability("shared_address_space")
 
     def fn(comm):
         data = np.arange(4096, dtype=np.int32)

@@ -91,7 +91,7 @@ MODES = {"pristine": {}, "faults": {"faults": {}},
 def _mode(mode, **faults):
     """``run`` keywords of ``mode``, with ``faults`` merged into its plan."""
     if "sanitize" in MODES[mode]:
-        require_transport_capability("sanitizer")
+        require_transport_capability("shared_address_space")
     kw = dict(MODES[mode])
     if faults:
         kw["faults"] = faults

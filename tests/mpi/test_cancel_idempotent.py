@@ -59,7 +59,7 @@ class TestPoolOwnership:
     def test_double_cancel_does_not_steal_reacquired_buffer(self):
         """After cancel #1 recycles the staging chunk, a new send acquires
         it; cancel #2 must not hand the live buffer back to the pool."""
-        require_transport_capability("cancel", "sanitizer")
+        require_transport_capability("cancel", "shared_address_space")
 
         def fn(comm):
             if comm.rank == 1:
@@ -81,7 +81,7 @@ class TestPoolOwnership:
             assert mem["pool"]["outstanding"] == 0
 
     def test_double_cancel_recv_releases_bounce_buffer_once(self):
-        require_transport_capability("sanitizer")
+        require_transport_capability("shared_address_space")
 
         def fn(comm):
             if comm.rank == 0:

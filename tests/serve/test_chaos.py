@@ -73,7 +73,7 @@ class TestWarmReuseAcrossChaos:
     def test_pools_and_plans_stay_warm(self):
         """Healthy jobs after a chaotic one are served from warm state:
         the bank reports warm hits and the pool reports cache hits."""
-        require_transport_capability("warm_pools")
+        require_transport_capability("shared_address_space")
         with JobService(slots=1, max_queue=16) as svc:
             svc.submit(JobSpec(fn=pingpong_job(iters=4), name="warmup"))
             svc.wait_idle(timeout=60)

@@ -37,7 +37,7 @@ def _slot_is_back(svc):
 def test_kill_releases_parked_rank(call):
     """Both ranks park for good (head to head, nothing watching for
     deadlock); only the kill ends the job, and long before its 30 s."""
-    require_transport_capability("warm_pools")
+    require_transport_capability("shared_address_space")
     with JobService(slots=1, max_queue=4) as svc:
         h = svc.submit(JobSpec(
             fn=PARKED[call], name=f"parked-in-{call}", reliability=True,
@@ -62,7 +62,6 @@ def test_kill_releases_parked_rank(call):
 @pytest.mark.parametrize("call", PARKED)
 def test_budget_trip_releases_parked_peer(call):
     """Rank 0 runs out of virtual time; rank 1, parked on it, follows."""
-    require_transport_capability("warm_pools")
 
     def fn(comm):
         if comm.rank == 0:

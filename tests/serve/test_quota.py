@@ -1,15 +1,18 @@
 """Per-job quotas: virtual-time budget, memory ceiling, wall timeout."""
 
+import time
+
 import pytest
 
 from repro.errors import MemoryQuotaError, TimeBudgetExceeded
-from repro.serve import (QUOTA, JobService, JobSpec, JobStatus, QuotaPolicy,
-                         RetryPolicy)
+from repro.serve import (QUOTA, RETRYABLE, JobService, JobSpec, JobStatus,
+                         QuotaPolicy, RetryPolicy)
 from repro.serve.workloads import (deadlock_job, pingpong_job, spin_job,
                                    struct_pingpong_job)
 from repro.ucp.netsim import BudgetedClock
 
 from tests.conftest import require_transport_capability
+from tests.serve.test_parked import PARKED
 from tests.transport.conftest import require_backend
 
 
@@ -37,7 +40,6 @@ class TestBudgetedClock:
 
 class TestTimeBudget:
     def test_budget_trip_fails_job_as_quota(self):
-        require_transport_capability("warm_pools")
         with JobService(slots=1, max_queue=4) as svc:
             h = svc.submit(JobSpec(
                 fn=spin_job(iters=100000), name="budgeted",
@@ -120,7 +122,7 @@ class TestWallTimeout:
     def test_timed_out_trackers_are_retired_not_reused(self):
         """Abandoned rank threads may still touch their pools, so the
         warm set of a timed-out job must never be banked again."""
-        require_transport_capability("warm_pools")
+        require_transport_capability("shared_address_space")
         with JobService(slots=1, max_queue=4) as svc:
             h = svc.submit(JobSpec(
                 fn=deadlock_job(tag=91), name="deadlock",
@@ -135,3 +137,50 @@ class TestWallTimeout:
                                     name="after"))
             assert h2.wait(30)
             assert h2.status == JobStatus.COMPLETED
+
+
+class TestRankEntry:
+    @pytest.mark.parametrize("transport", ["inproc", "asyncio", "shm"])
+    def test_quotas_and_armed_kill_at_rank_entry(self, transport):
+        """Budget, ceiling and a kill armed while queued mean the same on
+        every backend: they are installed where each rank starts."""
+        require_backend(transport)
+
+        def overrun(comm):
+            if comm.rank == 0:
+                time.sleep(0.05)            # let rank 1 park
+                comm.clock.advance(1.0)
+            else:
+                PARKED["probe"](comm)
+
+        with JobService(slots=1, max_queue=4, transport=transport) as svc:
+            start = time.monotonic()
+            h = svc.submit(JobSpec(
+                fn=overrun, name="budget", transport=transport,
+                quota=QuotaPolicy(wall_timeout=30.0, time_budget=1e-3),
+                retry=RetryPolicy(max_retries=0)))
+            assert h.wait(30)
+            assert time.monotonic() - start < 2.0
+            assert (h.status, h.error_class) == (JobStatus.FAILED, QUOTA)
+            assert isinstance(h.error, TimeBudgetExceeded)
+
+            h = svc.submit(JobSpec(
+                fn=struct_pingpong_job(iters=2, count=512), name="ceiling",
+                transport=transport,
+                quota=QuotaPolicy(wall_timeout=30.0, max_pool_bytes=256),
+                retry=RetryPolicy(max_retries=0)))
+            assert h.wait(30)
+            assert (h.status, h.error_class) == (JobStatus.FAILED, QUOTA)
+            assert isinstance(h.error, MemoryQuotaError)
+
+            blocker = svc.submit(JobSpec(fn=spin_job(iters=1000),
+                                         name="blocker", transport=transport))
+            h = svc.submit(JobSpec(
+                fn=spin_job(iters=1000), name="doomed", transport=transport,
+                quota=QuotaPolicy(wall_timeout=30.0),
+                retry=RetryPolicy(max_retries=0)))
+            assert h.kill("armed")          # queued behind the blocker
+            assert h.wait(30)
+            assert blocker.wait(30)
+            assert (h.status, h.error_class) == (JobStatus.DEAD_LETTERED,
+                                                 RETRYABLE)

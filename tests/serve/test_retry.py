@@ -132,7 +132,7 @@ class TestRetryPaths:
 
 class TestKill:
     def test_kill_takes_down_running_job(self):
-        require_transport_capability("warm_pools")
+        require_transport_capability("shared_address_space")
         import time
         with JobService(slots=1, max_queue=4) as svc:
             h = svc.submit(JobSpec(
@@ -157,9 +157,8 @@ class TestKill:
             assert h.kill("too late") is False
 
     def test_armed_kill_fires_at_start(self):
-        """A kill requested while the job is still queued lands the
-        moment the attempt's fault detector exists."""
-        require_transport_capability("warm_pools")
+        """A kill requested while the job is still queued lands at the
+        entry of the attempt's ranks, on every backend."""
         with JobService(slots=1, max_queue=8) as svc:
             blocker = svc.submit(JobSpec(fn=pingpong_job(iters=2000),
                                          name="blocker"))

@@ -68,7 +68,7 @@ class TestJobGating:
         require_backend("shm")
         t = create_transport("shm")
         with pytest.raises(TransportUnavailableError) as ei:
-            t.check_job_supported(UcpConfig(), sanitize=True)
+            t.check_job_supported(sanitize=True)
         assert "sanitize" in str(ei.value)
         assert "shm" in str(ei.value)
 
