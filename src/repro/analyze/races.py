@@ -63,8 +63,9 @@ __all__ = ["analyze_paths", "run_corpus", "corpus_dir",
            "shipped_audit_paths", "RaceReport"]
 
 _LOCK_FACTORIES = frozenset({"Lock", "RLock"})
+#: ``Latch`` is :class:`repro.ucp.wire.Latch`, the fabric's one-shot event.
 _EVENT_FACTORIES = frozenset({"Event", "Semaphore", "BoundedSemaphore",
-                              "Barrier"})
+                              "Barrier", "Latch"})
 _MUTATING_METHODS = frozenset({
     "append", "appendleft", "extend", "extendleft", "insert", "add",
     "discard", "remove", "pop", "popleft", "popitem", "clear", "update",
@@ -73,9 +74,9 @@ _MUTATING_METHODS = frozenset({
 _COPY_BARRIERS = frozenset({"copy_chunks", "copy", "deepcopy", "array",
                             "bytes", "bytearray", "tobytes", "acquire",
                             "allocate", "pack", "frombuffer_copy"})
-_NONSERIALIZABLE_ANNOTATIONS = ("Event", "Lock", "RLock", "Condition",
-                                "Semaphore", "BaseException", "Exception",
-                                "Callable", "Thread")
+_NONSERIALIZABLE_ANNOTATIONS = ("Event", "Latch", "Lock", "RLock",
+                                "Condition", "Semaphore", "BaseException",
+                                "Exception", "Callable", "Thread")
 _INIT_METHODS = frozenset({"__init__", "__new__", "__post_init__"})
 _EXPECT_RE = re.compile(r"#\s*expects:\s*([A-Z0-9, ]+)")
 

@@ -48,7 +48,8 @@ def pack(dtype: Datatype, buf, count: int, out: np.ndarray | None = None) -> np.
     ``out`` is given it must be exactly that long and is filled in place.
     """
     src = _as_u8(buf)
-    total = packed_size(dtype, count)
+    plan = pack_plan(dtype)
+    total = plan.size * count
     if out is None:
         out = np.empty(total, dtype=np.uint8)
     else:
@@ -59,12 +60,12 @@ def pack(dtype: Datatype, buf, count: int, out: np.ndarray | None = None) -> np.
     if count == 0:
         return out
 
-    need = required_span(dtype, count)
+    need = (count - 1) * plan.extent + plan.span
     if src.shape[0] < need:
         raise MPIError(MPI_ERR_BUFFER,
                        f"send buffer too small: need {need} bytes, have {src.shape[0]}")
 
-    pack_plan(dtype).pack_into(src, count, out)
+    plan.pack_into(src, count, out)
     return out
 
 
@@ -72,19 +73,20 @@ def unpack(dtype: Datatype, buf, count: int, src) -> None:
     """Unpack a flat packed buffer ``src`` into ``count`` elements in ``buf``."""
     dst = _as_u8(buf, writable=True)
     packed = _as_u8(src)
-    total = packed_size(dtype, count)
+    plan = pack_plan(dtype)
+    total = plan.size * count
     if packed.shape[0] < total:
         raise MPIError(MPI_ERR_BUFFER,
                        f"packed buffer too small: need {total}, have {packed.shape[0]}")
     if count == 0:
         return
 
-    need = required_span(dtype, count)
+    need = (count - 1) * plan.extent + plan.span
     if dst.shape[0] < need:
         raise MPIError(MPI_ERR_BUFFER,
                        f"recv buffer too small: need {need} bytes, have {dst.shape[0]}")
 
-    pack_plan(dtype).unpack_into(dst, count, packed)
+    plan.unpack_into(dst, count, packed)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ _NEGATIVE_DISPL_MSG = "negative displacements are not supported"
 #: of scratch instead of paying per-fragment pack overhead.
 _CURSOR_BATCH_BYTES = 1 << 16
 
+_U8 = np.dtype(np.uint8)
+
 
 def _as_u8(buf, writable: bool = False) -> np.ndarray:
     """View any buffer-protocol object as a flat uint8 array."""
@@ -54,7 +56,8 @@ def _as_u8(buf, writable: bool = False) -> np.ndarray:
         arr = buf
         if not arr.flags.c_contiguous:
             raise MPIError(MPI_ERR_BUFFER, "buffer must be C-contiguous")
-        out = arr.view(np.uint8).reshape(-1)
+        out = arr if arr.dtype is _U8 and arr.ndim == 1 \
+            else arr.view(_U8).reshape(-1)
     else:
         mv = memoryview(buf)
         if not mv.contiguous:
@@ -86,12 +89,14 @@ class PackPlan:
     canonical layout in an LRU.
     """
 
-    __slots__ = ("size", "extent", "contiguous", "negative_lb", "nblocks",
-                 "ir", "passes", "executor", "_exec")
+    __slots__ = ("size", "extent", "span", "contiguous", "negative_lb",
+                 "nblocks", "ir", "passes", "executor", "_exec")
 
     def __init__(self, tm):
         self.size = tm.size
         self.extent = tm.extent
+        #: Bytes the last element touches (see :func:`required_span`).
+        self.span = max(tm.true_ub, 0)
         self.contiguous = tm.is_contiguous
         self.negative_lb = tm.true_lb < 0
         self.nblocks = len(tm.merged_blocks())

@@ -81,7 +81,7 @@ class Typemap:
     """
 
     __slots__ = ("blocks", "lb", "extent", "_merged", "_signature", "_size",
-                 "_true_lb", "_true_ub", "_layout_key")
+                 "_true_lb", "_true_ub", "_layout_key", "_contiguous")
 
     def __init__(self, blocks: Iterable[Block], lb: int | None = None,
                  extent: int | None = None):
@@ -97,6 +97,7 @@ class Typemap:
         self._true_lb: int | None = None
         self._true_ub: int | None = None
         self._layout_key: tuple[int, int, bytes] | None = None
+        self._contiguous: bool | None = None
         if not self.blocks and (lb is None or extent is None):
             raise ValueError("empty typemap requires explicit lb and extent")
         nat_lb = min((b.offset for b in self.blocks), default=0)
@@ -160,10 +161,12 @@ class Typemap:
         pack engine entirely — the fast path that makes
         ``struct-simple-no-gap`` cheap in the paper's Fig. 6.
         """
-        merged = self.merged_blocks()
-        return (len(merged) == 1
-                and merged[0].offset == self.lb
-                and merged[0].length == self.extent)
+        if self._contiguous is None:
+            merged = self.merged_blocks()
+            self._contiguous = (len(merged) == 1
+                                and merged[0].offset == self.lb
+                                and merged[0].length == self.extent)
+        return self._contiguous
 
     @property
     def has_gaps(self) -> bool:

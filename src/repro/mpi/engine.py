@@ -37,16 +37,17 @@ metadata) and scatter into them — the two-stage choreography of Section III.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..core.custom import (CustomDatatype, CustomRecvOperation,
                            CustomSendOperation)
 from ..core.datatype import Datatype
-from ..core.packing import pack, packed_size, unpack
+from ..core.packing import pack, unpack
 from ..core.packplan import UnpackCursor
 from ..errors import MPIError, TruncationError
-from ..ucp.context import Worker
+from ..ucp.context import Endpoint, Worker
 from ..ucp.dtypes import ContigData, HandlerData, IovData, ScatterData
 from ..ucp.wire import WireMessage
 from .requests import Request, Status
@@ -68,6 +69,8 @@ class TransferEngine:
         self.worker = worker
         self.model = worker.model
         self.config = config or EngineConfig()
+        #: One endpoint per destination, built on first send.
+        self._endpoints: dict[int, Endpoint] = {}
 
     @property
     def frag_size(self) -> int:
@@ -83,18 +86,20 @@ class TransferEngine:
         every CONTIG transfer is forced onto rendezvous, including a custom
         type that degenerates to one region or to an empty message (only the
         IOV protocol is rendezvous-like on its own)."""
-        ep = self.worker.endpoint(dest)
+        ep = self._endpoints.get(dest)
+        if ep is None:
+            ep = self._endpoints[dest] = self.worker.endpoint(dest)
         san = self.worker.sanitizer
         if isinstance(dtype, CustomDatatype):
             req = self._send_custom(ep, tag64, buf, count, dtype, sync=sync)
-        elif dtype.is_contiguous:
-            nbytes = packed_size(dtype, count)
+        elif (tm := dtype.typemap).is_contiguous:
             sig = dtype.signature(count) if san is not None else None
-            treq = ep.tag_send(tag64, ContigData(buf, nbytes),
+            treq = ep.tag_send(tag64, ContigData(buf, tm.size * count),
                                force_rndv=sync, signature=sig)
             req = Request(treq)
         else:
-            req = self._send_derived(ep, tag64, buf, count, dtype, sync=sync)
+            req = self._send_derived(ep, tag64, buf, count, dtype, tm,
+                                     sync=sync)
         if san is not None:
             self._sanitize_send(san, req, buf, count, dtype, dest, tag64)
         return req
@@ -111,15 +116,15 @@ class TransferEngine:
             req._req.san_detail = rec.label
 
     def _send_derived(self, ep, tag64: int, buf, count: int,
-                      dtype: Datatype, sync: bool = False) -> Request:
+                      dtype: Datatype, tm, sync: bool = False) -> Request:
         """Pack through the typemap engine, then send contiguous."""
-        nbytes = packed_size(dtype, count)
+        nbytes = tm.size * count
         clock = self.worker.clock
         memory = self.worker.memory
         temp = memory.acquire(nbytes, clock, self.model)
         try:
             pack(dtype, buf, count, out=temp)
-            nblocks = count * len(dtype.typemap.merged_blocks())
+            nblocks = count * len(tm.merged_blocks())
             clock.advance(self.model.typemap_pack_time(nblocks, nbytes))
             sig = dtype.signature(count) if self.worker.sanitizer is not None \
                 else None
@@ -175,16 +180,24 @@ class TransferEngine:
             desc = HandlerData(self._custom_recv_handler(buf, count, dtype))
             treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
             req = Request(treq)
-        elif dtype.is_contiguous:
-            nbytes = packed_size(dtype, count)
-            desc = ContigData(buf, nbytes, writable=True)
+        elif (tm := dtype.typemap).is_contiguous:
+            desc = ContigData(buf, tm.size * count, writable=True)
             if san is not None:
                 desc.expected_signature = dtype.signature(count)
             treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
             req = Request(treq)
         else:
-            req = self._recv_derived(tag64, mask, buf, count, dtype,
-                                     peers=peers)
+            desc, finish, unbook = self._derived_delivery(buf, count, dtype,
+                                                          tm)
+            treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
+
+            def on_complete() -> Status:
+                # Request.wait ran treq.wait() first: the delivery is done.
+                status = finish(treq.info)
+                unbook()
+                return status
+
+            req = Request(treq, on_complete=on_complete, on_cancel=unbook)
         if san is not None:
             self._sanitize_recv(san, req, buf, count, dtype, peers, tag64)
         return req
@@ -200,36 +213,25 @@ class TransferEngine:
         if rec is not None and req._req is not None:
             req._req.san_detail = rec.label
 
-    def _recv_derived(self, tag64: int, mask: int, buf, count: int,
-                      dtype: Datatype, peers=None) -> Request:
-        desc, finish, unbook = self._derived_delivery(buf, count, dtype)
-        treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
-
-        def on_complete() -> Status:
-            status = finish(treq.wait())
-            unbook()
-            return status
-
-        return Request(treq, on_complete=on_complete, on_cancel=unbook)
-
     def recv_message(self, msg: WireMessage, buf, count: int,
                      dtype: Datatype) -> Status:
         """Mprobe-style receive of an already-claimed message."""
         if isinstance(dtype, CustomDatatype):
             desc = HandlerData(self._custom_recv_handler(buf, count, dtype))
-        elif dtype.is_contiguous:
-            desc = ContigData(buf, packed_size(dtype, count), writable=True)
+        elif (tm := dtype.typemap).is_contiguous:
+            desc = ContigData(buf, tm.size * count, writable=True)
             if self.worker.sanitizer is not None:
                 desc.expected_signature = dtype.signature(count)
         else:
-            desc, finish, unbook = self._derived_delivery(buf, count, dtype)
+            desc, finish, unbook = self._derived_delivery(buf, count, dtype,
+                                                          tm)
             try:
                 return finish(self.worker.msg_recv(msg, desc))
             finally:
                 unbook()
         return Status.from_recv_info(self.worker.msg_recv(msg, desc))
 
-    def _derived_delivery(self, buf, count: int, dtype: Datatype):
+    def _derived_delivery(self, buf, count: int, dtype: Datatype, tm):
         """The one derived receive path: ``(descriptor, finish, unbook)``.
 
         The baseline's receive temp is booked (first-touch cost, tracker
@@ -238,17 +240,16 @@ class TransferEngine:
         the message completed (a rendezvous sender waits for none of it):
         it charges the typemap walk and raises the receiver's own errors.
         """
-        nbytes = packed_size(dtype, count)
+        size = tm.size
+        nbytes = size * count
         clock = self.worker.clock
         memory = self.worker.memory
         memory.reserve(nbytes, clock, self.model)
-        size = dtype.size
         error: MPIError | None = None
 
         def scatter(chunks) -> None:
             nonlocal error
-            lengths = [c.shape[0] for c in chunks]
-            got = sum(lengths)
+            got = sum(map(len, chunks))  # 1-D uint8 wire chunks
             try:
                 if size and got % size:
                     raise TruncationError(
@@ -258,6 +259,7 @@ class TransferEngine:
                 if len(chunks) == 1:
                     unpack(dtype, buf, nelem, chunks[0])
                     return
+                lengths = [c.shape[0] for c in chunks]
                 with UnpackCursor(dtype, buf, nelem) as cursor:
                     for offset, chunk in zip(self._offsets(lengths), chunks):
                         cursor.write(offset, chunk)
@@ -272,11 +274,11 @@ class TransferEngine:
             if error is not None:
                 raise error
             nblocks = (info.nbytes // size if size else 0) \
-                * len(dtype.typemap.merged_blocks())
+                * len(tm.merged_blocks())
             clock.advance(self.model.typemap_pack_time(nblocks, info.nbytes))
             return Status.from_recv_info(info)
 
-        return desc, finish, lambda: memory.release(nbytes)
+        return desc, finish, partial(memory.release, nbytes)
 
     def _custom_recv_handler(self, buf, count: int, dtype: CustomDatatype):
         """Build the delivery handler that runs on the receiving thread."""

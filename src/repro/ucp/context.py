@@ -179,7 +179,7 @@ class SendRequest:
             self._worker, self.dst, self.msg)
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvInfo:
     """Completion information (the transport-level Status)."""
 
@@ -543,6 +543,7 @@ class Endpoint:
     def __init__(self, src: Worker, dst_index: int):
         self.src = src
         self.dst_index = dst_index
+        self.model = src.fabric.pair_model(src.index, dst_index)
 
     def tag_send(self, tag: int, data, force_rndv: bool = False,
                  signature=None) -> SendRequest:
@@ -560,7 +561,7 @@ class Endpoint:
             # Crash/stall checkpoint before any staging work happens, so a
             # crashed rank neither packs nor injects.
             fi.on_progress(worker)
-        model = worker.fabric.pair_model(worker.index, self.dst_index)
+        model = self.model
         if isinstance(data, GenericData):
             frags = data.pack_entries(worker.config.frag_size,
                                       pool=worker.memory.pool)
@@ -586,10 +587,11 @@ class Endpoint:
             # memory or an arena mapping at encode time (see DESIGN.md,
             # transport portability).
             chunks = entries  # noqa: RPD810
+        lengths = tuple(map(len, entries))  # 1-D uint8 entries
         header = WireHeader(
             tag=tag, source=worker.index,
-            total_bytes=sum(c.shape[0] for c in entries),
-            entry_lengths=tuple(c.shape[0] for c in entries),
+            total_bytes=sum(lengths),
+            entry_lengths=lengths,
             packed_entries=packed_entries,
             protocol=plan.protocol,
             signature=signature,

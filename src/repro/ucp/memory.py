@@ -73,7 +73,7 @@ class BufferPool:
             if nbytes > 1 else cls.MIN_CLASS
 
     def _new_root(self, size: int) -> np.ndarray:
-        """Allocate one fresh backing array (the pool-miss path).
+        """One fresh backing array for the pool-miss path (lock held).
 
         Subclass seam: the shared-memory transport's
         :class:`~repro.ucp.transport.shm.ArenaBufferPool` carves these
@@ -83,7 +83,8 @@ class BufferPool:
         return np.empty(size, dtype=np.uint8)
 
     def _resolve_root(self, buf):
-        """Map any view of a pooled buffer back to its backing array."""
+        """Map any view of a pooled buffer back to its backing array (for
+        :meth:`owns` and :meth:`release`, under the pool lock)."""
         root = buf
         while isinstance(root, np.ndarray) and isinstance(root.base,
                                                           np.ndarray):
@@ -103,11 +104,8 @@ class BufferPool:
                 root = free.pop()
                 self.hits += 1
             else:
-                root = None
+                root = self._new_root(size)
                 self.misses += 1
-        if root is None:
-            root = self._new_root(size)
-        with self._lock:
             self._out[id(root)] = root
         return root[:nbytes]
 
@@ -117,10 +115,10 @@ class BufferPool:
         Returns False (and does nothing) for buffers the pool does not
         currently own — foreign arrays and double releases.
         """
-        root = self._resolve_root(buf)
-        if not isinstance(root, np.ndarray):
-            return False
         with self._lock:
+            root = self._resolve_root(buf)
+            if not isinstance(root, np.ndarray):
+                return False
             owned = self._out.pop(id(root), None)
             if owned is None:
                 return False
@@ -137,8 +135,8 @@ class BufferPool:
     def owns(self, buf) -> bool:
         """True when ``buf`` is (a view of) a buffer this pool has handed
         out and not yet got back."""
-        root = self._resolve_root(buf)
         with self._lock:
+            root = self._resolve_root(buf)
             return self._out.get(id(root)) is root
 
     def snapshot(self) -> dict[str, int]:
@@ -223,21 +221,6 @@ class MemoryTracker:
         self.byte_ceiling: int | None = None
         self.pool = BufferPool()
 
-    def _account(self, nbytes: int) -> None:
-        with self._lock:
-            ceiling = self.byte_ceiling
-            if ceiling is not None and self.live_bytes + nbytes > ceiling:
-                # Refuse *before* booking the bytes or touching the pool,
-                # so a quota breach leaves accounting and pool balanced.
-                live = self.live_bytes
-            else:
-                self.live_bytes += nbytes
-                self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-                self.total_allocated += nbytes
-                self.allocation_count += 1
-                return
-        raise MemoryQuotaError(ceiling, live, nbytes)
-
     def reserve(self, nbytes: int, clock: VirtualClock | None = None,
                 model: CostModel | None = None) -> None:
         """Book a transient buffer — accounting and first-touch cost —
@@ -245,7 +228,16 @@ class MemoryTracker:
         bounce buffer) needs.  Pair with ``release(nbytes)``."""
         if nbytes < 0:
             raise ValueError(f"negative allocation: {nbytes}")
-        self._account(nbytes)
+        with self._lock:
+            ceiling = self.byte_ceiling
+            if ceiling is not None and self.live_bytes + nbytes > ceiling:
+                # Refuse *before* booking the bytes or touching the pool,
+                # so a quota breach leaves accounting and pool balanced.
+                raise MemoryQuotaError(ceiling, self.live_bytes, nbytes)
+            self.live_bytes += nbytes
+            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+            self.total_allocated += nbytes
+            self.allocation_count += 1
         if clock is not None and model is not None:
             clock.advance(model.alloc_time(nbytes))
 

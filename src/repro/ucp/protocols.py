@@ -29,7 +29,7 @@ Protocol rules (mirroring UCX and the paper's prototype):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import TransportError
 from .dtypes import ContigData, GenericData, IovData
@@ -37,9 +37,9 @@ from .netsim import CostModel
 from .transitions import select_protocol
 
 
-@dataclass(frozen=True)
-class SendPlan:
-    """Protocol decision plus the three-way cost split."""
+class SendPlan(NamedTuple):
+    """Protocol decision plus the three-way cost split (a plain tuple: one
+    is built per message)."""
 
     protocol: str           # "eager" | "rndv" | "iov" | "generic"
     sender_cost: float
@@ -64,7 +64,7 @@ def plan_send(data, model: CostModel, frag_count: int = 0,
     """
     p = model.params
     if isinstance(data, ContigData):
-        n = data.total_bytes
+        n = data.nbytes
         # The eager/rendezvous boundary decision is shared with the protocol
         # model checker (repro.ucp.transitions), so the verified transition
         # table and the live fabric cannot drift apart at the cutoff.

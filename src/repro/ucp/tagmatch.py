@@ -18,7 +18,7 @@ import threading
 from collections import deque
 from typing import Optional
 
-from .wire import WireMessage
+from .wire import Latch, WireMessage
 
 
 class PostedRecv:
@@ -26,14 +26,11 @@ class PostedRecv:
 
     __slots__ = ("tag", "mask", "msg", "matched")
 
-    def __init__(self, tag: int, mask: int):
+    def __init__(self, tag: int, mask: int, msg: WireMessage | None = None):
         self.tag = tag
         self.mask = mask
-        self.msg: Optional[WireMessage] = None
-        self.matched = threading.Event()
-
-    def accepts(self, msg: WireMessage) -> bool:
-        return (msg.header.tag & self.mask) == (self.tag & self.mask)
+        self.msg = msg  # given: claimed an unexpected message at post time
+        self.matched = Latch(preset=msg is not None)
 
     def attach(self, msg: WireMessage) -> None:
         self.msg = msg
@@ -56,9 +53,10 @@ class TagMatcher:
 
     def deposit(self, msg: WireMessage) -> None:
         """Offer an arriving message; match a posted recv or queue it."""
+        tag = msg.header.tag
         with self._lock:
             for i, posted in enumerate(self._posted):
-                if posted.accepts(msg):
+                if (tag & posted.mask) == (posted.tag & posted.mask):
                     del self._posted[i]
                     posted.attach(msg)
                     return
@@ -70,13 +68,13 @@ class TagMatcher:
 
     def post(self, tag: int, mask: int) -> PostedRecv:
         """Post a receive; claims an unexpected message when one matches."""
-        posted = PostedRecv(tag, mask)
+        want = tag & mask
         with self._lock:
             for i, msg in enumerate(self._unexpected):
-                if posted.accepts(msg):
+                if (msg.header.tag & mask) == want:
                     del self._unexpected[i]
-                    posted.attach(msg)
-                    return posted
+                    return PostedRecv(tag, mask, msg)
+            posted = PostedRecv(tag, mask)
             self._posted.append(posted)
         return posted
 

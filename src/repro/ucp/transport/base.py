@@ -107,7 +107,7 @@ class Transport:
         fault layer drives every backend.  In-process it is the matcher's
         ``deposit`` itself; remote backends serialize onto their data plane.
         """
-        return worker.fabric.worker(dst_index).matcher.deposit
+        return worker.fabric.workers[dst_index].matcher.deposit
 
     def submit(self, worker: "Worker", dst_index: int, msg: "WireMessage",
                model) -> None:
@@ -148,7 +148,7 @@ class Transport:
         receiver-side chunk of a remote backend, whose sender releases its
         staging when the acknowledgement arrives.
         """
-        pool = worker.fabric.worker(msg.header.source).memory.pool
+        pool = worker.fabric.workers[msg.header.source].memory.pool
         for chunk in msg.chunks:
             pool.release(chunk)
         msg.chunks = []

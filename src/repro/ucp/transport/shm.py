@@ -92,7 +92,8 @@ class ArenaBufferPool(BufferPool):
         #: acquire contract), so no extra lock.
         self._cursor = 0
         #: Slab start address -> slab view, for address-based release
-        #: resolution; written under the pool lock, read under it too.
+        #: resolution; written and read under the pool lock (``_new_root``
+        #: and ``_resolve_root`` run inside it).
         self._slab_by_addr: dict[int, np.ndarray] = {}
         self.spills = 0
 
@@ -101,8 +102,7 @@ class ArenaBufferPool(BufferPool):
             start = self._cursor
             self._cursor += size
             slab = self._segment[start:start + size]
-            with self._lock:
-                self._slab_by_addr[self._segment_addr + start] = slab
+            self._slab_by_addr[self._segment_addr + start] = slab
             return slab
         self.spills += 1
         return np.empty(size, dtype=np.uint8)
@@ -110,16 +110,15 @@ class ArenaBufferPool(BufferPool):
     def _resolve_root(self, buf):
         if isinstance(buf, np.ndarray):
             addr = buf.__array_interface__["data"][0]
-            with self._lock:
-                slab = self._slab_by_addr.get(addr)
-                if slab is None:
-                    # A mid-slab view (its base chain collapses to the
-                    # whole segment, not the slab): containment scan.
-                    for start, s in self._slab_by_addr.items():
-                        if start <= addr and \
-                                addr + buf.nbytes <= start + s.nbytes:
-                            slab = s
-                            break
+            slab = self._slab_by_addr.get(addr)
+            if slab is None:
+                # A mid-slab view (its base chain collapses to the whole
+                # segment, not the slab): containment scan.
+                for start, s in self._slab_by_addr.items():
+                    if start <= addr and \
+                            addr + buf.nbytes <= start + s.nbytes:
+                        slab = s
+                        break
             if slab is not None and buf.nbytes <= slab.nbytes:
                 return slab
         return super()._resolve_root(buf)

@@ -15,6 +15,7 @@ pay for an explicit lengths message, reproducing the paper's baseline.
 
 from __future__ import annotations
 
+import _thread
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,7 +46,42 @@ class _MsgIdAllocator:
 _msg_ids = _MsgIdAllocator()
 
 
-@dataclass
+class Latch:
+    """A one-shot event, the per-message completion signal
+    (``PostedRecv.matched``, ``WireMessage.completed``): one raw lock, held
+    from creation (unless ``preset``) until ``set`` releases it; ``wait``
+    acquires and releases it, so every waiter passes.  ``_thread``, not
+    ``threading.Lock``: another thread releases it, and it guards nothing
+    the lockset witness could check.  An event that is cleared and set
+    again (``TagMatcher.arrival``) stays a ``threading.Event``.
+    """
+
+    __slots__ = ("_lock", "_pending")
+
+    def __init__(self, preset: bool = False):
+        self._lock = _thread.allocate_lock()
+        #: One entry until the first ``set`` pops it; ``dict.pop`` is
+        #: atomic, so of racing setters exactly one releases the lock.
+        self._pending = {} if preset else {0: True}
+        if not preset:
+            self._lock.acquire()
+
+    def is_set(self) -> bool:
+        return not self._pending
+
+    def set(self) -> None:
+        if self._pending.pop(0, False):
+            self._lock.release()
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """True once set; False if ``timeout`` seconds passed first."""
+        if self._pending and self._lock.acquire(
+                True, -1 if timeout is None else max(timeout, 0)):
+            self._lock.release()
+        return not self._pending
+
+
+@dataclass(slots=True)
 class WireHeader:
     """Metadata visible to matching and probing."""
 
@@ -104,7 +140,7 @@ class WireMessage:
         self.recv_cost = recv_cost
         #: Set when the receiver has pulled the data (rendezvous senders
         #: block on this; eager senders never wait).
-        self.completed = threading.Event()  # noqa: RPD811
+        self.completed = Latch()  # noqa: RPD811
         #: Completion virtual time, filled by the receiver at delivery.
         self.completion_time: float | None = None
         #: Receive-side failure (e.g. truncation).  Set before completion so

@@ -16,12 +16,13 @@ GUARDED = sorted((SRC / "mpi").glob("*.py")) + [
 #: The primitive: the only function allowed to block.
 PRIMITIVE = ("context.py", "park")
 _SYNC_TYPES = {"Event", "Condition", "Semaphore", "BoundedSemaphore",
-               "Barrier"}
+               "Barrier", "Latch"}
 
 
 def _sync_names() -> set[str]:
-    """Every name the package binds to a ``threading`` primitive
-    (``self.matched = threading.Event()`` -> ``matched``)."""
+    """Every name the package binds to a ``threading`` primitive or a
+    :class:`repro.ucp.wire.Latch` (``self.matched = Latch()`` ->
+    ``matched``)."""
     names = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
