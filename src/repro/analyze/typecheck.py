@@ -92,8 +92,11 @@ def analyze_datatype(dtype: Datatype, params: LinkParams = DEFAULT_PARAMS,
                           "with resized()")
 
     # -- declaration vs address order (RPD105) ---------------------------
-    offsets = [b.offset for b in tm.blocks]
-    if any(n < p for p, n in zip(offsets, offsets[1:])):
+    # A block's scalars ascend; the walk turns back where a block starts
+    # below the last scalar of the block before it.
+    blocks = tm.blocks
+    if any(b.offset < a.end - a.length // a.nscalars
+           for a, b in zip(blocks, blocks[1:])):
         emit("RPD105",
              "pack order (declaration order) walks addresses non-"
              "monotonically; in-order consumers see bytes out of address "

@@ -13,17 +13,45 @@ struct.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from ..errors import TypeError_
 from .datatype import Datatype, DerivedDatatype
-from .typemap import Typemap
+from .typemap import Block, Typemap
 
 
 def _base_typemap(base: Datatype) -> Typemap:
     if getattr(base, "is_custom", False):
         raise TypeError_("custom datatypes cannot be nested inside derived datatypes")
     return base.typemap
+
+
+def _entries_typemap(blocklengths: Sequence[int],
+                     displacements: Sequence[int],
+                     bases: Iterable[Datatype]) -> Typemap:
+    """One typemap over ``(blocklength, byte displacement, base)`` entries
+    (hindexed blocks, struct fields): each entry's blocks, repeated and
+    shifted, appended to one list in declaration order; the bounds span
+    every entry's ``[lb, lb + blocklength * extent)``."""
+    blocks: list[Block] = []
+    lo = hi = None
+    prev = tm = None
+    for blen, disp, base in zip(blocklengths, displacements, bases):
+        if blen < 0:
+            raise TypeError_(f"negative blocklength {blen}")
+        if blen == 0:
+            continue
+        if base is not prev:  # hindexed: one base for every entry
+            tm, prev = _base_typemap(base), base
+        blocks += tm.repeat_blocks(blen, tm.extent, disp)
+        lb = tm.lb + disp
+        ub = lb + blen * tm.extent
+        lo = lb if lo is None or lb < lo else lo
+        hi = ub if hi is None or ub > hi else hi
+    if lo is None:
+        return Typemap((), lb=0, extent=0)
+    return Typemap(blocks, lb=lo, extent=hi - lo)
 
 
 def _fmt_seq(seq: Sequence[int], limit: int = 4) -> str:
@@ -79,18 +107,8 @@ def hindexed(blocklengths: Sequence[int], displacements: Sequence[int],
     """MPI_Type_create_hindexed: displacements in bytes."""
     if len(blocklengths) != len(displacements):
         raise TypeError_("blocklengths and displacements must have equal length")
-    base_tm = _base_typemap(base)
-    parts = []
-    for blen, disp in zip(blocklengths, displacements):
-        if blen < 0:
-            raise TypeError_(f"negative blocklength {blen}")
-        if blen == 0:
-            continue
-        parts.append(base_tm.repeat(blen).displace(disp))
-    if not parts:
-        tm = Typemap((), lb=0, extent=0)
-    else:
-        tm = Typemap.concat(parts)
+    _base_typemap(base)  # refused even when every block is empty
+    tm = _entries_typemap(blocklengths, displacements, repeat(base))
     name = (f"{_kind}({_fmt_seq(blocklengths)},{_fmt_seq(displacements)},"
             f"{base.shortname})")
     return DerivedDatatype(tm, _kind, name=name,
@@ -115,17 +133,7 @@ def create_struct(blocklengths: Sequence[int], displacements: Sequence[int],
     """
     if not (len(blocklengths) == len(displacements) == len(types)):
         raise TypeError_("struct argument arrays must have equal length")
-    parts = []
-    for blen, disp, t in zip(blocklengths, displacements, types):
-        if blen < 0:
-            raise TypeError_(f"negative blocklength {blen}")
-        if blen == 0:
-            continue
-        parts.append(_base_typemap(t).repeat(blen).displace(disp))
-    if not parts:
-        tm = Typemap((), lb=0, extent=0)
-    else:
-        tm = Typemap.concat(parts)
+    tm = _entries_typemap(blocklengths, displacements, types)
     if len(types) > 4:
         name = f"struct({len(types)} fields)"
     else:
@@ -178,7 +186,6 @@ def subarray(sizes: Sequence[int], subsizes: Sequence[int],
 
     elem = base.extent
     # Build from the innermost dimension outward.
-    tm = _base_typemap(base)
     stride = elem
     # Strides of each dimension in bytes.
     strides = [0] * ndims

@@ -124,7 +124,9 @@ def equivalent(a: Datatype, b: Datatype) -> bool:
 
     Stronger than MPI's signature equivalence (which ignores gaps): two
     types are equivalent here iff they pack/unpack identically for every
-    buffer, i.e. same blocks in the same order with the same bounds.
+    buffer and carry the same scalars, i.e. same bounds, same merged runs
+    in the same order and same signature — however each type splits its
+    runs into blocks.
     """
     if a.is_custom or b.is_custom:
         raise TypeError_("custom datatypes have no typemap to compare")

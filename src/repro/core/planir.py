@@ -235,19 +235,26 @@ class Program:
 
 def lower_typemap(tm: Typemap) -> Program:
     """Lower a typemap to the canonical initial IR: one :class:`CopyBlock`
-    per merged block, wire offsets dense in declaration (pack) order."""
-    ops = []
-    pos = 0
-    blocks = tm.merged_blocks()
-    for b in blocks:
-        ops.append(CopyBlock(b.offset, pos, b.length))
-        pos += b.length
-    spans = sorted((b.offset, b.end) for b in blocks)
-    return Program(tuple(ops), size=tm.size, extent=tm.extent,
+    per merged block, wire offsets dense in declaration (pack) order.  The
+    runs are read from :meth:`~repro.core.typemap.Typemap.layout_key`, the
+    key the plan is cached under."""
+    runs = np.frombuffer(tm.layout_key()[2], dtype=np.int64).reshape(-1, 2)
+    off, length = runs[:, 0], runs[:, 1]
+    end = off + length
+    ops = tuple(map(CopyBlock, off.tolist(), (np.cumsum(length) - length)
+                    .tolist(), length.tolist()))
+    by_addr = np.lexsort((end, off))
+    return Program(ops, size=tm.size, extent=tm.extent,
                    row_span=max(tm.true_ub, tm.extent),
                    src_lo=min(tm.true_lb, 0), src_hi=tm.true_ub,
-                   block_overlap=any(a[1] > b[0]
-                                     for a, b in zip(spans, spans[1:])))
+                   block_overlap=bool((end[by_addr][:-1]
+                                       > off[by_addr][1:]).any()))
+
+
+def _has_loops(ops: tuple) -> bool:
+    """Whether any top-level op is a :class:`StridedLoop` (a C-level scan:
+    the flat op lists of irregular layouts skip their per-op walks)."""
+    return StridedLoop in map(type, ops)
 
 
 def op_count(ops: Iterable) -> int:
@@ -266,6 +273,8 @@ def leaf_calls(ops: Iterable) -> int:
     """Numpy calls per message the executor issues: one per
     :class:`CopyBlock` leaf (loops and element rows vectorize into the
     call), :class:`Record` or :class:`Gather`."""
+    if not _has_loops(ops):
+        return len(ops)
     n = 0
     for op in ops:
         if isinstance(op, StridedLoop):
@@ -313,23 +322,37 @@ def enumerate_bytes(prog: Program) -> tuple[np.ndarray, np.ndarray]:
     """
     srcs: list[np.ndarray] = []
     dsts: list[np.ndarray] = []
+    #: Copy leaves not yet expanded: ``(src, dst, whole-unit bytes)``.
+    copies: list[tuple[int, int, int]] = []
+
+    def flush() -> None:
+        """Expand the pending copies in one vectorized pass."""
+        if copies:
+            src, dst, n = np.array(copies, dtype=np.intp).T
+            n = np.maximum(n, 0)
+            within = (np.arange(n.sum(), dtype=np.intp)
+                      - np.repeat(np.cumsum(n) - n, n))
+            srcs.append(np.repeat(src, n) + within)
+            dsts.append(np.repeat(dst, n) + within)
+            copies.clear()
 
     def emit(op, sbase: int, dbase: int) -> None:
         if isinstance(op, CopyBlock):
-            off = np.arange(op.nbytes - op.nbytes % op.unit, dtype=np.intp)
-            srcs.append(sbase + op.src_off + off)
-            dsts.append(dbase + op.dst_off + off)
+            copies.append((sbase + op.src_off, dbase + op.dst_off,
+                           op.nbytes - op.nbytes % op.unit))
+        elif isinstance(op, Record):
+            for f in op.fields:
+                emit(f, sbase, dbase)
         elif isinstance(op, Gather):
+            flush()
             lane = np.arange(op.unit, dtype=np.intp)
             srcs.append((op.src_index[:, None] * op.unit + lane).ravel()
                         + sbase)
             d0 = dbase + op.dst_off
             dsts.append(np.arange(d0, d0 + op.nbytes, dtype=np.intp))
-        elif isinstance(op, Record):
-            for f in op.fields:
-                emit(f, sbase, dbase)
         elif len(op.body) == 1 and isinstance(op.body[0], CopyBlock):
             # Vectorized common case: a loop over one block.
+            flush()
             b = op.body[0]
             it = np.arange(op.count, dtype=np.intp)[:, None]
             off = np.arange(b.nbytes - b.nbytes % b.unit,
@@ -346,6 +369,7 @@ def enumerate_bytes(prog: Program) -> tuple[np.ndarray, np.ndarray]:
 
     for op in prog.ops:
         emit(op, 0, 0)
+    flush()
     if not srcs:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
@@ -403,10 +427,50 @@ def _coalesce_ops(ops: tuple) -> tuple:
     return tuple(out)
 
 
+def _op_table(ops: tuple) -> np.ndarray:
+    """``(src_off, dst_off, nbytes, is_copy)`` per op, as int64 rows; any
+    op but a :class:`CopyBlock` is a row of zeros."""
+    return np.array([(op.src_off, op.dst_off, op.nbytes, 1)
+                     if isinstance(op, CopyBlock) else (0, 0, 0, 0)
+                     for op in ops], dtype=np.int64).reshape(len(ops), 4)
+
+
+def _loop_starts(ops: tuple) -> list[bool]:
+    """Per position, whether :func:`_canonicalize_ops` can start a loop.
+
+    A loop of period ``p`` starts at ``i`` when the ops at ``[i, i +
+    MIN_REPS * p)`` are copies whose lag-``p`` offset deltas are one
+    constant pair and whose lag-``p`` lengths are equal — over the
+    ``(MIN_REPS - 1) * p`` positions from ``i``.  Decided for every
+    position and period at once over the op table.
+    """
+    n = len(ops)
+    starts = np.zeros(n, dtype=bool)
+    table = _op_table(ops)
+    src, dst, nbytes = table[:, 0], table[:, 1], table[:, 2]
+    copy = table[:, 3] == 1
+    for p in range(1, min(MAX_PERIOD, n // MIN_REPS) + 1):
+        m = n - MIN_REPS * p + 1  # positions with room for the loop
+        span = (MIN_REPS - 1) * p
+        good = (nbytes[p:] == nbytes[:-p]) & copy[p:] & copy[:-p]
+        ds, dd = src[p:] - src[:-p], dst[p:] - dst[:-p]
+        # ok[k]: position k + 1 is good and repeats position k's deltas.
+        ok = good[1:] & (ds[1:] == ds[:-1]) & (dd[1:] == dd[:-1])
+        misses = np.zeros(ok.shape[0] + 1, dtype=np.intp)
+        np.cumsum(~ok, out=misses[1:])
+        starts[:m] |= good[:m] & (misses[span - 1:span - 1 + m]
+                                  == misses[:m])
+    return starts.tolist()
+
+
 def _canonicalize_ops(ops: tuple) -> tuple:
     out: list = []
     i = 0
     n = len(ops)
+    #: Where a loop can start; decided on the first position the search
+    #: misses, so a list that is one loop (or too short to hold two) never
+    #: pays for it.
+    starts = None
     while i < n:
         op = ops[i]
         if isinstance(op, StridedLoop):
@@ -414,7 +478,8 @@ def _canonicalize_ops(ops: tuple) -> tuple:
                                    _canonicalize_ops(op.body)))
             i += 1
             continue
-        if not isinstance(op, CopyBlock):
+        if not isinstance(op, CopyBlock) or (starts is not None
+                                             and not starts[i]):
             out.append(op)
             i += 1
             continue
@@ -449,10 +514,14 @@ def _canonicalize_ops(ops: tuple) -> tuple:
         else:
             out.append(op)
             i += 1
+            if starts is None and n >= 2 * MIN_REPS:
+                starts = _loop_starts(ops)
     return tuple(out)
 
 
 def _collapse_ops(ops: tuple) -> tuple:
+    if not _has_loops(ops):
+        return ops
     out: list = []
     for op in ops:
         if not isinstance(op, StridedLoop):
@@ -476,6 +545,8 @@ def _collapse_ops(ops: tuple) -> tuple:
 
 
 def _promote_ops(ops: tuple) -> tuple:
+    if not _has_loops(ops):
+        return _coalesce_ops(ops)
     out: list = []
     for op in ops:
         if isinstance(op, StridedLoop):

@@ -4,29 +4,36 @@ MPI defines a derived datatype as a *typemap*: a sequence of (predefined
 type, byte displacement) pairs.  For packing purposes only the byte blocks
 matter, so this module represents a typemap as an ordered sequence of
 :class:`Block` (displacement, length, scalar count) entries together with a
-lower bound and extent.  The ordered-block form supports the three
-operations every derived-type constructor needs:
+lower bound and extent.  A block is one *declared run* — a vector row, an
+indexed block, a struct field — not one scalar: ``contiguous(4096,
+FLOAT64)`` is one block of 4096 scalars, so a DDTBench-scale type holds as
+many blocks as it declares runs (TEMPI's canonical form, PAPERS.md).  The
+ordered-block form supports what every derived-type constructor needs:
 
-* ``repeat`` — replicate with a stride (contiguous / vector),
-* ``displace`` — shift all blocks (indexed entries, struct fields),
-* ``concat`` — append typemaps in declaration order (struct).
+* ``repeat`` — replicate with a stride (contiguous / vector); through
+  :meth:`Typemap.repeat_blocks`, the one step that turns copies tiling a
+  single run into one longer run;
+* ``displace`` — shift all blocks (subarray slabs);
+* ``resized`` — override the bounds.
 
-Blocks keep their *declaration order* because MPI's pack order is the
-typemap order, not the address order.
+Indexed and struct constructors append each entry's repeated blocks to one
+list.  Blocks keep their *declaration order* because MPI's pack order is
+the typemap order, not the address order.
 A layout that already is a list of byte runs (a DDTBench ``RunLayout``)
 enters through :meth:`Typemap.from_runs`.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
-    """A run of bytes inside one element of a datatype.
+    """One declared run of bytes inside one element of a datatype.
 
     Attributes
     ----------
@@ -36,7 +43,7 @@ class Block:
         Number of bytes in the run.
     nscalars:
         How many predefined scalars the run covers (cost-model metadata;
-        a gap-free merged run of 3 ints has length 12 and nscalars 3).
+        a run of 3 ints has length 12 and nscalars 3).
     scalar:
         Numpy-style code of the predefined scalar this run is made of
         (``"f8"``, ``"i4"``, ...); the empty string means untyped bytes.
@@ -100,10 +107,10 @@ class Typemap:
         self._contiguous: bool | None = None
         if not self.blocks and (lb is None or extent is None):
             raise ValueError("empty typemap requires explicit lb and extent")
-        nat_lb = min((b.offset for b in self.blocks), default=0)
-        nat_ub = max((b.end for b in self.blocks), default=0)
-        self.lb = nat_lb if lb is None else lb
-        self.extent = (nat_ub - self.lb) if extent is None else extent
+        self.lb = (min(b.offset for b in self.blocks) if lb is None
+                   else lb)
+        self.extent = (max(b.end for b in self.blocks) - self.lb
+                       if extent is None else extent)
         if self.extent < 0:
             raise ValueError(f"negative extent: {self.extent}")
 
@@ -112,9 +119,11 @@ class Typemap:
         """Ordered ``(offset, length)`` byte runs into ``extent`` bytes: one
         untyped :class:`Block` per run in run (= pack) order, ``lb`` 0 — the
         layout of an ``hindexed`` over the runs resized to ``[0, extent)``,
-        so both spellings share one :meth:`layout_key` and one pack plan."""
-        return cls((Block(int(off), int(ln), int(ln)) for off, ln in runs),
-                   lb=0, extent=extent)
+        so both spellings share one :meth:`layout_key` and one pack plan.
+        ``runs`` is any ``(n, 2)`` integer array-like."""
+        offsets, lengths = np.asarray(runs, dtype=np.int64).reshape(-1, 2) \
+            .T.tolist()
+        return cls(map(Block, offsets, lengths, lengths), lb=0, extent=extent)
 
     # -- derived quantities ---------------------------------------------
 
@@ -190,8 +199,9 @@ class Typemap:
         :mod:`repro.core.packing`) can reproduce pre-plan per-call costs.
         """
         merged: list[Block] = []
+        end = None
         for b in self.blocks:
-            if merged and merged[-1].end == b.offset:
+            if end == b.offset:
                 prev = merged[-1]
                 merged[-1] = Block(prev.offset, prev.length + b.length,
                                    prev.nscalars + b.nscalars,
@@ -199,6 +209,7 @@ class Typemap:
                                    else "")
             else:
                 merged.append(b)
+            end = b.offset + b.length
         return tuple(merged)
 
     def layout_key(self) -> tuple[int, int, bytes]:
@@ -212,8 +223,8 @@ class Typemap:
         identity (same typemap) or one ``memcmp`` (a structural twin).
         """
         if self._layout_key is None:
-            runs = array("q", (v for b in self.merged_blocks()
-                               for v in (b.offset, b.length)))
+            runs = np.array([(b.offset, b.length)
+                             for b in self.merged_blocks()], dtype=np.int64)
             self._layout_key = (self.lb, self.extent, runs.tobytes())
         return self._layout_key
 
@@ -247,6 +258,25 @@ class Typemap:
         return Typemap((b.shifted(delta) for b in self.blocks),
                        lb=self.lb + delta, extent=self.extent)
 
+    def repeat_blocks(self, count: int, stride: int,
+                      delta: int = 0) -> list[Block]:
+        """The blocks of ``count`` copies ``stride`` bytes apart, all shifted
+        by ``delta``: the repeat step of every derived-type constructor.
+
+        A typemap that is a single run, repeated at the run's own length,
+        stays a single run — the copies tile it — of ``count`` times the
+        bytes and scalars.  Pack order, :meth:`merged_blocks` and
+        :meth:`signature` are those of the ``count`` separate copies.
+        """
+        blocks = self.blocks
+        if count and len(blocks) == 1 and stride == blocks[0].length:
+            b = blocks[0]
+            return [Block(b.offset + delta, count * b.length,
+                          count * b.nscalars, b.scalar)]
+        return [Block(b.offset + delta + i * stride, b.length, b.nscalars,
+                      b.scalar)
+                for i in range(count) for b in blocks]
+
     def repeat(self, count: int, stride_bytes: int | None = None) -> "Typemap":
         """Replicate ``count`` times, successive copies ``stride_bytes`` apart.
 
@@ -255,33 +285,15 @@ class Typemap:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        stride = self.extent if stride_bytes is None else stride_bytes
-        blocks: list[Block] = []
-        for i in range(count):
-            delta = i * stride
-            blocks.extend(b.shifted(delta) for b in self.blocks)
         if count == 0:
             return Typemap((), lb=self.lb, extent=0)
+        stride = self.extent if stride_bytes is None else stride_bytes
         # A negative stride walks the copies downward in memory (MPI allows
         # it for hvector); the span then starts at the *last* copy's lb.
         travel = stride * (count - 1)
-        span_lb = self.lb + min(0, travel)
-        span_extent = abs(travel) + self.extent
-        return Typemap(blocks, lb=span_lb, extent=span_extent)
-
-    @staticmethod
-    def concat(maps: Sequence["Typemap"], lb: int | None = None,
-               extent: int | None = None) -> "Typemap":
-        """Concatenate typemaps in declaration order (struct semantics)."""
-        blocks: list[Block] = []
-        for m in maps:
-            blocks.extend(m.blocks)
-        if lb is None:
-            lb = min((m.lb for m in maps), default=0)
-        if extent is None:
-            ub = max((m.ub for m in maps), default=0)
-            extent = ub - lb
-        return Typemap(blocks, lb=lb, extent=extent)
+        return Typemap(self.repeat_blocks(count, stride),
+                       lb=self.lb + min(0, travel),
+                       extent=abs(travel) + self.extent)
 
     def resized(self, lb: int, extent: int) -> "Typemap":
         """Return the same blocks with new explicit bounds."""
@@ -290,13 +302,16 @@ class Typemap:
     # -- dunder -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equal iff they pack and unpack identically and carry the same
+        scalars: same bounds, same merged runs, same signature — however
+        the runs are split into blocks."""
         if not isinstance(other, Typemap):
             return NotImplemented
-        return (self.blocks == other.blocks and self.lb == other.lb
-                and self.extent == other.extent)
+        return (self.layout_key() == other.layout_key()
+                and self.signature() == other.signature())
 
     def __hash__(self) -> int:
-        return hash((self.blocks, self.lb, self.extent))
+        return hash((self.layout_key(), self.signature()))
 
     def __repr__(self) -> str:
         return (f"Typemap({len(self.blocks)} blocks, size={self.size}, "

@@ -73,7 +73,7 @@ class RunLayout:
     @cached_property
     def typemap(self) -> Typemap:
         """The runs as a typemap (the layout's key into the plan cache)."""
-        return Typemap.from_runs(self.runs.tolist(), self.buffer_bytes)
+        return Typemap.from_runs(self.runs, self.buffer_bytes)
 
     @cached_property
     def plan(self) -> PackPlan:

@@ -411,3 +411,129 @@ class TestPlanIRProperties:
         prog = lower_typemap(t.typemap)
         final, _ = run_pipeline(prog)
         assert np.array_equal(byte_map(final), byte_map(prog))
+
+
+class TestEnumerateBytes:
+    def test_execution_order_across_op_kinds(self):
+        """Copies are expanded in batches, but the bytes keep the order
+        the ops write them in, whatever op kind comes between."""
+        prog = Program((
+            CopyBlock(8, 0, 2), Gather([0, 1], dst_off=2),
+            Record((CopyBlock(4, 4, 1), CopyBlock(20, 5, 1))),
+            StridedLoop(2, 10, 2, (CopyBlock(0, 6, 1), CopyBlock(3, 7, 1))),
+            CopyBlock(16, 10, 3, unit=2)),
+            size=12, extent=24, row_span=24, src_lo=0, src_hi=24)
+        src, dst = planir.enumerate_bytes(prog)
+        assert src.tolist() == [8, 9, 0, 1, 4, 20, 0, 3, 10, 13, 16, 17]
+        assert dst.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+
+
+# -- stride-search filter ------------------------------------------------------
+
+def exhaustive_canonicalize(ops):
+    """``_canonicalize_ops`` as it was before loop starts were decided up
+    front: the greedy period search tried at every position."""
+    out, i, n = [], 0, len(ops)
+    while i < n:
+        op = ops[i]
+        if isinstance(op, StridedLoop):
+            out.append(StridedLoop(op.count, op.src_stride, op.dst_stride,
+                                   exhaustive_canonicalize(op.body)))
+            i += 1
+            continue
+        if not isinstance(op, CopyBlock):
+            out.append(op)
+            i += 1
+            continue
+        best = None
+        for p in range(1, planir.MAX_PERIOD + 1):
+            if i + 2 * p > n:
+                break
+            window = ops[i:i + p]
+            if not all(isinstance(w, CopyBlock) for w in window):
+                break
+            if not all(isinstance(w, CopyBlock) for w in ops[i + p:i + 2 * p]):
+                continue
+            sd = ops[i + p].src_off - op.src_off
+            dd = ops[i + p].dst_off - op.dst_off
+            reps = 1
+            while i + (reps + 1) * p <= n and all(
+                    isinstance(ops[i + reps * p + k], CopyBlock)
+                    and ops[i + reps * p + k].src_off
+                    == window[k].src_off + reps * sd
+                    and ops[i + reps * p + k].dst_off
+                    == window[k].dst_off + reps * dd
+                    and ops[i + reps * p + k].nbytes == window[k].nbytes
+                    for k in range(p)):
+                reps += 1
+            if reps >= planir.MIN_REPS and (best is None
+                                            or reps * p > best[1] * best[0]):
+                best = (p, reps, sd, dd)
+        if best is not None:
+            p, reps, sd, dd = best
+            out.append(StridedLoop(reps, sd, dd, tuple(ops[i:i + p])))
+            i += reps * p
+        else:
+            out.append(op)
+            i += 1
+    return tuple(out)
+
+
+_offsets = st.integers(0, 64)
+
+
+@st.composite
+def periodic_ops(draw):
+    """A pattern of 1..MAX_PERIOD+1 copies repeated at constant strides,
+    possibly with one op perturbed, between random prefix/suffix copies;
+    now and then a non-copy op or a loop mixed in."""
+    def copies(k):
+        return [CopyBlock(draw(_offsets), draw(_offsets),
+                          draw(st.integers(1, 3))) for _ in range(k)]
+    period = draw(st.integers(1, planir.MAX_PERIOD + 1))
+    pattern = copies(period)
+    sd, dd = draw(st.integers(-24, 24)), draw(st.integers(0, 24))
+    reps = draw(st.integers(1, 2 * planir.MIN_REPS))
+    ops = copies(draw(st.integers(0, 3)))
+    ops += [CopyBlock(b.src_off + r * sd, b.dst_off + r * dd, b.nbytes)
+            for r in range(reps) for b in pattern]
+    ops += copies(draw(st.integers(0, 3)))
+    if ops and draw(st.booleans()):
+        j = draw(st.integers(0, len(ops) - 1))
+        b = ops[j]
+        ops[j] = draw(st.sampled_from([
+            CopyBlock(b.src_off + 1, b.dst_off, b.nbytes),
+            CopyBlock(b.src_off, b.dst_off, b.nbytes + 1),
+            Gather(np.arange(2), b.dst_off),
+            StridedLoop(2, 8, 4, (b,)),
+        ]))
+    return tuple(ops)
+
+
+class TestStrideSearchFilter:
+    """Deciding loop starts up front changes no op the search emits."""
+
+    @settings(max_examples=300)
+    @given(periodic_ops())
+    def test_matches_exhaustive_search(self, ops):
+        assert planir._canonicalize_ops(ops) == exhaustive_canonicalize(ops)
+
+    @given(st.lists(st.builds(CopyBlock, _offsets, _offsets,
+                              st.integers(1, 2)),
+                    max_size=2 * planir.MIN_REPS - 1))
+    def test_short_lists(self, ops):
+        ops = tuple(ops)
+        assert planir._canonicalize_ops(ops) == exhaustive_canonicalize(ops)
+
+    @pytest.mark.parametrize("name", DDTBENCH_NAMES)
+    def test_ddtbench_plans_match_exhaustive_search(self, name):
+        tm = make_workload(name).derived_datatype().typemap
+        oracle = planir.Pass("canonicalize-strides", lambda p: (
+            p if p.order_observable
+            else p.with_ops(exhaustive_canonicalize(p.ops))))
+        pipeline = [oracle if p is planir.canonicalize_strides else p
+                    for p in planir.default_pipeline()]
+        ir, passes = run_pipeline(lower_typemap(tm), pipeline)
+        plan = PackPlan(tm)
+        assert repr(plan.ir.ops) == repr(ir.ops) and plan.ir.ops == ir.ops
+        assert plan.passes == passes

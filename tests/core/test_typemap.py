@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import FLOAT32, INT32, contiguous, create_struct, resized
+from repro.core.introspect import equivalent
 from repro.core.typemap import Block, Typemap, scalar_typemap
 
 
@@ -135,14 +137,6 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             scalar_typemap(4).repeat(-1)
 
-    def test_concat(self):
-        a = scalar_typemap(4)
-        b = scalar_typemap(8, offset=8)
-        tm = Typemap.concat([a, b])
-        assert tm.size == 12
-        assert tm.lb == 0
-        assert tm.ub == 16
-
     def test_resized(self):
         tm = scalar_typemap(4).resized(0, 32)
         assert tm.extent == 32
@@ -158,6 +152,35 @@ class TestAlgebra:
 
     def test_repr(self):
         assert "size=8" in repr(scalar_typemap(8))
+
+
+class TestEquality:
+    """Typemaps are equal iff they pack and unpack identically and carry
+    the same scalars, however their runs are split into blocks."""
+
+    def test_block_granularity_does_not_matter(self):
+        one_run = Typemap([Block(0, 12, 3, "i4")], lb=0, extent=12)
+        per_scalar = Typemap([Block(o, 4, 1, "i4") for o in (0, 4, 8)],
+                             lb=0, extent=12)
+        assert one_run == per_scalar == contiguous(3, INT32).typemap
+        assert hash(one_run) == hash(per_scalar)
+        assert hash(one_run) == hash(contiguous(3, INT32).typemap)
+
+    def test_adjacent_struct_fields_equal_contiguous(self):
+        fields = create_struct([1, 1], [0, 4], [INT32, INT32])
+        assert fields.typemap == contiguous(2, INT32).typemap
+        assert equivalent(fields, contiguous(2, INT32))
+
+    def test_scalar_types_matter(self):
+        mixed = create_struct([1, 1], [0, 4], [INT32, FLOAT32])
+        assert mixed.typemap != contiguous(2, INT32).typemap
+        assert not equivalent(mixed, contiguous(2, INT32))
+
+    def test_gaps_matter(self):
+        gap = create_struct([1, 1], [0, 8], [INT32, INT32])
+        no_gap = resized(contiguous(2, INT32), 0, 12)
+        assert gap.typemap != no_gap.typemap
+        assert gap.size == no_gap.size and gap.extent == no_gap.extent
 
 
 # -- properties ----------------------------------------------------------------
