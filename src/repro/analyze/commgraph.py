@@ -1,20 +1,27 @@
-"""Static communication graph: matching and scheduling of per-rank traces.
+"""The one communication matcher: the static flow verifier and the runtime
+sanitizer both ask it the same three questions.
 
-:mod:`repro.analyze.flow` abstractly interprets a ``main(comm)`` program
-once per rank and produces one *trace* (an ordered list of the operations
-below) per rank.  This module replays those traces against each other with
-MPI's matching rules — FIFO per (source, dest, communicator) channel,
-wildcard receives, eager/rendezvous send completion, synchronizing
-collectives — and turns everything that cannot line up into ``RPD5xx``
-diagnostics:
+* **Does the send fit the receive?**  :func:`classify_mismatch` gives one
+  code per pairing — ``RPD510`` when the scalar sequences disagree,
+  ``RPD511`` when the message is longer than the receive.  The replay
+  below reports it as is; the sanitizer's delivery hook reports the same
+  verdict on live traffic as ``RPD410``/``RPD411``.
+* **Is there a deadlock?**  :func:`wait_for_verdict` takes each waiting
+  rank's wait targets and the finished ranks, and returns the ranks that
+  can never proceed plus one wait-for cycle among them.  The replay turns
+  it into ``RPD500`` (a cycle) or ``RPD501``/``RPD502``/``RPD520`` (waits
+  on finished ranks); the sanitizer into ``RPD440``.
+* **Which send pairs with which receive?**  :class:`TraceReplay` replays
+  the per-rank traces of :mod:`repro.analyze.flow` (ordered lists of the
+  operations below) through the fabric's own
+  :class:`repro.ucp.tagmatch.TagMatcher`, one per rank, with tags built by
+  :func:`repro.ucp.constants.pack_tag`/``match_mask`` — the FIFO,
+  wildcard and non-overtaking rules the live fabric applies.
 
-* ``RPD500`` — the replay wedges with a cycle in the wait-for graph,
-* ``RPD501``/``RPD502`` — sends/receives that no peer ever matches,
-* ``RPD510``/``RPD511`` — matched pairs whose static type signatures
-  disagree (same :func:`repro.core.signature.signature_compatible` rules
-  the runtime sanitizer applies to wire envelopes),
-* ``RPD520`` — ranks reach different collectives, or the same collectives
-  in different orders.
+The replay also schedules the traces (eager/rendezvous send completion,
+synchronizing collectives) and reports ``RPD501``/``RPD502`` for traffic
+still unmatched when every rank finished, and ``RPD520`` when ranks reach
+different collectives, or the same collectives in different orders.
 
 The replay is deterministic: wildcard receives take the earliest posted
 candidate, which is sufficient for the verifier's job of proving a
@@ -27,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..core.signature import (format_signature, is_untyped, signature_bytes,
-                              signature_compatible)
+from ..core.signature import is_untyped, signature_bytes, signature_compatible
+from ..ucp.constants import match_mask, pack_tag
 from ..ucp.netsim import DEFAULT_PARAMS
+from ..ucp.tagmatch import TagMatcher
 from .diagnostics import Diagnostic
 
 #: Wildcard sentinel shared with :mod:`repro.mpi.requests`.
@@ -94,9 +102,17 @@ class CollOp:
 
 @dataclass
 class _ReqState:
+    """Completion state of one posted op.  A send's state is also the
+    message its destination's TagMatcher queues: the matcher reads
+    ``header.tag``, the replay reads the op back."""
+
     op: P2POp
-    completed: bool = False
-    matched: Optional[P2POp] = None
+    completed: bool = False         # matched by a peer
+    tag: int = 0                    # a send's packed transport tag
+
+    @property
+    def header(self) -> "_ReqState":
+        return self
 
 
 @dataclass
@@ -108,19 +124,26 @@ class _RankState:
     coll_slots: dict = field(default_factory=dict)  # comm key -> next slot
 
 
+#: Fix hint per :func:`classify_mismatch` code, on both sides.
+MISMATCH_HINTS = {
+    "RPD510": "send and receive must describe the same scalar sequence "
+              "(MPI type-matching rules)",
+    "RPD511": "post a receive at least as large as the message",
+}
+
+
 def classify_mismatch(send_sig, recv_sig, send_bytes, recv_bytes):
     """Classify a send/recv pairing: (code, reason) or (None, "").
 
     ``RPD511`` when the scalar prefixes agree but the message is longer
-    than the receive (MPI truncation); ``RPD510`` when the scalar
-    sequences themselves disagree.  Unknown signatures fall back to the
-    byte capacities when both are known.
+    than the receive (MPI truncation), or an untyped side lacks room;
+    ``RPD510`` when the scalar sequences themselves disagree.  Unknown
+    signatures fall back to the byte capacities when both are known.
     """
     ok, reason = signature_compatible(send_sig, recv_sig)
     if not ok:
-        if send_sig is not None and recv_sig is not None and (
-                is_untyped(send_sig) or is_untyped(recv_sig)
-                or signature_bytes(send_sig) > signature_bytes(recv_sig)
+        if is_untyped(send_sig) or is_untyped(recv_sig) or (
+                signature_bytes(send_sig) > signature_bytes(recv_sig)
                 and _is_prefix(recv_sig, send_sig)):
             return "RPD511", reason
         return "RPD510", reason
@@ -155,6 +178,51 @@ def _is_prefix(short_sig, long_sig) -> bool:
             j += 1
 
 
+def wait_for_verdict(waits: dict, finished) -> tuple[set, Optional[list]]:
+    """Which waiting ranks can never proceed, and one cycle among them.
+
+    ``waits`` maps each waiting rank to the ranks that could release it:
+    the one peer of a specific wait, every peer of a wildcard receive (any
+    one will do).  A rank is stuck when each of its targets is stuck too
+    or in ``finished`` (a finished rank never sends again); the stuck set
+    is the fixpoint of that rule.  The cycle is the first one a
+    depth-first walk over stuck ranks meets, lowest rank and lowest target
+    first, as the list of ranks on it; None when the stuck ranks only wait
+    on finished ones.
+    """
+    stuck = dict(waits)
+    changed = True
+    while changed:
+        changed = False
+        for rank in list(stuck):
+            if any(t not in stuck and t not in finished
+                   for t in stuck[rank]):
+                del stuck[rank]
+                changed = True
+    path: list = []
+    cleared: set = set()
+
+    def visit(rank):
+        path.append(rank)
+        for target in sorted(stuck[rank]):
+            if target in path:
+                return path[path.index(target):]
+            if target in stuck and target not in cleared:
+                found = visit(target)
+                if found:
+                    return found
+        path.pop()
+        cleared.add(rank)
+        return None
+
+    for rank in sorted(stuck):
+        if rank not in cleared:
+            cycle = visit(rank)
+            if cycle:
+                return set(stuck), cycle
+    return set(stuck), None
+
+
 class TraceReplay:
     """Replays one set of per-rank traces and collects diagnostics."""
 
@@ -169,9 +237,12 @@ class TraceReplay:
         self.diags: list[Diagnostic] = []
         self._seq = 0
         self._reqs: dict[tuple, _ReqState] = {}
-        self._op_state: dict[int, _ReqState] = {}   # id(op) -> state
-        self._pending_sends: list[P2POp] = []
-        self._pending_recvs: list[P2POp] = []
+        self._matchers = {r: TagMatcher() for r in traces}
+        self._recv_of: dict[int, _ReqState] = {}  # id(PostedRecv) -> state
+        # Communicator keys (tuples) and user tags (any int reaches the
+        # replay) are numbered densely to fit the transport tag's fields.
+        self._comm_ids: dict = {}
+        self._tag_ids: dict = {}
         self._coll_arrivals: dict = {}   # (comm, slot) -> {rank: CollOp}
         self._coll_reported: set = set()
         self._ranks = {r: _RankState(trace) for r, trace in traces.items()}
@@ -189,34 +260,35 @@ class TraceReplay:
 
     # -- matching -------------------------------------------------------
 
-    def _compatible(self, send: P2POp, recv: P2POp) -> bool:
-        return (send.comm == recv.comm
-                and send.peer == recv.rank
-                and recv.peer in (ANY, send.rank)
-                and recv.tag in (ANY, send.tag))
+    def _tag(self, op: P2POp, source: int) -> int:
+        comm = self._comm_ids.setdefault(op.comm, len(self._comm_ids))
+        user = self._tag_ids.setdefault(op.tag, len(self._tag_ids))
+        return pack_tag(comm, source, user)
 
-    def _channel_blocked(self, send: P2POp) -> bool:
-        """Non-overtaking: an earlier unmatched send on the same
-        (source, dest, comm, tag-matchable) channel must match first."""
-        for other in self._pending_sends:
-            if other is send:
-                return False
-            if (other.rank == send.rank and other.peer == send.peer
-                    and other.comm == send.comm and other.tag == send.tag):
-                return True
-        return False
+    def _pair(self, state: _ReqState) -> None:
+        """Hand a posted op to the matcher of the rank that receives it."""
+        op = state.op
+        if op.kind == "send":
+            if op.peer not in self._matchers:
+                return                  # invalid destination: never matches
+            state.tag = self._tag(op, op.rank)
+            posted = self._matchers[op.peer].deposit(state)
+            if posted is not None:
+                self._match(state, self._recv_of.pop(id(posted)))
+            return
+        if op.peer != ANY and op.peer not in self._matchers:
+            return                      # invalid source: never matches
+        posted = self._matchers[op.rank].post(
+            self._tag(op, max(op.peer, 0)),
+            match_mask(op.peer == ANY, op.tag == ANY))
+        if posted.msg is not None:
+            self._match(posted.msg, state)
+        else:
+            self._recv_of[id(posted)] = state
 
-    def _match(self, send: P2POp, recv: P2POp) -> None:
-        self._pending_sends.remove(send)
-        self._pending_recvs.remove(recv)
-        sstate = self._op_state.get(id(send))
-        rstate = self._op_state.get(id(recv))
-        if sstate:
-            sstate.completed = True
-            sstate.matched = recv
-        if rstate:
-            rstate.completed = True
-            rstate.matched = send
+    def _match(self, sent: _ReqState, received: _ReqState) -> None:
+        sent.completed = received.completed = True
+        send, recv = sent.op, received.op
         code, reason = classify_mismatch(send.signature, recv.signature,
                                          send.nbytes, recv.nbytes)
         if code:
@@ -224,28 +296,7 @@ class TraceReplay:
                 code,
                 f"rank {recv.rank} receive matches the send posted by rank "
                 f"{send.rank} at line {send.line}, but {reason}",
-                hint="send and receive must describe the same scalar "
-                     "sequence (MPI type-matching rules)"
-                if code == "RPD510" else
-                "post a receive at least as large as the message",
-                line=recv.line, col=recv.col)
-
-    def _try_match_recv(self, recv: P2POp) -> bool:
-        for send in self._pending_sends:
-            if self._compatible(send, recv) \
-                    and not self._channel_blocked(send):
-                self._match(send, recv)
-                return True
-        return False
-
-    def _try_match_send(self, send: P2POp) -> bool:
-        if self._channel_blocked(send):
-            return False
-        for recv in self._pending_recvs:
-            if self._compatible(send, recv):
-                self._match(send, recv)
-                return True
-        return False
+                hint=MISMATCH_HINTS[code], line=recv.line, col=recv.col)
 
     def _send_completed(self, send: P2POp, state: _ReqState) -> bool:
         """Eager sends complete at post; rendezvous on match."""
@@ -270,13 +321,7 @@ class TraceReplay:
             key = (rank, op.req if op.req is not None
                    else ("anon", op.seq))
             self._reqs[key] = state
-            self._op_state[id(op)] = state
-            if op.kind == "send":
-                self._pending_sends.append(op)
-                self._try_match_send(op)
-            else:
-                self._pending_recvs.append(op)
-                self._try_match_recv(op)
+            self._pair(state)
             if op.blocking:
                 return ("wait", [key])
             return None
@@ -375,25 +420,23 @@ class TraceReplay:
             if state is None or state.op.escaped:
                 continue
             op = state.op
-            if op.kind == "send":
-                if not self._send_completed(op, state):
-                    return ([op.peer], op.describe(), op.line, op.col)
-            elif not state.completed:
-                targets = ([op.peer] if op.peer != ANY
-                           else [r for r in self._ranks if r != rank])
-                return (targets, op.describe(), op.line, op.col)
+            if (self._send_completed(op, state) if op.kind == "send"
+                    else state.completed):
+                continue
+            if op.peer == ANY:
+                targets = [r for r in self._ranks if r != rank]
+            else:   # an invalid peer is nobody to wait for
+                targets = [op.peer] if op.peer in self._ranks else []
+            return (targets, op.describe(), op.line, op.col)
         return ([], "wait", 0, 0)
 
     def _report_stuck(self) -> None:
         blocked = {r: self._blocked_detail(r)
                    for r, st in self._ranks.items()
                    if not st.done and st.blocked is not None}
-        if not blocked:
-            return
-        # Cycle search over live wait-for edges.
-        edges = {r: [t for t in targets if t in blocked]
-                 for r, (targets, _, _, _) in blocked.items()}
-        cycle = _find_cycle(edges)
+        stuck, cycle = wait_for_verdict(
+            {r: targets for r, (targets, _, _, _) in blocked.items()},
+            {r for r, st in self._ranks.items() if st.done})
         if cycle:
             chain = " -> ".join(
                 f"rank {r}: {blocked[r][1]} at line {blocked[r][2]}"
@@ -408,11 +451,11 @@ class TraceReplay:
                 line=blocked[first][2], col=blocked[first][3])
             return
         # Hopeless waits: blocked on ranks that already terminated (or on
-        # nobody at all).  Walk the chains back to the root causes.
-        roots = [r for r, (targets, _, _, _) in blocked.items()
-                 if not any(t in blocked for t in targets)]
-        for rank in sorted(roots):
+        # nobody at all).  Report the root causes, not the chains on them.
+        for rank in sorted(stuck):
             targets, desc, line, col = blocked[rank]
+            if any(t in stuck for t in targets):
+                continue
             st = self._ranks[rank]
             kind, detail = st.blocked
             if kind == "coll":
@@ -450,8 +493,9 @@ class TraceReplay:
     def _report_leftovers(self) -> None:
         """Unmatched nonblocking traffic after every rank terminated."""
         by_site: dict[tuple, list[P2POp]] = {}
-        for op in self._pending_sends + self._pending_recvs:
-            if op.escaped:
+        for state in self._reqs.values():
+            op = state.op
+            if state.completed or op.escaped:
                 continue
             by_site.setdefault((op.kind, op.line, op.col), []).append(op)
         for (kind, line, col), ops in sorted(by_site.items()):
@@ -484,36 +528,6 @@ class TraceReplay:
         else:
             self._report_stuck()
         return self.diags
-
-
-def _find_cycle(edges: dict) -> Optional[list]:
-    """First cycle in a small digraph, as the list of nodes on it."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in edges}
-    stack: list = []
-
-    def visit(node):
-        color[node] = GRAY
-        stack.append(node)
-        for succ in edges.get(node, ()):
-            if succ not in color:
-                continue
-            if color[succ] == GRAY:
-                return stack[stack.index(succ):]
-            if color[succ] == WHITE:
-                found = visit(succ)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(edges):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
-    return None
 
 
 def replay(traces: dict, path: Optional[str] = None,

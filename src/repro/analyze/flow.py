@@ -16,7 +16,7 @@ computes from literals, ``comm.rank``/``comm.size`` and pure library calls
 (numpy, ``repro.core`` datatype constructors, Cartesian topology math) are
 evaluated natively, so tags, peers, counts and real ``Datatype`` objects
 flow through unchanged and their signatures can be checked with the exact
-:func:`repro.core.signature.signature_compatible` rules the runtime
+:func:`repro.analyze.commgraph.classify_mismatch` verdict the runtime
 sanitizer applies.  Anything else collapses to a single ``UNKNOWN``
 element.  When an ``UNKNOWN`` reaches a *communication-relevant* position
 — a branch guarding MPI calls, a tag, a peer rank, a communicator passed

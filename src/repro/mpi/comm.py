@@ -18,14 +18,10 @@ import numpy as np
 from ..core.custom import CustomDatatype
 from ..core.datatype import BYTE, Datatype, from_numpy_dtype
 from ..errors import MPI_ERR_COMM, MPI_ERR_RANK, MPI_ERR_TAG, MPIError
-from ..ucp.constants import match_mask, pack_tag
+from ..ucp.constants import MAX_USER_TAG, match_mask, pack_tag
 from ..ucp.context import Worker
 from .engine import EngineConfig, TransferEngine
 from .requests import ANY_SOURCE, ANY_TAG, Request, Status
-
-#: User tags must stay below this; the range above is reserved for
-#: collectives and other internal protocols.
-MAX_USER_TAG = 1 << 30
 
 #: Error-handler policies (the MPI_Errhandler analogues).  FATAL — the MPI
 #: default — turns any MPI error on this communicator into a job-wide

@@ -11,8 +11,18 @@ levels:
 * **transport wait** (``repro.ucp.context``) — every blocking wait is
   ``Worker.park``, which keeps its wait-for edge here while parked and asks
   :meth:`check_wait` every poll period: cycles end in bounded time;
-* **delivery** (``Worker.deliver``) — wire-signature matching and
-  truncation pre-checks at the tag matcher.
+* **delivery** (``Worker.deliver``) — type-signature and truncation checks
+  at the tag matcher, before any data moves.
+
+The two verdicts this shares with the static flow verifier come from
+:mod:`repro.analyze.commgraph`, so both give the same answer on the same
+program: :func:`~repro.analyze.commgraph.classify_mismatch` decides
+whether a delivered message fits its receive (its ``RPD510``/``RPD511``
+are reported here as ``RPD410``/``RPD411``, one finding per pairing), and
+:func:`~repro.analyze.commgraph.wait_for_verdict` decides which parked
+ranks are stuck and names the cycle (``RPD440``).  What only a live job
+has stays here: re-checking each wait's ``satisfied`` predicate, the
+``VERDICT_GRACE`` hold, the abort and the stack capture.
 
 Thread model: diagnostics and the wait-for graph are locked (any rank may
 touch them); per-rank request lists and buffer maps are only touched from
@@ -28,16 +38,17 @@ import time
 import traceback
 from typing import Optional
 
+from ..analyze.commgraph import (MISMATCH_HINTS, classify_mismatch,
+                                 wait_for_verdict)
 from ..analyze.diagnostics import Diagnostic
-from ..core.signature import format_signature, signature_compatible
 from ..errors import DeadlockError
-from ..ucp.constants import VERDICT_GRACE, unpack_tag
+from ..ucp.constants import MAX_USER_TAG, VERDICT_GRACE, unpack_tag
 from .buffers import BufferTracker
 from .report import SanitizeReport
 
-#: Mirrors repro.mpi.comm.MAX_USER_TAG (imported lazily to avoid a cycle
-#: through repro.mpi.__init__ -> runtime -> this module).
-_MAX_USER_TAG = 1 << 30
+#: How live traffic reports each :func:`classify_mismatch` code.
+_LIVE_MISMATCH = {"RPD510": ("RPD410", "has a mismatched type signature"),
+                  "RPD511": ("RPD411", "does not fit the receive")}
 
 _REPRO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -183,7 +194,7 @@ class JobSanitizer:
     @staticmethod
     def _fmt_tag(tag64: int) -> str:
         _, _, user = unpack_tag(tag64)
-        if user >= _MAX_USER_TAG:
+        if user >= MAX_USER_TAG:
             return " (internal tag)"
         return f" (tag {user})"
 
@@ -307,31 +318,17 @@ class JobSanitizer:
 
     def on_deliver(self, rank: int, msg, data) -> None:
         hdr = msg.header
-        tagstr = self._fmt_tag(hdr.tag)
-        sent_sig = getattr(hdr, "signature", None)
-        want_sig = getattr(data, "expected_signature", None)
-        if sent_sig is not None and want_sig is not None:
-            ok, reason = signature_compatible(sent_sig, want_sig)
-            if not ok:
-                self.emit(
-                    "RPD410",
-                    f"message from rank {hdr.source}{tagstr} has a "
-                    f"mismatched type signature: {reason}",
-                    rank=rank,
-                    hint="send and receive must describe the same scalar "
-                         "sequence (MPI type-matching rules)")
-        cap = getattr(data, "total_bytes", -1)
-        if cap is not None and cap >= 0 and hdr.total_bytes > cap:
-            sent = (f" (sender signature [{format_signature(sent_sig)}])"
-                    if sent_sig is not None else "")
-            self.emit(
-                "RPD411",
-                f"message of {hdr.total_bytes} bytes from rank "
-                f"{hdr.source}{tagstr} does not fit the {cap}-byte "
-                f"receive{sent}",
-                rank=rank,
-                hint="post a receive with a count at least as large as "
-                     "the incoming message")
+        cap = data.total_bytes          # -1: the receive takes any size
+        code, reason = classify_mismatch(
+            hdr.signature, getattr(data, "expected_signature", None),
+            hdr.total_bytes, cap if cap >= 0 else None)
+        if code:
+            live, what = _LIVE_MISMATCH[code]
+            self.emit(live,
+                      f"message of {hdr.total_bytes} bytes from rank "
+                      f"{hdr.source}{self._fmt_tag(hdr.tag)} {what}: "
+                      f"{reason}",
+                      rank=rank, hint=MISMATCH_HINTS[code])
 
     # ------------------------------------------------------------------
     # wait-for graph / deadlock detection
@@ -362,21 +359,12 @@ class JobSanitizer:
         with self._lock:
             edges = dict(self._edges)
             finished = dict(self._finished)
-        stuck = {r: e for r, e in edges.items() if not e.satisfied()}
-        # Fixpoint: a rank is only permanently stuck if *every* rank that
-        # could satisfy it is itself stuck or already finished (a finished
-        # rank will never send again).  A specific-source recv has one
-        # target (AND); an ANY_SOURCE recv lists all peers (OR).
-        changed = True
-        while changed and stuck:
-            changed = False
-            for r in list(stuck):
-                hopeless = stuck.keys() | finished.keys()
-                if any(t not in hopeless for t in stuck[r].targets):
-                    del stuck[r]
-                    changed = True
-        if not stuck:
+        ranks, cycle = wait_for_verdict(
+            {r: e.targets for r, e in edges.items() if not e.satisfied()},
+            finished)
+        if not ranks:
             return
+        stuck = {r: edges[r] for r in ranks}
         # Events may have fired while we analyzed; a satisfied edge means
         # the picture above was transient, not a deadlock.
         if any(e.satisfied() for e in stuck.values()):
@@ -392,7 +380,7 @@ class JobSanitizer:
                 self.abort.set()
                 return
             self._deadlock_reported = True
-        message = self._deadlock_message(stuck, finished)
+        message = self._deadlock_message(stuck, cycle, finished)
         self.emit("RPD440", message,
                   subject="ranks " + ",".join(str(r) for r in sorted(stuck)),
                   hint="break the cycle: reorder send/recv, use sendrecv, "
@@ -402,13 +390,12 @@ class JobSanitizer:
                              if "\n" in message else message)
         self.abort.set()
 
-    def _deadlock_message(self, stuck: dict, finished: dict) -> str:
+    def _deadlock_message(self, stuck: dict, cycle, finished: dict) -> str:
         frames = sys._current_frames()
         lines = [f"{len(stuck)} rank(s) permanently blocked:"]
-        cycle = self._find_cycle(stuck)
         if cycle:
             lines.append("wait-for cycle: "
-                         + " -> ".join(f"rank {r}" for r in cycle))
+                         + " -> ".join(f"rank {r}" for r in cycle + cycle[:1]))
         elif finished:
             lines.append("waiting on rank(s) that already finished: "
                          + ",".join(str(r) for r in sorted(finished)))
@@ -421,25 +408,6 @@ class JobSanitizer:
                 for entry in _fmt_frames(frame):
                     lines.append(f"    {entry}")
         return "\n  ".join(lines)
-
-    @staticmethod
-    def _find_cycle(stuck: dict) -> Optional[list]:
-        """Follow stuck->stuck targets from the lowest rank; return the
-        closed walk when one exists (always, for a pure cycle)."""
-        start = min(stuck)
-        seen: dict[int, int] = {}
-        path: list[int] = []
-        r = start
-        while r in stuck and r not in seen:
-            seen[r] = len(path)
-            path.append(r)
-            nxt = sorted(t for t in stuck[r].targets if t in stuck)
-            if not nxt:
-                return None
-            r = nxt[0]
-        if r in seen:
-            return path[seen[r]:] + [r]
-        return None
 
     # ------------------------------------------------------------------
     # job lifecycle

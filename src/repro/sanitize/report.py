@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..analyze.diagnostics import (SCHEMA_VERSION, Diagnostic,
-                                   sort_diagnostics, tally)
+from ..analyze.diagnostics import Diagnostic, sort_diagnostics
 
 
 @dataclass
@@ -52,26 +51,6 @@ class SanitizeReport:
             f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
             for k, v in sorted(self.reliability_totals().items())
             if v) or "all zero"
-
-    def to_dict(self) -> dict:
-        """JSON rendering (same envelope as ``repro.analyze --format json``)."""
-        doc = {
-            "version": SCHEMA_VERSION,
-            "tool": "repro.sanitize",
-            "findings": [d.to_dict() for d in self.diagnostics],
-            "summary": {
-                "nprocs": self.nprocs,
-                "findings": len(self.diagnostics),
-                "aborted": self.aborted,
-                "failures": {str(r): msg for r, msg in
-                             sorted(self.failures.items())},
-                **tally(self.diagnostics),
-            },
-        }
-        if self.reliability:
-            doc["summary"]["reliability"] = self.reliability_totals()
-            doc["reliability"] = list(self.reliability)
-        return doc
 
     def format_text(self) -> str:
         lines = [d.format_text() for d in self.diagnostics]

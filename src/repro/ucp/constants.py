@@ -25,6 +25,10 @@ TAG_SOURCE_BITS = 16
 TAG_COMM_BITS = 16
 
 TAG_USER_MASK = (1 << TAG_USER_BITS) - 1
+#: User tags must stay below this; the range above (up to
+#: ``TAG_USER_MASK``) is reserved for collectives and other internal
+#: protocols.
+MAX_USER_TAG = 1 << 30
 TAG_SOURCE_SHIFT = TAG_USER_BITS
 TAG_SOURCE_MASK = ((1 << TAG_SOURCE_BITS) - 1) << TAG_SOURCE_SHIFT
 TAG_COMM_SHIFT = TAG_USER_BITS + TAG_SOURCE_BITS

@@ -51,18 +51,22 @@ class TagMatcher:
 
     # -- sender side ------------------------------------------------------
 
-    def deposit(self, msg: WireMessage) -> None:
-        """Offer an arriving message; match a posted recv or queue it."""
+    def deposit(self, msg: WireMessage) -> Optional[PostedRecv]:
+        """Offer an arriving message; match a posted recv or queue it.
+
+        Returns the receive it matched, or None when it was queued.
+        """
         tag = msg.header.tag
         with self._lock:
             for i, posted in enumerate(self._posted):
                 if (tag & posted.mask) == (posted.tag & posted.mask):
                     del self._posted[i]
                     posted.attach(msg)
-                    return
+                    return posted
             self._unexpected.append(msg)
         if not self.arrival.is_set():
             self.arrival.set()
+        return None
 
     # -- receiver side ----------------------------------------------------
 

@@ -40,12 +40,15 @@ class TestRunProgram:
         assert "RPD452" in report.codes()
         assert report.reliability_totals()["exhausted"] >= 1
 
-    def test_reliability_shows_in_text_and_json(self):
+    def test_reliability_shows_in_text_and_json(self, tmp_path, capsys):
         report = run_program(EXHAUSTED, timeout=30)
         assert "reliability:" in report.format_text()
-        doc = report.to_dict()
-        assert doc["summary"]["reliability"]["retransmits"] > 0
-        assert len(doc["reliability"]) == 2
+        out = tmp_path / "report.json"
+        sanitize_main(["--format", "json", "--report", str(out), EXHAUSTED])
+        for doc in (json.loads(capsys.readouterr().out),
+                    json.loads(out.read_text())):
+            totals = doc["summary"]["reliability"][EXHAUSTED]
+            assert totals["retransmits"] > 0
 
 
 class TestCliExit:

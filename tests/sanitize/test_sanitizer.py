@@ -5,11 +5,13 @@ program carrying exactly one class of bug, then asserts the corresponding
 diagnostic (and only meaningful companions) is reported.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
+from repro.analyze.cli import main
 from repro.core import Region, type_create_custom
 from repro.errors import RuntimeAbort
 from repro.mpi import run
@@ -66,12 +68,18 @@ class TestCleanRuns:
         rep = report_of(fn)
         assert rep.clean, rep.format_text()
 
-    def test_report_json_envelope(self):
-        rep = report_of(lambda comm: None)
-        doc = rep.to_dict()
-        assert doc["tool"] == "repro.sanitize"
-        assert doc["version"] == 1
-        assert doc["summary"]["findings"] == 0
+    def test_report_json_envelope(self, tmp_path, capsys):
+        program = tmp_path / "noop.py"
+        program.write_text("def main(comm):\n    pass\n")
+        report = tmp_path / "report.json"
+        rc = main(["sanitize", str(program), "--format", "json",
+                   "--report", str(report)])
+        assert rc == 0
+        for doc in (json.loads(capsys.readouterr().out),
+                    json.loads(report.read_text())):
+            assert doc["tool"] == "repro.sanitize"
+            assert doc["version"] == 1
+            assert doc["summary"]["findings"] == 0
 
 
 class TestBufferChecks:
