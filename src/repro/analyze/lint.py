@@ -18,7 +18,7 @@ from .diagnostics import Diagnostic
 
 #: Method/function names treated as blocking sends, nonblocking sends,
 #: blocking receives, and nonblocking receives.  The ``MPI_*`` spellings
-#: cover the :mod:`repro.mpi.capi` shim.
+#: cover the :mod:`repro.capi` shim.
 SEND_NAMES = {"send", "ssend", "bsend", "Send", "MPI_Send", "MPI_Ssend"}
 ISEND_NAMES = {"isend", "Isend", "MPI_Isend"}
 RECV_NAMES = {"recv", "Recv", "MPI_Recv"}

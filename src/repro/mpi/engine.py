@@ -28,10 +28,13 @@ call straight into the wire buffer, one ``unpack_fn`` call straight out of
 it (modelled fragments are accounted, not materialised — the rule the
 derived path's two temps already follow).
 
-Receive-side custom delivery runs as a :class:`~repro.ucp.dtypes.HandlerData`
-callback on the receiving thread: unpack the in-band stream first, *then*
-query the receiver's regions (whose placement may depend on the unpacked
-metadata) and scatter into them — the two-stage choreography of Section III.
+Every receive lands through the receive contract of :mod:`repro.ucp.dtypes`,
+on a descriptor one builder (``TransferEngine._landing``) picks for ``irecv``
+and ``mrecv`` alike.  Custom delivery is a
+:class:`~repro.ucp.dtypes.CallbackData` on the receiving thread: unpack the
+in-band stream first, *then* query the receiver's regions (whose placement
+may depend on the unpacked metadata) and scatter into them — the two-stage
+choreography of Section III.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from ..core.packing import pack, unpack
 from ..core.packplan import UnpackCursor
 from ..errors import MPIError, TruncationError
 from ..ucp.context import Endpoint, Worker
-from ..ucp.dtypes import ContigData, HandlerData, IovData, ScatterData
+from ..ucp.constants import DATATYPE_CONTIG
+from ..ucp.dtypes import CallbackData, ContigData, IovData
 from ..ucp.wire import WireMessage
 from .requests import Request, Status
 
@@ -175,22 +179,11 @@ class TransferEngine:
 
     def start_recv(self, tag64: int, mask: int, buf, count: int,
                    dtype: Datatype, peers=None) -> Request:
-        san = self.worker.sanitizer
-        if isinstance(dtype, CustomDatatype):
-            desc = HandlerData(self._custom_recv_handler(buf, count, dtype))
-            treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
-            req = Request(treq)
-        elif (tm := dtype.typemap).is_contiguous:
-            desc = ContigData(buf, tm.size * count, writable=True)
-            if san is not None:
-                desc.expected_signature = dtype.signature(count)
-            treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
+        desc, finish, unbook = self._landing(buf, count, dtype)
+        treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
+        if finish is None:
             req = Request(treq)
         else:
-            desc, finish, unbook = self._derived_delivery(buf, count, dtype,
-                                                          tm)
-            treq = self.worker.tag_recv(tag64, desc, mask, peers=peers)
-
             def on_complete() -> Status:
                 # Request.wait ran treq.wait() first: the delivery is done.
                 status = finish(treq.info)
@@ -198,6 +191,7 @@ class TransferEngine:
                 return status
 
             req = Request(treq, on_complete=on_complete, on_cancel=unbook)
+        san = self.worker.sanitizer
         if san is not None:
             self._sanitize_recv(san, req, buf, count, dtype, peers, tag64)
         return req
@@ -216,39 +210,46 @@ class TransferEngine:
     def recv_message(self, msg: WireMessage, buf, count: int,
                      dtype: Datatype) -> Status:
         """Mprobe-style receive of an already-claimed message."""
-        if isinstance(dtype, CustomDatatype):
-            desc = HandlerData(self._custom_recv_handler(buf, count, dtype))
-        elif (tm := dtype.typemap).is_contiguous:
-            desc = ContigData(buf, tm.size * count, writable=True)
-            if self.worker.sanitizer is not None:
-                desc.expected_signature = dtype.signature(count)
-        else:
-            desc, finish, unbook = self._derived_delivery(buf, count, dtype,
-                                                          tm)
-            try:
-                return finish(self.worker.msg_recv(msg, desc))
-            finally:
-                unbook()
-        return Status.from_recv_info(self.worker.msg_recv(msg, desc))
+        desc, finish, unbook = self._landing(buf, count, dtype)
+        if finish is None:
+            return Status.from_recv_info(self.worker.deliver(msg, desc))
+        try:
+            return finish(self.worker.deliver(msg, desc))
+        finally:
+            unbook()
 
-    def _derived_delivery(self, buf, count: int, dtype: Datatype, tm):
-        """The one derived receive path: ``(descriptor, finish, unbook)``.
+    def _landing(self, buf, count: int, dtype: Datatype):
+        """The one receive-descriptor choice: ``(descriptor, finish, unbook)``.
 
-        The baseline's receive temp is booked (first-touch cost, tracker
-        accounting, ``byte_ceiling``) but never built: the descriptor unpacks
-        the wire chunks straight into ``buf``.  ``finish(info)`` runs after
-        the message completed (a rendezvous sender waits for none of it):
-        it charges the typemap walk and raises the receiver's own errors.
+        A custom type lands through its callbacks, a contiguous one straight
+        in ``buf``; ``finish`` and ``unbook`` are None for both.  A derived
+        receive's temp is booked (first-touch cost, tracker accounting,
+        ``byte_ceiling``) but never built: the descriptor unpacks the wire
+        chunks straight into ``buf``.  ``finish(info)`` runs after the
+        message completed (a rendezvous sender waits for none of it): it
+        charges the typemap walk and raises the receiver's own errors;
+        ``unbook()`` gives the booking back.
         """
+        sig = dtype.signature(count) if self.worker.sanitizer is not None \
+            else None
+        if isinstance(dtype, CustomDatatype):
+            return (CallbackData(
+                lambda msg: self.deliver_custom(msg, buf, count, dtype)),
+                None, None)
+        tm = dtype.typemap
         size = tm.size
         nbytes = size * count
+        if tm.is_contiguous:
+            return (ContigData(buf, nbytes, writable=True, signature=sig),
+                    None, None)
         clock = self.worker.clock
         memory = self.worker.memory
         memory.reserve(nbytes, clock, self.model)
         error: MPIError | None = None
 
-        def scatter(chunks) -> None:
+        def land(msg) -> None:
             nonlocal error
+            chunks = msg.chunks
             got = sum(map(len, chunks))  # 1-D uint8 wire chunks
             try:
                 if size and got % size:
@@ -266,10 +267,6 @@ class TransferEngine:
             except MPIError as exc:
                 error = exc  # the receiver's own fault, not the message's
 
-        desc = ScatterData(nbytes, scatter)
-        if self.worker.sanitizer is not None:
-            desc.expected_signature = dtype.signature(count)
-
         def finish(info) -> Status:
             if error is not None:
                 raise error
@@ -278,17 +275,8 @@ class TransferEngine:
             clock.advance(self.model.typemap_pack_time(nblocks, info.nbytes))
             return Status.from_recv_info(info)
 
-        return desc, finish, partial(memory.release, nbytes)
-
-    def _custom_recv_handler(self, buf, count: int, dtype: CustomDatatype):
-        """Build the delivery handler that runs on the receiving thread."""
-        engine = self
-
-        def handler(msg: WireMessage) -> int:
-            engine.deliver_custom(msg, buf, count, dtype)
-            return msg.header.total_bytes
-
-        return handler
+        return (CallbackData(land, nbytes, DATATYPE_CONTIG, sig), finish,
+                partial(memory.release, nbytes))
 
     def deliver_custom(self, msg: WireMessage, buf, count: int,
                        dtype: CustomDatatype) -> None:

@@ -6,7 +6,7 @@ from typing import Callable, Optional, Sequence
 
 from ..errors import (MPI_ERR_IN_STATUS, MPI_ERR_REQUEST, MPI_SUCCESS,
                       MPIError)
-from ..ucp.constants import unpack_tag
+from ..ucp.constants import TAG_USER_MASK
 from ..ucp.context import RecvInfo, RecvRequest, SendRequest
 
 #: Wildcards (match mpi4py's numeric conventions closely enough for tests).
@@ -51,8 +51,9 @@ class Status:
 
     @classmethod
     def from_recv_info(cls, info: RecvInfo) -> "Status":
-        _, _, user_tag = unpack_tag(info.tag)
-        return cls(source=info.source, tag=user_tag, nbytes=info.nbytes,
+        # unpack_tag's user field, inline: this runs once per receive.
+        return cls(source=info.source, tag=info.tag & TAG_USER_MASK,
+                   nbytes=info.nbytes,
                    entry_lengths=info.entry_lengths,
                    packed_entries=info.packed_entries)
 

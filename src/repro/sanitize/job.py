@@ -318,10 +318,8 @@ class JobSanitizer:
 
     def on_deliver(self, rank: int, msg, data) -> None:
         hdr = msg.header
-        cap = data.total_bytes          # -1: the receive takes any size
-        code, reason = classify_mismatch(
-            hdr.signature, getattr(data, "expected_signature", None),
-            hdr.total_bytes, cap if cap >= 0 else None)
+        code, reason = classify_mismatch(hdr.signature, data.signature,
+                                         hdr.total_bytes, data.capacity)
         if code:
             live, what = _LIVE_MISMATCH[code]
             self.emit(live,

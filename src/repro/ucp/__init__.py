@@ -7,7 +7,7 @@ charged from :class:`~repro.ucp.netsim.CostModel`.
 
 from .constants import (DATATYPE_CONTIG, DATATYPE_GENERIC, DATATYPE_IOV,
                         TAG_FULL_MASK, match_mask, pack_tag, unpack_tag)
-from .dtypes import ContigData, GenericData, HandlerData, IovData, ScatterData
+from .dtypes import CallbackData, ContigData, GenericData, IovData
 from .faults import (FailureDetector, FaultInjector, FaultPlan,
                      ReliabilityConfig, ReliabilityStats)
 from .memory import MemoryTracker
@@ -26,7 +26,7 @@ from .wire import WireHeader, WireMessage
 __all__ = [
     "DATATYPE_CONTIG", "DATATYPE_IOV", "DATATYPE_GENERIC",
     "TAG_FULL_MASK", "pack_tag", "unpack_tag", "match_mask",
-    "ContigData", "IovData", "GenericData", "HandlerData", "ScatterData",
+    "ContigData", "IovData", "GenericData", "CallbackData",
     "FaultPlan", "ReliabilityConfig", "ReliabilityStats",
     "FaultInjector", "FailureDetector",
     "MemoryTracker",

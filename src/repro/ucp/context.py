@@ -23,12 +23,10 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..errors import (MPIError, ProcFailedPendingError, TransportError,
                       TruncationError)
 from . import constants
-from .dtypes import ContigData, GenericData, HandlerData, IovData, ScatterData
+from .dtypes import GenericData
 from .faults import (FaultInjector, FaultPlan, ReliabilityConfig,
                      fragment_bounds, fragment_crcs)
 from .memory import MemoryTracker
@@ -394,23 +392,22 @@ class Worker:
             + ("any rank" if targets is None
                else "rank(s) " + ",".join(str(t) for t in targets)))
 
-    def msg_recv(self, msg: WireMessage, data) -> RecvInfo:
-        """Receive a message previously removed by an mprobe."""
-        return self.deliver(msg, data)
-
     # -- delivery (receiver thread only) ------------------------------------
 
     def deliver(self, msg: WireMessage, data) -> RecvInfo:
-        """Move payload into the descriptor and charge receive-side time.
+        """Land the message in the receive descriptor ``data`` and charge
+        receive-side time; an ``mprobe``'d message is received here too.
 
-        The one receive-side exit of a message: whatever the descriptor
-        kind, and whether the delivery succeeded or raised, the wire chunks
-        go back exactly once, here, *before* the sender is completed — a
-        chunk handed to a receive callback is valid only during that call
-        (the paper's C contract).  Release and completion cross the rank
-        boundary through the transport: a pool release and an event set
-        in-process, one acknowledgement frame remotely.  A failed delivery
-        releases a blocked rendezvous sender with the error and re-raises.
+        One capacity check, then ``data.land(msg)`` — the receive contract
+        of :mod:`repro.ucp.dtypes`.  The one receive-side exit of a
+        message: whatever the descriptor kind, and whether the delivery
+        succeeded or raised, the wire chunks go back exactly once, here,
+        *before* the sender is completed — a chunk handed to a receive
+        callback is valid only during that call (the paper's C contract).
+        Release and completion cross the rank boundary through the
+        transport: a pool release and an event set in-process, one
+        acknowledgement frame remotely.  A failed delivery releases a
+        blocked rendezvous sender with the error and re-raises.
         """
         fi = self.fabric.injector
         if fi is not None:
@@ -483,40 +480,13 @@ class Worker:
         self.clock.advance(msg.recv_cost)
 
         hdr = msg.header
-        if isinstance(data, (ContigData, ScatterData)):
-            if hdr.total_bytes > data.nbytes:
-                raise TruncationError(
-                    f"message of {hdr.total_bytes} bytes into a "
-                    f"{data.nbytes}-byte buffer")
-            data.scatter(msg.chunks)
-        elif isinstance(data, IovData):
-            entries = data.entries()
-            if len(msg.chunks) != len(entries):
-                raise TruncationError(
-                    f"iov message with {len(msg.chunks)} entries into "
-                    f"{len(entries)} receive entries")
-            for chunk, entry in zip(msg.chunks, entries):
-                if chunk.shape[0] > entry.shape[0]:
-                    raise TruncationError(
-                        f"iov entry of {chunk.shape[0]} bytes into a "
-                        f"{entry.shape[0]}-byte entry")
-                entry[: chunk.shape[0]] = chunk
-        elif isinstance(data, GenericData):
-            if data.unpack is None:
-                raise TransportError("GenericData has no unpack callback (send-only)")
-            offset = 0
-            for chunk in msg.chunks:
-                data.unpack(offset, chunk)
-                offset += chunk.shape[0]
-        elif isinstance(data, HandlerData):
-            if data.max_bytes is not None and hdr.total_bytes > data.max_bytes:
-                raise TruncationError(
-                    f"message of {hdr.total_bytes} bytes exceeds handler "
-                    f"limit {data.max_bytes}")
-            data.handler(msg)
-        else:
-            raise TransportError(
-                f"cannot deliver into descriptor {type(data).__name__}")
+        cap = data.capacity
+        if cap is not None and hdr.total_bytes > cap:
+            raise TruncationError(
+                f"rank {self.index}: message {hdr.msg_id} from rank "
+                f"{hdr.source} (tag {constants.unpack_tag(hdr.tag)[2]}) is "
+                f"{hdr.total_bytes} bytes, the receive takes at most {cap}")
+        data.land(msg)
 
         self.delivered_msgs += 1
         if self.config.trace_messages:

@@ -7,6 +7,26 @@ The paper's prototype selects among UCP datatypes when moving a message:
 iovec array is filled with any memory region pointers"), and
 ``UCP_DATATYPE_GENERIC`` for callback-driven packing.  These descriptor
 classes carry the same information for our simulated transport.
+
+The receive contract.  Every receive descriptor exposes the same four
+things, and ``Worker.deliver`` uses nothing else:
+
+* ``capacity`` — the most payload bytes the receive takes, or None for any
+  size.  Delivery checks it once, for every kind, before any byte moves: a
+  larger message raises the one ``TruncationError`` (receiver, sender,
+  ``msg_id``, user tag, message bytes, capacity), which also fails a
+  rendezvous sender; the wire chunks still go back.
+* ``land(msg)`` — moves the message's wire chunks into the receive.  They
+  are valid only during the call (``Worker.deliver`` gives them back to
+  their sender when it returns or raises): a callback copies what it keeps.
+* ``signature`` — the expected type signature, set at construction; None
+  unless the sanitizer is attached (``JobSanitizer.on_deliver`` compares it
+  with the envelope's).
+* ``kind`` — the UCP datatype it stands for; ``"handler"`` for a custom
+  receive, whose callbacks do their own copying.
+
+The MPI engine builds two of them: :class:`ContigData` for a contiguous
+buffer and :class:`CallbackData` for a derived or custom receive.
 """
 
 from __future__ import annotations
@@ -15,7 +35,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..errors import TransportError
+from ..errors import TransportError, TruncationError
 from .constants import DATATYPE_CONTIG, DATATYPE_GENERIC, DATATYPE_IOV
 
 
@@ -40,9 +60,11 @@ class ContigData:
     kind = DATATYPE_CONTIG
 
     def __init__(self, buffer: Any, nbytes: int | None = None,
-                 writable: bool = False):
+                 writable: bool = False, signature=None):
         self.view = _u8view(buffer, writable)
-        self.nbytes = self.view.shape[0] if nbytes is None else int(nbytes)
+        self.nbytes = self.capacity = (
+            self.view.shape[0] if nbytes is None else int(nbytes))
+        self.signature = signature
         if self.nbytes > self.view.shape[0]:
             raise TransportError(
                 f"ContigData length {self.nbytes} exceeds buffer of "
@@ -55,25 +77,13 @@ class ContigData:
     def entries(self) -> list[np.ndarray]:
         return [self.view[: self.nbytes]]
 
-    def scatter(self, chunks: Sequence[np.ndarray]) -> None:
+    def land(self, msg) -> None:
         """Receive side: lay the wire chunks end to end into the buffer."""
         pos = 0
-        for chunk in chunks:
+        for chunk in msg.chunks:
             n = chunk.shape[0]
             self.view[pos:pos + n] = chunk
             pos += n
-
-
-class ScatterData:
-    """A CONTIG receive whose buffer is modelled, not built: same capacity
-    check as :class:`ContigData`, then ``scatter(chunks)`` — the MPI engine's
-    derived-datatype unpack — moves the payload out of the wire chunks."""
-
-    kind = DATATYPE_CONTIG
-
-    def __init__(self, nbytes: int, scatter: Callable[[Sequence], None]):
-        self.nbytes = self.total_bytes = int(nbytes)
-        self.scatter = scatter
 
 
 class IovData:
@@ -85,10 +95,13 @@ class IovData:
     (``plan_send``): the real entry count unless the sender models more —
     the MPI engine ships a custom type's packed stream as *one* entry and
     books it as the ``frag_size`` fragments of the paper's pipeline, the
-    way :class:`ScatterData` carries a modelled size.
+    way a derived :class:`CallbackData` carries a modelled size.  As a
+    receive, each chunk lands in the entry at its position: the entry
+    counts must agree and no chunk may outgrow its entry.
     """
 
     kind = DATATYPE_IOV
+    signature = None
 
     def __init__(self, buffers: Sequence[Any], writable: bool = False,
                  packed_entries: int = 0, entry_count: int | None = None):
@@ -105,22 +118,39 @@ class IovData:
     def total_bytes(self) -> int:
         return sum(v.shape[0] for v in self._views)
 
+    capacity = total_bytes
+
     def entries(self) -> list[np.ndarray]:
         return list(self._views)
+
+    def land(self, msg) -> None:
+        chunks = msg.chunks
+        if len(chunks) != len(self._views):
+            raise TruncationError(
+                f"iov message with {len(chunks)} entries into "
+                f"{len(self._views)} receive entries")
+        for chunk, entry in zip(chunks, self._views):
+            if chunk.shape[0] > entry.shape[0]:
+                raise TruncationError(
+                    f"iov entry of {chunk.shape[0]} bytes into a "
+                    f"{entry.shape[0]}-byte entry")
+            entry[: chunk.shape[0]] = chunk
 
 
 class GenericData:
     """UCP_DATATYPE_GENERIC: callback-driven pack/unpack pipeline.
 
     Send side supplies ``pack(offset, dst) -> used`` and ``total_bytes``;
-    receive side supplies ``unpack(offset, src)``.  The transport drives the
-    callbacks fragment by fragment (``frag_size`` picked by the worker
-    config), charging per-fragment overhead.  ``src`` is a wire chunk, valid
-    only during the call: ``Worker.deliver`` returns every chunk to its
-    sender's pool when the delivery ends — copy what you keep.
+    receive side supplies ``unpack(offset, src)`` and takes at most
+    ``total_bytes``.  The transport drives the callbacks fragment by
+    fragment (``frag_size`` picked by the worker config), charging
+    per-fragment overhead.  ``src`` is a wire chunk, valid only during the
+    call: ``Worker.deliver`` returns every chunk to its sender's pool when
+    the delivery ends — copy what you keep.
     """
 
     kind = DATATYPE_GENERIC
+    signature = None
 
     def __init__(self, total_bytes: int,
                  pack: Callable[[int, np.ndarray], int] | None = None,
@@ -136,6 +166,16 @@ class GenericData:
     @property
     def total_bytes(self) -> int:
         return self._total
+
+    capacity = total_bytes
+
+    def land(self, msg) -> None:
+        if self.unpack is None:
+            raise TransportError("GenericData has no unpack callback (send-only)")
+        offset = 0
+        for chunk in msg.chunks:
+            self.unpack(offset, chunk)
+            offset += chunk.shape[0]
 
     def pack_entries(self, frag_size: int, pool=None) -> list[np.ndarray]:
         """Run the pack pipeline; returns the fragment list.
@@ -159,29 +199,22 @@ class GenericData:
         return frags
 
 
-class HandlerData:
-    """Receive descriptor that defers scattering to a callback.
+class CallbackData:
+    """A receive that lands through a callable: ``land`` *is* the callable.
 
-    The handler runs on the receiving thread at delivery time with the full
-    :class:`~repro.ucp.wire.WireMessage`; it is how the MPI engine implements
-    custom-datatype receives, where the destination of the region entries can
-    depend on just-unpacked in-band data.  The handler returns the number of
-    payload bytes it consumed (for truncation checking).
-
-    Lifetime: ``msg.chunks`` are valid only while the handler runs.  When it
-    returns (or raises) ``Worker.deliver`` gives them back to the sender —
-    eager staging returns to its pool, a remote sender's slab is freed by
-    the acknowledgement — so a handler copies what it keeps.
+    The MPI engine's two non-contiguous receives.  A derived datatype is a
+    CONTIG receive of ``capacity`` bytes whose buffer is modelled, not
+    built: ``land(msg)`` runs the typemap unpack straight out of the wire
+    chunks.  A custom datatype is a ``"handler"`` receive of any size:
+    ``land(msg)`` unpacks the in-band stream, *then* queries the regions
+    (their placement may depend on the unpacked data) and scatters into
+    them.  Both run on the receiving thread.
     """
 
-    kind = "handler"
-
-    def __init__(self, handler: Callable[[Any], int],
-                 max_bytes: int | None = None):
-        self.handler = handler
-        #: Optional cap used for truncation detection before delivery.
-        self.max_bytes = max_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return -1 if self.max_bytes is None else self.max_bytes
+    def __init__(self, land: Callable[[Any], None],
+                 capacity: int | None = None, kind: str = "handler",
+                 signature=None):
+        self.land = land
+        self.capacity = capacity
+        self.kind = kind
+        self.signature = signature

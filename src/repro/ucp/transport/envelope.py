@@ -169,7 +169,7 @@ def bytes_chunks(payloads) -> list[np.ndarray]:
     """Materialize received payload bytes as delivery chunks.
 
     Deliveries only *read* chunks, and only during the delivery (the
-    callback lifetime contract, see :class:`~repro.ucp.dtypes.HandlerData`),
+    callback lifetime contract, see :mod:`repro.ucp.dtypes`),
     so a read-only zero-copy view over the frame bytes suffices.
     """
     return [np.frombuffer(blob, dtype=np.uint8) for blob in payloads]

@@ -155,7 +155,7 @@ class TestTwoPassesNotFour:
 def _single_region_job(comm):
     """Three sends of the paper's simplest custom type: no packed bytes, one
     64-byte region.  It degenerates to an eager CONTIG message, which the
-    receiver takes through a ``HandlerData`` descriptor."""
+    receiver takes through a custom ``CallbackData`` descriptor."""
     data = np.arange(64, dtype=np.uint8)
     dtype = type_create_custom(
         query_fn=lambda s, b, c: 0,

@@ -93,7 +93,7 @@ def _iov(nbytes):
 
 def _handler(nbytes):
     """Single-region custom type: a CONTIG message (eager staging below the
-    limit) received through a ``HandlerData`` descriptor."""
+    limit) received through a custom ``CallbackData`` descriptor."""
     def traffic(comm):
         data = (np.arange(nbytes) % 239).astype(np.uint8)
         dtype = type_create_custom(

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import TransportError, TruncationError
-from repro.ucp import (ContigData, GenericData, HandlerData, IovData,
-                       UcpConfig, UcpContext, pack_tag)
+from repro.ucp import (DATATYPE_CONTIG, CallbackData, ContigData,
+                       GenericData, IovData, UcpConfig, UcpContext, pack_tag)
 from repro.ucp.netsim import LinkParams
 
 
@@ -82,14 +82,6 @@ class TestContigTransfer:
         with pytest.raises(TransportError):
             req.wait(timeout=0.05)
 
-    def test_truncation_detected(self):
-        w0, w1 = make_pair()
-        src = np.zeros(100, np.uint8)
-        dst = np.zeros(50, np.uint8)
-        with pytest.raises(TruncationError):
-            xfer(lambda: w0.endpoint(1).tag_send(TAG, ContigData(src)).wait(),
-                 lambda: w1.tag_recv(TAG, ContigData(dst, writable=True)).wait())
-
     def test_shorter_message_into_larger_buffer_ok(self):
         w0, w1 = make_pair()
         src = np.full(10, 5, np.uint8)
@@ -116,22 +108,6 @@ class TestIovTransfer:
              lambda: w1.tag_recv(TAG, IovData(dsts, writable=True)).wait())
         for p, d in zip(parts, dsts):
             assert np.array_equal(p, d)
-
-    def test_entry_count_mismatch(self):
-        w0, w1 = make_pair()
-        with pytest.raises(TruncationError):
-            xfer(lambda: w0.endpoint(1).tag_send(
-                    TAG, IovData([np.zeros(4, np.uint8)] * 2)).wait(),
-                 lambda: w1.tag_recv(
-                    TAG, IovData([np.zeros(4, np.uint8)], writable=True)).wait())
-
-    def test_entry_too_long(self):
-        w0, w1 = make_pair()
-        with pytest.raises(TruncationError):
-            xfer(lambda: w0.endpoint(1).tag_send(
-                    TAG, IovData([np.zeros(8, np.uint8)])).wait(),
-                 lambda: w1.tag_recv(
-                    TAG, IovData([np.zeros(4, np.uint8)], writable=True)).wait())
 
     def test_header_reports_framing(self):
         w0, w1 = make_pair()
@@ -204,24 +180,83 @@ class TestHandlerTransfer:
         def handler(msg):
             seen["chunks"] = [c.copy() for c in msg.chunks]
             seen["thread"] = threading.current_thread().name
-            return msg.header.total_bytes
 
         def recv():
             threading.current_thread().name = "receiver-thread"
-            w1.tag_recv(TAG, HandlerData(handler)).wait()
+            w1.tag_recv(TAG, CallbackData(handler)).wait()
 
         xfer(lambda: w0.endpoint(1).tag_send(
                 TAG, IovData([np.full(4, 9, np.uint8)])).wait(), recv)
         assert (seen["chunks"][0] == 9).all()
         assert seen["thread"] == "receiver-thread"
 
-    def test_handler_max_bytes(self):
+
+#: One receive of every kind taking at most ``cap`` bytes; ``landed``
+#: collects whatever its landing callback was handed.
+RECEIVES = {
+    "contig": lambda cap, landed: ContigData(np.zeros(cap, np.uint8),
+                                             writable=True),
+    "iov": lambda cap, landed: IovData(
+        [np.zeros(cap - cap // 2, np.uint8), np.zeros(cap // 2, np.uint8)],
+        writable=True),
+    "generic": lambda cap, landed: GenericData(
+        cap, unpack=lambda off, src: landed.append(off)),
+    "derived": lambda cap, landed: CallbackData(landed.append, cap,
+                                                DATATYPE_CONTIG),
+    "custom": lambda cap, landed: CallbackData(landed.append, cap),
+}
+
+
+class TestTruncation:
+    """One capacity check at delivery, the same for every receive kind —
+    GENERIC included, which used to hand an oversize message to
+    ``unpack`` whole."""
+
+    @staticmethod
+    def _refused(w0, w1, send_desc, recv_desc, rndv):
+        """Send, then receive into a too-small descriptor: the receive
+        raises, a rendezvous sender fails with the same error, and both
+        pools are balanced."""
+        sreq = w0.endpoint(1).tag_send(TAG, send_desc, force_rndv=rndv)
+        with pytest.raises(TruncationError) as exc:
+            w1.tag_recv(TAG, recv_desc).wait()
+        if sreq.msg.rndv:
+            with pytest.raises(TruncationError) as sent:
+                sreq.wait()
+            assert sent.value is exc.value
+        else:
+            sreq.wait()
+        assert [w.memory.pool.snapshot()["outstanding"]
+                for w in (w0, w1)] == [0, 0]
+        return exc.value
+
+    @pytest.mark.parametrize("rndv", [False, True], ids=["eager", "rndv"])
+    @pytest.mark.parametrize("kind", sorted(RECEIVES))
+    def test_oversize_message_is_refused(self, kind, rndv):
         w0, w1 = make_pair()
-        with pytest.raises(TruncationError):
-            xfer(lambda: w0.endpoint(1).tag_send(
-                    TAG, ContigData(np.zeros(100, np.uint8))).wait(),
-                 lambda: w1.tag_recv(
-                    TAG, HandlerData(lambda m: 0, max_bytes=50)).wait())
+        landed = []
+        self._refused(w0, w1, ContigData(np.arange(100, dtype=np.uint8)),
+                      RECEIVES[kind](50, landed), rndv)
+        assert landed == []
+
+    @pytest.mark.parametrize("sizes,entries", [((4, 4), (8,)),
+                                               ((8, 4), (4, 8))],
+                             ids=["entry-count", "entry-too-long"])
+    def test_iov_entries_must_line_up(self, sizes, entries):
+        """Within its capacity an IOV receive still checks entry by entry."""
+        w0, w1 = make_pair()
+        self._refused(
+            w0, w1, IovData([np.zeros(n, np.uint8) for n in sizes]),
+            IovData([np.zeros(n, np.uint8) for n in entries], writable=True),
+            rndv=True)
+
+    def test_error_names_the_message(self):
+        w0, w1 = make_pair()
+        err = self._refused(w0, w1, ContigData(np.zeros(100, np.uint8)),
+                            RECEIVES["contig"](50, []), rndv=False)
+        assert str(err) == (
+            f"MPI_ERR_TRUNCATE: rank 1: message {(1 << 40) | 1} from rank 0 "
+            f"(tag 1) is 100 bytes, the receive takes at most 50")
 
 
 class TestVirtualTime:
