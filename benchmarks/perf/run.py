@@ -8,7 +8,9 @@ Measures real elapsed time (``time.perf_counter``), not virtual fabric time:
 * end-to-end ``repro.mpi.run()`` message rate with a derived datatype,
 * a DDTBench round-trip subset.
 
-Every sample is the median of ``k`` trials.  Results are written to
+Every sample is the median of ``k`` trials; a plan-vs-reference ratio (and
+each pack guideline ratio) is the median of ``k`` per-pair ratios, the two
+sides' trials alternated.  Results are written to
 ``BENCH_perf.json`` at the repo root.  With ``--check`` the harness enforces
 the regression gates: windowed pack/unpack on non-contiguous types, and
 whole-message pack/unpack on ``struct-simple`` and ``vector-f64``, must beat
@@ -99,26 +101,44 @@ SHM_SCALING_MIN_CORES = 4
 JOB_SERVICE_FLOOR = 0.70
 
 
+def _calibrated_reps(fn) -> int:
+    """Reps of ``fn()`` per trial, so that one trial is long enough for the
+    clock."""
+    reps = 1
+    while True:
+        elapsed = _trial_seconds(fn, reps) * reps
+        if elapsed >= MIN_TRIAL_SECONDS or reps >= 4096:
+            return reps
+        reps *= 2 if elapsed <= 0 else max(
+            2, int(MIN_TRIAL_SECONDS / max(elapsed, 1e-9) * 1.3))
+
+
+def _trial_seconds(fn, reps: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        fn()
+    return (time.perf_counter() - t0) / reps
+
+
 def _median_seconds(fn, k: int) -> float:
     """Median of ``k`` timed trials of ``fn()``, reps auto-calibrated so a
     single trial is long enough for the clock."""
-    reps = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed >= MIN_TRIAL_SECONDS or reps >= 4096:
-            break
-        reps *= 2 if elapsed <= 0 else max(
-            2, int(MIN_TRIAL_SECONDS / max(elapsed, 1e-9) * 1.3))
-    trials = []
-    for _ in range(k):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        trials.append((time.perf_counter() - t0) / reps)
-    return statistics.median(trials)
+    reps = _calibrated_reps(fn)
+    return statistics.median(_trial_seconds(fn, reps) for _ in range(k))
+
+
+def _paired_seconds(fn, other, k: int) -> tuple[float, float, float]:
+    """``k`` trials of ``fn`` and ``other``, alternated: ``(median fn
+    seconds, median other seconds, median of the per-pair ratios other /
+    fn)``.  Both trials of a pair run back to back, so a shift in host
+    speed moves both and leaves their ratio alone — timing every trial of
+    one side before the other let it skew the ratio either way."""
+    reps, other_reps = _calibrated_reps(fn), _calibrated_reps(other)
+    pairs = [(_trial_seconds(fn, reps), _trial_seconds(other, other_reps))
+             for _ in range(k)]
+    return (statistics.median(a for a, _ in pairs),
+            statistics.median(b for _, b in pairs),
+            statistics.median(b / a for a, b in pairs))
 
 
 def _mb_per_s(nbytes: int, seconds: float) -> float:
@@ -137,19 +157,22 @@ def bench_whole_message(entry: CorpusEntry, k: int) -> dict:
     packed = pack(d, src, n)
     dst = np.empty(np.asarray(src).nbytes, dtype=np.uint8).reshape(-1)
 
-    plan_pack = _median_seconds(lambda: pack(d, src, n, out=out), k)
-    ref_pack = _median_seconds(lambda: pack_reference(d, src, n, out=out), k)
-    plan_unpack = _median_seconds(lambda: unpack(d, dst, n, packed), k)
-    ref_unpack = _median_seconds(lambda: unpack_reference(d, dst, n, packed), k)
     return {
         "bytes": nbytes,
-        "pack": {"plan_mb_s": _mb_per_s(nbytes, plan_pack),
-                 "ref_mb_s": _mb_per_s(nbytes, ref_pack),
-                 "speedup": ref_pack / plan_pack},
-        "unpack": {"plan_mb_s": _mb_per_s(nbytes, plan_unpack),
-                   "ref_mb_s": _mb_per_s(nbytes, ref_unpack),
-                   "speedup": ref_unpack / plan_unpack},
+        "pack": _speedup(nbytes, k, lambda: pack(d, src, n, out=out),
+                         lambda: pack_reference(d, src, n, out=out)),
+        "unpack": _speedup(nbytes, k, lambda: unpack(d, dst, n, packed),
+                           lambda: unpack_reference(d, dst, n, packed)),
     }
+
+
+def _speedup(nbytes: int, k: int, plan, ref) -> dict:
+    """Plan vs reference throughput; ``speedup`` is the median of the
+    per-pair time ratios."""
+    plan_s, ref_s, speedup = _paired_seconds(plan, ref, k)
+    return {"plan_mb_s": _mb_per_s(nbytes, plan_s),
+            "ref_mb_s": _mb_per_s(nbytes, ref_s),
+            "speedup": speedup}
 
 
 def bench_windowed(entry: CorpusEntry, k: int) -> dict:
@@ -189,18 +212,12 @@ def bench_windowed(entry: CorpusEntry, k: int) -> dict:
             unpack_window_reference(d, dst, n, off, packed[off:off + ln])
             off += ln
 
-    plan_p = _median_seconds(plan_pack_pipeline, k)
-    ref_p = _median_seconds(ref_pack_pipeline, k)
-    plan_u = _median_seconds(plan_unpack_pipeline, k)
-    ref_u = _median_seconds(ref_unpack_pipeline, k)
     return {
         "bytes": total, "frag_size": FRAG_SIZE,
-        "window_pack": {"plan_mb_s": _mb_per_s(total, plan_p),
-                        "ref_mb_s": _mb_per_s(total, ref_p),
-                        "speedup": ref_p / plan_p},
-        "window_unpack": {"plan_mb_s": _mb_per_s(total, plan_u),
-                          "ref_mb_s": _mb_per_s(total, ref_u),
-                          "speedup": ref_u / plan_u},
+        "window_pack": _speedup(total, k, plan_pack_pipeline,
+                                ref_pack_pipeline),
+        "window_unpack": _speedup(total, k, plan_unpack_pipeline,
+                                  ref_unpack_pipeline),
     }
 
 
@@ -213,20 +230,21 @@ def bench_guidelines(entry: CorpusEntry, k: int) -> dict:
     out = np.empty(entry.packed_bytes, dtype=np.uint8)
     assert bytes(pack(d, src, n)) == bytes(manual_pack_struct_simple(src))
     assert bytes(pack(whole, src, 1)) == bytes(pack(d, src, n))
-    derived = _median_seconds(lambda: pack(d, src, n), k)
-    manual = _median_seconds(lambda: manual_pack_struct_simple(src), k)
-    count_n = _median_seconds(lambda: pack(d, src, n, out=out), k)
-    contig_n = _median_seconds(lambda: pack(whole, src, 1, out=out), k)
+    manual, derived, derived_ratio = _paired_seconds(
+        lambda: manual_pack_struct_simple(src), lambda: pack(d, src, n), k)
+    contig_n, count_n, count_n_ratio = _paired_seconds(
+        lambda: pack(whole, src, 1, out=out), lambda: pack(d, src, n, out=out),
+        k)
     return {
         "derived_over_manual": {
             "bytes": entry.packed_bytes,
             "derived_us": derived * 1e6, "manual_us": manual * 1e6,
-            "ratio": derived / manual,
+            "ratio": derived_ratio,
             "ceiling": DERIVED_OVER_MANUAL_CEILING},
         "count_n_over_contig_n": {
             "bytes": entry.packed_bytes, "count": n,
             "count_n_us": count_n * 1e6, "contig_n_us": contig_n * 1e6,
-            "ratio": count_n / contig_n,
+            "ratio": count_n_ratio,
             "ceiling": COUNT_N_OVER_CONTIG_N_CEILING},
     }
 

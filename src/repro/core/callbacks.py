@@ -64,7 +64,7 @@ class PackFn(Protocol):
     of it: the engine offers the whole packed stream in one call.
 
     ``dst`` arrives **dirty**: it is pool memory (the message's wire buffer,
-    as ``GenericData.pack_entries`` hands out), not zeroed.  Every byte the
+    as ``GenericData.entries`` hands out), not zeroed.  Every byte the
     returned ``used`` claims goes on the wire, so a byte claimed but not
     written is the callback's bug.
     """

@@ -55,6 +55,9 @@ class Communicator:
         if group is not None and worker.index not in group:
             raise MPIError(MPI_ERR_COMM,
                            f"worker {worker.index} not in group {group}")
+        #: Fixed for the communicator's life; every send stamps it in the tag.
+        self._rank = (worker.index if group is None
+                      else group.index(worker.index))
 
     # -- error handlers ------------------------------------------------------
 
@@ -89,9 +92,7 @@ class Communicator:
 
     @property
     def rank(self) -> int:
-        if self._group is not None:
-            return self._group.index(self.worker.index)
-        return self.worker.index
+        return self._rank
 
     @property
     def size(self) -> int:
@@ -201,7 +202,7 @@ class Communicator:
 
     def _send_tag64(self, tag: int) -> int:
         # The matching tag carries the communicator-local source rank.
-        return pack_tag(self.comm_id & 0xFFFF, self.rank, tag & 0xFFFFFFFF)
+        return pack_tag(self.comm_id & 0xFFFF, self._rank, tag & 0xFFFFFFFF)
 
     def _recv_pattern(self, source: int, tag: int) -> tuple[int, int]:
         any_src = source == ANY_SOURCE

@@ -28,9 +28,11 @@ call straight into the wire buffer, one ``unpack_fn`` call straight out of
 it (modelled fragments are accounted, not materialised — the rule the
 derived path's two temps already follow).
 
-Every receive lands through the receive contract of :mod:`repro.ucp.dtypes`,
-on a descriptor one builder (``TransferEngine._landing``) picks for ``irecv``
-and ``mrecv`` alike.  Custom delivery is a
+Every send leaves through the send contract of :mod:`repro.ucp.dtypes`, on a
+descriptor one builder (``TransferEngine._inject``) picks and injects, and
+every receive lands through the receive contract, on a descriptor one
+builder (``TransferEngine._landing``) picks for ``irecv`` and ``mrecv``
+alike.  Custom delivery is a
 :class:`~repro.ucp.dtypes.CallbackData` on the receiving thread: unpack the
 in-band stream first, *then* query the receiver's regions (whose placement
 may depend on the unpacked metadata) and scatter into them — the two-stage
@@ -41,8 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from ..core.custom import (CustomDatatype, CustomRecvOperation,
                            CustomSendOperation)
@@ -93,85 +93,80 @@ class TransferEngine:
         ep = self._endpoints.get(dest)
         if ep is None:
             ep = self._endpoints[dest] = self.worker.endpoint(dest)
+        req = Request(self._inject(ep, tag64, buf, count, dtype, sync))
         san = self.worker.sanitizer
-        if isinstance(dtype, CustomDatatype):
-            req = self._send_custom(ep, tag64, buf, count, dtype, sync=sync)
-        elif (tm := dtype.typemap).is_contiguous:
-            sig = dtype.signature(count) if san is not None else None
-            treq = ep.tag_send(tag64, ContigData(buf, tm.size * count),
-                               force_rndv=sync, signature=sig)
-            req = Request(treq)
-        else:
-            req = self._send_derived(ep, tag64, buf, count, dtype, tm,
-                                     sync=sync)
         if san is not None:
-            self._sanitize_send(san, req, buf, count, dtype, dest, tag64)
+            self._sanitize(san.on_send_posted, req, buf, count, dtype, dest,
+                           tag64)
         return req
 
-    def _sanitize_send(self, san, req: Request, buf, count: int,
-                       dtype: Datatype, dest: int, tag64: int) -> None:
-        """Register the send with the sanitizer (shadow buffer + label)."""
+    def _inject(self, ep: Endpoint, tag64: int, buf, count: int,
+                dtype: Datatype, sync: bool):
+        """The one send-descriptor choice, then the injection.
+
+        Contiguous: ``buf`` as it is.  Derived: packed into a pooled temp,
+        booked with the tracker and charged the typemap walk.  Custom: one
+        ``pack_fn`` call into a pooled wire buffer (not booked, like the
+        modelled fragments it stands for), sent as IOV ahead of the regions
+        or as CONTIG if nothing is packed and at most one region.  Either
+        buffer is the message's once ``tag_send`` returned; if anything
+        raises before, it goes straight back — the one "never injected" exit.
+        """
+        worker = self.worker
+        memory = worker.memory
+        sig = dtype.signature(count) if worker.sanitizer is not None \
+            else None
+        held = None
+        booked = 0
+        try:
+            if isinstance(dtype, CustomDatatype):
+                with CustomSendOperation(dtype, buf, count) as op:
+                    total = op.packed_size()
+                    held = memory.pool.acquire(total)
+                    real = len(op.pack_fragments(max(total, 1), out=held))
+                    regions = op.regions()
+                    modelled = self._charge_callbacks(op, real, total)
+                packed = [held] if total else []
+                entries = packed + [r.read_bytes() for r in regions]
+                if packed or len(entries) > 1:
+                    desc = IovData(entries, packed_entries=len(packed),
+                                   entry_count=modelled + len(regions))
+                else:
+                    # At most one region and nothing packed: the prototype
+                    # prefers CONTIG (the empty buffer for no region).
+                    desc = ContigData(entries[0] if entries else held)
+            elif (tm := dtype.typemap).is_contiguous:
+                desc = ContigData(buf, tm.size * count, signature=sig)
+            else:
+                nbytes = tm.size * count
+                held = memory.acquire(nbytes, worker.clock, self.model)
+                booked = nbytes
+                pack(dtype, buf, count, out=held)
+                worker.clock.advance(self.model.typemap_pack_time(
+                    count * len(tm.merged_blocks()), nbytes))
+                desc = ContigData(held, nbytes, signature=sig)
+            return ep.tag_send(tag64, desc, force_rndv=sync)
+        except BaseException:
+            if held is not None:
+                memory.pool.release(held)  # never injected: still ours
+            raise
+        finally:
+            if booked:
+                # Injected or not, the temp leaves the sender's books here
+                # (once injected it is delivery's to give back).
+                memory.release(booked)
+
+    def _sanitize(self, posted, req: Request, buf, count: int,
+                  dtype: Datatype, peer, tag64: int) -> None:
+        """Register a send or receive with the sanitizer (``posted``: its
+        ``on_send_posted``/``on_recv_posted``; shadow buffer + label)."""
         if isinstance(dtype, CustomDatatype):
-            san.check_custom_lifecycle(self.worker.index, dtype)
-        san.on_send_posted(self.worker.index, req, buf, dtype, count,
-                           dest, tag64)
+            self.worker.sanitizer.check_custom_lifecycle(self.worker.index,
+                                                         dtype)
+        posted(self.worker.index, req, buf, dtype, count, peer, tag64)
         rec = req._san_record
         if rec is not None and req._req is not None:
             req._req.san_detail = rec.label
-
-    def _send_derived(self, ep, tag64: int, buf, count: int,
-                      dtype: Datatype, tm, sync: bool = False) -> Request:
-        """Pack through the typemap engine, then send contiguous."""
-        nbytes = tm.size * count
-        clock = self.worker.clock
-        memory = self.worker.memory
-        temp = memory.acquire(nbytes, clock, self.model)
-        try:
-            pack(dtype, buf, count, out=temp)
-            nblocks = count * len(tm.merged_blocks())
-            clock.advance(self.model.typemap_pack_time(nblocks, nbytes))
-            sig = dtype.signature(count) if self.worker.sanitizer is not None \
-                else None
-            req = ep.tag_send(tag64, ContigData(temp, nbytes),
-                              force_rndv=sync, signature=sig)
-        except BaseException:
-            memory.recycle(temp)  # never injected: the temp is still ours
-            raise
-        # The temp is the wire chunk now (adopted or aliased): delivery's.
-        memory.release(temp)
-        return Request(req)
-
-    def _send_custom(self, ep, tag64: int, buf, count: int,
-                     dtype: CustomDatatype, sync: bool = False) -> Request:
-        """One pass, one buffer: ``pack_fn`` fills a pooled wire buffer in
-        one window and that buffer is the message's single packed entry;
-        the model still charges the paper's ``frag_size`` pipeline."""
-        pool = self.worker.memory.pool
-        wire = None
-        try:
-            with CustomSendOperation(dtype, buf, count) as op:
-                total = op.packed_size()
-                # Modelled like the fragments it replaces: not booked with
-                # the tracker, no first-touch charge.
-                wire = pool.acquire(total)
-                real = len(op.pack_fragments(max(total, 1), out=wire))
-                regions = op.regions()
-                modelled = self._charge_callbacks(op, real, total)
-            packed = [wire] if total else []
-            if not packed and len(regions) == 1:
-                # Single contiguous buffer: the prototype prefers CONTIG.
-                desc = ContigData(regions[0].read_bytes())
-            elif not packed and not regions:
-                desc = ContigData(np.empty(0, dtype=np.uint8))
-            else:
-                desc = IovData(packed + [r.read_bytes() for r in regions],
-                               packed_entries=len(packed),
-                               entry_count=modelled + len(regions))
-            return Request(ep.tag_send(tag64, desc, force_rndv=sync))
-        except BaseException:
-            if wire is not None:
-                pool.release(wire)  # never injected: the buffer is still ours
-            raise
 
     # ------------------------------------------------------------------
     # receive
@@ -193,19 +188,9 @@ class TransferEngine:
             req = Request(treq, on_complete=on_complete, on_cancel=unbook)
         san = self.worker.sanitizer
         if san is not None:
-            self._sanitize_recv(san, req, buf, count, dtype, peers, tag64)
+            self._sanitize(san.on_recv_posted, req, buf, count, dtype, peers,
+                           tag64)
         return req
-
-    def _sanitize_recv(self, san, req: Request, buf, count: int,
-                       dtype: Datatype, peers, tag64: int) -> None:
-        """Register the receive with the sanitizer (shadow buffer + label)."""
-        if isinstance(dtype, CustomDatatype):
-            san.check_custom_lifecycle(self.worker.index, dtype)
-        san.on_recv_posted(self.worker.index, req, buf, dtype, count,
-                           peers, tag64)
-        rec = req._san_record
-        if rec is not None and req._req is not None:
-            req._req.san_detail = rec.label
 
     def recv_message(self, msg: WireMessage, buf, count: int,
                      dtype: Datatype) -> Status:

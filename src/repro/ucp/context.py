@@ -26,12 +26,11 @@ from typing import Optional
 from ..errors import (MPIError, ProcFailedPendingError, TransportError,
                       TruncationError)
 from . import constants
-from .dtypes import GenericData
 from .faults import (FaultInjector, FaultPlan, ReliabilityConfig,
                      fragment_bounds, fragment_crcs)
 from .memory import MemoryTracker
 from .netsim import DEFAULT_PARAMS, CostModel, LinkParams, VirtualClock
-from .protocols import plan_send, wait_semantics
+from .protocols import WAIT_SEMANTICS, plan_send
 from .tagmatch import PostedRecv, TagMatcher
 from .transitions import crc_reject
 from .wire import WireHeader, WireMessage, copy_chunks
@@ -140,7 +139,7 @@ class SendRequest:
         what = self.san_detail or (
             f"send of {self.msg.total_bytes} bytes to rank {self.dst}")
         return (self.dst,), (
-            f"{what} ({wait_semantics(self.msg.header.protocol, True)})")
+            f"{what} ({WAIT_SEMANTICS[self.msg.header.protocol]})")
 
     def wait(self, timeout: float | None = None) -> None:
         """Block until the message no longer needs the send buffer."""
@@ -515,15 +514,16 @@ class Endpoint:
         self.dst_index = dst_index
         self.model = src.fabric.pair_model(src.index, dst_index)
 
-    def tag_send(self, tag: int, data, force_rndv: bool = False,
-                 signature=None) -> SendRequest:
+    def tag_send(self, tag: int, data, force_rndv: bool = False
+                 ) -> SendRequest:
         """Inject a message toward this endpoint's destination.
 
-        ``force_rndv`` requests synchronous-send semantics: the message
-        always takes the rendezvous path, so the sender's ``wait()`` cannot
-        return before the matching receive ran.  ``signature`` is the
-        sender's canonical type signature, carried on the envelope for the
-        sanitizer's type-matching check.
+        ``data`` is any send descriptor (the send contract of
+        :mod:`repro.ucp.dtypes`); its ``signature`` rides on the envelope
+        for the sanitizer's type-matching check.  ``force_rndv`` requests
+        synchronous-send semantics: a contiguous message always takes the
+        rendezvous path, so the sender's ``wait()`` cannot return before
+        the matching receive ran.
         """
         worker = self.src
         fi = worker.fabric.injector
@@ -532,19 +532,11 @@ class Endpoint:
             # crashed rank neither packs nor injects.
             fi.on_progress(worker)
         model = self.model
-        if isinstance(data, GenericData):
-            frags = data.pack_entries(worker.config.frag_size,
-                                      pool=worker.memory.pool)
-            plan = plan_send(data, model, frag_count=len(frags))
-            entries = frags
-            packed_entries = len(frags)
-        else:
-            plan = plan_send(data, model, force_rndv=force_rndv)
-            entries = data.entries()
-            packed_entries = getattr(data, "packed_entries", 0)
+        pool = worker.memory.pool
+        entries = data.entries(model.params.frag_size, pool)
+        plan = plan_send(data, model, force_rndv=force_rndv)
 
         worker.clock.advance(plan.sender_cost)
-        pool = worker.memory.pool
         if plan.eager_copy:
             # Adopts what already is a buffer of this pool (the engine's
             # packed temp, GENERIC pipeline fragments) instead of copying.
@@ -562,9 +554,9 @@ class Endpoint:
             tag=tag, source=worker.index,
             total_bytes=sum(lengths),
             entry_lengths=lengths,
-            packed_entries=packed_entries,
+            packed_entries=data.packed_entries,
             protocol=plan.protocol,
-            signature=signature,
+            signature=data.signature,
             msg_id=worker.next_msg_id())
         msg = WireMessage(header, chunks, send_ready=worker.clock.now,
                           wire_time=plan.wire_time, rndv=plan.rndv,

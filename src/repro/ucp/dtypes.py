@@ -8,6 +8,18 @@ iovec array is filled with any memory region pointers"), and
 ``UCP_DATATYPE_GENERIC`` for callback-driven packing.  These descriptor
 classes carry the same information for our simulated transport.
 
+The send contract.  Every send descriptor exposes the same six things,
+and ``Endpoint.tag_send`` and ``plan_send`` use nothing else:
+
+* ``kind`` and ``total_bytes`` — all ``transitions.select_protocol`` needs.
+* ``entries(frag_size, pool)`` — the payload as 1-D uint8 views; GENERIC
+  runs its pack pipeline here, into fragments from ``pool``.
+* ``packed_entries`` — how many leading entries are in-band packed data.
+* ``entry_count`` — the entry count the cost model charges.  GENERIC
+  knows both counts once ``entries`` ran.
+* ``signature`` — the sender's type signature for the envelope, set at
+  construction; None unless the sanitizer is attached.
+
 The receive contract.  Every receive descriptor exposes the same four
 things, and ``Worker.deliver`` uses nothing else:
 
@@ -25,8 +37,8 @@ things, and ``Worker.deliver`` uses nothing else:
 * ``kind`` — the UCP datatype it stands for; ``"handler"`` for a custom
   receive, whose callbacks do their own copying.
 
-The MPI engine builds two of them: :class:`ContigData` for a contiguous
-buffer and :class:`CallbackData` for a derived or custom receive.
+The MPI engine sends :class:`ContigData` and :class:`IovData` (a custom
+type) and receives into :class:`ContigData` and :class:`CallbackData`.
 """
 
 from __future__ import annotations
@@ -58,11 +70,13 @@ class ContigData:
     """UCP_DATATYPE_CONTIG: one contiguous buffer of ``nbytes``."""
 
     kind = DATATYPE_CONTIG
+    packed_entries = 0
+    entry_count = 1
 
     def __init__(self, buffer: Any, nbytes: int | None = None,
                  writable: bool = False, signature=None):
         self.view = _u8view(buffer, writable)
-        self.nbytes = self.capacity = (
+        self.nbytes = self.total_bytes = self.capacity = (
             self.view.shape[0] if nbytes is None else int(nbytes))
         self.signature = signature
         if self.nbytes > self.view.shape[0]:
@@ -70,11 +84,7 @@ class ContigData:
                 f"ContigData length {self.nbytes} exceeds buffer of "
                 f"{self.view.shape[0]} bytes")
 
-    @property
-    def total_bytes(self) -> int:
-        return self.nbytes
-
-    def entries(self) -> list[np.ndarray]:
+    def entries(self, frag_size: int = 0, pool=None) -> list[np.ndarray]:
         return [self.view[: self.nbytes]]
 
     def land(self, msg) -> None:
@@ -113,14 +123,10 @@ class IovData:
                 f"{len(self._views)} entries")
         self.entry_count = (len(self._views) if entry_count is None
                             else int(entry_count))
+        self.total_bytes = self.capacity = sum(
+            v.shape[0] for v in self._views)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(v.shape[0] for v in self._views)
-
-    capacity = total_bytes
-
-    def entries(self) -> list[np.ndarray]:
+    def entries(self, frag_size: int = 0, pool=None) -> list[np.ndarray]:
         return list(self._views)
 
     def land(self, msg) -> None:
@@ -159,15 +165,10 @@ class GenericData:
             raise TransportError(f"negative generic size {total_bytes}")
         if pack is None and unpack is None:
             raise TransportError("GenericData needs a pack or unpack callback")
-        self._total = total_bytes
+        self.total_bytes = self.capacity = total_bytes
         self.pack = pack
         self.unpack = unpack
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total
-
-    capacity = total_bytes
+        self.packed_entries = self.entry_count = 0  # set by entries()
 
     def land(self, msg) -> None:
         if self.unpack is None:
@@ -177,25 +178,34 @@ class GenericData:
             self.unpack(offset, chunk)
             offset += chunk.shape[0]
 
-    def pack_entries(self, frag_size: int, pool=None) -> list[np.ndarray]:
+    def entries(self, frag_size: int, pool=None) -> list[np.ndarray]:
         """Run the pack pipeline; returns the fragment list.
 
         With ``pool`` the fragment scratch is pool-acquired; the caller owns
-        the fragments and returns them once they are staged on the wire.
+        the fragments and returns them once they are staged on the wire —
+        unless the pack callback fails, which gives every one back first.
         """
         if self.pack is None:
             raise TransportError("GenericData has no pack callback (recv-only)")
         frags: list[np.ndarray] = []
         offset = 0
-        while offset < self._total:
-            nbytes = min(frag_size, self._total - offset)
-            dst = (np.empty(nbytes, dtype=np.uint8) if pool is None
-                   else pool.acquire(nbytes))
-            used = self.pack(offset, dst)
-            if not isinstance(used, int) or used <= 0 or used > dst.shape[0]:
-                raise TransportError(f"generic pack returned invalid used={used!r}")
-            frags.append(dst[:used])
-            offset += used
+        try:
+            while offset < self.total_bytes:
+                nbytes = min(frag_size, self.total_bytes - offset)
+                dst = (np.empty(nbytes, dtype=np.uint8) if pool is None
+                       else pool.acquire(nbytes))
+                frags.append(dst)
+                used = self.pack(offset, dst)
+                if not isinstance(used, int) or used <= 0 or used > dst.shape[0]:
+                    raise TransportError(f"generic pack returned invalid used={used!r}")
+                frags[-1] = dst[:used]
+                offset += used
+        except BaseException:
+            if pool is not None:
+                for frag in frags:
+                    pool.release(frag)
+            raise
+        self.packed_entries = self.entry_count = len(frags)
         return frags
 
 

@@ -155,6 +155,35 @@ class TestGenericTransfer:
         assert offsets == sorted(offsets)
         assert len(offsets) > 1  # actually fragmented
 
+    @pytest.mark.parametrize("fault,raised", [
+        ("raises", ValueError), ("used-zero", TransportError), (None, None)],
+        ids=["raises", "invalid-used", "clean"])
+    def test_failed_pack_gives_every_fragment_back(self, fault, raised):
+        """A pack callback that fails at the second fragment leaves the
+        sender's pool balanced (it used to strand two buffers — three with
+        ``used=0``) and its own exception propagates."""
+        w0, w1 = make_pair()
+        payload = (np.arange(20_000) % 251).astype(np.uint8)
+
+        def packfn(off, dst):
+            if off >= 8192 and fault == "raises":
+                raise ValueError("boom")
+            if off >= 8192 and fault == "used-zero":
+                return 0
+            dst[:] = payload[off:off + dst.shape[0]]
+            return int(dst.shape[0])
+
+        send = GenericData(payload.shape[0], pack=packfn)
+        if raised is not None:
+            with pytest.raises(raised):
+                w0.endpoint(1).tag_send(TAG, send)
+        else:
+            out = np.zeros_like(payload)
+            w0.endpoint(1).tag_send(TAG, send).wait()
+            w1.tag_recv(TAG, ContigData(out, writable=True)).wait()
+            assert np.array_equal(out, payload)
+        assert w0.memory.pool.snapshot()["outstanding"] == 0
+
     def test_send_only_generic_cannot_recv(self):
         _, w1 = make_pair()
         g = GenericData(10, pack=lambda o, d: len(d))

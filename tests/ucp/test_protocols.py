@@ -17,6 +17,15 @@ def contig(n):
     return ContigData(np.zeros(n, np.uint8))
 
 
+#: One send descriptor of each kind, ``n`` payload bytes.
+SENDS = {
+    "contig": contig,
+    "iov": lambda n: IovData([np.zeros(n - n // 2, np.uint8),
+                              np.zeros(n // 2, np.uint8)]),
+    "generic": lambda n: GenericData(n, pack=lambda off, dst: len(dst)),
+}
+
+
 class TestSelection:
     def test_small_contig_is_eager(self):
         plan = plan_send(contig(64), M)
@@ -41,9 +50,12 @@ class TestSelection:
 
     def test_generic(self):
         g = GenericData(100, pack=lambda off, dst: len(dst))
-        plan = plan_send(g, M, frag_count=3)
+        assert len(g.entries(40)) == g.entry_count == g.packed_entries == 3
+        plan = plan_send(g, M)
         assert plan.protocol == "generic"
-        assert plan.eager_copy
+        assert plan.eager_copy and not plan.rndv
+        assert plan.sender_cost == pytest.approx(
+            0.5 * M.params.msg_overhead + 0.5 * M.frag_overhead(3))
 
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(TransportError):
@@ -64,6 +76,28 @@ class TestBoundaryAgreement:
             assert plan_send(contig(n), M).protocol == proto
             assert select_protocol("contig", n, limit) == proto
             assert message_is_eager(n, limit) == (proto == "eager")
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("force_rndv", [False, True],
+                             ids=["send", "ssend"])
+    @pytest.mark.parametrize("kind", sorted(SENDS))
+    def test_every_kind_follows_the_table(self, kind, force_rndv, delta):
+        """Protocol, rendezvous and staging all come from the transition
+        table the model checker verifies, for every send kind, at the
+        cutoff and either side of it."""
+        from repro.ucp.transitions import (protocol_copies_eagerly,
+                                           protocol_is_rndv, select_protocol)
+        limit = M.params.eager_limit
+        n = limit + delta
+        data = SENDS[kind](n)
+        assert data.kind == kind
+        plan = plan_send(data, M, force_rndv=force_rndv)
+        assert plan.protocol == select_protocol(kind, n, limit, force_rndv)
+        assert plan.rndv == protocol_is_rndv(plan.protocol)
+        assert plan.eager_copy == protocol_copies_eagerly(plan.protocol)
+        want = {"iov": "iov", "generic": "generic"}.get(
+            kind, "rndv" if force_rndv or delta > 0 else "eager")
+        assert plan.protocol == want
 
     @given(st.integers(0, 1 << 22))
     def test_planner_follows_shared_table(self, n):
