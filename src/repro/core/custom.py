@@ -280,15 +280,19 @@ class CustomRecvOperation:
         self.ncallbacks += 1
         self.bytes_unpacked += frag.shape[0]
 
-    def recv_regions(self, expected_lengths: Sequence[int]) -> list[Region]:
+    def recv_regions(self, expected_lengths: Sequence[int],
+                     maybe_none: bool = False) -> list[Region]:
         """Obtain writable receive regions and validate their lengths.
 
         ``expected_lengths`` comes from the wire header (the engine-internal
         answer to the paper's "receive side must know the exact length of
-        individual components" limitation).
+        individual components" limitation).  ``maybe_none``: it is ``[0]``
+        from a message that cannot tell one empty region from none (one
+        0-byte CONTIG entry stands for both), so the receiver's own count
+        decides — zero bytes move either way.
         """
         cb = self.dtype.callbacks
-        if not expected_lengths:
+        if not expected_lengths or (maybe_none and not cb.has_regions):
             return []
         if not cb.has_regions:
             raise CallbackError(
@@ -297,6 +301,8 @@ class CustomRecvOperation:
         n = invoke("region_count_fn", cb.region_count_fn, self.state,
                    self.buf, self.count)
         self.ncallbacks += 1
+        if maybe_none and n == 0:
+            return []
         if n != len(expected_lengths):
             raise MPIError(
                 MPI_ERR_TYPE,

@@ -32,7 +32,8 @@ import numpy as np
 
 from ..errors import MPI_ERR_BUFFER, MPIError
 from .datatype import Datatype
-from .packplan import _as_u8, required_span  # noqa: F401 (re-exported)
+from .packplan import _NEGATIVE_DISPL_MSG, PackedSource, _as_u8
+from .packplan import required_span  # noqa: F401 (re-exported)
 from .typecache import pack_plan
 
 
@@ -41,16 +42,24 @@ def packed_size(dtype: Datatype, count: int) -> int:
     return dtype.size * count
 
 
-def pack(dtype: Datatype, buf, count: int, out: np.ndarray | None = None) -> np.ndarray:
+def pack(dtype: Datatype, buf, count: int, out: np.ndarray | None = None,
+         deferred: bool = False):
     """Pack ``count`` elements of ``dtype`` from ``buf`` into a flat buffer.
 
     Returns a uint8 array of length ``packed_size(dtype, count)``.  When
     ``out`` is given it must be exactly that long and is filled in place.
+
+    ``deferred=True`` binds instead: the same checks run and raise here,
+    no byte moves, and the :class:`~repro.core.packplan.PackedSource`
+    returned stands for the stream until :func:`unpack` copies it into the
+    same layout or something materializes it.
     """
     src = _as_u8(buf)
     plan = pack_plan(dtype)
     total = plan.size * count
-    if out is None:
+    if deferred:
+        out = PackedSource(plan, src, count)
+    elif out is None:
         out = np.empty(total, dtype=np.uint8)
     else:
         out = _as_u8(out, writable=True)
@@ -65,19 +74,28 @@ def pack(dtype: Datatype, buf, count: int, out: np.ndarray | None = None) -> np.
         raise MPIError(MPI_ERR_BUFFER,
                        f"send buffer too small: need {need} bytes, have {src.shape[0]}")
 
-    plan.pack_into(src, count, out)
+    if not deferred:
+        plan.pack_into(src, count, out)
+    elif plan.negative_lb and not plan.contiguous:
+        raise MPIError(MPI_ERR_BUFFER, _NEGATIVE_DISPL_MSG)
     return out
 
 
 def unpack(dtype: Datatype, buf, count: int, src) -> None:
-    """Unpack a flat packed buffer ``src`` into ``count`` elements in ``buf``."""
+    """Unpack a flat packed buffer ``src`` into ``count`` elements in ``buf``.
+
+    ``src`` may be a :class:`~repro.core.packplan.PackedSource`: under the
+    same plan its elements are copied layout to layout, in one pass;
+    otherwise its stream is built first.
+    """
     dst = _as_u8(buf, writable=True)
-    packed = _as_u8(src)
+    source = src if type(src) is PackedSource else None
+    packed = src if source is not None else _as_u8(src)
     plan = pack_plan(dtype)
     total = plan.size * count
-    if packed.shape[0] < total:
+    if len(packed) < total:
         raise MPIError(MPI_ERR_BUFFER,
-                       f"packed buffer too small: need {total}, have {packed.shape[0]}")
+                       f"packed buffer too small: need {total}, have {len(packed)}")
     if count == 0:
         return
 
@@ -86,7 +104,12 @@ def unpack(dtype: Datatype, buf, count: int, src) -> None:
         raise MPIError(MPI_ERR_BUFFER,
                        f"recv buffer too small: need {need} bytes, have {dst.shape[0]}")
 
-    plan.unpack_into(dst, count, packed)
+    if source is None:
+        plan.unpack_into(dst, count, packed)
+    elif source.plan is plan:
+        plan.copy_into(source.src, dst, count)
+    else:
+        plan.unpack_into(dst, count, source.materialize())
 
 
 # ---------------------------------------------------------------------------

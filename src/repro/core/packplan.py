@@ -20,6 +20,10 @@ fast; this module is that compiler.
   exposed as ``plan.ir`` / ``plan.passes`` / ``plan.executor`` so the
   static verifier (:mod:`repro.analyze.planverify`) can re-check exactly
   what executes.
+* :class:`PackedSource` — a packed stream that is bound, not built: what a
+  deferred pack returns.  :meth:`PackPlan.copy_into` lands it in the same
+  layout in one pass (``unpack(pack(src))`` with no stream between);
+  anything else builds it once with :meth:`PackedSource.materialize`.
 * :class:`PackCursor` / :class:`UnpackCursor` — per-request streaming state
   for a GENERIC fragment pipeline.  A cursor packs (or scatters) each
   element range exactly once into a pooled scratch buffer; successive
@@ -130,11 +134,56 @@ class PackPlan:
             raise MPIError(MPI_ERR_BUFFER, _NEGATIVE_DISPL_MSG)
         self._exec.unpack(dst, packed, count)
 
+    def copy_into(self, src: np.ndarray, dst: np.ndarray,
+                  count: int) -> None:
+        """Copy ``count`` elements from ``src`` into the same layout in
+        ``dst`` — ``unpack_into(dst, pack_into(src))`` in one pass, with no
+        packed stream; bytes of ``dst`` outside the layout are untouched."""
+        if self.contiguous:
+            total = self.size * count
+            dst[:total] = src[:total]
+            return
+        if self.negative_lb:
+            raise MPIError(MPI_ERR_BUFFER, _NEGATIVE_DISPL_MSG)
+        self._exec.copy(src, dst, count)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "contig" if self.contiguous else f"{self.nblocks} blocks"
         return (f"PackPlan({kind}, size={self.size}, extent={self.extent}, "
                 f"executor={self.executor}, "
                 f"passes={list(self.passes)})")
+
+
+class PackedSource:
+    """The packed stream of ``count`` elements of ``src`` under ``plan``,
+    not built yet: what a deferred :func:`repro.core.packing.pack` returns
+    once its checks passed.
+
+    An in-process rendezvous ships it in place of the packed bytes.  A
+    receive into the same plan copies layout to layout
+    (:meth:`PackPlan.copy_into`, through :func:`repro.core.packing.unpack`);
+    any other receive gets the stream built once by :meth:`materialize`.
+    ``len()`` is the stream's byte count, like a wire chunk's.
+    """
+
+    __slots__ = ("plan", "src", "count", "nbytes")
+
+    def __init__(self, plan: PackPlan, src: np.ndarray, count: int):
+        self.plan = plan
+        self.src = src
+        self.count = count
+        self.nbytes = plan.size * count
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def materialize(self, pool=None) -> np.ndarray:
+        """The packed bytes, in a buffer from ``pool`` (any object with
+        ``acquire(nbytes)``; None: a fresh array) that the caller owns."""
+        out = _scratch_alloc(pool, self.nbytes)
+        if self.count:
+            self.plan.pack_into(self.src, self.count, out)
+        return out
 
 
 # ---------------------------------------------------------------------------

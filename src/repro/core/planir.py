@@ -702,7 +702,8 @@ class IRExecutor:
 
     ``pack``/``unpack`` run ``nrows`` elements at once, element ``r`` based
     at ``r * extent`` in ``mem`` and ``r * size`` on the ``wire`` (both flat
-    ``uint8`` arrays).  Each leaf is compiled to a pair of view descriptors;
+    ``uint8`` arrays); ``copy`` runs them memory to memory, through the
+    memory views alone.  Each leaf is compiled to a pair of view descriptors;
     a view covers exactly the bytes its leaf touches, so the last element
     may stop at its true upper bound, and is built by the bounds-checked
     ``np.ndarray`` constructor: a plan whose offsets leave either buffer
@@ -778,3 +779,21 @@ class IRExecutor:
                 mv[0][idx] = wv[0]  # the 1-D form: 1.3x the 2-D one
             else:
                 mv[:, idx] = wv
+
+    def copy(self, src: np.ndarray, dst: np.ndarray, nrows: int) -> None:
+        """Copy ``nrows`` elements of ``src`` into the same layout in
+        ``dst``: what ``unpack(pack(src))`` leaves in ``dst``, with no
+        packed stream between.  Each leaf's memory view is read in ``src``
+        and written in ``dst`` (a gather leaf through its lane index), so
+        every byte outside the layout keeps its value.  Every byte of the
+        layout gets ``src``'s value whatever the order, so aliasing rows
+        need no care."""
+        for idx, (mdt, mshape, moff, mstr), _ in self._items:
+            sv = np.ndarray((nrows, *mshape), mdt, src, moff, mstr)
+            dv = np.ndarray((nrows, *mshape), mdt, dst, moff, mstr)
+            if idx is None:
+                dv[...] = sv
+            elif nrows == 1:
+                dv[0][idx] = sv[0][idx]
+            else:
+                dv[:, idx] = sv[:, idx]

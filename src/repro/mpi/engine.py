@@ -10,7 +10,12 @@ predefined / contiguous   CONTIG (zero-copy)          protocol only
 derived, non-contiguous   CONTIG over a temp buffer   alloc + typemap walk
                           (the send temp is the       (per-block ``elem_cost``
                           wire chunk; the receive     — the Open MPI gap
-                          temp is modelled only)      penalty of Fig. 5)
+                          temp is modelled only).     penalty of Fig. 5), the
+                          A pristine in-process       same on every path
+                          rendezvous models both
+                          temps and sends a deferred
+                          source: the receiver copies
+                          layout to layout, one pass
 custom                    IOV: the packed stream as    callbacks + packed-byte
                           one entry (a pooled wire     copies on the
                           buffer ``pack_fn`` fills     ``frag_size`` grid;
@@ -49,10 +54,12 @@ from ..core.custom import (CustomDatatype, CustomRecvOperation,
 from ..core.datatype import Datatype
 from ..core.packing import pack, unpack
 from ..core.packplan import UnpackCursor
+from ..core.typecache import pack_plan
 from ..errors import MPIError, TruncationError
 from ..ucp.context import Endpoint, Worker
 from ..ucp.constants import DATATYPE_CONTIG
-from ..ucp.dtypes import CallbackData, ContigData, IovData
+from ..ucp.dtypes import CallbackData, ContigData, DeferredData, IovData
+from ..ucp.transitions import select_protocol
 from ..ucp.wire import WireMessage
 from .requests import Request, Status
 
@@ -64,6 +71,15 @@ class EngineConfig:
     #: Deliver packed fragments of custom types in reverse order when the
     #: type allows it (``inorder=False``) — the out-of-order ablation.
     ooo_fragments: bool = False
+
+
+class _DerivedLanding(CallbackData):
+    """A derived receive; its ``plan`` is looked up only when a deferred
+    source asks (``Worker.deliver``), never on the common path."""
+
+    @property
+    def plan(self):
+        return pack_plan(self.dtype)
 
 
 class TransferEngine:
@@ -104,8 +120,11 @@ class TransferEngine:
                 dtype: Datatype, sync: bool):
         """The one send-descriptor choice, then the injection.
 
-        Contiguous: ``buf`` as it is.  Derived: packed into a pooled temp,
-        booked with the tracker and charged the typemap walk.  Custom: one
+        Contiguous: ``buf`` as it is.  Derived: booked with the tracker
+        and charged the typemap walk; packed into a pooled temp, except on
+        a pristine fabric's rendezvous (the protocol table decides), where
+        ``pack`` only checks and binds and the message carries the deferred
+        source — the receiver's landing moves the bytes.  Custom: one
         ``pack_fn`` call into a pooled wire buffer (not booked, like the
         modelled fragments it stands for), sent as IOV ahead of the regions
         or as CONTIG if nothing is packed and at most one region.  Either
@@ -139,12 +158,20 @@ class TransferEngine:
                 desc = ContigData(buf, tm.size * count, signature=sig)
             else:
                 nbytes = tm.size * count
-                held = memory.acquire(nbytes, worker.clock, self.model)
-                booked = nbytes
-                pack(dtype, buf, count, out=held)
+                if worker.fabric.injector is None and select_protocol(
+                        DATATYPE_CONTIG, nbytes, ep.model.params.eager_limit,
+                        sync) == "rndv":
+                    memory.reserve(nbytes, worker.clock, self.model)
+                    booked = nbytes
+                    desc = DeferredData(pack(dtype, buf, count, deferred=True),
+                                        signature=sig)
+                else:
+                    held = memory.acquire(nbytes, worker.clock, self.model)
+                    booked = nbytes
+                    pack(dtype, buf, count, out=held)
+                    desc = ContigData(held, nbytes, signature=sig)
                 worker.clock.advance(self.model.typemap_pack_time(
                     count * len(tm.merged_blocks()), nbytes))
-                desc = ContigData(held, nbytes, signature=sig)
             return ep.tag_send(tag64, desc, force_rndv=sync)
         except BaseException:
             if held is not None:
@@ -260,8 +287,9 @@ class TransferEngine:
             clock.advance(self.model.typemap_pack_time(nblocks, info.nbytes))
             return Status.from_recv_info(info)
 
-        return (CallbackData(land, nbytes, DATATYPE_CONTIG, sig), finish,
-                partial(memory.release, nbytes))
+        desc = _DerivedLanding(land, nbytes, DATATYPE_CONTIG, sig)
+        desc.dtype = dtype
+        return desc, finish, partial(memory.release, nbytes)
 
     def deliver_custom(self, msg: WireMessage, buf, count: int,
                        dtype: CustomDatatype) -> None:
@@ -297,7 +325,8 @@ class TransferEngine:
                 op.unpack_fragment(offset, chunk)
             region_lens = list(hdr.entry_lengths[k:])
             try:
-                regions = op.recv_regions(region_lens)
+                regions = op.recv_regions(
+                    region_lens, maybe_none=not k and region_lens == [0])
             except MPIError as exc:
                 if san is not None:
                     san.report_region_mismatch(self.worker.index,

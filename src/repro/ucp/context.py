@@ -23,6 +23,8 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..errors import (MPIError, ProcFailedPendingError, TransportError,
                       TruncationError)
 from . import constants
@@ -33,7 +35,7 @@ from .netsim import DEFAULT_PARAMS, CostModel, LinkParams, VirtualClock
 from .protocols import WAIT_SEMANTICS, plan_send
 from .tagmatch import PostedRecv, TagMatcher
 from .transitions import crc_reject
-from .wire import WireHeader, WireMessage, copy_chunks
+from .wire import WireHeader, WireMessage, copy_chunks, materialize
 
 
 @dataclass(frozen=True)
@@ -485,6 +487,11 @@ class Worker:
                 f"rank {self.index}: message {hdr.msg_id} from rank "
                 f"{hdr.source} (tag {constants.unpack_tag(hdr.tag)[2]}) is "
                 f"{hdr.total_bytes} bytes, the receive takes at most {cap}")
+        chunks = msg.chunks
+        if msg.rndv and chunks and not isinstance(chunks[0], np.ndarray) \
+                and chunks[0].plan is not data.plan:
+            # A deferred source lands as it is only in its own layout.
+            materialize(msg, self.fabric.workers[hdr.source].memory.pool)
         data.land(msg)
 
         self.delivered_msgs += 1

@@ -12,15 +12,16 @@ The send contract.  Every send descriptor exposes the same six things,
 and ``Endpoint.tag_send`` and ``plan_send`` use nothing else:
 
 * ``kind`` and ``total_bytes`` — all ``transitions.select_protocol`` needs.
-* ``entries(frag_size, pool)`` — the payload as 1-D uint8 views; GENERIC
-  runs its pack pipeline here, into fragments from ``pool``.
+* ``entries(frag_size, pool)`` — the payload as 1-D uint8 views (or one
+  deferred source, below); GENERIC runs its pack pipeline here, into
+  fragments from ``pool``.
 * ``packed_entries`` — how many leading entries are in-band packed data.
 * ``entry_count`` — the entry count the cost model charges.  GENERIC
   knows both counts once ``entries`` ran.
 * ``signature`` — the sender's type signature for the envelope, set at
   construction; None unless the sanitizer is attached.
 
-The receive contract.  Every receive descriptor exposes the same four
+The receive contract.  Every receive descriptor exposes the same five
 things, and ``Worker.deliver`` uses nothing else:
 
 * ``capacity`` — the most payload bytes the receive takes, or None for any
@@ -36,9 +37,23 @@ things, and ``Worker.deliver`` uses nothing else:
   with the envelope's).
 * ``kind`` — the UCP datatype it stands for; ``"handler"`` for a custom
   receive, whose callbacks do their own copying.
+* ``plan`` — the pack plan a derived receive lands through; None on
+  every other receive.
 
-The MPI engine sends :class:`ContigData` and :class:`IovData` (a custom
-type) and receives into :class:`ContigData` and :class:`CallbackData`.
+Deferred sources.  An in-process rendezvous of a derived datatype sends a
+:class:`DeferredData`: its one entry is a deferred source (the engine's
+``repro.core.packplan.PackedSource``) that stands for the packed bytes
+without building them — ``len()`` is their count, ``plan`` the layout
+they come from, ``materialize(pool)`` builds them.  ``Worker.deliver``
+hands it as it is only to a receive whose ``plan`` is the source's (one
+copy, layout to layout); for any other receive it first materializes the
+source once into a chunk of the sender's pool, which then goes back like
+every chunk.  The remote backends materialize at encode time, so no
+deferred source crosses a process boundary.
+
+The MPI engine sends :class:`ContigData`, :class:`DeferredData` (a
+derived rendezvous) and :class:`IovData` (a custom type) and receives
+into :class:`ContigData` and :class:`CallbackData`.
 """
 
 from __future__ import annotations
@@ -72,6 +87,7 @@ class ContigData:
     kind = DATATYPE_CONTIG
     packed_entries = 0
     entry_count = 1
+    plan = None
 
     def __init__(self, buffer: Any, nbytes: int | None = None,
                  writable: bool = False, signature=None):
@@ -96,6 +112,24 @@ class ContigData:
             pos += n
 
 
+class DeferredData:
+    """UCP_DATATYPE_CONTIG over one deferred source (send only): the
+    packed bytes are built — or copied straight into the receiver's
+    layout — when the message lands, not at injection."""
+
+    kind = DATATYPE_CONTIG
+    packed_entries = 0
+    entry_count = 1
+
+    def __init__(self, source, signature=None):
+        self.source = source
+        self.total_bytes = len(source)
+        self.signature = signature
+
+    def entries(self, frag_size: int = 0, pool=None) -> list:
+        return [self.source]
+
+
 class IovData:
     """UCP_DATATYPE_IOV: an ordered list of contiguous entries.
 
@@ -112,6 +146,7 @@ class IovData:
 
     kind = DATATYPE_IOV
     signature = None
+    plan = None
 
     def __init__(self, buffers: Sequence[Any], writable: bool = False,
                  packed_entries: int = 0, entry_count: int | None = None):
@@ -157,6 +192,7 @@ class GenericData:
 
     kind = DATATYPE_GENERIC
     signature = None
+    plan = None
 
     def __init__(self, total_bytes: int,
                  pack: Callable[[int, np.ndarray], int] | None = None,
@@ -215,11 +251,16 @@ class CallbackData:
     The MPI engine's two non-contiguous receives.  A derived datatype is a
     CONTIG receive of ``capacity`` bytes whose buffer is modelled, not
     built: ``land(msg)`` runs the typemap unpack straight out of the wire
-    chunks.  A custom datatype is a ``"handler"`` receive of any size:
+    chunks, or copies a deferred source of its ``plan`` layout to layout.
+    A custom datatype is a ``"handler"`` receive of any size:
     ``land(msg)`` unpacks the in-band stream, *then* queries the regions
     (their placement may depend on the unpacked data) and scatters into
     them.  Both run on the receiving thread.
     """
+
+    #: None here; the engine's derived receive overrides it with a
+    #: property that looks the plan up only when asked.
+    plan = None
 
     def __init__(self, land: Callable[[Any], None],
                  capacity: int | None = None, kind: str = "handler",

@@ -42,9 +42,11 @@ class BufferPool:
     releasing twice (the engine and the delivery path both letting go of a
     bounce buffer) is a silent no-op, guarded by the outstanding set.
 
-    Thread contract: ``acquire`` is called only by the owning rank's thread;
-    ``release`` may be called from any rank's thread (delivery returns eager
-    staging to the *sender's* pool), hence the lock.
+    Thread contract: ``acquire`` is called by the owning rank's thread —
+    and, in-process, by a receiver building its sender's deferred source
+    into the sender's pool; ``release`` may be called from any rank's
+    thread (delivery returns eager staging to the *sender's* pool), hence
+    the lock.
     """
 
     #: Smallest class; sub-64-byte requests share one class.

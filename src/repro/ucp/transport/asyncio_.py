@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from multiprocessing import Pipe
 
+from ..wire import materialize
 from . import envelope as env
 from .base import ThreadedTransport
 from .remote import RemoteTransportMixin
@@ -62,6 +63,9 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
             end.close()
 
     def encode_payload(self, worker, msg) -> list[bytes]:
+        # A deferred source is built into the sender's staging, which the
+        # acknowledgement releases like any packed temp.
+        materialize(msg, worker.memory.pool)
         return env.chunk_bytes(msg.chunks)
 
     def materialize_payload(self, src_rank: int, payload):

@@ -6,7 +6,8 @@ DDT study calls for: each rank is a forked ``multiprocessing`` process
 each rank owns a ``multiprocessing.shared_memory`` *arena* that every
 peer maps.  The rank's :class:`~repro.ucp.memory.BufferPool` is arena-backed
 (:class:`ArenaBufferPool`), so PackPlans execute **directly into the
-shared segment**: a non-contiguous send packs into an arena slab, that
+shared segment**: a non-contiguous send packs into an arena slab (on
+rendezvous, its deferred source is built there at encode time), that
 slab is the wire chunk on either protocol, the message frame carries only
 ``(offset, nbytes)``, and the receiver's PackPlan unpacks straight out of
 the sender's segment into the user buffer.  Pack and unpack are the only
@@ -41,6 +42,7 @@ import numpy as np
 
 from ...errors import TransportError
 from ..memory import BufferPool
+from ..wire import materialize
 from .base import RankReport, Transport, conclude_job, quiesce, rank_main
 from .remote import RemoteTransportMixin
 
@@ -174,11 +176,13 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
     def encode_payload(self, worker, msg) -> list:
         """Turn chunks into arena references (staging foreign memory).
 
-        Chunks already arena-resident — eager staging from
-        ``copy_chunks``, packed rendezvous temps the engine acquired from
-        the arena pool — cross as bare ``(offset, nbytes)`` references:
-        the zero-copy path.  Foreign chunks (live user-buffer views on a
-        rendezvous send, injector-corrupted private copies, spilled slabs)
+        A derived rendezvous's deferred source is built first, straight
+        into an arena slab (:func:`~repro.ucp.wire.materialize`).  Chunks
+        already arena-resident — eager staging from ``copy_chunks``, packed
+        temps the engine acquired from the arena pool, those built sources —
+        cross as bare ``(offset, nbytes)`` references: the zero-copy path.
+        Foreign chunks (live user-buffer views on a rendezvous send,
+        injector-corrupted private copies, spilled slabs)
         leave the message here, staged into an arena slab — that
         wall-clock copy is the process boundary's "memory registration"
         and charges no virtual time — or, arena exhausted, as raw bytes on
@@ -186,6 +190,7 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
         the acknowledgement must release.
         """
         pool = worker.memory.pool
+        materialize(msg, pool)
         payload = []
         retained = []
         for chunk in msg.chunks:

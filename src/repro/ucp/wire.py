@@ -122,7 +122,9 @@ class WireMessage:
         Payload entries.  Eager: private uint8 arrays (staging copies or
         adopted packed temps; sender buffers may be reused immediately).
         Rendezvous: live read views of the sender's buffers, pulled when the
-        receiver completes the match.
+        receiver completes the match — or, in-process, one deferred source
+        standing for a derived datatype's packed bytes (see
+        :func:`materialize`).
     send_ready:
         Sender virtual time at which the payload is ready to move.
     sender_cost_charged:
@@ -201,3 +203,12 @@ def copy_chunks(buffers: Sequence[np.ndarray],
             chunk[:] = src
         out.append(chunk)
     return out
+
+
+def materialize(msg: WireMessage, pool) -> None:
+    """Build every deferred source among ``msg.chunks`` (the receive
+    contract in :mod:`repro.ucp.dtypes`) once, into a chunk of ``pool``.
+    From then on the chunk is the message's and goes back through
+    ``Transport.release_chunks`` like any staging chunk."""
+    msg.chunks = [c if isinstance(c, np.ndarray) else c.materialize(pool)
+                  for c in msg.chunks]

@@ -18,6 +18,7 @@ from repro.core import (BYTE, FLOAT32, FLOAT64, INT16, INT32, PackCursor,
 from repro.ddtbench.registry import make_workload
 from repro.errors import MPIError
 from repro.types import make_struct_simple, struct_simple_datatype
+from tests.core.test_derived import _build, _trees
 
 
 def corpus():
@@ -403,6 +404,47 @@ class TestKernelDifferential:
         # window at a time: the same bytes unless write order is observable.
         if not lower_typemap(t.typemap).order_observable:
             assert bytes(got) == bytes(want)
+
+
+# -- layout-to-layout copy ----------------------------------------------------
+
+class TestCopyInto:
+    """``PackPlan.copy_into`` is ``unpack(pack(src))`` with no stream: over
+    the datatype trees of the run-granularity suite (negative strides,
+    zero-length blocks, aliasing rows, resized), every byte of ``dst`` —
+    inside the layout and outside it — ends as the two passes leave it."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(_trees, any_layout().map(lambda t: (t, None))),
+           st.sampled_from([0, 1, 2, 7]), st.integers(0, 2 ** 32 - 1))
+    def test_matches_pack_then_unpack(self, tree, count, seed):
+        t = _build(tree)[0] if tree[1] is not None else tree[0]
+        plan = pack_plan(t)
+        span = max(required_span(t, count), 1) + 8  # bytes past the end
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, 256, span, dtype=np.uint8)
+        fill = rng.integers(0, 256, span, dtype=np.uint8)
+        got, want = fill.copy(), fill.copy()
+        if t.typemap.true_lb < 0 and not plan.contiguous and count:
+            with pytest.raises(MPIError, match="negative displacements"):
+                pack(t, src, count, deferred=True)
+            return
+        if count:
+            plan.copy_into(src, got, count)
+        unpack(t, want, count, pack(t, src, count))
+        assert bytes(got) == bytes(want)
+        # The engine's route: a deferred source unpacked into its plan.
+        got[:] = fill
+        unpack(t, got, count, pack(t, src, count, deferred=True))
+        assert bytes(got) == bytes(want)
+
+    def test_a_source_of_another_plan_is_built_first(self):
+        vec = vector(16, 1, 2, FLOAT64)
+        con = contiguous(16, FLOAT64)
+        src = np.arange(required_span(vec, 3), dtype=np.uint8)
+        got = np.zeros(required_span(con, 3), dtype=np.uint8)
+        unpack(con, got, 3, pack(vec, src, 3, deferred=True))
+        assert bytes(got) == bytes(pack_reference(vec, src, 3))
 
 
 # -- plan cache --------------------------------------------------------------

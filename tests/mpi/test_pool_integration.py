@@ -13,7 +13,7 @@ from repro.core.custom import type_create_custom
 from repro.core.regions import Region
 from repro.mpi import run
 from repro.types import make_struct_simple, struct_simple_datatype
-from repro.ucp.transport import TRANSPORT_NAMES
+from repro.ucp.transport import TRANSPORT_NAMES, resolve_transport_name
 from tests.conftest import require_transport_capability
 from tests.transport.conftest import require_backend
 
@@ -43,14 +43,27 @@ def _pingpong(iters, count):
     return main
 
 
+def _in_process() -> bool:
+    """Whether the active transport (REPRO_TRANSPORT) is inproc, where a
+    derived rendezvous is copied layout to layout, never packed."""
+    return resolve_transport_name(None) == "inproc"
+
+
 class TestPoolHitRate:
     def test_fragmented_rendezvous_run_hits_pool(self):
-        """Bounce buffers and wire staging recycle across rndv messages."""
-        result = run(_pingpong(4, RNDV_COUNT), nprocs=2)
-        for rank in (0, 1):
-            pool = result.memory[rank]["pool"]
-            assert pool["hits"] > 0, (rank, pool)
-            assert pool["returned"] > 0, (rank, pool)
+        """Packed rendezvous temps recycle across messages wherever a
+        derived rendezvous is packed: on a fault-injected fabric, and on
+        the remote backends.  A pristine in-process one is copied layout
+        to layout and takes nothing from the pool."""
+        for faults in (None, {}):
+            result = run(_pingpong(4, RNDV_COUNT), nprocs=2, faults=faults)
+            for rank in (0, 1):
+                pool = result.memory[rank]["pool"]
+                if faults is None and _in_process():
+                    assert _acquires(pool) == 0, (rank, pool)
+                    continue
+                assert pool["hits"] > 0, (faults, rank, pool)
+                assert pool["returned"] > 0, (faults, rank, pool)
 
     def test_eager_run_hits_pool(self):
         result = run(_pingpong(4, EAGER_COUNT), nprocs=2)
@@ -77,7 +90,8 @@ def _books(comm):
 
 class TestTwoPassesNotFour:
     """A derived message is packed into its wire chunk and unpacked straight
-    out of it: the receive-side bounce buffer is accounted, never built."""
+    out of it — or, on an in-process rendezvous, copied layout to layout:
+    the paper baseline's temps are accounted, never built."""
 
     def _one_way(self, count):
         dtype = struct_simple_datatype()
@@ -100,10 +114,14 @@ class TestTwoPassesNotFour:
         assert np.array_equal(res.results[1],
                               make_struct_simple(EAGER_COUNT))
 
-    def test_rendezvous_costs_one_acquire_on_the_sender_only(self):
+    def test_rendezvous_costs_no_acquire_in_process(self):
+        """In-process the receiver copies the sender's layout into its own:
+        no temp on either side.  A remote backend builds the packed stream
+        once, into the sender's staging."""
         res = self._one_way(RNDV_COUNT)
         assert res.traces[0][0]["protocol"] == "rndv"
-        assert [_acquires(m["pool"]) for m in res.memory] == [1, 0]
+        assert [_acquires(m["pool"]) for m in res.memory] == \
+            ([0, 0] if _in_process() else [1, 0])
         assert np.array_equal(res.results[1], make_struct_simple(RNDV_COUNT))
 
     def test_modelled_bounce_buffer_is_still_booked(self):

@@ -89,6 +89,47 @@ class TestSsend:
             run(fn, nprocs=2, timeout=0.5)
 
 
+class TestEmptyCustomMessage:
+    """A custom value with no packed bytes and no regions crosses as one
+    0-byte CONTIG entry — the same wire form as one empty region.  The
+    receiver's own region count decides which it was; no byte moves."""
+
+    @staticmethod
+    def _type(nregions, calls):
+        from repro.core import type_create_custom
+        from repro.core.regions import Region
+
+        def region_fn(state, buf, count, n):
+            calls.append(n)
+            return [Region(np.zeros(0, dtype=np.uint8))] * n
+
+        return type_create_custom(
+            query_fn=lambda s, b, c: 0,
+            region_count_fn=lambda s, b, c: nregions,
+            region_fn=region_fn)
+
+    @pytest.mark.parametrize("transport", ["inproc", "asyncio"])
+    @pytest.mark.parametrize("sync", [False, True], ids=["send", "ssend"])
+    @pytest.mark.parametrize("sent,counted", [(0, 0), (1, 1), (0, 1), (1, 0)])
+    def test_custom_to_custom(self, transport, sync, sent, counted):
+        def fn(comm):
+            calls = []
+            if comm.rank == 0:
+                send = comm.ssend if sync else comm.send
+                send(object(), dest=1, tag=4,
+                     datatype=self._type(sent, calls))
+                return None
+            status = comm.recv(object(), source=0, tag=4,
+                               datatype=self._type(counted, calls))
+            return status.nbytes, calls
+
+        nbytes, calls = run(fn, nprocs=2, transport=transport,
+                            timeout=30).results[1]
+        assert nbytes == 0
+        # One zero-length region still lands as one region.
+        assert calls == ([1] if counted else [])
+
+
 class TestUserDefinedOp:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_callable_op(self, n):

@@ -252,7 +252,8 @@ PINGPONG_CLOCK_RANK0 = {128: 4.392106666666664e-05,
 
 class TestDerivedTwoPasses:
     """Derived datatypes pack into the wire chunk and unpack straight out
-    of it on every backend — and everything modelled stays where it was."""
+    of it on every backend — except an inproc rendezvous, which copies
+    layout to layout — and everything modelled stays where it was."""
 
     @staticmethod
     def _acquires(snap):
@@ -277,8 +278,10 @@ class TestDerivedTwoPasses:
         for count in (128, 2048):  # eager, rendezvous
             res = self._pingpong(backend, count)
             assert res.results[0] == make_struct_simple(count).tobytes()
+            # An inproc rendezvous acquires nothing: no packed stream.
+            sends = 0 if backend == "inproc" and count == 2048 else 4
             for snap in res.memory:
-                assert self._acquires(snap) == 4, (backend, count, snap)
+                assert self._acquires(snap) == sends, (backend, count, snap)
                 assert snap["pool"]["outstanding"] == 0
 
     def test_clocks_and_tracker_totals_pinned(self, backend):
