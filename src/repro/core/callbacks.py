@@ -63,8 +63,8 @@ class PackFn(Protocol):
     window is never longer than what is left of the stream and may be all
     of it: the engine offers the whole packed stream in one call.
 
-    ``dst`` arrives **dirty**: it is pool memory (the message's wire buffer,
-    as ``GenericData.entries`` hands out), not zeroed.  Every byte the
+    ``dst`` arrives **dirty**: it is pool memory (the message's wire
+    buffer), not zeroed.  Every byte the
     returned ``used`` claims goes on the wire, so a byte claimed but not
     written is the callback's bug.
     """

@@ -25,10 +25,10 @@ fast; this module is that compiler.
   layout in one pass (``unpack(pack(src))`` with no stream between);
   anything else builds it once with :meth:`PackedSource.materialize`.
 * :class:`PackCursor` / :class:`UnpackCursor` — per-request streaming state
-  for a GENERIC fragment pipeline.  A cursor packs (or scatters) each
-  element range exactly once into a pooled scratch buffer; successive
-  windows slice the retained scratch instead of re-packing the boundary
-  elements of every fragment.
+  for a fragment pipeline (UCP's GENERIC datatype).  A cursor packs (or
+  scatters) each element range exactly once into a pooled scratch buffer;
+  successive windows slice the retained scratch instead of re-packing the
+  boundary elements of every fragment.
 
 Plans change *wall-clock* execution only.  The bytes produced are identical
 to the retained reference implementation (asserted property-style by
@@ -187,7 +187,7 @@ class PackedSource:
 
 
 # ---------------------------------------------------------------------------
-# streaming cursors (the GENERIC fragment pipeline)
+# streaming cursors (a fragment pipeline)
 # ---------------------------------------------------------------------------
 
 def _scratch_alloc(pool, nbytes: int) -> np.ndarray:
@@ -266,8 +266,8 @@ class PackCursor:
         return self._scratch[lo:lo + length]
 
     def pack(self, offset: int, dst: np.ndarray) -> int:
-        """GenericData-style pack callback: fill ``dst``, return bytes
-        written (``pack(offset, dst) -> used``)."""
+        """Pack callback of a fragment pipeline: fill ``dst``, return
+        bytes written (``pack(offset, dst) -> used``)."""
         w = self.window(offset, min(int(dst.shape[0]),
                                     self.total - offset))
         dst[: w.shape[0]] = w
@@ -346,8 +346,8 @@ class UnpackCursor:
         self._stage = None
 
     def write(self, offset: int, frag) -> None:
-        """Deliver one packed fragment at ``offset`` (GenericData-style
-        unpack callback signature)."""
+        """Deliver one packed fragment at ``offset`` (a fragment
+        pipeline's unpack callback signature)."""
         data = _as_u8(frag)
         length = int(data.shape[0])
         size = self._plan.size

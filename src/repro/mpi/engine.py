@@ -7,15 +7,17 @@ send/receive it selects a transport descriptor and charges virtual time:
 datatype                  transport descriptor        modelled cost
 ========================  ==========================  =========================
 predefined / contiguous   CONTIG (zero-copy)          protocol only
-derived, non-contiguous   CONTIG over a temp buffer   alloc + typemap walk
-                          (the send temp is the       (per-block ``elem_cost``
-                          wire chunk; the receive     — the Open MPI gap
-                          temp is modelled only).     penalty of Fig. 5), the
-                          A pristine in-process       same on every path
-                          rendezvous models both
-                          temps and sends a deferred
-                          source: the receiver copies
-                          layout to layout, one pass
+derived, non-contiguous   CONTIG over a deferred      alloc + typemap walk
+                          source: both temps are      (per-block ``elem_cost``
+                          modelled; the ucp layer     — the Open MPI gap
+                          builds the packed bytes     penalty of Fig. 5), the
+                          once where they must        same on every path
+                          exist (eager staging, a
+                          faulted wire, a remote
+                          encode); an in-process
+                          rendezvous into the same
+                          layout copies layout to
+                          layout, one pass
 custom                    IOV: the packed stream as    callbacks + packed-byte
                           one entry (a pooled wire     copies on the
                           buffer ``pack_fn`` fills     ``frag_size`` grid;
@@ -59,7 +61,6 @@ from ..errors import MPIError, TruncationError
 from ..ucp.context import Endpoint, Worker
 from ..ucp.constants import DATATYPE_CONTIG
 from ..ucp.dtypes import CallbackData, ContigData, DeferredData, IovData
-from ..ucp.transitions import select_protocol
 from ..ucp.wire import WireMessage
 from .requests import Request, Status
 
@@ -120,16 +121,17 @@ class TransferEngine:
                 dtype: Datatype, sync: bool):
         """The one send-descriptor choice, then the injection.
 
-        Contiguous: ``buf`` as it is.  Derived: booked with the tracker
-        and charged the typemap walk; packed into a pooled temp, except on
-        a pristine fabric's rendezvous (the protocol table decides), where
-        ``pack`` only checks and binds and the message carries the deferred
-        source — the receiver's landing moves the bytes.  Custom: one
-        ``pack_fn`` call into a pooled wire buffer (not booked, like the
-        modelled fragments it stands for), sent as IOV ahead of the regions
-        or as CONTIG if nothing is packed and at most one region.  Either
-        buffer is the message's once ``tag_send`` returned; if anything
-        raises before, it goes straight back — the one "never injected" exit.
+        Contiguous: ``buf`` as it is.  Derived: the temp is booked with
+        the tracker and charged the typemap walk, and ``pack`` only checks
+        and binds: the message carries the deferred source, whose bytes
+        the ucp layer builds where they first must exist (eager staging, a
+        fault-injected wire, a remote encode, a foreign landing) or the
+        receiver copies layout to layout.  Custom: one ``pack_fn`` call
+        into a pooled wire buffer (not booked, like the modelled fragments
+        it stands for), sent as IOV ahead of the regions or as CONTIG if
+        nothing is packed and at most one region.  That buffer is the
+        message's once ``tag_send`` returned; if anything raises before, it
+        goes straight back — the one "never injected" exit.
         """
         worker = self.worker
         memory = worker.memory
@@ -158,18 +160,10 @@ class TransferEngine:
                 desc = ContigData(buf, tm.size * count, signature=sig)
             else:
                 nbytes = tm.size * count
-                if worker.fabric.injector is None and select_protocol(
-                        DATATYPE_CONTIG, nbytes, ep.model.params.eager_limit,
-                        sync) == "rndv":
-                    memory.reserve(nbytes, worker.clock, self.model)
-                    booked = nbytes
-                    desc = DeferredData(pack(dtype, buf, count, deferred=True),
-                                        signature=sig)
-                else:
-                    held = memory.acquire(nbytes, worker.clock, self.model)
-                    booked = nbytes
-                    pack(dtype, buf, count, out=held)
-                    desc = ContigData(held, nbytes, signature=sig)
+                memory.reserve(nbytes, worker.clock, self.model)
+                booked = nbytes
+                desc = DeferredData(pack(dtype, buf, count, deferred=True),
+                                    signature=sig)
                 worker.clock.advance(self.model.typemap_pack_time(
                     count * len(tm.merged_blocks()), nbytes))
             return ep.tag_send(tag64, desc, force_rndv=sync)
@@ -179,8 +173,8 @@ class TransferEngine:
             raise
         finally:
             if booked:
-                # Injected or not, the temp leaves the sender's books here
-                # (once injected it is delivery's to give back).
+                # Injected or not, the modelled temp leaves the sender's
+                # books here (bytes the ucp layer builds are the message's).
                 memory.release(booked)
 
     def _sanitize(self, posted, req: Request, buf, count: int,

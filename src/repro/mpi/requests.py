@@ -220,7 +220,9 @@ class Request:
             pending[0]._req._worker.park(
                 None, targets, f"{what} over {len(pending)} request(s), "
                 f"first: {waits[0][1]}",
-                ready=lambda: any(r.test() for r in pending))
+                ready=lambda: any(r.test() for r in pending),
+                messages=[r._req.msg for r in pending
+                          if isinstance(r._req, SendRequest)])
         except MPIError as exc:
             if pending[0]._errctx is not None:
                 pending[0]._errctx._handle_mpi_error(exc)

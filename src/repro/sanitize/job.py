@@ -125,16 +125,18 @@ class WaitEdge:
     """One rank's current blocking dependency in the wait-for graph."""
 
     __slots__ = ("rank", "targets", "satisfied", "detail", "thread_id",
-                 "vtime", "since")
+                 "vtime", "since", "messages")
 
     def __init__(self, rank: int, targets, satisfied, detail: str,
-                 vtime: float):
+                 vtime: float, messages=()):
         self.rank = rank
         self.targets = frozenset(targets)
         #: Live predicate (e.g. ``event.is_set``): re-checked during cycle
         #: analysis so a message that lands mid-analysis clears the edge.
         self.satisfied = satisfied
         self.detail = detail
+        #: The rendezvous messages whose completion would end the wait.
+        self.messages = tuple(messages)
         self.thread_id = threading.get_ident()
         self.vtime = vtime
         #: Wall-clock time the rank parked.
@@ -153,6 +155,9 @@ class JobSanitizer:
         self._requests: dict[int, list[RequestRecord]] = {
             r: [] for r in range(nprocs)}
         self._edges: dict[int, WaitEdge] = {}
+        #: msg_ids of rendezvous messages a receiver has claimed whose
+        #: sender has not seen the completion yet.
+        self._claimed: set[int] = set()
         #: rank -> wall-clock time it ended.
         self._finished: dict[int, float] = {}
         self.abort = threading.Event()
@@ -318,6 +323,11 @@ class JobSanitizer:
 
     def on_deliver(self, rank: int, msg, data) -> None:
         hdr = msg.header
+        if msg.rndv:
+            # Claimed: from here its sender waits on the transport (the
+            # completion, an acknowledgement frame remotely), not a rank.
+            with self._lock:
+                self._claimed.add(hdr.msg_id)
         code, reason = classify_mismatch(hdr.signature, data.signature,
                                          hdr.total_bytes, data.capacity)
         if code:
@@ -333,15 +343,20 @@ class JobSanitizer:
     # ------------------------------------------------------------------
 
     def enter_wait(self, rank: int, targets, satisfied, detail: str,
-                   vtime: float) -> None:
-        """``rank`` parks: register its wait-for edge (``Worker.park``)."""
+                   vtime: float, messages=()) -> None:
+        """``rank`` parks: register its wait-for edge (``Worker.park``);
+        ``messages`` are the rendezvous sends it waits on."""
         with self._lock:
             self._edges[rank] = WaitEdge(rank, targets, satisfied, detail,
-                                         vtime)
+                                         vtime, messages)
 
     def leave_wait(self, rank: int) -> None:
         with self._lock:
-            self._edges.pop(rank, None)
+            edge = self._edges.pop(rank, None)
+            if edge is not None:
+                for msg in edge.messages:
+                    if msg.completed.is_set():
+                        self._claimed.discard(msg.header.msg_id)
 
     def check_wait(self, analyze: bool) -> None:
         """One poll tick of a parked rank: raise ``DeadlockError`` once a
@@ -355,7 +370,11 @@ class JobSanitizer:
 
     def _check_deadlock(self) -> None:
         with self._lock:
-            edges = dict(self._edges)
+            # A send whose message a receiver already claimed waits on the
+            # transport, not on a rank: its edge is no dependency.
+            edges = {r: e for r, e in self._edges.items()
+                     if not any(m.header.msg_id in self._claimed
+                                for m in e.messages)}
             finished = dict(self._finished)
         ranks, cycle = wait_for_verdict(
             {r: e.targets for r, e in edges.items() if not e.satisfied()},

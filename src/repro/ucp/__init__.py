@@ -5,9 +5,9 @@ paper's testbed (see DESIGN.md §2).  Real bytes move through it; time is
 charged from :class:`~repro.ucp.netsim.CostModel`.
 """
 
-from .constants import (DATATYPE_CONTIG, DATATYPE_GENERIC, DATATYPE_IOV,
-                        TAG_FULL_MASK, match_mask, pack_tag, unpack_tag)
-from .dtypes import CallbackData, ContigData, GenericData, IovData
+from .constants import (DATATYPE_CONTIG, DATATYPE_IOV, TAG_FULL_MASK,
+                        match_mask, pack_tag, unpack_tag)
+from .dtypes import CallbackData, ContigData, IovData
 from .faults import (FailureDetector, FaultInjector, FaultPlan,
                      ReliabilityConfig, ReliabilityStats)
 from .memory import MemoryTracker
@@ -24,9 +24,9 @@ from .transport import (Transport, TransportUnavailableError,
 from .wire import WireHeader, WireMessage
 
 __all__ = [
-    "DATATYPE_CONTIG", "DATATYPE_IOV", "DATATYPE_GENERIC",
+    "DATATYPE_CONTIG", "DATATYPE_IOV",
     "TAG_FULL_MASK", "pack_tag", "unpack_tag", "match_mask",
-    "ContigData", "IovData", "GenericData", "CallbackData",
+    "ContigData", "IovData", "CallbackData",
     "FaultPlan", "ReliabilityConfig", "ReliabilityStats",
     "FaultInjector", "FailureDetector",
     "MemoryTracker",

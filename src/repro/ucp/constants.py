@@ -10,7 +10,6 @@ from __future__ import annotations
 # UCP datatype kinds (UCP_DATATYPE_* analogues).
 DATATYPE_CONTIG = "contig"
 DATATYPE_IOV = "iov"
-DATATYPE_GENERIC = "generic"
 
 #: Seconds between two ticks of the one poll loop, ``Worker.park``.
 POLL_PERIOD = 0.005

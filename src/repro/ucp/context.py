@@ -150,7 +150,7 @@ class SendRequest:
             if fi is not None:
                 fi.on_progress(self._worker)
             self._worker.park(self.msg.completed, *self.waiting_on(),
-                              timeout=timeout)
+                              timeout=timeout, messages=(self.msg,))
             # Rendezvous completion happens at the receiver's clock.
             self._worker.clock.merge(self.msg.completion_time)
             err = self.msg.error
@@ -327,7 +327,7 @@ class Worker:
     # -- the one blocking wait ------------------------------------------------
 
     def park(self, wake, targets, what: str, timeout: float | None = None,
-             ready=None) -> None:
+             ready=None, messages=()) -> None:
         """Park this rank until ``wake`` is set — the only place a rank
         blocks (DESIGN.md, "One blocking wait").
 
@@ -338,7 +338,9 @@ class Worker:
         wait is one ``Event.wait``; otherwise one loop asks the failure
         detector, then the sanitizer, every ``POLL_PERIOD``, and a rank
         holds its *own* hopeless verdict back ``index * VERDICT_GRACE`` so
-        the lowest blocked rank raises first.
+        the lowest blocked rank raises first.  ``messages`` are the
+        rendezvous sends the wait completes: once a receiver claimed one,
+        the sanitizer counts the wait as the transport's, not a rank's.
         """
         fi, san = self.fabric.injector, self.sanitizer
         if fi is None and san is None and ready is None:
@@ -356,7 +358,7 @@ class Worker:
             hopeless_since = None
             if san is not None:
                 san.enter_wait(self.index, targets, ready, what,
-                               self.clock.now)
+                               self.clock.now, messages)
             try:
                 while not ready():
                     now = _time.monotonic()
@@ -539,15 +541,13 @@ class Endpoint:
             # crashed rank neither packs nor injects.
             fi.on_progress(worker)
         model = self.model
-        pool = worker.memory.pool
-        entries = data.entries(model.params.frag_size, pool)
+        entries = data.entries()
         plan = plan_send(data, model, force_rndv=force_rndv)
 
         worker.clock.advance(plan.sender_cost)
         if plan.eager_copy:
-            # Adopts what already is a buffer of this pool (the engine's
-            # packed temp, GENERIC pipeline fragments) instead of copying.
-            chunks = copy_chunks(entries, pool=pool)
+            # Staged into this pool; a deferred source is built there.
+            chunks = copy_chunks(entries, worker.memory.pool)
         else:
             # Rendezvous/iov: the envelope carries the sender's live views
             # by design — the in-process stand-in for RDMA get.  The
@@ -556,7 +556,7 @@ class Endpoint:
             # memory or an arena mapping at encode time (see DESIGN.md,
             # transport portability).
             chunks = entries  # noqa: RPD810
-        lengths = tuple(map(len, entries))  # 1-D uint8 entries
+        lengths = tuple(map(len, chunks))  # the entries' byte counts
         header = WireHeader(
             tag=tag, source=worker.index,
             total_bytes=sum(lengths),

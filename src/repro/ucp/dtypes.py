@@ -1,23 +1,24 @@
 """Transport data descriptors — the ``UCP_DATATYPE_*`` analogues.
 
-The paper's prototype selects among UCP datatypes when moving a message:
-``UCP_DATATYPE_CONTIG`` for a single contiguous buffer,
+The paper's prototype picks one UCP datatype per message:
+``UCP_DATATYPE_CONTIG`` for a single contiguous buffer and
 ``UCP_DATATYPE_IOV`` for scatter/gather (the custom-datatype path:
 "the packed data is the first element in the iovec list, following which the
-iovec array is filled with any memory region pointers"), and
-``UCP_DATATYPE_GENERIC`` for callback-driven packing.  These descriptor
-classes carry the same information for our simulated transport.
+iovec array is filled with any memory region pointers").  These descriptor
+classes carry the same information for our simulated transport.  UCX's
+third kind, the GENERIC pack-callback pipeline driven fragment by
+fragment, has no descriptor here: a custom type's pack callback fills
+its IOV's packed entry in one window (its pipeline is charged on the
+``frag_size`` grid, see :mod:`repro.mpi.engine`), and a derived type
+sends a deferred source (below).
 
 The send contract.  Every send descriptor exposes the same six things,
 and ``Endpoint.tag_send`` and ``plan_send`` use nothing else:
 
 * ``kind`` and ``total_bytes`` — all ``transitions.select_protocol`` needs.
-* ``entries(frag_size, pool)`` — the payload as 1-D uint8 views (or one
-  deferred source, below); GENERIC runs its pack pipeline here, into
-  fragments from ``pool``.
+* ``entries()`` — the payload as 1-D uint8 views, or one deferred source.
 * ``packed_entries`` — how many leading entries are in-band packed data.
-* ``entry_count`` — the entry count the cost model charges.  GENERIC
-  knows both counts once ``entries`` ran.
+* ``entry_count`` — the entry count the cost model charges.
 * ``signature`` — the sender's type signature for the envelope, set at
   construction; None unless the sanitizer is attached.
 
@@ -40,20 +41,26 @@ things, and ``Worker.deliver`` uses nothing else:
 * ``plan`` — the pack plan a derived receive lands through; None on
   every other receive.
 
-Deferred sources.  An in-process rendezvous of a derived datatype sends a
+Deferred sources.  Every send of a derived datatype is a
 :class:`DeferredData`: its one entry is a deferred source (the engine's
 ``repro.core.packplan.PackedSource``) that stands for the packed bytes
 without building them — ``len()`` is their count, ``plan`` the layout
-they come from, ``materialize(pool)`` builds them.  ``Worker.deliver``
-hands it as it is only to a receive whose ``plan`` is the source's (one
-copy, layout to layout); for any other receive it first materializes the
-source once into a chunk of the sender's pool, which then goes back like
-every chunk.  The remote backends materialize at encode time, so no
-deferred source crosses a process boundary.
+they come from, ``materialize(pool)`` builds them, once, into a chunk of
+the sender's pool that then goes back like every chunk.  The ucp layer
+builds them at the first place they must exist:
+
+* eager: ``copy_chunks`` at injection, as the message's staging chunk;
+* a fault-injected fabric: ``FaultInjector.transmit``, before it stamps
+  the fragment CRCs (faults corrupt and duplicate real bytes);
+* a remote backend's rendezvous: its ``encode_payload`` (arena slab or
+  staging buffer), so no deferred source crosses a process boundary;
+* an in-process rendezvous: ``Worker.deliver`` hands the source as it
+  is to a receive whose ``plan`` is the source's (one copy, layout to
+  layout) and builds it first for any other receive.
 
 The MPI engine sends :class:`ContigData`, :class:`DeferredData` (a
-derived rendezvous) and :class:`IovData` (a custom type) and receives
-into :class:`ContigData` and :class:`CallbackData`.
+derived type) and :class:`IovData` (a custom type) and receives into
+:class:`ContigData` and :class:`CallbackData`.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..errors import TransportError, TruncationError
-from .constants import DATATYPE_CONTIG, DATATYPE_GENERIC, DATATYPE_IOV
+from .constants import DATATYPE_CONTIG, DATATYPE_IOV
 
 
 def _u8view(buf, writable: bool) -> np.ndarray:
@@ -100,7 +107,7 @@ class ContigData:
                 f"ContigData length {self.nbytes} exceeds buffer of "
                 f"{self.view.shape[0]} bytes")
 
-    def entries(self, frag_size: int = 0, pool=None) -> list[np.ndarray]:
+    def entries(self) -> list[np.ndarray]:
         return [self.view[: self.nbytes]]
 
     def land(self, msg) -> None:
@@ -114,8 +121,8 @@ class ContigData:
 
 class DeferredData:
     """UCP_DATATYPE_CONTIG over one deferred source (send only): the
-    packed bytes are built — or copied straight into the receiver's
-    layout — when the message lands, not at injection."""
+    packed bytes are built where they first must exist — or copied
+    straight into the receiver's layout — not by the engine."""
 
     kind = DATATYPE_CONTIG
     packed_entries = 0
@@ -126,7 +133,7 @@ class DeferredData:
         self.total_bytes = len(source)
         self.signature = signature
 
-    def entries(self, frag_size: int = 0, pool=None) -> list:
+    def entries(self) -> list:
         return [self.source]
 
 
@@ -161,7 +168,7 @@ class IovData:
         self.total_bytes = self.capacity = sum(
             v.shape[0] for v in self._views)
 
-    def entries(self, frag_size: int = 0, pool=None) -> list[np.ndarray]:
+    def entries(self) -> list[np.ndarray]:
         return list(self._views)
 
     def land(self, msg) -> None:
@@ -176,73 +183,6 @@ class IovData:
                     f"iov entry of {chunk.shape[0]} bytes into a "
                     f"{entry.shape[0]}-byte entry")
             entry[: chunk.shape[0]] = chunk
-
-
-class GenericData:
-    """UCP_DATATYPE_GENERIC: callback-driven pack/unpack pipeline.
-
-    Send side supplies ``pack(offset, dst) -> used`` and ``total_bytes``;
-    receive side supplies ``unpack(offset, src)`` and takes at most
-    ``total_bytes``.  The transport drives the callbacks fragment by
-    fragment (``frag_size`` picked by the worker config), charging
-    per-fragment overhead.  ``src`` is a wire chunk, valid only during the
-    call: ``Worker.deliver`` returns every chunk to its sender's pool when
-    the delivery ends — copy what you keep.
-    """
-
-    kind = DATATYPE_GENERIC
-    signature = None
-    plan = None
-
-    def __init__(self, total_bytes: int,
-                 pack: Callable[[int, np.ndarray], int] | None = None,
-                 unpack: Callable[[int, np.ndarray], None] | None = None):
-        if total_bytes < 0:
-            raise TransportError(f"negative generic size {total_bytes}")
-        if pack is None and unpack is None:
-            raise TransportError("GenericData needs a pack or unpack callback")
-        self.total_bytes = self.capacity = total_bytes
-        self.pack = pack
-        self.unpack = unpack
-        self.packed_entries = self.entry_count = 0  # set by entries()
-
-    def land(self, msg) -> None:
-        if self.unpack is None:
-            raise TransportError("GenericData has no unpack callback (send-only)")
-        offset = 0
-        for chunk in msg.chunks:
-            self.unpack(offset, chunk)
-            offset += chunk.shape[0]
-
-    def entries(self, frag_size: int, pool=None) -> list[np.ndarray]:
-        """Run the pack pipeline; returns the fragment list.
-
-        With ``pool`` the fragment scratch is pool-acquired; the caller owns
-        the fragments and returns them once they are staged on the wire —
-        unless the pack callback fails, which gives every one back first.
-        """
-        if self.pack is None:
-            raise TransportError("GenericData has no pack callback (recv-only)")
-        frags: list[np.ndarray] = []
-        offset = 0
-        try:
-            while offset < self.total_bytes:
-                nbytes = min(frag_size, self.total_bytes - offset)
-                dst = (np.empty(nbytes, dtype=np.uint8) if pool is None
-                       else pool.acquire(nbytes))
-                frags.append(dst)
-                used = self.pack(offset, dst)
-                if not isinstance(used, int) or used <= 0 or used > dst.shape[0]:
-                    raise TransportError(f"generic pack returned invalid used={used!r}")
-                frags[-1] = dst[:used]
-                offset += used
-        except BaseException:
-            if pool is not None:
-                for frag in frags:
-                    pool.release(frag)
-            raise
-        self.packed_entries = self.entry_count = len(frags)
-        return frags
 
 
 class CallbackData:

@@ -48,7 +48,7 @@ import numpy as np
 from ..errors import ProcFailedError, RankCrashError
 from .transitions import (duplicate_suppressed, resolve_retries,
                           retry_backoff)
-from .wire import WireHeader, WireMessage
+from .wire import WireHeader, WireMessage, materialize
 
 __all__ = [
     "FaultPlan", "ReliabilityConfig", "ReliabilityStats",
@@ -435,7 +435,8 @@ class FaultInjector:
         fault/retransmission history synchronously, charges the resulting
         virtual time, then either hands the (intact or corrupted) message
         to ``deposit`` — the transport's way into rank ``dst``'s matcher —
-        or drops it.
+        or drops it.  A deferred source is built into the sender's pool
+        first: CRCs, corruption and duplicates act on real bytes.
         """
         src = worker.index
         p = model.params
@@ -444,6 +445,7 @@ class FaultInjector:
         hdr = msg.header
         hdr.seq = seq
 
+        materialize(msg, worker.memory.pool)
         bounds = fragment_bounds(msg.chunks, p.frag_size)
         hdr.frag_crcs = fragment_crcs(msg.chunks, bounds)
 

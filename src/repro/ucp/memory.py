@@ -8,8 +8,8 @@ serialization strategy makes, both to charge virtual time for it and to let
 tests assert the memory-amplification properties the paper claims (e.g. the
 basic-pickle path allocates ~2x the payload, the out-of-band path does not).
 
-:class:`BufferPool` recycles those transient buffers (packed send temps,
-fragment scratch, eager wire staging) through size-classed free lists so the
+:class:`BufferPool` recycles those transient buffers (built packed
+streams, fragment scratch, eager wire staging) through size-classed free lists so the
 hot send/receive path stops hitting the allocator.  Pooling is a *wall-clock*
 optimization only: :meth:`MemoryTracker.acquire` charges exactly the same
 accounting and virtual time as :meth:`MemoryTracker.allocate`, so every
@@ -112,7 +112,9 @@ class BufferPool:
         return root[:nbytes]
 
     def release(self, buf) -> bool:
-        """Return ``buf``'s backing array to the pool.
+        """Return ``buf``'s backing array to the pool: the one place a
+        returned buffer is kept on its class's free list or dropped (too
+        big to pool, or the list is full).
 
         Returns False (and does nothing) for buffers the pool does not
         currently own — foreign arrays and double releases.
@@ -159,21 +161,12 @@ class BufferPool:
         runtime calls this at teardown (only on faulted or failed jobs)
         so ``snapshot()["outstanding"]`` ends at zero and the stranded
         bytes are accounted as returned rather than leaked.  Returns the
-        number of buffers reclaimed.
+        number of buffers reclaimed (each through :meth:`release`, so a
+        buffer another thread gives back meanwhile counts once).
         """
         with self._lock:
             stranded = list(self._out.values())
-            self._out.clear()
-            for root in stranded:
-                self.returned += 1
-                size = root.shape[0]
-                if size <= self.max_pooled_class:
-                    free = self._free.setdefault(size, [])
-                    if len(free) < self.max_per_class:
-                        free.append(root)
-                        continue
-                self.dropped += 1
-            return len(stranded)
+        return sum(map(self.release, stranded))
 
     def reset_for_job(self, job: str = "<unknown>") -> dict[str, int]:
         """Re-arm the pool at a job boundary, keeping the free lists warm.

@@ -45,7 +45,8 @@ class LinkParams:
     rndv_handshake: float = 8.0e-6
     #: Per-byte memory-registration cost paid by rendezvous zero-copy.
     rndv_reg_bandwidth: float = 80e9
-    #: Fragment size for the generic (pack-callback) pipeline.
+    #: Fragment size of the modelled pack-callback pipeline (and of the
+    #: reliability layer's fragments).
     frag_size: int = 8192
     #: Fixed cost per pipeline fragment (header, descriptor handling).
     per_frag_overhead: float = 50e-9

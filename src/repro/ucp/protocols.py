@@ -22,8 +22,12 @@ One cost row per protocol (mirroring UCX and the paper's prototype):
 * IOV                     -> **iov**: always rendezvous-like scatter/gather
   with per-entry overhead on the descriptor's *modelled* ``entry_count``;
   no eager/rndv discontinuity (why ``custom`` is smooth in Fig. 7).
-* GENERIC                 -> **generic**: pack-callback pipeline; fragments
-  are eagerly copied (they are transient), with per-fragment overhead.
+
+A derived datatype is CONTIG over a deferred source, so it takes the eager
+or rndv row by size; a custom type's pack-callback pipeline is the IOV row
+charged on its ``frag_size`` grid (the engine's modelled ``entry_count``).
+Only eager stages copies at injection: there ``copy_chunks`` builds a
+deferred source's bytes straight into the sender's pool.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class SendPlan(NamedTuple):
     """Protocol decision plus the three-way cost split (a plain tuple: one
     is built per message)."""
 
-    protocol: str           # "eager" | "rndv" | "iov" | "generic"
+    protocol: str           # "eager" | "rndv" | "iov"
     sender_cost: float
     wire_time: float
     recv_cost: float
@@ -77,23 +81,17 @@ def _iov(p, model, data):
             p.latency + model.wire_time(n), 0.5 * p.msg_overhead + half_sg)
 
 
-def _generic(p, model, data):
-    half = 0.5 * p.msg_overhead \
-        + 0.5 * model.frag_overhead(max(data.entry_count, 1))
-    return half, p.latency + model.wire_time(data.total_bytes), half
-
-
 #: protocol -> (cost split, rndv, eager_copy); the two flags are the
 #: transition table's, read once here.
 _ROWS = {protocol: (cost, protocol_is_rndv(protocol),
                     protocol_copies_eagerly(protocol))
          for protocol, cost in (("eager", _eager), ("rndv", _rndv),
-                                ("iov", _iov), ("generic", _generic))}
+                                ("iov", _iov))}
 
 
 def plan_send(data, model: CostModel, force_rndv: bool = False) -> SendPlan:
     """Choose protocol and cost split for a send descriptor (the send
-    contract of :mod:`repro.ucp.dtypes`; GENERIC after ``entries`` ran).
+    contract of :mod:`repro.ucp.dtypes`).
 
     ``force_rndv`` requests synchronous-send (MPI_Ssend) semantics, where
     completion implies the receive has started; the protocol model checker

@@ -63,7 +63,7 @@ def message_is_eager(nbytes: int, eager_limit: int) -> bool:
 
 def select_protocol(kind: str, nbytes: int, eager_limit: int,
                     force_rndv: bool = False) -> str:
-    """Protocol for a datatype kind: ``eager``/``rndv``/``iov``/``generic``.
+    """Protocol for a datatype kind: ``eager``/``rndv``/``iov``.
 
     ``force_rndv`` models synchronous-send (MPI_Ssend) semantics on the
     contiguous path.
@@ -74,8 +74,6 @@ def select_protocol(kind: str, nbytes: int, eager_limit: int,
         return "eager"
     if kind == "iov":
         return "iov"
-    if kind == "generic":
-        return "generic"
     raise ValueError(f"unknown datatype kind {kind!r}")
 
 
@@ -86,7 +84,7 @@ def protocol_is_rndv(protocol: str) -> bool:
 
 def protocol_copies_eagerly(protocol: str) -> bool:
     """Whether injection stages payload copies (pool-owned chunks)."""
-    return protocol in ("eager", "generic")
+    return protocol == "eager"
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
 
     def encode_payload(self, worker, msg) -> list[bytes]:
         # A deferred source is built into the sender's staging, which the
-        # acknowledgement releases like any packed temp.
+        # acknowledgement releases like any staging chunk.
         materialize(msg, worker.memory.pool)
         return env.chunk_bytes(msg.chunks)
 

@@ -178,9 +178,9 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
 
         A derived rendezvous's deferred source is built first, straight
         into an arena slab (:func:`~repro.ucp.wire.materialize`).  Chunks
-        already arena-resident — eager staging from ``copy_chunks``, packed
-        temps the engine acquired from the arena pool, those built sources —
-        cross as bare ``(offset, nbytes)`` references: the zero-copy path.
+        already arena-resident — eager staging from ``copy_chunks`` (a
+        derived eager message's packed stream included), sources built
+        by the injector or here — cross as bare ``(offset, nbytes)`` references: the zero-copy path.
         Foreign chunks (live user-buffer views on a rendezvous send,
         injector-corrupted private copies, spilled slabs)
         leave the message here, staged into an arena slab — that

@@ -93,7 +93,7 @@ class WireHeader:
     #: How many leading entries are packed in-band data (the rest are
     #: memory regions) — the custom-datatype engine's framing.
     packed_entries: int = 0
-    #: Protocol chosen by the sender ("eager" / "rndv" / "iov" / "generic").
+    #: Protocol chosen by the sender ("eager" / "rndv" / "iov").
     protocol: str = "eager"
     #: Canonical type signature of the send — an RLE tuple of
     #: ``(scalar_code, count)`` pairs, or None when the sender cannot state
@@ -119,8 +119,8 @@ class WireMessage:
     header:
         The :class:`WireHeader`.
     chunks:
-        Payload entries.  Eager: private uint8 arrays (staging copies or
-        adopted packed temps; sender buffers may be reused immediately).
+        Payload entries.  Eager: private uint8 arrays (staging chunks from
+        :func:`copy_chunks`; sender buffers may be reused immediately).
         Rendezvous: live read views of the sender's buffers, pulled when the
         receiver completes the match — or, in-process, one deferred source
         standing for a derived datatype's packed bytes (see
@@ -181,26 +181,20 @@ class WireMessage:
         self.completed.set()
 
 
-def copy_chunks(buffers: Sequence[np.ndarray],
-                pool=None) -> list[np.ndarray]:
-    """Stage a list of buffer views as private wire chunks.
-
-    With ``pool`` (a :class:`repro.ucp.memory.BufferPool`) the staging chunks
-    are pool-acquired instead of freshly allocated; the delivery path returns
-    them to the sender's pool once the payload has been scattered.  An entry
-    that already is an outstanding buffer of ``pool`` (the engine's packed
-    temp) is adopted, not copied: ownership moves to the message, and
-    delivery returns it exactly as it returns a staging copy.
-    """
-    if pool is None:
-        return [np.array(b, dtype=np.uint8, copy=True) for b in buffers]
+def copy_chunks(buffers: Sequence, pool) -> list[np.ndarray]:
+    """Stage a list of send entries as private wire chunks of ``pool`` (a
+    :class:`repro.ucp.memory.BufferPool`); the delivery path returns them
+    to the sender's pool once the payload has been scattered.  A 1-D uint8
+    view is copied into a pool chunk; a deferred source (a derived
+    datatype's bound packed stream) is built straight into one — the one
+    pass that makes its bytes."""
     out = []
     for b in buffers:
-        src = np.asarray(b, dtype=np.uint8).reshape(-1)
-        chunk = src
-        if not pool.owns(src):
-            chunk = pool.acquire(src.shape[0])
-            chunk[:] = src
+        if isinstance(b, np.ndarray):
+            chunk = pool.acquire(b.shape[0])
+            chunk[:] = b
+        else:
+            chunk = b.materialize(pool)
         out.append(chunk)
     return out
 

@@ -1,11 +1,12 @@
-"""Every exit and every landing of a derived rendezvous message.
+"""Every exit and every landing of a derived message.
 
-On a pristine in-process fabric a derived rendezvous send carries a
-deferred source instead of packed bytes: the receiver copies it into the
-same layout, or builds the stream once for any other landing.  These jobs
-run on the active transport (``REPRO_TRANSPORT``), so the same answers are
-held on inproc, where the source is deferred, and on the remote planes,
-where it is built at encode time.
+Every derived send carries a deferred source instead of packed bytes.  On
+a pristine in-process rendezvous the receiver copies it into the same
+layout, or builds the stream once for any other landing; an eager message
+has it built into its staging chunk at injection.  These jobs run on the
+active transport (``REPRO_TRANSPORT``), so the same answers are held on
+inproc and on the remote planes, where a rendezvous source is built at
+encode time.
 """
 
 import numpy as np
@@ -46,6 +47,28 @@ def test_cancel_of_an_unmatched_deferred_isend():
             return None
         req = comm.isend(make_struct_simple(RNDV), 1, 9, datatype=dtype,
                          count=RNDV)
+        assert req.cancel()
+        assert req.wait().cancelled
+        assert _books(comm) == (0, 0)
+        return str(req._req.msg.error)
+
+    res = run(main, nprocs=2, timeout=30)
+    assert res.results[0] == "send cancelled"
+    _closed(res)
+
+
+def test_cancel_of_an_unmatched_eager_isend():
+    """Until the cancel, the message holds the one staging chunk its source
+    was built into; the booked temp left the books at injection."""
+    require_transport_capability("cancel")
+    dtype = struct_simple_datatype()
+
+    def main(comm):
+        if comm.rank == 1:
+            return None
+        req = comm.isend(make_struct_simple(EAGER), 1, 9, datatype=dtype,
+                         count=EAGER)
+        assert _books(comm) == (1, 0)
         assert req.cancel()
         assert req.wait().cancelled
         assert _books(comm) == (0, 0)
@@ -159,6 +182,50 @@ def test_derived_and_contiguous_meet(direction):
         assert res.results[1] == packed.tobytes()
     else:
         assert res.results[1] == make_struct_simple(RNDV).tobytes()
+    _closed(res)
+
+
+def _eager_types():
+    """name -> (datatype, count): 1 KiB to 2.5 KiB on the wire, all eager."""
+    return {"struct": (struct_simple_datatype(), EAGER),
+            "vector": (vector(16, 1, 2, FLOAT64).commit(), 8),
+            "vector3": (vector(16, 1, 3, FLOAT64).commit(), 8),
+            "bytes": (None, 1024)}
+
+
+@pytest.mark.parametrize("direction", ["struct->struct", "vector->vector3",
+                                       "struct->bytes"],
+                         ids=["same-layout", "different-layout",
+                              "contiguous"])
+def test_an_eager_message_lands_like_the_reference(direction):
+    """Same layout, another layout with the same signature, or a plain
+    byte buffer: what lands is the reference engine's answer, gap bytes
+    untouched, and both ranks' books close."""
+    types = _eager_types()
+    (send_t, count), (recv_t, _) = (types[n] for n in direction.split("->"))
+    src = _seeded(required_span(send_t, count), 4)
+    packed = pack_reference(send_t, src, count)
+    if recv_t is None:
+        want = packed
+        fill = np.zeros(packed.shape[0], dtype=np.uint8)
+        kw = {}
+    else:
+        fill = _seeded(required_span(recv_t, count), 5)
+        want = fill.copy()
+        unpack_reference(recv_t, want, count, packed)
+        kw = {"datatype": recv_t, "count": count}
+
+    def main(comm):
+        if comm.rank == 0:
+            comm.send(src, 1, 10, datatype=send_t, count=count)
+            return None
+        out = fill.copy()
+        comm.recv(out, 0, 10, **kw)
+        return out
+
+    res = run(main, nprocs=2, timeout=30, trace_messages=True)
+    assert res.traces[0][0]["protocol"] == "eager"
+    assert np.array_equal(res.results[1], want)
     _closed(res)
 
 

@@ -11,9 +11,13 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.errors import RuntimeAbort
-from repro.mpi import run
+from repro.mpi import Request, run
+from repro.types import make_struct_simple, struct_simple_datatype
+from repro.ucp.transport.remote import ACK, RemoteTransportMixin
+from tests.transport.conftest import require_backend
 
 FIXTURE = os.path.abspath(os.path.join(
     os.path.dirname(__file__), os.pardir, "analyze", "fixtures",
@@ -71,3 +75,103 @@ class TestRingDeadlockAcceptance:
         result = run(fn, nprocs=3, sanitize=True, timeout=60.0)
         assert result.sanitizer_report.clean
         assert result.results == [2.0, 0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# a claimed send waits on the transport, not on a rank
+# ---------------------------------------------------------------------------
+
+#: Seconds every acknowledgement frame waits before it resolves its sender.
+ACK_DELAY = 0.1
+
+
+@pytest.fixture
+def late_acks(monkeypatch):
+    """Delay every acknowledgement frame of the remote plane: a rendezvous
+    sender then stays parked for ``ACK_DELAY`` after its receiver claimed
+    and landed the message — the window a ping-pong used to misread as a
+    deadlock (RPD440 "waiting on rank(s) that already finished")."""
+    require_backend("asyncio")
+    deliver = RemoteTransportMixin.deliver_frame
+
+    def late(self, recv_worker, src_rank, frame):
+        if frame[0] == ACK:
+            time.sleep(ACK_DELAY)
+        return deliver(self, recv_worker, src_rank, frame)
+
+    monkeypatch.setattr(RemoteTransportMixin, "deliver_frame", late)
+
+
+def _exchange(make, count, dtype=None):
+    """Rank 0 sends then receives, rank 1 receives then sends back: both
+    messages rendezvous."""
+    kw = {} if dtype is None else {"datatype": dtype, "count": count}
+
+    def fn(comm):
+        buf = make(count)
+        if comm.rank == 0:
+            comm.send(buf, 1, 1, **kw)
+            buf[...] = make(count)[::-1]
+            comm.recv(buf, 1, 2, **kw)
+        else:
+            buf[...] = 0
+            comm.recv(buf, 0, 1, **kw)
+            comm.send(buf, 0, 2, **kw)
+        return buf
+
+    return fn
+
+
+class TestClaimedSendIsNotStuck:
+    def test_late_ack_ping_pong_is_clean(self, late_acks):
+        """800 KB of float64 each way: rank 0 returns while rank 1's send
+        back still waits for its acknowledgement."""
+        res = run(_exchange(lambda n: np.arange(n, dtype=np.float64),
+                            100_000),
+                  nprocs=2, transport="asyncio", sanitize=True, timeout=60)
+        assert res.sanitizer_report.clean, res.sanitizer_report.format_text()
+        np.testing.assert_array_equal(res.results[0], np.arange(100_000.0))
+
+    def test_late_ack_send_recv_against_recv_send_is_clean(self, late_acks):
+        """1.2 MB of struct-simple: rank 0's claimed send and rank 1's send
+        back would read as the cycle rank 0 -> rank 1 -> rank 0."""
+        res = run(_exchange(make_struct_simple, 60_000,
+                            struct_simple_datatype()),
+                  nprocs=2, transport="asyncio", sanitize=True, timeout=60)
+        assert res.sanitizer_report.clean, res.sanitizer_report.format_text()
+        assert np.array_equal(res.results[0], make_struct_simple(60_000))
+
+    def test_late_ack_waitany_over_claimed_sends_is_clean(self, late_acks):
+        """``Request.waitany`` parks once for several sends: a claimed one
+        among them ends the wait too, so rank 1 finishing is no verdict."""
+        def fn(comm):
+            buf = np.arange(100_000, dtype=np.float64)
+            if comm.rank == 0:
+                reqs = [comm.isend(buf, 1, tag) for tag in (1, 2)]
+                while not all(r.test() for r in reqs):
+                    Request.waitany(reqs)
+                Request.waitall(reqs)
+            else:
+                for tag in (1, 2):
+                    comm.recv(buf, 0, tag)
+
+        res = run(fn, nprocs=2, transport="asyncio", sanitize=True,
+                  timeout=60)
+        assert res.sanitizer_report.clean, res.sanitizer_report.format_text()
+
+    def test_unreceived_send_is_still_a_deadlock(self, late_acks):
+        """A send no receive claims before its peer finished is RPD440."""
+        def fn(comm):
+            if comm.rank == 0:
+                comm.send(np.zeros(150_000), 1, 3)
+
+        start = time.monotonic()
+        try:
+            run(fn, nprocs=2, transport="asyncio", sanitize=True,
+                timeout=60)
+            raise AssertionError("the unreceived send completed")
+        except RuntimeAbort as exc:
+            rep = exc.sanitizer_report
+        assert time.monotonic() - start < 10.0
+        (diag,) = rep.by_code("RPD440")
+        assert "waiting on rank(s) that already finished: 1" in diag.message

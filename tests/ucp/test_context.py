@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import TransportError, TruncationError
-from repro.ucp import (DATATYPE_CONTIG, CallbackData, ContigData,
-                       GenericData, IovData, UcpConfig, UcpContext, pack_tag)
+from repro.ucp import (DATATYPE_CONTIG, CallbackData, ContigData, IovData,
+                       UcpConfig, UcpContext, pack_tag)
 from repro.ucp.netsim import LinkParams
 
 
@@ -131,76 +131,6 @@ class TestIovTransfer:
             IovData([np.zeros(1, np.uint8)], packed_entries=2)
 
 
-class TestGenericTransfer:
-    def test_pack_pipeline(self):
-        w0, w1 = make_pair()
-        payload = np.arange(50_000, dtype=np.uint8)
-        out = np.zeros_like(payload)
-        offsets = []
-
-        def packfn(off, dst):
-            n = min(dst.shape[0], payload.shape[0] - off)
-            dst[:n] = payload[off:off + n]
-            return int(n)
-
-        def unpackfn(off, src):
-            offsets.append(off)
-            out[off:off + src.shape[0]] = src
-
-        xfer(lambda: w0.endpoint(1).tag_send(
-                TAG, GenericData(payload.shape[0], pack=packfn)).wait(),
-             lambda: w1.tag_recv(
-                TAG, GenericData(payload.shape[0], unpack=unpackfn)).wait())
-        assert np.array_equal(out, payload)
-        assert offsets == sorted(offsets)
-        assert len(offsets) > 1  # actually fragmented
-
-    @pytest.mark.parametrize("fault,raised", [
-        ("raises", ValueError), ("used-zero", TransportError), (None, None)],
-        ids=["raises", "invalid-used", "clean"])
-    def test_failed_pack_gives_every_fragment_back(self, fault, raised):
-        """A pack callback that fails at the second fragment leaves the
-        sender's pool balanced (it used to strand two buffers — three with
-        ``used=0``) and its own exception propagates."""
-        w0, w1 = make_pair()
-        payload = (np.arange(20_000) % 251).astype(np.uint8)
-
-        def packfn(off, dst):
-            if off >= 8192 and fault == "raises":
-                raise ValueError("boom")
-            if off >= 8192 and fault == "used-zero":
-                return 0
-            dst[:] = payload[off:off + dst.shape[0]]
-            return int(dst.shape[0])
-
-        send = GenericData(payload.shape[0], pack=packfn)
-        if raised is not None:
-            with pytest.raises(raised):
-                w0.endpoint(1).tag_send(TAG, send)
-        else:
-            out = np.zeros_like(payload)
-            w0.endpoint(1).tag_send(TAG, send).wait()
-            w1.tag_recv(TAG, ContigData(out, writable=True)).wait()
-            assert np.array_equal(out, payload)
-        assert w0.memory.pool.snapshot()["outstanding"] == 0
-
-    def test_send_only_generic_cannot_recv(self):
-        _, w1 = make_pair()
-        g = GenericData(10, pack=lambda o, d: len(d))
-        req = w1.tag_recv(TAG, g)
-        w1.endpoint(1)  # no-op, just exercise
-        # deliver directly
-        from repro.ucp.wire import WireHeader, WireMessage
-        msg = WireMessage(WireHeader(tag=TAG, source=0, total_bytes=0),
-                          [], 0.0, 0.0, False, 0.0)
-        with pytest.raises(TransportError):
-            w1.deliver(msg, g)
-
-    def test_needs_some_callback(self):
-        with pytest.raises(TransportError):
-            GenericData(10)
-
-
 class TestHandlerTransfer:
     def test_handler_runs_on_receiver(self):
         w0, w1 = make_pair()
@@ -228,8 +158,6 @@ RECEIVES = {
     "iov": lambda cap, landed: IovData(
         [np.zeros(cap - cap // 2, np.uint8), np.zeros(cap // 2, np.uint8)],
         writable=True),
-    "generic": lambda cap, landed: GenericData(
-        cap, unpack=lambda off, src: landed.append(off)),
     "derived": lambda cap, landed: CallbackData(landed.append, cap,
                                                 DATATYPE_CONTIG),
     "custom": lambda cap, landed: CallbackData(landed.append, cap),
@@ -237,9 +165,7 @@ RECEIVES = {
 
 
 class TestTruncation:
-    """One capacity check at delivery, the same for every receive kind —
-    GENERIC included, which used to hand an oversize message to
-    ``unpack`` whole."""
+    """One capacity check at delivery, the same for every receive kind."""
 
     @staticmethod
     def _refused(w0, w1, send_desc, recv_desc, rndv):

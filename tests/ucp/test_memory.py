@@ -131,6 +131,23 @@ class TestBufferPool:
         assert snap["pooled_buffers"] == 0
         assert snap["dropped"] == 1
 
+    @pytest.mark.parametrize("way", ["release", "reclaim"])
+    def test_release_and_reclaim_keep_and_drop_alike(self, way):
+        """Handing buffers back one by one or reclaiming them at teardown
+        leaves the same snapshot: the per-class cap and the oversize
+        class decide both, and a buffer already back counts once."""
+        p = BufferPool(max_per_class=2, max_pooled_class=1024)
+        bufs = [p.acquire(64) for _ in range(4)] + [p.acquire(4096)]
+        assert p.release(bufs[0])
+        if way == "reclaim":
+            assert p.reclaim() == 4
+        else:
+            assert all(p.release(b) for b in bufs[1:])
+        assert p.snapshot() == {
+            "hits": 0, "misses": 5, "returned": 5, "dropped": 3,
+            "outstanding": 0, "pooled_buffers": 2, "pooled_bytes": 128}
+        assert p.reclaim() == 0
+
     def test_outstanding_tracking(self):
         p = BufferPool()
         a = p.acquire(10)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import TransportError
-from repro.ucp.dtypes import ContigData, GenericData, IovData
+from repro.ucp.dtypes import ContigData, IovData
 from repro.ucp.netsim import CostModel
 from repro.ucp.protocols import plan_send
 
@@ -22,7 +22,6 @@ SENDS = {
     "contig": contig,
     "iov": lambda n: IovData([np.zeros(n - n // 2, np.uint8),
                               np.zeros(n // 2, np.uint8)]),
-    "generic": lambda n: GenericData(n, pack=lambda off, dst: len(dst)),
 }
 
 
@@ -48,14 +47,11 @@ class TestSelection:
         assert plan.protocol == "iov"
         assert plan.rndv and not plan.eager_copy
 
-    def test_generic(self):
-        g = GenericData(100, pack=lambda off, dst: len(dst))
-        assert len(g.entries(40)) == g.entry_count == g.packed_entries == 3
-        plan = plan_send(g, M)
-        assert plan.protocol == "generic"
-        assert plan.eager_copy and not plan.rndv
-        assert plan.sender_cost == pytest.approx(
-            0.5 * M.params.msg_overhead + 0.5 * M.frag_overhead(3))
+    def test_no_generic_protocol(self):
+        """UCP's GENERIC kind has no descriptor, row or protocol here."""
+        from repro.ucp.transitions import select_protocol
+        with pytest.raises(ValueError):
+            select_protocol("generic", 100, M.params.eager_limit)
 
     def test_unknown_descriptor_rejected(self):
         with pytest.raises(TransportError):
@@ -95,8 +91,8 @@ class TestBoundaryAgreement:
         assert plan.protocol == select_protocol(kind, n, limit, force_rndv)
         assert plan.rndv == protocol_is_rndv(plan.protocol)
         assert plan.eager_copy == protocol_copies_eagerly(plan.protocol)
-        want = {"iov": "iov", "generic": "generic"}.get(
-            kind, "rndv" if force_rndv or delta > 0 else "eager")
+        want = "iov" if kind == "iov" else \
+            "rndv" if force_rndv or delta > 0 else "eager"
         assert plan.protocol == want
 
     @given(st.integers(0, 1 << 22))

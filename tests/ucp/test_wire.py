@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import FLOAT64
+from repro.core.derived import vector
+from repro.core.packing import pack
+from repro.ucp.memory import BufferPool
 from repro.ucp.wire import WireHeader, WireMessage, copy_chunks
 
 
@@ -56,9 +60,22 @@ class TestCompletion:
 class TestCopyChunks:
     def test_copies_are_private(self):
         src = np.full(8, 1, np.uint8)
-        (copy,) = copy_chunks([src])
+        pool = BufferPool()
+        (copy,) = copy_chunks([src], pool)
         src[:] = 2
         assert (copy == 1).all()
+        assert pool.release(copy)
 
     def test_empty(self):
-        assert copy_chunks([]) == []
+        assert copy_chunks([], BufferPool()) == []
+
+    def test_deferred_source_is_built_into_the_pool(self):
+        """A bound packed stream is packed once, straight into a pool
+        chunk that the message then owns."""
+        dtype = vector(4, 1, 2, FLOAT64)
+        buf = np.arange(8.0)
+        pool = BufferPool()
+        (chunk,) = copy_chunks([pack(dtype, buf, 1, deferred=True)], pool)
+        np.testing.assert_array_equal(chunk, pack(dtype, buf, 1))
+        assert pool.snapshot()["outstanding"] == 1
+        assert pool.release(chunk)
