@@ -132,9 +132,13 @@ class SendRequest:
         self.san_detail = ""
 
     def test(self) -> bool:
-        if not self.msg.rndv:
+        if not self.msg.rndv or self.msg.completed.is_set():
             return True
-        return self.msg.completed.is_set()
+        progress = self._worker.progress
+        while progress is not None and progress():
+            if self.msg.completed.is_set():
+                return True
+        return False
 
     def waiting_on(self) -> tuple[tuple[int, ...], str]:
         """``(targets, what)`` of a blocking wait on this request."""
@@ -206,7 +210,13 @@ class RecvRequest:
 
     def test(self) -> bool:
         """True when a message has matched (data may still need delivery)."""
-        return self.info is not None or self._posted.matched.is_set()
+        if self.info is not None or self._posted.matched.is_set():
+            return True
+        progress = self._worker.progress
+        while progress is not None and progress():
+            if self._posted.matched.is_set():
+                return True
+        return False
 
     def waiting_on(self) -> tuple[Optional[tuple[int, ...]], str]:
         """``(targets, what)`` of a blocking wait on this request."""
@@ -262,6 +272,14 @@ class Worker:
         #: Per-rank message-id counter; see :meth:`next_msg_id`.  Touched
         #: only by this rank's own thread (the tag_send contract).
         self._msg_seq = 0
+        #: This rank's progress engine, ``progress(timeout=0.0) -> bool``:
+        #: deliver the next frame sent to this rank — reading its channels,
+        #: and waiting up to ``timeout`` seconds (None: until one comes),
+        #: when none is read yet — and say whether one was.  Set by a
+        #: remote plane whose process hosts this rank alone; None when
+        #: someone else delivers (in-process, a reader thread), so the park
+        #: and test paths pay one attribute check.
+        self.progress = None
 
     # -- message ids ------------------------------------------------------
 
@@ -306,13 +324,20 @@ class Worker:
         blocking probe parks as a receive posted with the same pattern
         would: ``peers`` are the ranks that could send it (None: any)."""
         self.clock.advance(self.model.probe_time())
+        progress = self.progress
         deadline = None if timeout is None else _time.monotonic() + timeout
         while True:
             if block:
                 # Cleared ahead of the scan: a deposit racing it re-sets it.
                 self.matcher.arrival.clear()
             msg = self.matcher.probe(tag, mask, remove=remove)
-            if msg is not None or not block:
+            if msg is not None:
+                break
+            if not block:
+                # Non-blocking: take this rank's frames until one matches
+                # or none is left.
+                if progress is not None and progress():
+                    continue
                 break
             self.park(self.matcher.arrival, peers,
                       "mprobe" if remove else "probe",
@@ -341,14 +366,22 @@ class Worker:
         the lowest blocked rank raises first.  ``messages`` are the
         rendezvous sends the wait completes: once a receiver claimed one,
         the sanitizer counts the wait as the transport's, not a rank's.
+        A rank with a ``progress`` engine naps in it instead, taking its
+        own frames one at a time; nothing else can set its ``wake``, so
+        unless a detector or sanitizer wants asking it naps until the next
+        frame.
         """
-        fi, san = self.fabric.injector, self.sanitizer
-        if fi is None and san is None and ready is None:
+        fi, san, progress = self.fabric.injector, self.sanitizer, \
+            self.progress
+        if fi is None and san is None and ready is None and progress is None:
             if wake.wait(timeout):
                 return
         else:
             ready = ready or wake.is_set
-            nap = wake.wait if wake is not None else _time.sleep
+            nap = progress or (wake.wait if wake is not None
+                               else _time.sleep)
+            period = None if progress is not None and fi is None \
+                and san is None else constants.POLL_PERIOD
             wildcard = targets is None
             if wildcard:
                 targets = [r for r in range(len(self.fabric.workers))
@@ -379,11 +412,12 @@ class Worker:
                                     f"wildcard {what}: {verdict}",
                                     failed_ranks=verdict.failed_ranks)
                             raise verdict
-                    tick = constants.POLL_PERIOD
+                    tick = period
                     if timeout is not None:
-                        tick = min(tick, start + timeout - now)
-                        if tick <= 0.0:
+                        left = start + timeout - now
+                        if left <= 0.0:
                             break
+                        tick = left if tick is None else min(tick, left)
                     nap(tick)
                 else:
                     return

@@ -11,17 +11,18 @@ variable, then the default ``inproc``.
 ``shm``           One forked process per rank + shared-memory arenas;
                   PackPlans execute directly into the shared segment
                   (multi-core packing, zero bounce-buffer copy); frames on
-                  pipes, one demux loop per rank process.  Faults yes,
-                  sanitizer no.
+                  pipes, read by the rank itself (no helper thread in a
+                  rank process).  Faults yes, sanitizer no.
 ``asyncio``       The socket plane: threads + localhost socket pairs, one
-                  demux thread for all ranks, no event loop; every
+                  reader thread for all ranks, no event loop; every
                   envelope is framed through the portable codec (the
                   RPD810/811 portability proof).  Full capability, not a
                   perf plane.
 ================  =========================================================
 
 Both remote backends share one frame plane (:mod:`.remote`): one channel
-type, one demux loop and one failure-detector rule.
+type, one frame loop and one failure-detector rule; the number of ranks a
+process hosts decides whether the rank or a reader thread runs the loop.
 """
 
 from __future__ import annotations

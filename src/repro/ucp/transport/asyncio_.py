@@ -5,7 +5,9 @@ Ranks are still threads (so clocks, the sanitizer and the fault layer work
 exactly as inproc), but the data plane is the frame plane of
 :mod:`.remote` over a mesh of ``multiprocessing.Pipe(duplex=True)``
 connections — a ``socketpair`` per directed rank pair on POSIX — drained
-by one demux thread for all ranks.  Nothing object-shaped crosses:
+by one reader thread for all ranks (the process hosts every rank, and a
+detector frame applies only once each of them has read it).  Writes
+block: the reader thread always reads.  Nothing object-shaped crosses:
 envelopes go through the portable codec, payloads as raw bytes,
 completion as ack frames resolved against per-rank pending tables.  The
 backend keeps its historical id; it no longer runs an event loop.

@@ -23,10 +23,12 @@ same envelope fields, which is what the conformance matrix
 
 Threading contract: :meth:`Transport.submit` runs on the sending rank's
 thread, :meth:`Transport.release_chunks` / :meth:`Transport.on_delivered` on
-the receiving rank's thread.  A backend that adds its own demux threads must
-keep them out of user callbacks (deposits into a :class:`TagMatcher` are the
-only fabric mutation a foreign thread may perform — the matcher is locked
-for exactly this reason).
+the receiving rank's thread.  A remote plane reads its frames on the rank's
+own thread where a process hosts one rank (``Worker.progress``, driven from
+the park and test paths), and on one reader thread where it hosts several;
+such a reader thread must stay out of user callbacks (deposits into a
+:class:`TagMatcher` are the only fabric mutation it may perform — the
+matcher is locked for exactly this reason).
 
 Exits are written once, here, for every backend: a *rank* ends in
 :func:`rank_main`, is torn down by :func:`quiesce` and described by one

@@ -41,6 +41,7 @@ MESSAGE_FIELDS = ("send_ready", "wire_time", "rndv", "recv_cost",
                   "duplicate_of")
 
 _PORTABLE_SCALARS = (int, float, str, bytes, bool, type(None))
+_PORTABLE_KEYS = (str, int)
 
 
 def assert_portable(doc, path: str = "envelope") -> None:
@@ -48,20 +49,50 @@ def assert_portable(doc, path: str = "envelope") -> None:
 
     This is the runtime teeth of the RPD811 audit: a field that would drag
     a live object (event, lock, ndarray view, exception) onto the wire
-    fails here, at the sending side, with the offending path named.
+    fails here, at the sending side, with the offending path named.  The
+    walk that runs on every envelope builds no path; only a rejected
+    document is walked again to name one.
     """
+    if not _is_portable(doc):
+        _reject(doc, path)
+
+
+def _is_portable(doc) -> bool:
+    """The acceptance rule of :func:`assert_portable`, as a boolean walk:
+    a scalar is checked in its container's loop, not in a call of its
+    own."""
+    if isinstance(doc, _PORTABLE_SCALARS):
+        return True
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if not isinstance(key, _PORTABLE_KEYS) or not (
+                    isinstance(value, _PORTABLE_SCALARS)
+                    or _is_portable(value)):
+                return False
+        return True
+    if isinstance(doc, (tuple, list)):
+        for item in doc:
+            if not (isinstance(item, _PORTABLE_SCALARS)
+                    or _is_portable(item)):
+                return False
+        return True
+    return False
+
+
+def _reject(doc, path: str) -> None:
+    """Raise for the first non-portable part of ``doc``, by its path."""
     if isinstance(doc, _PORTABLE_SCALARS):
         return
     if isinstance(doc, (tuple, list)):
         for i, item in enumerate(doc):
-            assert_portable(item, f"{path}[{i}]")
+            _reject(item, f"{path}[{i}]")
         return
     if isinstance(doc, dict):
         for key, value in doc.items():
-            if not isinstance(key, (str, int)):
+            if not isinstance(key, _PORTABLE_KEYS):
                 raise TransportError(
                     f"non-portable envelope key at {path}: {key!r}")
-            assert_portable(value, f"{path}[{key!r}]")
+            _reject(value, f"{path}[{key!r}]")
         return
     raise TransportError(
         f"non-portable envelope field at {path}: {type(doc).__name__} "

@@ -23,10 +23,24 @@ cross and in how many ranks one process hosts:
 
 * one channel type — each directed rank pair is one
   ``multiprocessing.connection.Connection`` (an OS pipe on ``shm``, a
-  ``socketpair`` on ``asyncio``), written only by its source rank's thread;
-* one demux loop per process (:class:`FramePlane`): wait on the inbound
-  ends, receive, ``deliver_frame``; ``bye`` or EOF ends a channel;
+  ``socketpair`` on ``asyncio``), written only by its source rank's thread
+  with ``Connection.send``'s framing (a length prefix and a pickle);
+* one frame loop per process (:meth:`FramePlane.progress`): one
+  persistent ``select.poll`` registration of the inbound ends, incremental
+  reads, ``deliver_frame`` per whole frame, one frame at a time in arrival
+  order; ``bye`` or EOF ends a channel;
 * one detector rule (:class:`PlaneDetector`).
+
+Who runs the loop follows from how many ranks a process hosts.  An ``shm``
+process hosts one rank, and that rank is its own progress engine (MPI's
+progress-on-call model): it takes frames while it parks and when it tests
+a request or probes — up to the one its call needs — reads (without
+delivering) before each frame it writes and while a write cannot go out,
+and takes the rest after its function returns, until every peer's
+``bye``.  No helper thread runs in a rank process, so a frame costs one
+wake-up of the thread that needs it.  The ``asyncio`` process hosts every
+rank; a detector frame there is applied only once each hosted rank has
+read it, so one reader thread runs the same loop for all of them.
 
 Per-channel frame order is FIFO, which the fault layer's reorder/duplicate
 machinery already assumes; faults are resolved sender-side *before*
@@ -36,9 +50,14 @@ the inproc receiver would have seen it.
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import struct
 import threading
+import time
+from collections import deque
 from functools import partial
-from multiprocessing.connection import wait
 from typing import Optional
 
 from ...errors import TransportError
@@ -54,9 +73,15 @@ DEAD = "dead"    # detector frame: the subject rank died (reason follows)
 DONE = "done"    # detector frame: the subject rank finished cleanly
 ABORT = "abort"  # detector frame: MPI_ERRORS_ARE_FATAL fired
 
-#: Seconds between the demux loop's looks at its halt flag while every
+#: Seconds between the reader thread's looks at its halt flag while every
 #: channel is quiet (only the abandon path ever sets it).
 HALT_POLL = 0.1
+#: Bytes one read asks a channel for (a pipe's default capacity), unless
+#: more of a torn frame is still to come.
+READ_SIZE = 1 << 16
+#: A frame's length prefix: the 4-byte big-endian size ``Connection.send``
+#: writes ahead of the pickle.
+_LENGTH = struct.Struct("!i")
 
 
 class PendingTable:
@@ -68,7 +93,8 @@ class PendingTable:
     key and plain data.
 
     Thread contract: ``register`` runs on the sending rank's thread,
-    ``pop``/``drain`` on the demux thread — hence the lock.
+    ``pop``/``drain`` on whichever thread reads the plane — the rank's own
+    on ``shm``, the reader thread on ``asyncio`` — hence the lock.
     """
 
     def __init__(self):
@@ -141,7 +167,7 @@ class PlaneDetector(FailureDetector):
             # abandon path): apply here so surviving waits still end.
             self._apply(frame)
 
-    # -- frames read by a hosted rank (demux thread) ------------------------
+    # -- frames read by a hosted rank (the plane's reader) ------------------
 
     def apply_remote(self, frame: tuple) -> None:
         if frame[0] != ABORT:
@@ -157,49 +183,169 @@ class PlaneDetector(FailureDetector):
          ABORT: super().abort_job}[kind](*args)
 
 
+class _Inbound:
+    """Reader state of one inbound channel: the rank that writes it, the
+    hosted worker that reads it, and the bytes of a frame not yet whole."""
+
+    __slots__ = ("src", "worker", "partial")
+
+    def __init__(self, src: int, worker):
+        self.src = src
+        self.worker = worker
+        self.partial = bytearray()
+
+    def wanted(self) -> int:
+        """How many bytes to ask the next read for: the rest of a torn
+        frame in one read, so a large frame costs few wake-ups."""
+        buf = self.partial
+        if len(buf) < _LENGTH.size:
+            return READ_SIZE
+        return max(READ_SIZE,
+                   _LENGTH.size + _LENGTH.unpack_from(buf)[0] - len(buf))
+
+    def frames(self, data: bytes) -> list:
+        """The whole frames ``data`` completes, in order; a torn frame's
+        bytes stay behind for the next read."""
+        buf = self.partial
+        if buf:
+            buf += data
+            data = buf
+        frames, off, end = [], 0, len(data)
+        with memoryview(data) as view:
+            while end - off >= _LENGTH.size:
+                stop = off + _LENGTH.size + _LENGTH.unpack_from(data, off)[0]
+                if stop > end:
+                    break
+                frames.append(pickle.loads(view[off + _LENGTH.size:stop]))
+                off = stop
+        if data is buf:
+            del buf[:off]
+        elif off < end:
+            buf += data[off:]
+        return frames
+
+
 class FramePlane:
-    """One process's ends of the plane and its demux loop.
+    """One process's ends of the plane and its one frame loop,
+    :meth:`progress`.
 
     ``hosted`` are the ranks the process runs; ``outbound`` maps
     ``(src, dst)`` to the connection ``src`` writes, ``inbound`` maps every
-    connection a hosted rank reads to its ``(src, dst)``.  The loop starts
-    at construction.
+    connection a hosted rank reads to its ``(src, dst)``.  Who calls the
+    loop is fixed by how many ranks the process hosts: one (``shm``) — that
+    rank's thread, as ``Worker.progress``, and in :meth:`close`; several
+    (``asyncio``) — one reader thread, because a frame another hosted rank
+    must also read (the :class:`PlaneDetector` rule) cannot wait for one
+    rank's next call.
+
+    Frames are delivered one at a time, in arrival order, so a rank takes
+    exactly the frames its call needs: those ahead of the one it waits
+    for, and that one.  Reading is not delivery: before each frame a
+    rank-driven plane writes, and while a write the channel cannot take
+    yet goes out in pieces, the plane reads whatever has come in and keeps
+    it — the pipes into the writer never stay full, so two ranks flooding
+    each other cannot write-deadlock.
     """
 
     def __init__(self, transport: "RemoteTransportMixin", fabric, hosted,
                  outbound: dict, inbound: dict):
+        hosted = tuple(hosted)
         self.out = outbound
         self.pending = {r: PendingTable() for r in hosted}
         self._transport = transport
         self._lock = threading.Lock()
         #: Hosted rank -> the first exception its frames raised.
         self._errors: dict[int, BaseException] = {}
+        #: Inbound fd -> reader state; a channel leaves once its ``bye``
+        #: is taken off ``_frames``.
+        self._live = {conn.fileno(): _Inbound(src, fabric.worker(dst))
+                      for conn, (src, dst) in inbound.items()}
+        #: ``(fd, channel, frame)`` read but not yet delivered, in arrival
+        #: order.
+        self._frames: deque = deque()
+        self._poll = select.poll()
+        for fd in self._live:
+            self._poll.register(fd, select.POLLIN)
         self._halt = threading.Event()
-        self._thread = threading.Thread(
-            target=self._demux_loop, args=(fabric, dict(inbound)),
-            name="ucp-demux-" + ",".join(str(r) for r in hosted),
-            daemon=True)
-        self._thread.start()
+        self._thread = None
+        if len(hosted) == 1:
+            for conn in outbound.values():
+                os.set_blocking(conn.fileno(), False)
+            fabric.worker(hosted[0]).progress = self.progress
+        else:
+            self._thread = threading.Thread(
+                target=self._read_loop,
+                name="ucp-reader-" + ",".join(str(r) for r in hosted),
+                daemon=True)
+            self._thread.start()
 
-    def _demux_loop(self, fabric, live: dict) -> None:
-        """The one frame loop: wait on the inbound ends, receive, deliver.
-        ``bye`` or EOF ends a channel; an exception escaping delivery is
-        the receiving rank's, and the loop keeps draining."""
-        while live and not self._halt.is_set():
-            for conn in wait(list(live), timeout=HALT_POLL):
-                src, dst = live[conn]
+    def progress(self, timeout: Optional[float] = 0.0,
+                 writable: Optional[int] = None) -> bool:
+        """The one frame loop: deliver the next frame read, and True.
+
+        With none read yet, wait up to ``timeout`` seconds (None: until
+        something happens) for an inbound channel to be readable — or the
+        outbound fd ``writable`` to take bytes — read every readable
+        channel once, and deliver the first whole frame, if any (False
+        when none came).  Given ``writable``, only read.  ``bye`` or EOF
+        ends a channel; an exception escaping delivery is the receiving
+        rank's, and the loop goes on."""
+        frames = self._frames
+        if writable is not None or not frames:
+            if writable is not None:
+                self._poll.register(writable, select.POLLOUT)
+            try:
+                events = self._poll.poll(
+                    None if timeout is None else timeout * 1e3)
+            finally:
+                if writable is not None:
+                    self._poll.unregister(writable)
+            for fd, _ in events:
+                chan = self._live.get(fd)
+                if chan is None:
+                    continue  # ``writable``
                 try:
-                    frame = conn.recv()
-                except (EOFError, OSError):
-                    frame = (BYE,)
-                if frame[0] == BYE:
-                    del live[conn]
-                    continue
-                try:
-                    self._transport.deliver_frame(fabric.worker(dst), src,
-                                                  frame)
-                except Exception as exc:
-                    self._fail(dst, exc)
+                    data = os.read(fd, chan.wanted())
+                except OSError:
+                    data = b""
+                for frame in chan.frames(data) if data else [(BYE,)]:
+                    frames.append((fd, chan, frame))
+                    if frame[0] == BYE:  # nothing follows
+                        self._poll.unregister(fd)
+                        break
+            if writable is not None or not frames:
+                return False
+        fd, chan, frame = frames.popleft()
+        if frame[0] == BYE:
+            with self._lock:  # read by ``close`` on the driver
+                del self._live[fd]
+        else:
+            try:
+                self._transport.deliver_frame(chan.worker, chan.src, frame)
+            except Exception as exc:
+                self._fail(chan.worker.index, exc)
+        return True
+
+    def _read_loop(self) -> None:
+        while self._live and not self._halt.is_set():
+            self.progress(HALT_POLL)
+
+    def write(self, key: tuple[int, int], frame) -> None:
+        """Write one frame on channel ``key`` (its source rank's thread
+        only: one writer per channel, no lock), length-prefixed like
+        ``Connection.send``.  A rank-driven plane first reads whatever
+        has come in, and a write the channel cannot take yet goes out in
+        pieces, the plane reading in between."""
+        fd = self.out[key].fileno()
+        body = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(_LENGTH.pack(len(body)) + body)
+        if self._thread is None:
+            self.progress(writable=fd)
+        while view:
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                self.progress(None, writable=fd)
 
     def _fail(self, rank: int, exc: BaseException) -> None:
         with self._lock:
@@ -215,9 +361,16 @@ class FramePlane:
         """
         for src, dst in self.out:
             self._transport.try_send(src, dst, (BYE,))
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            self.halt()
+        if self._thread is None:
+            end = None if timeout is None else time.monotonic() + timeout
+            while self._live and (end is None or time.monotonic() < end):
+                self.progress(None if end is None
+                              else max(end - time.monotonic(), 0.0))
+        else:
+            self._thread.join(timeout)
+            if self._thread.is_alive():
+                self.halt()
+        if self._live:
             for r in self.pending:
                 self._fail(r, TimeoutError(
                     f"frames still in flight after {timeout}s"))
@@ -230,9 +383,11 @@ class FramePlane:
                     f"{rep.rank}: {errors[rep.rank]!r}")
 
     def halt(self) -> None:
-        """Stop the loop without draining (ranks may still be running)."""
+        """Stop the reader thread without draining (ranks may still be
+        running)."""
         self._halt.set()
-        self._thread.join(timeout=10.0)
+        if self._thread is not None:
+            self._thread.join(timeout=10.0)
 
 
 class RemoteTransportMixin:
@@ -263,7 +418,7 @@ class RemoteTransportMixin:
         """Write one frame on channel ``src_rank -> dst_rank`` (only ever
         from ``src_rank``'s thread: one writer per channel, no lock)."""
         try:
-            self.plane.out[(src_rank, dst_rank)].send(frame)
+            self.plane.write((src_rank, dst_rank), frame)
         except (OSError, ValueError) as exc:
             raise TransportError(
                 f"{self.name} transport channel {src_rank}->{dst_rank} "
@@ -300,10 +455,11 @@ class RemoteTransportMixin:
     # -- receiver side -----------------------------------------------------
 
     def deliver_frame(self, recv_worker, src_rank: int, frame) -> None:
-        """Dispatch one inbound frame (demux thread).
+        """Dispatch one inbound frame (the plane's reader: the receiving
+        rank's own thread on ``shm``, the reader thread on ``asyncio``).
 
         ``msg`` frames become a deposit into the local matcher (the one
-        fabric mutation a foreign thread may perform); ``ack`` frames
+        fabric mutation a reader thread may perform); ``ack`` frames
         resolve the local pending table; detector frames go to the
         :class:`PlaneDetector`, so ULFM waits terminate across processes.
         """

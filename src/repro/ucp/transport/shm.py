@@ -19,10 +19,15 @@ wire.
 
 Control plane: the frame plane of :mod:`.remote` — per-directed-pair
 ``multiprocessing.Pipe`` channels carry the portable envelope and the ack
-frames, one demux loop per rank process drains them, and the
-:class:`~.remote.PlaneDetector` rule (one hosted rank: apply on the first
-read) keeps crashes, finishes and ULFM aborts converging across processes,
-so bounded-time hopeless-wait detection keeps working.
+frames, and the :class:`~.remote.PlaneDetector` rule (one hosted rank:
+apply on the first read) keeps crashes, finishes and ULFM aborts
+converging across processes, so bounded-time hopeless-wait detection keeps
+working.  A rank process runs one thread, the rank's: it is its own
+progress engine, taking its frames through the plane's one frame loop
+whenever it parks, tests a request or probes, and after its function
+returns until every peer's ``bye``.  Frames that arrive while it computes
+wait for its next MPI call; before each frame it writes, and while a
+write the pipe cannot take yet waits, it reads its inbound pipes.
 
 Staging ownership: an arena slab referenced by an in-flight frame stays
 checked out of the sender's pool until the receiver's acknowledgement
@@ -213,7 +218,8 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
         return payload
 
     def materialize_payload(self, src_rank: int, payload):
-        """Map payload references to chunks (demux thread, no copy).
+        """Map payload references to chunks (the rank's own thread, no
+        copy).
 
         Arena references become read views straight into the sender's
         segment — the receiver's delivery is the only copy, and the views
@@ -249,7 +255,7 @@ def _child_main(rank: int, fn, nprocs: int, config, engine_config,
     result_conn.send(replace(report, result=None))
 
     # Peers keep delivering (and acknowledging) until each sends its own
-    # ``bye``; the plane drains them all before the teardown.  The
+    # ``bye``; this thread takes them all before the teardown.  The
     # driver's deadline bounds the wait.
     transport.plane.close([report])
     quiesce(fabric, (rank,), failed=report.failure is not None)

@@ -1,10 +1,14 @@
 """There is one remote plane (``repro.ucp.transport.remote``).
 
-Both remote backends read frames in one loop and apply failure-detector
-frames by one rule.  A second frame loop, a second detector wrapper or an
-event loop in ``src/repro/ucp/transport/`` would be a second copy of the
-rule "a rank's finish or death must not outrun its last frames" — the copy
-that drifts.  This walk fails when one grows back.
+Both remote backends read frames in one loop, ``FramePlane.progress`` — run
+by the rank itself on ``shm`` and by one reader thread on ``asyncio`` — and
+apply failure-detector frames by one rule.  A second frame loop, a second
+detector wrapper or an event loop in ``src/repro/ucp/transport/`` would be a
+second copy of the rule "a rank's finish or death must not outrun its last
+frames" — the copy that drifts.  This walk fails when one grows back: the
+loop is the only function that reads or polls a plane channel and the only
+caller of ``deliver_frame``, and readiness comes from ``select.poll``, not
+from ``selectors`` or ``asyncio``.
 """
 
 import ast
@@ -12,11 +16,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 TRANSPORT = SRC / "ucp" / "transport"
-#: (file, function) of the one demux loop.
-LOOP = ("remote.py", "_demux_loop")
+#: (file, function) of the one frame loop.
+LOOP = ("remote.py", "progress")
 #: Functions that may read a connection besides the loop: the shm driver
 #: collecting rank reports from its result pipes (not plane channels).
 REPORT_READERS = {("shm.py", "run_job")}
+#: Calls that read a channel or wait for one to be readable (building the
+#: loop's one ``select.poll`` object is neither).
+_READS = {"recv", "read", "wait", "conn_wait", "poll"}
 _DETECTOR_TRANSITIONS = {"mark_dead", "mark_finished", "abort_job"}
 
 
@@ -54,7 +61,8 @@ def violations(sources: dict[str, str]) -> list[str]:
                 called = _called(node)
                 if called == "deliver_frame" and (name, fn) != LOOP:
                     found.append(f"{where}: deliver_frame outside the loop")
-                if called in ("recv", "wait", "conn_wait") \
+                if called in _READS \
+                        and ast.unparse(node.func) != "select.poll" \
                         and (name, fn) != LOOP \
                         and (name, fn) not in REPORT_READERS:
                     found.append(f"{where}: {called}() outside the loop")
@@ -84,9 +92,10 @@ def test_the_walk_sees_a_second_plane():
            "    def mark_finished(self, r): pass\n"
            "    def _drain(self, c, w):\n"
            "        f = c.recv()\n"
+           "        os.read(c.fileno(), 4)\n"
            "        self.deliver_frame(w, 0, f)\n")
     found = violations({"x.py": bad})
-    assert len(found) == 5, found
+    assert len(found) == 6, found
 
 
 def test_one_loop_one_rule_no_event_loop():

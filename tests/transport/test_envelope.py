@@ -64,6 +64,20 @@ class TestAssertPortable:
         assert "inner" in str(ei.value)
 
 
+def test_a_nested_bad_field_names_its_whole_path():
+    """The fast walk accepts; only a rejection walks again for the path,
+    and the message is the one the path-building walk always gave."""
+    with pytest.raises(TransportError) as ei:
+        assert_portable({"ok": (1, "x"), "outer": [{"inner": object()}]})
+    assert str(ei.value) == (
+        "non-portable envelope field at envelope['outer'][0]['inner']: "
+        "object (RPD811: only plain data may cross a process boundary)")
+    with pytest.raises(TransportError) as ei:
+        assert_portable({"outer": [{("k",): 1}]})
+    assert str(ei.value) == \
+        "non-portable envelope key at envelope['outer'][0]: ('k',)"
+
+
 class TestEnvelopeRoundtrip:
     def test_header_and_costs_survive(self):
         msg = _msg()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ddtbench.milc import Milc
 from repro.mpi.runtime import run
 from repro.types import (STRUCT_SIMPLE, DoubleVec, double_vec_custom_datatype,
                          make_struct_simple, struct_simple_custom_datatype,
@@ -414,3 +415,38 @@ class TestDerivedTwoPasses:
         for post in (short, read_only):
             got = self._failed_recv(backend, self._send8, post)
             assert got == ("MPIError", (0, 0), False)
+
+
+# Recorded at the parent commit of the rank-driven shm plane: who reads
+# the frames moved, what they carry must not, so neither may the clocks.
+MILC_HALO_CLOCKS = {"eager": 6.897120000000001e-06,
+                    "rndv": 0.00013706255999999998}
+#: MILC lattices whose z-face is 768 B (eager) and 96 KiB (rendezvous).
+MILC_SHAPES = {"eager": dict(t=2, z=4, y=4, x=4, zsend=1), "rndv": {}}
+
+
+class TestMilcHaloClocks:
+    """The DDTBench halo exchange of the e2e ``halo_shm`` workload — a
+    MILC derived datatype, ``isend`` + ``recv`` + ``wait`` on both ranks —
+    keeps its pinned virtual clocks on every backend."""
+
+    @staticmethod
+    def _halo(shape, iters=3):
+        def fn(comm):
+            w = Milc(**shape)
+            dtype = w.derived_datatype()
+            sbuf, rbuf = w.make_send_buffer(), w.make_recv_buffer()
+            peer = 1 - comm.rank
+            for _ in range(iters):
+                sreq = comm.isend(sbuf, peer, 5, datatype=dtype, count=1)
+                comm.recv(rbuf, peer, 5, datatype=dtype, count=1)
+                sreq.wait()
+            return w.exchanged_equal(sbuf, rbuf)
+        return fn
+
+    def test_clocks_pinned(self, backend):
+        for size, shape in MILC_SHAPES.items():
+            res = run(self._halo(shape), nprocs=2, transport=backend)
+            assert res.results == [True, True], size
+            assert res.clocks == [MILC_HALO_CLOCKS[size]] * 2, size
+            assert [m["pool"]["outstanding"] for m in res.memory] == [0, 0]
