@@ -24,6 +24,9 @@ class Datatype:
 
     #: Human-readable name, e.g. ``"MPI_INT32_T"`` or ``"vector(4, 2, 8)"``.
     name: str = "MPI_DATATYPE_NULL"
+    #: The pack plan bound on first use (``repro.core.typecache.bound_plan``);
+    #: None until then, and again after ``clear_plan_cache()``.
+    _plan = None
 
     @property
     def size(self) -> int:
@@ -97,6 +100,13 @@ class Datatype:
         """Compact provenance label used inside constructor names and
         analyzer diagnostics (``MPI_DOUBLE`` -> ``double``)."""
         return self.name
+
+    def __getstate__(self) -> dict:
+        # A bound plan is this process's cache entry, not part of the type:
+        # a copy or an unpickled type binds its own on first use.
+        state = self.__dict__.copy()
+        state.pop("_plan", None)
+        return state
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

@@ -12,11 +12,12 @@ benchmarks against.  Two properties of that engine matter for the figures:
   charged by the MPI engine uses the per-scalar ``elem_cost`` model, which is
   what reproduces the paper's gap penalty.
 
-Since the plan-compiler PR the public entry points execute a
-:class:`repro.core.packplan.PackPlan` compiled once per canonical layout
-and cached through :func:`repro.core.typecache.pack_plan`;
-layout derivation (block merging, strided-view descriptors, the contiguous
-decision) no longer happens per call.  The pre-plan engine is retained
+The public entry points execute a :class:`repro.core.packplan.PackPlan`
+compiled once per canonical layout (:func:`repro.core.typecache.pack_plan`)
+and bound to the datatype on its first use
+(:func:`repro.core.typecache.bound_plan`): layout derivation (block
+merging, strided-view descriptors, the contiguous decision) and the cache
+lookup no longer happen per call.  The pre-plan engine is retained
 verbatim as :func:`pack_reference`/:func:`unpack_reference` (and the window
 equivalents) — the equivalence test suite asserts the plan path is
 byte-identical to it, and ``benchmarks/perf`` measures the speedup against
@@ -34,7 +35,7 @@ from ..errors import MPI_ERR_BUFFER, MPIError
 from .datatype import Datatype
 from .packplan import _NEGATIVE_DISPL_MSG, PackedSource, _as_u8
 from .packplan import required_span  # noqa: F401 (re-exported)
-from .typecache import pack_plan
+from .typecache import bound_plan
 
 
 def packed_size(dtype: Datatype, count: int) -> int:
@@ -55,7 +56,7 @@ def pack(dtype: Datatype, buf, count: int, out: np.ndarray | None = None,
     same layout or something materializes it.
     """
     src = _as_u8(buf)
-    plan = pack_plan(dtype)
+    plan = getattr(dtype, "_plan", None) or bound_plan(dtype)
     total = plan.size * count
     if deferred:
         out = PackedSource(plan, src, count)
@@ -91,7 +92,7 @@ def unpack(dtype: Datatype, buf, count: int, src) -> None:
     dst = _as_u8(buf, writable=True)
     source = src if type(src) is PackedSource else None
     packed = src if source is not None else _as_u8(src)
-    plan = pack_plan(dtype)
+    plan = getattr(dtype, "_plan", None) or bound_plan(dtype)
     total = plan.size * count
     if len(packed) < total:
         raise MPIError(MPI_ERR_BUFFER,

@@ -9,13 +9,14 @@ representation *once* and reusing it is what makes non-contiguous transfers
 fast; this module is that compiler.
 
 * :class:`PackPlan` — everything layout-derived and count-independent,
-  compiled once per canonical layout and cached through
-  :func:`repro.core.typecache.pack_plan`.  Compilation lowers the typemap
-  into the :mod:`repro.core.planir` op IR, runs the rewrite pass pipeline
-  (block coalescing, stride canonicalization, loop collapsing, contiguity
-  promotion, gather formation, record fusion, unit widening), and binds
-  the executor the final IR calls for; the contiguous fast-path decision
-  stays at the plan level.
+  compiled once per canonical layout, cached through
+  :func:`repro.core.typecache.pack_plan` and bound to a datatype on its
+  first use (:func:`repro.core.typecache.bound_plan`).  Compilation
+  lowers the typemap into the :mod:`repro.core.planir` op IR, runs the
+  rewrite pass pipeline (block coalescing, stride canonicalization, loop
+  collapsing, contiguity promotion, gather formation, record fusion, unit
+  widening), and binds the executor the final IR calls for; the
+  contiguous fast-path decision stays at the plan level.
   The lowered IR, the applied pass names, and the resolved backend are
   exposed as ``plan.ir`` / ``plan.passes`` / ``plan.executor`` so the
   static verifier (:mod:`repro.analyze.planverify`) can re-check exactly
@@ -60,8 +61,15 @@ def _as_u8(buf, writable: bool = False) -> np.ndarray:
         arr = buf
         if not arr.flags.c_contiguous:
             raise MPIError(MPI_ERR_BUFFER, "buffer must be C-contiguous")
-        out = arr if arr.dtype is _U8 and arr.ndim == 1 \
-            else arr.view(_U8).reshape(-1)
+        if arr.dtype is _U8 and arr.ndim == 1:
+            out = arr
+        elif arr.ndim and not arr.dtype.hasobject:
+            # ``frombuffer`` skips the Python-level safety check ``view``
+            # runs on a structured dtype; object arrays and 0-d arrays keep
+            # ``view`` and its errors.
+            out = np.frombuffer(arr, _U8)
+        else:
+            out = arr.view(_U8).reshape(-1)
     else:
         mv = memoryview(buf)
         if not mv.contiguous:
@@ -180,7 +188,8 @@ class PackedSource:
     def materialize(self, pool=None) -> np.ndarray:
         """The packed bytes, in a buffer from ``pool`` (any object with
         ``acquire(nbytes)``; None: a fresh array) that the caller owns."""
-        out = _scratch_alloc(pool, self.nbytes)
+        out = np.empty(self.nbytes, dtype=np.uint8) if pool is None \
+            else pool.acquire(self.nbytes)
         if self.count:
             self.plan.pack_into(self.src, self.count, out)
         return out
@@ -216,12 +225,12 @@ class PackCursor:
     """
 
     def __init__(self, dtype: Datatype, buf, count: int, pool=None):
-        from .typecache import pack_plan  # local: typecache imports us
+        from .typecache import bound_plan  # local: typecache imports us
         self.dtype = dtype
         self.count = count
         self.total = dtype.size * count
         self._src = _as_u8(buf)
-        self._plan = pack_plan(dtype)
+        self._plan = getattr(dtype, "_plan", None) or bound_plan(dtype)
         self._pool = pool
         self._scratch: np.ndarray | None = None
         self._e0 = 0  # element range currently materialized in scratch
@@ -315,7 +324,7 @@ class UnpackCursor:
     """
 
     def __init__(self, dtype: Datatype, buf, count: int, pool=None):
-        from .typecache import pack_plan
+        from .typecache import bound_plan
         self.dtype = dtype
         self.count = count
         self.total = dtype.size * count
@@ -325,7 +334,7 @@ class UnpackCursor:
             raise MPIError(MPI_ERR_BUFFER,
                            f"recv buffer too small: need {need} bytes, "
                            f"have {self._dst.shape[0]}")
-        self._plan = pack_plan(dtype)
+        self._plan = getattr(dtype, "_plan", None) or bound_plan(dtype)
         self._pool = pool
         self._pos = 0  # next expected in-order stream offset
         size = self._plan.size

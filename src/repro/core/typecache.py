@@ -10,12 +10,18 @@ The module also hosts the **pack-plan cache**: :func:`pack_plan` compiles a
 :class:`repro.core.packplan.PackPlan` at most once per canonical layout
 (:meth:`repro.core.typemap.Typemap.layout_key`) and serves it from a bounded
 LRU, so structurally equal datatypes — built fresh per job, over different
-scalar types, used with any count — share one compiled plan.
+scalar types, used with any count — share one compiled plan.  A datatype
+resolves its plan once: :func:`bound_plan` looks it up on the datatype's
+first use and binds it to the datatype (``Datatype._plan``), so a message
+reads size, contiguity and block count off the bound plan and makes no
+cache lookup.  :func:`clear_plan_cache` (and an LRU eviction) unbinds, so
+the next use looks the layout up again.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable
 
@@ -102,6 +108,9 @@ _plan_lock = threading.Lock()
 _plans: OrderedDict[tuple[int, int, bytes], PackPlan] = OrderedDict()
 _plan_stats = {"hits": 0, "contig_hits": 0, "compiled_hits": 0,
                "misses": 0, "evictions": 0, "compile_races": 0}
+#: Datatypes holding a bound plan (``Datatype._plan``), unbound when their
+#: plan leaves the cache.
+_bound: weakref.WeakSet = weakref.WeakSet()
 
 
 def pack_plan(dtype: Datatype, count: int = 1) -> PackPlan:
@@ -109,9 +118,26 @@ def pack_plan(dtype: Datatype, count: int = 1) -> PackPlan:
     any other carrier of a ``.typemap``).
 
     Compiled on first use per layout key and cached in an LRU of
-    :data:`PLAN_CACHE_MAXSIZE` entries.  ``count`` selects nothing (one
-    plan executes any count); callers may keep passing it.
+    :data:`PLAN_CACHE_MAXSIZE` entries; every call is one lookup.
+    ``count`` selects nothing (one plan executes any count); callers may
+    keep passing it.
     """
+    return _lookup(dtype, None)
+
+
+def bound_plan(dtype: Datatype) -> PackPlan:
+    """``dtype``'s plan, resolved once: the first call looks the layout up
+    (:func:`pack_plan`) and binds the plan to ``dtype`` as ``_plan``, where
+    ``pack``/``unpack`` and the engine read it (``dtype._plan or
+    bound_plan(dtype)``) with no lookup.  Anything else that carries a
+    ``.typemap`` is looked up on every call, as by :func:`pack_plan`."""
+    return _lookup(dtype, dtype if isinstance(dtype, Datatype) else None)
+
+
+def _lookup(dtype, bind: Datatype | None) -> PackPlan:
+    """One plan-cache lookup; ``bind`` gets the plan bound under the same
+    lock that served it, so a concurrent clear or eviction cannot leave a
+    datatype holding a plan the cache dropped."""
     tm = dtype.typemap
     key = tm.layout_key()
     with _plan_lock:
@@ -126,6 +152,8 @@ def pack_plan(dtype: Datatype, count: int = 1) -> PackPlan:
                 _plan_stats["contig_hits"] += 1
             else:
                 _plan_stats["compiled_hits"] += 1
+            if bind is not None:
+                _bind(bind, plan)
             return plan
         _plan_stats["misses"] += 1
     # Compile outside the lock (pure function of the immutable typemap; a
@@ -139,12 +167,29 @@ def pack_plan(dtype: Datatype, count: int = 1) -> PackPlan:
         existing = _plans.get(key)
         if existing is not None:
             _plan_stats["compile_races"] += 1
-            return existing
-        _plans[key] = plan
-        while len(_plans) > PLAN_CACHE_MAXSIZE:
-            _plans.popitem(last=False)
-            _plan_stats["evictions"] += 1
+            plan = existing
+        else:
+            _plans[key] = plan
+            while len(_plans) > PLAN_CACHE_MAXSIZE:
+                _, evicted = _plans.popitem(last=False)
+                _plan_stats["evictions"] += 1
+                for dt in [dt for dt in _bound if dt._plan is evicted]:
+                    _unbind(dt)
+        if bind is not None:
+            _bind(bind, plan)
     return plan
+
+
+def _bind(dtype: Datatype, plan: PackPlan) -> None:
+    """(plan lock held)"""
+    dtype._plan = plan
+    _bound.add(dtype)
+
+
+def _unbind(dtype: Datatype) -> None:
+    """(plan lock held)"""
+    dtype._plan = None
+    _bound.discard(dtype)
 
 
 def plan_cache_info() -> dict[str, int]:
@@ -154,15 +199,20 @@ def plan_cache_info() -> dict[str, int]:
     whether the served plan was a contiguous fast-path plan or a compiled
     (IR-lowered) one, so the pipeline's cache behaviour is observable.
     ``compile_races`` counts misses that lost the insert to a concurrent
-    compile of the same layout.
+    compile of the same layout.  A datatype whose plan is bound makes no
+    lookup, so the counters count resolutions (a datatype's first use, and
+    every :func:`pack_plan` call), not messages.
     """
     with _plan_lock:
         return {"size": len(_plans), **_plan_stats}
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset the statistics."""
+    """Drop every cached plan, unbind every bound one and reset the
+    statistics: the next use of any datatype compiles afresh."""
     with _plan_lock:
         _plans.clear()
+        for dt in list(_bound):
+            _unbind(dt)
         for k in _plan_stats:
             _plan_stats[k] = 0

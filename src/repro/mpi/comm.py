@@ -17,8 +17,10 @@ import numpy as np
 
 from ..core.custom import CustomDatatype
 from ..core.datatype import BYTE, Datatype, from_numpy_dtype
-from ..errors import MPI_ERR_COMM, MPI_ERR_RANK, MPI_ERR_TAG, MPIError
-from ..ucp.constants import MAX_USER_TAG, match_mask, pack_tag
+from ..errors import (MPI_ERR_COMM, MPI_ERR_COUNT, MPI_ERR_RANK, MPI_ERR_TAG,
+                      MPI_ERR_TYPE, MPIError)
+from ..ucp.constants import (MAX_USER_TAG, TAG_FULL_MASK, TAG_SOURCE_SHIFT,
+                             match_mask, pack_tag)
 from ..ucp.context import Worker
 from .engine import EngineConfig, TransferEngine
 from .requests import ANY_SOURCE, ANY_TAG, Request, Status
@@ -58,6 +60,12 @@ class Communicator:
         #: Fixed for the communicator's life; every send stamps it in the tag.
         self._rank = (worker.index if group is None
                       else group.index(worker.index))
+        #: Local size: the range every peer argument is checked against.
+        self._nlocal = size if group is None else len(group)
+        #: The communicator bits of every tag, and of every tag this rank
+        #: sends (its source bits too): a tag is ``base | user tag``.
+        self._tag_base = pack_tag(comm_id & 0xFFFF, 0, 0)
+        self._send_base = pack_tag(comm_id & 0xFFFF, self._rank, 0)
 
     # -- error handlers ------------------------------------------------------
 
@@ -96,7 +104,7 @@ class Communicator:
 
     @property
     def size(self) -> int:
-        return len(self._group) if self._group is not None else self._size
+        return self._nlocal
 
     # -- rank translation (identity for COMM_WORLD) ----------------------
 
@@ -163,6 +171,10 @@ class Communicator:
 
     def _resolve(self, buf: Any, count: Optional[int],
                  datatype: Optional[Datatype]) -> tuple[Any, int, Datatype]:
+        """Infer a missing datatype or count and check the count.  The
+        point-to-point entries call it only when one is missing or the
+        count is negative (``datatype is None or count is None or count <
+        0``)."""
         if datatype is None:
             if isinstance(buf, np.ndarray):
                 datatype = from_numpy_dtype(buf.dtype)
@@ -172,7 +184,7 @@ class Communicator:
                 count = len(buf) if count is None else count
             else:
                 raise MPIError(
-                    MPI_ERR_RANK,
+                    MPI_ERR_TYPE,
                     f"cannot infer a datatype for {type(buf).__name__}; pass "
                     f"datatype= explicitly (custom types accept any object)")
         elif count is None:
@@ -181,35 +193,31 @@ class Communicator:
             elif isinstance(buf, np.ndarray) and datatype.extent:
                 count = buf.nbytes // datatype.extent
             else:
-                raise MPIError(MPI_ERR_RANK,
+                raise MPIError(MPI_ERR_COUNT,
                                "count is required for this buffer/datatype")
         if count < 0:
-            raise MPIError(MPI_ERR_RANK, f"negative count {count}")
+            raise MPIError(MPI_ERR_COUNT, f"negative count {count}")
         return buf, count, datatype
 
-    def _check_peer(self, rank: int, allow_any: bool = False) -> None:
-        if allow_any and rank == ANY_SOURCE:
-            return
-        if not 0 <= rank < self._size:
-            raise MPIError(MPI_ERR_RANK,
-                           f"rank {rank} outside communicator of size {self._size}")
-
-    def _check_tag(self, tag: int, allow_any: bool = False) -> None:
-        if allow_any and tag == ANY_TAG:
-            return
-        if not 0 <= tag < MAX_USER_TAG:
-            raise MPIError(MPI_ERR_TAG, f"tag {tag} out of range [0, {MAX_USER_TAG})")
-
-    def _send_tag64(self, tag: int) -> int:
-        # The matching tag carries the communicator-local source rank.
-        return pack_tag(self.comm_id & 0xFFFF, self._rank, tag & 0xFFFFFFFF)
+    def _check_args(self, peer: int, tag: int, allow_any: bool) -> None:
+        """Raise the error of a refused peer or tag: each must be in range
+        (``0 <= peer < local size``, ``0 <= tag < MAX_USER_TAG``) or the
+        wildcard where ``allow_any``; the peer is checked first.  The
+        point-to-point entries inline the range test and call this only
+        when it fails."""
+        if not (0 <= peer < self._nlocal or allow_any and peer == ANY_SOURCE):
+            raise MPIError(MPI_ERR_RANK, f"rank {peer} outside communicator "
+                           f"of size {self._nlocal}")
+        if not (0 <= tag < MAX_USER_TAG or allow_any and tag == ANY_TAG):
+            raise MPIError(MPI_ERR_TAG,
+                           f"tag {tag} out of range [0, {MAX_USER_TAG})")
 
     def _recv_pattern(self, source: int, tag: int) -> tuple[int, int]:
         any_src = source == ANY_SOURCE
         any_tag = tag == ANY_TAG
-        tag64 = pack_tag(self.comm_id & 0xFFFF,
-                         0 if any_src else source,
-                         0 if any_tag else tag & 0xFFFFFFFF)
+        tag64 = self._tag_base | (0 if any_src
+                                  else source << TAG_SOURCE_SHIFT) \
+            | (0 if any_tag else tag)
         return tag64, match_mask(any_src, any_tag)
 
     # -- point to point ---------------------------------------------------
@@ -218,11 +226,14 @@ class Communicator:
               datatype: Optional[Datatype] = None,
               count: Optional[int] = None) -> Request:
         """Nonblocking send (MPI_Isend)."""
-        self._check_peer(dest)
-        self._check_tag(tag)
-        buf, count, datatype = self._resolve(buf, count, datatype)
-        req = self.engine.start_send(self._world(dest), self._send_tag64(tag),
-                                     buf, count, datatype)
+        if not (0 <= dest < self._nlocal and 0 <= tag < MAX_USER_TAG):
+            self._check_args(dest, tag, allow_any=False)
+        if datatype is None or count is None or count < 0:
+            buf, count, datatype = self._resolve(buf, count, datatype)
+        group = self._group
+        req = self.engine.start_send(dest if group is None else group[dest],
+                                     self._send_base | tag, buf, count,
+                                     datatype)
         req._errctx = self
         return req
 
@@ -237,11 +248,14 @@ class Communicator:
                count: Optional[int] = None) -> Request:
         """Nonblocking synchronous send (MPI_Issend): completion of the
         returned request implies the matching receive has started."""
-        self._check_peer(dest)
-        self._check_tag(tag)
-        buf, count, datatype = self._resolve(buf, count, datatype)
-        req = self.engine.start_send(self._world(dest), self._send_tag64(tag),
-                                     buf, count, datatype, sync=True)
+        if not (0 <= dest < self._nlocal and 0 <= tag < MAX_USER_TAG):
+            self._check_args(dest, tag, allow_any=False)
+        if datatype is None or count is None or count < 0:
+            buf, count, datatype = self._resolve(buf, count, datatype)
+        group = self._group
+        req = self.engine.start_send(dest if group is None else group[dest],
+                                     self._send_base | tag, buf, count,
+                                     datatype, sync=True)
         req._errctx = self
         return req
 
@@ -255,12 +269,19 @@ class Communicator:
               datatype: Optional[Datatype] = None,
               count: Optional[int] = None) -> Request:
         """Nonblocking receive (MPI_Irecv)."""
-        self._check_peer(source, allow_any=True)
-        self._check_tag(tag, allow_any=True)
-        buf, count, datatype = self._resolve(buf, count, datatype)
-        tag64, mask = self._recv_pattern(source, tag)
+        if 0 <= source < self._nlocal and 0 <= tag < MAX_USER_TAG:
+            group = self._group
+            tag64 = self._tag_base | source << TAG_SOURCE_SHIFT | tag
+            mask = TAG_FULL_MASK
+            peers = (source if group is None else group[source],)
+        else:
+            self._check_args(source, tag, allow_any=True)
+            tag64, mask = self._recv_pattern(source, tag)
+            peers = self._recv_peers(source)
+        if datatype is None or count is None or count < 0:
+            buf, count, datatype = self._resolve(buf, count, datatype)
         req = self.engine.start_recv(tag64, mask, buf, count, datatype,
-                                     peers=self._recv_peers(source))
+                                     peers=peers)
         req._errctx = self
         return req
 
@@ -276,8 +297,10 @@ class Communicator:
              datatype: Optional[Datatype] = None,
              count: Optional[int] = None) -> Status:
         """Blocking receive (MPI_Recv)."""
-        return self._localize(self.irecv(buf, source, tag, datatype, count)
-                              .wait())
+        status = self.irecv(buf, source, tag, datatype, count).wait()
+        if self._group is not None and status is not None:
+            status.source = self._group.index(status.source)
+        return status
 
     def _localize(self, status: Optional[Status]) -> Optional[Status]:
         """Translate a Status's world source into a comm-local rank."""
@@ -304,8 +327,7 @@ class Communicator:
                   datatype: Optional[Datatype] = None,
                   count: Optional[int] = None) -> "PersistentRequest":
         """MPI_Send_init: a restartable send (start with ``.start()``)."""
-        self._check_peer(dest)
-        self._check_tag(tag)
+        self._check_args(dest, tag, allow_any=False)
         return PersistentRequest(
             lambda: self.isend(buf, dest, tag, datatype, count))
 
@@ -314,8 +336,7 @@ class Communicator:
                   datatype: Optional[Datatype] = None,
                   count: Optional[int] = None) -> "PersistentRequest":
         """MPI_Recv_init: a restartable receive."""
-        self._check_peer(source, allow_any=True)
-        self._check_tag(tag, allow_any=True)
+        self._check_args(source, tag, allow_any=True)
         return PersistentRequest(
             lambda: self.irecv(buf, source, tag, datatype, count))
 
@@ -328,7 +349,9 @@ class Communicator:
 
     def _probe(self, source: int, tag: int, remove: bool, block: bool):
         """One probe; blocking, it parks as a receive posted with the same
-        source and tag would (same peers, same error handler)."""
+        source and tag would (same peers, same error handler).  Its source
+        and tag are checked as a receive's."""
+        self._check_args(source, tag, allow_any=True)
         tag64, mask = self._recv_pattern(source, tag)
         try:
             return self.worker.tag_probe(tag64, mask, remove=remove,

@@ -56,7 +56,7 @@ from ..core.custom import (CustomDatatype, CustomRecvOperation,
 from ..core.datatype import Datatype
 from ..core.packing import pack, unpack
 from ..core.packplan import UnpackCursor
-from ..core.typecache import pack_plan
+from ..core.typecache import bound_plan
 from ..errors import MPIError, TruncationError
 from ..ucp.context import Endpoint, Worker
 from ..ucp.constants import DATATYPE_CONTIG
@@ -72,15 +72,6 @@ class EngineConfig:
     #: Deliver packed fragments of custom types in reverse order when the
     #: type allows it (``inorder=False``) — the out-of-order ablation.
     ooo_fragments: bool = False
-
-
-class _DerivedLanding(CallbackData):
-    """A derived receive; its ``plan`` is looked up only when a deferred
-    source asks (``Worker.deliver``), never on the common path."""
-
-    @property
-    def plan(self):
-        return pack_plan(self.dtype)
 
 
 class TransferEngine:
@@ -121,8 +112,10 @@ class TransferEngine:
                 dtype: Datatype, sync: bool):
         """The one send-descriptor choice, then the injection.
 
-        Contiguous: ``buf`` as it is.  Derived: the temp is booked with
-        the tracker and charged the typemap walk, and ``pack`` only checks
+        Size, contiguity and block count come from the datatype's bound
+        plan.  Contiguous: ``buf`` as it is.  Derived: the temp is booked
+        with the tracker (booked and given back under one lock: nothing
+        holds it) and charged the typemap walk, and ``pack`` only checks
         and binds: the message carries the deferred source, whose bytes
         the ucp layer builds where they first must exist (eager staging, a
         fault-injected wire, a remote encode, a foreign landing) or the
@@ -138,7 +131,6 @@ class TransferEngine:
         sig = dtype.signature(count) if worker.sanitizer is not None \
             else None
         held = None
-        booked = 0
         try:
             if isinstance(dtype, CustomDatatype):
                 with CustomSendOperation(dtype, buf, count) as op:
@@ -156,26 +148,23 @@ class TransferEngine:
                     # At most one region and nothing packed: the prototype
                     # prefers CONTIG (the empty buffer for no region).
                     desc = ContigData(entries[0] if entries else held)
-            elif (tm := dtype.typemap).is_contiguous:
-                desc = ContigData(buf, tm.size * count, signature=sig)
+            elif (plan := dtype._plan or bound_plan(dtype)).contiguous:
+                desc = ContigData(buf, plan.size * count, signature=sig)
             else:
-                nbytes = tm.size * count
-                memory.reserve(nbytes, worker.clock, self.model)
-                booked = nbytes
+                nbytes = plan.size * count
+                # Injected or not, the modelled temp leaves the sender's
+                # books at once (bytes the ucp layer builds are the
+                # message's).
+                memory.book(nbytes, worker.clock, self.model)
                 desc = DeferredData(pack(dtype, buf, count, deferred=True),
                                     signature=sig)
                 worker.clock.advance(self.model.typemap_pack_time(
-                    count * len(tm.merged_blocks()), nbytes))
+                    count * plan.nblocks, nbytes))
             return ep.tag_send(tag64, desc, force_rndv=sync)
         except BaseException:
             if held is not None:
                 memory.pool.release(held)  # never injected: still ours
             raise
-        finally:
-            if booked:
-                # Injected or not, the modelled temp leaves the sender's
-                # books here (bytes the ucp layer builds are the message's).
-                memory.release(booked)
 
     def _sanitize(self, posted, req: Request, buf, count: int,
                   dtype: Datatype, peer, tag64: int) -> None:
@@ -231,10 +220,12 @@ class TransferEngine:
         in ``buf``; ``finish`` and ``unbook`` are None for both.  A derived
         receive's temp is booked (first-touch cost, tracker accounting,
         ``byte_ceiling``) but never built: the descriptor unpacks the wire
-        chunks straight into ``buf``.  ``finish(info)`` runs after the
-        message completed (a rendezvous sender waits for none of it): it
-        charges the typemap walk and raises the receiver's own errors;
-        ``unbook()`` gives the booking back.
+        chunks straight into ``buf``, and its ``plan`` is the datatype's
+        bound plan (a deferred source of that plan lands as it is).
+        ``finish(info)`` runs after the message completed (a rendezvous
+        sender waits for none of it): it charges the typemap walk and
+        raises the receiver's own errors; ``unbook()`` gives the booking
+        back.
         """
         sig = dtype.signature(count) if self.worker.sanitizer is not None \
             else None
@@ -242,10 +233,10 @@ class TransferEngine:
             return (CallbackData(
                 lambda msg: self.deliver_custom(msg, buf, count, dtype)),
                 None, None)
-        tm = dtype.typemap
-        size = tm.size
+        plan = dtype._plan or bound_plan(dtype)
+        size = plan.size
         nbytes = size * count
-        if tm.is_contiguous:
+        if plan.contiguous:
             return (ContigData(buf, nbytes, writable=True, signature=sig),
                     None, None)
         clock = self.worker.clock
@@ -276,13 +267,12 @@ class TransferEngine:
         def finish(info) -> Status:
             if error is not None:
                 raise error
-            nblocks = (info.nbytes // size if size else 0) \
-                * len(tm.merged_blocks())
+            nblocks = (info.nbytes // size if size else 0) * plan.nblocks
             clock.advance(self.model.typemap_pack_time(nblocks, info.nbytes))
             return Status.from_recv_info(info)
 
-        desc = _DerivedLanding(land, nbytes, DATATYPE_CONTIG, sig)
-        desc.dtype = dtype
+        desc = CallbackData(land, nbytes, DATATYPE_CONTIG, sig)
+        desc.plan = plan  # a deferred source of this plan lands as it is
         return desc, finish, partial(memory.release, nbytes)
 
     def deliver_custom(self, msg: WireMessage, buf, count: int,

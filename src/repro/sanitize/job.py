@@ -146,8 +146,12 @@ class WaitEdge:
 class JobSanitizer:
     """Dynamic verification state for one SPMD job."""
 
-    def __init__(self, nprocs: int):
+    def __init__(self, nprocs: int, in_transit=None):
         self.nprocs = nprocs
+        #: ``in_transit(src, dst) -> bool``: whether the transport holds a
+        #: frame from ``src`` to ``dst`` read in part or not yet delivered
+        #: (``Transport.in_transit``); None: nothing is ever in transit.
+        self.in_transit = in_transit
         self._lock = threading.Lock()
         self._diags: list[Diagnostic] = []
         self._dedup: set = set()
@@ -163,6 +167,8 @@ class JobSanitizer:
         self.abort = threading.Event()
         self._abort_reason = ""
         self._deadlock_reported = False
+        #: Wall-clock time a deadlock check last found a frame in transit.
+        self._transit_seen = 0.0
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -376,20 +382,36 @@ class JobSanitizer:
                      if not any(m.header.msg_id in self._claimed
                                 for m in e.messages)}
             finished = dict(self._finished)
+            transit_seen = self._transit_seen
         ranks, cycle = wait_for_verdict(
             {r: e.targets for r, e in edges.items() if not e.satisfied()},
             finished)
         if not ranks:
             return
         stuck = {r: edges[r] for r in ranks}
+        # A frame the transport still holds between a stuck rank and a
+        # rank it waits on (part-read, or read and not yet delivered) may
+        # end the wait.  Asked before ``satisfied`` below: a frame delivered
+        # meanwhile has set its wait's event by the time it stops being in
+        # transit.
+        in_transit = self.in_transit
+        if in_transit is not None and any(
+                in_transit(t, r) or in_transit(r, t)
+                for r, e in stuck.items() for t in e.targets):
+            with self._lock:
+                self._transit_seen = time.monotonic()
+            return
         # Events may have fired while we analyzed; a satisfied edge means
         # the picture above was transient, not a deadlock.
         if any(e.satisfied() for e in stuck.values()):
             return
-        # Nor one that has not held for a while: a frame in flight (sockets)
-        # makes its parked or ended sender, and its receiver, look stuck.
+        # Nor one that has not held for a while: a frame in flight makes
+        # its parked or ended sender, and its receiver, look stuck — and a
+        # frame the reader is between two of its steps with shows in no
+        # single look, so the picture must also have held that long since
+        # a frame was last seen in transit.
         settled = max([e.since for e in stuck.values()]
-                      + list(finished.values()))
+                      + list(finished.values()) + [transit_seen])
         if time.monotonic() - settled < VERDICT_GRACE:
             return
         with self._lock:

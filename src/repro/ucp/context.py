@@ -228,8 +228,9 @@ class RecvRequest:
         fi = self._worker.fabric.injector
         if fi is not None:
             fi.on_progress(self._worker)
-        self._worker.park(self._posted.matched, *self.waiting_on(),
-                          timeout=timeout)
+        matched = self._posted.matched
+        if not matched.is_set():  # matched already: nothing to wait for
+            self._worker.park(matched, *self.waiting_on(), timeout=timeout)
         self.info = self._worker.deliver(self._posted.msg, self._data)
         return self.info
 
@@ -272,6 +273,9 @@ class Worker:
         #: Per-rank message-id counter; see :meth:`next_msg_id`.  Touched
         #: only by this rank's own thread (the tag_send contract).
         self._msg_seq = 0
+        #: Destination index -> the transport's deposit callable for it
+        #: (``Transport.deposit_for``), resolved on the first send there.
+        self.deposits: dict = {}
         #: This rank's progress engine, ``progress(timeout=0.0) -> bool``:
         #: deliver the next frame sent to this rank — reading its channels,
         #: and waiting up to ``timeout`` seconds (None: until one comes),

@@ -44,8 +44,8 @@ things, and ``Worker.deliver`` uses nothing else:
 Deferred sources.  Every send of a derived datatype is a
 :class:`DeferredData`: its one entry is a deferred source (the engine's
 ``repro.core.packplan.PackedSource``) that stands for the packed bytes
-without building them — ``len()`` is their count, ``plan`` the layout
-they come from, ``materialize(pool)`` builds them, once, into a chunk of
+without building them — ``len()`` and ``nbytes`` are their count,
+``plan`` the layout they come from, ``materialize(pool)`` builds them, once, into a chunk of
 the sender's pool that then goes back like every chunk.  The ucp layer
 builds them at the first place they must exist:
 
@@ -130,7 +130,7 @@ class DeferredData:
 
     def __init__(self, source, signature=None):
         self.source = source
-        self.total_bytes = len(source)
+        self.total_bytes = source.nbytes
         self.signature = signature
 
     def entries(self) -> list:
@@ -198,8 +198,8 @@ class CallbackData:
     them.  Both run on the receiving thread.
     """
 
-    #: None here; the engine's derived receive overrides it with a
-    #: property that looks the plan up only when asked.
+    #: None here; the engine's derived receive sets the datatype's bound
+    #: plan.
     plan = None
 
     def __init__(self, land: Callable[[Any], None],

@@ -42,6 +42,12 @@ class BufferPool:
     releasing twice (the engine and the delivery path both letting go of a
     bounce buffer) is a silent no-op, guarded by the outstanding set.
 
+    Depth: a new backing array is made only when its class's free list
+    is empty, so with no cap (``max_per_class=None``, the default) a class
+    never holds more buffers than it once had in flight at the same time
+    — a window of 64 in-flight messages recycles 64 buffers, and nothing
+    is kept beyond that peak.  A cap drops what comes back past it.
+
     Thread contract: ``acquire`` is called by the owning rank's thread —
     and, in-process, by a receiver building its sender's deferred source
     into the sender's pool; ``release`` may be called from any rank's
@@ -52,7 +58,7 @@ class BufferPool:
     #: Smallest class; sub-64-byte requests share one class.
     MIN_CLASS = 64
 
-    def __init__(self, max_per_class: int = 8,
+    def __init__(self, max_per_class: int | None = None,
                  max_pooled_class: int = 1 << 24):
         self._lock = threading.Lock()
         self._free: dict[int, list[np.ndarray]] = {}
@@ -60,6 +66,7 @@ class BufferPool:
         #: reference keeps the id stable until release; anything never
         #: released lives exactly as long as it would have unpooled.
         self._out: dict[int, np.ndarray] = {}
+        #: Most buffers kept per class; None: every one that comes back.
         self.max_per_class = max_per_class
         #: Classes above this are never cached (release drops them).
         self.max_pooled_class = max_pooled_class
@@ -99,7 +106,9 @@ class BufferPool:
             raise ValueError(f"negative acquire: {nbytes}")
         if nbytes == 0:
             return np.empty(0, dtype=np.uint8)
-        size = self.class_size(nbytes)
+        # ``class_size``, inline: this runs once per staged message.
+        size = 1 << (nbytes - 1).bit_length() if nbytes > self.MIN_CLASS \
+            else self.MIN_CLASS
         with self._lock:
             free = self._free.get(size)
             if free:
@@ -114,7 +123,7 @@ class BufferPool:
     def release(self, buf) -> bool:
         """Return ``buf``'s backing array to the pool: the one place a
         returned buffer is kept on its class's free list or dropped (too
-        big to pool, or the list is full).
+        big to pool, or the list is at its cap).
 
         Returns False (and does nothing) for buffers the pool does not
         currently own — foreign arrays and double releases.
@@ -130,7 +139,8 @@ class BufferPool:
             size = owned.shape[0]
             if size <= self.max_pooled_class:
                 free = self._free.setdefault(size, [])
-                if len(free) < self.max_per_class:
+                cap = self.max_per_class
+                if cap is None or len(free) < cap:
                     free.append(owned)
                     return True
             self.dropped += 1
@@ -231,6 +241,24 @@ class MemoryTracker:
                 raise MemoryQuotaError(ceiling, self.live_bytes, nbytes)
             self.live_bytes += nbytes
             self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+            self.total_allocated += nbytes
+            self.allocation_count += 1
+        if clock is not None and model is not None:
+            clock.advance(model.alloc_time(nbytes))
+
+    def book(self, nbytes: int, clock: VirtualClock | None = None,
+             model: CostModel | None = None) -> None:
+        """:meth:`reserve` and ``release(nbytes)`` at once, under one lock:
+        a transient nothing holds past the call (the derived send's
+        modelled temp).  The books end as the pair leaves them — count,
+        total, peak and the ``byte_ceiling`` check included."""
+        if nbytes < 0:
+            raise ValueError(f"negative allocation: {nbytes}")
+        with self._lock:
+            ceiling = self.byte_ceiling
+            if ceiling is not None and self.live_bytes + nbytes > ceiling:
+                raise MemoryQuotaError(ceiling, self.live_bytes, nbytes)
+            self.peak_bytes = max(self.peak_bytes, self.live_bytes + nbytes)
             self.total_allocated += nbytes
             self.allocation_count += 1
         if clock is not None and model is not None:

@@ -113,8 +113,13 @@ class Transport:
 
     def submit(self, worker: "Worker", dst_index: int, msg: "WireMessage",
                model) -> None:
-        """Move one injected message toward its destination matcher."""
-        deposit = self.deposit_for(worker, dst_index)
+        """Move one injected message toward its destination matcher (the
+        deposit callable is resolved once per destination and kept in
+        ``worker.deposits``)."""
+        deposit = worker.deposits.get(dst_index)
+        if deposit is None:
+            deposit = worker.deposits[dst_index] = \
+                self.deposit_for(worker, dst_index)
         fi = worker.fabric.injector
         if fi is None:
             deposit(msg)
@@ -163,6 +168,13 @@ class Transport:
     def sweep_pending(self, worker: "Worker") -> None:
         """Teardown: give up on ``worker``'s unacknowledged sends (remote
         backends release their staging here)."""
+
+    def in_transit(self, src: int, dst: int) -> bool:
+        """Whether a frame from rank ``src`` to rank ``dst`` is read in
+        part, or whole but not yet delivered (any thread may ask; the
+        sanitizer's deadlock verdict waits for it).  In-process a message
+        is never between ranks."""
+        return False
 
 
 @dataclass
@@ -358,7 +370,7 @@ class ThreadedTransport(Transport):
         san = None
         if sanitize:
             from ...sanitize import JobSanitizer
-            san = JobSanitizer(nprocs)
+            san = JobSanitizer(nprocs, in_transit=self.in_transit)
             for w in fabric.workers:
                 w.sanitizer = san
 

@@ -315,16 +315,33 @@ class FramePlane:
                         break
             if writable is not None or not frames:
                 return False
-        fd, chan, frame = frames.popleft()
+        fd, chan, frame = frames[0]
         if frame[0] == BYE:
+            frames.popleft()
             with self._lock:  # read by ``close`` on the driver
                 del self._live[fd]
         else:
+            # Left queued until delivered: ``in_transit`` sees it meanwhile.
             try:
                 self._transport.deliver_frame(chan.worker, chan.src, frame)
             except Exception as exc:
                 self._fail(chan.worker.index, exc)
+            finally:
+                frames.popleft()
         return True
+
+    def in_transit(self, src: int, dst: int) -> bool:
+        """Whether the channel ``src -> dst`` (``dst`` hosted here) holds
+        a frame read in part, or one read whole and still queued (a frame
+        leaves the queue once its delivery returned).  Bytes the loop has
+        not read yet are not seen: only the loop polls a channel.  Any
+        thread may ask: the channel table is copied under the lock, and a
+        ``list`` copy of the frame queue is one step under the GIL."""
+        with self._lock:
+            chans = [c for c in self._live.values()
+                     if c.src == src and c.worker.index == dst]
+        return any(c.partial for c in chans) or any(
+            c in chans for _, c, _ in list(self._frames))
 
     def _read_loop(self) -> None:
         while self._live and not self._halt.is_set():
@@ -508,3 +525,7 @@ class RemoteTransportMixin:
     def sweep_pending(self, worker) -> None:
         for msg in self.pending_for(worker.index).drain():
             self.release_chunks(worker, msg)
+
+    def in_transit(self, src: int, dst: int) -> bool:
+        plane = getattr(self, "plane", None)
+        return plane is not None and plane.in_transit(src, dst)

@@ -457,27 +457,72 @@ class TestPlanCache:
         clear_plan_cache()
 
     def test_hit_on_repeated_pack(self):
+        """A datatype looks its plan up once, on first use, and keeps it
+        bound: repeating the pack makes no lookup, and an equal layout
+        built afresh hits the plan compiled for the first."""
         t = struct_simple_datatype()
         src = make_struct_simple(8)
         pack(t, src, 8)
         info = plan_cache_info()
-        assert info["misses"] >= 1
-        hits_before = info["hits"]
+        assert (info["misses"], info["hits"]) == (1, 0)
+        assert t._plan is pack_plan(t)
+        before = plan_cache_info()
         pack(t, src, 8)
-        assert plan_cache_info()["hits"] > hits_before
+        unpack(t, make_struct_simple(8), 8, pack(t, src, 8))
+        assert plan_cache_info() == before
+        pack(struct_simple_datatype(), src, 8)
+        assert plan_cache_info()["hits"] == before["hits"] + 1
 
     def test_hits_split_by_plan_kind(self):
-        noncontig = struct_simple_datatype()
-        contig = contiguous(4, INT32)
         src = make_struct_simple(8)
         flat = np.arange(4, dtype=np.int32).view(np.uint8)
-        for _ in range(2):  # second round hits the cache
-            pack(noncontig, src, 8)
-            pack(contig, flat, 1)
+        for _ in range(2):  # the second round's fresh datatypes hit
+            pack(struct_simple_datatype(), src, 8)
+            pack(contiguous(4, INT32), flat, 1)
         info = plan_cache_info()
         assert info["contig_hits"] >= 1
         assert info["compiled_hits"] >= 1
         assert info["hits"] == info["contig_hits"] + info["compiled_hits"]
+
+    def test_clear_recompiles_a_bound_plan(self):
+        """``clear_plan_cache`` unbinds: a datatype whose plan is bound
+        compiles afresh on its next use, and binds the new plan."""
+        t = struct_simple_datatype()
+        src = make_struct_simple(4)
+        want = bytes(pack(t, src, 4))
+        old = t._plan
+        assert old is not None
+        clear_plan_cache()
+        assert t._plan is None
+        assert bytes(pack(t, src, 4)) == want
+        info = plan_cache_info()
+        assert (info["size"], info["misses"], info["hits"]) == (1, 1, 0)
+        assert t._plan is not old and t._plan is pack_plan(t)
+
+    def test_a_copy_or_pickle_binds_its_own_plan(self):
+        """A bound plan is a cache entry of this process, not part of the
+        datatype: copies and unpickled types start unbound."""
+        import copy
+        import pickle
+        t = struct_simple_datatype()
+        pack(t, make_struct_simple(2), 2)
+        for twin in (copy.copy(t), pickle.loads(pickle.dumps(t))):
+            assert twin._plan is None
+            pack(twin, make_struct_simple(2), 2)
+            assert twin._plan is t._plan
+
+    def test_eviction_unbinds(self):
+        """A plan the LRU drops is unbound from its datatypes too: they
+        look the layout up again instead of holding a second plan per
+        layout."""
+        from repro.core import typecache
+        t = self.make_gapped()
+        pack(t, np.zeros(64, dtype=np.uint8), 1)
+        assert t._plan is not None
+        for extent in range(32, 32 + typecache.PLAN_CACHE_MAXSIZE):
+            pack_plan(resized(create_struct([1], [0], [INT32]), 0, extent), 1)
+        assert plan_cache_info()["evictions"] >= 1
+        assert t._plan is None
 
     @staticmethod
     def make_gapped(scalar=INT32, extent=24):

@@ -5,10 +5,10 @@ ranks share one core and the round trip is the Python the two sides run
 (``docs/performance.md``, "One eager message: the per-message budget").
 These tests count that work with ``sys.setprofile`` on a pristine job —
 one send and its receive, in both arrival orders — and hold it to the
-budget: at most :data:`MAX_CALLS` Python-level calls and no
-``threading.Event``/``Condition`` built per message.  They also pin the
-contract of :class:`repro.ucp.wire.Latch`, the one-shot event that
-replaced those.
+budget: at most :data:`MAX_CALLS` Python-level calls, exactly
+:data:`LOCKS` lock acquisitions and no ``threading.Event``/``Condition``
+built per message.  They also pin the contract of
+:class:`repro.ucp.wire.Latch`, the one-shot event that replaced those.
 """
 
 import gc
@@ -28,16 +28,27 @@ from repro.ucp.transitions import select_protocol
 from repro.ucp.wire import Latch
 
 #: Python-level calls one send plus its receive may take.
-MAX_CALLS = 116
+MAX_CALLS = 78
+#: Lock acquisitions of one send plus its receive, by kind and by whether
+#: the receive is posted first: the sender's pool (acquire, release), the
+#: matcher (once per side), every latch built unset (the message's
+#: completion latch, and the posted receive's when it is posted first)
+#: and, for a derived message only, the tracker (booked once by the
+#: sender, reserved and released by the receiver).  A bound plan takes
+#: no cache lock.
+LOCKS = {"derived": {False: 8, True: 9}, "contig": {False: 5, True: 6}}
 _SYNC_INITS = {threading.Event.__init__.__code__,
                threading.Condition.__init__.__code__}
 _DECIDE = select_protocol.__code__
+_LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
 
 
 def _message_cost(dtype, count, sbuf, rbuf, posted_first):
-    """(python calls, Event/Condition constructions, protocol decisions)
-    of one self-send and its receive, measured after warm-up on a 1-rank
-    pristine job; a protocol decision is a ``select_protocol`` call."""
+    """(python calls, Event/Condition constructions, protocol decisions,
+    lock acquisitions) of one self-send and its receive, measured after
+    warm-up on a 1-rank pristine job; a protocol decision is a
+    ``select_protocol`` call, a lock acquisition a ``lock.acquire`` call or
+    the exit of a ``with lock`` block."""
     out = {}
 
     def one(comm):
@@ -52,14 +63,19 @@ def _message_cost(dtype, count, sbuf, rbuf, posted_first):
     def main(comm):
         for _ in range(3):
             one(comm)
-        calls = sync_inits = decisions = 0
+        calls = sync_inits = decisions = locks = 0
 
         def profile(frame, event, arg):
-            nonlocal calls, sync_inits, decisions
+            nonlocal calls, sync_inits, decisions, locks
             if event == "call" and frame.f_code is not one.__code__:
                 calls += 1
                 sync_inits += frame.f_code in _SYNC_INITS
                 decisions += frame.f_code is _DECIDE
+            elif event == "c_call" \
+                    and isinstance(getattr(arg, "__self__", None),
+                                   _LOCK_TYPES) \
+                    and arg.__name__ in ("acquire", "__exit__"):
+                locks += 1
 
         # Garbage left by earlier jobs (a socket plane's pipe connections)
         # must not be finalized inside the window: its ``__del__`` calls
@@ -72,7 +88,7 @@ def _message_cost(dtype, count, sbuf, rbuf, posted_first):
         finally:
             sys.setprofile(None)
             gc.enable()
-        out["cost"] = calls, sync_inits, decisions
+        out["cost"] = calls, sync_inits, decisions, locks
 
     run(main, nprocs=1, transport="inproc")
     return out["cost"]
@@ -97,13 +113,16 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_eager_message_stays_in_budget(case, posted_first):
     dtype, count, sbuf, rbuf = CASES[case]()
-    calls, sync_inits, decisions = _message_cost(dtype, count, sbuf, rbuf,
-                                                 posted_first)
+    calls, sync_inits, decisions, locks = _message_cost(
+        dtype, count, sbuf, rbuf, posted_first)
     assert sync_inits == 0, "an Event/Condition is built per message"
     assert calls <= MAX_CALLS, f"{calls} Python calls per message"
     # The protocol table is asked once, by ``plan_send``: the engine binds
     # every derived send the same way and leaves the choice to ucp.
     assert decisions == 1, f"{decisions} protocol decisions per message"
+    kind = "contig" if dtype is FLOAT64 else "derived"
+    assert locks == LOCKS[kind][posted_first], \
+        f"{locks} lock acquisitions per message"
     np.testing.assert_array_equal(rbuf, sbuf)
 
 

@@ -71,6 +71,42 @@ class TestPoolHitRate:
             pool = result.memory[rank]["pool"]
             assert pool["hits"] > 0, (rank, pool)
 
+    def test_a_64_message_window_recycles_every_staging_buffer(self):
+        """64 eager struct2k messages in flight at once, window after
+        window: after the first window every staging chunk comes from the
+        sender's pool (0 misses), and the pool keeps no more buffers than
+        one window held.  Capped at 8 buffers per class, each window
+        missed and dropped 56."""
+        window, windows = 64, 6
+
+        def main(comm):
+            dtype = struct_simple_datatype()
+            sbuf = make_struct_simple(EAGER_COUNT)
+            rbuf = make_struct_simple(EAGER_COUNT)
+            token = np.zeros(1)
+            misses = []
+            for _ in range(windows):
+                if comm.rank == 0:
+                    for _ in range(window):
+                        comm.isend(sbuf, 1, 1, datatype=dtype,
+                                   count=EAGER_COUNT).wait()
+                    comm.send(token, 1, 2)   # the whole window is in flight
+                    comm.recv(token, 1, 3)   # ... and received
+                    misses.append(comm.memory.snapshot()["pool"]["misses"])
+                else:
+                    comm.recv(token, 0, 2)
+                    for _ in range(window):
+                        comm.recv(rbuf, 0, 1, datatype=dtype,
+                                  count=EAGER_COUNT)
+                    comm.send(token, 0, 3)
+            return misses, comm.memory.snapshot()["pool"]
+
+        misses, pool = run(main, nprocs=2).results[0]
+        assert misses[0] >= window
+        assert misses[1:] == [misses[0]] * (windows - 1), misses
+        assert pool["dropped"] == 0 and pool["outstanding"] == 0
+        assert pool["pooled_buffers"] <= misses[0]
+
     def test_recycling_does_not_corrupt_data(self):
         """Round-tripped payload is intact even though every bounce buffer
         and staging chunk is a dirty pooled buffer by the later iterations."""

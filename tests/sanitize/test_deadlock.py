@@ -16,7 +16,7 @@ import pytest
 from repro.errors import RuntimeAbort
 from repro.mpi import Request, run
 from repro.types import make_struct_simple, struct_simple_datatype
-from repro.ucp.transport.remote import ACK, RemoteTransportMixin
+from repro.ucp.transport.remote import ACK, MSG, RemoteTransportMixin
 from tests.transport.conftest import require_backend
 
 FIXTURE = os.path.abspath(os.path.join(
@@ -158,6 +158,26 @@ class TestClaimedSendIsNotStuck:
         res = run(fn, nprocs=2, transport="asyncio", sanitize=True,
                   timeout=60)
         assert res.sanitizer_report.clean, res.sanitizer_report.format_text()
+
+    def test_a_frame_still_being_delivered_is_no_verdict(self, late_acks,
+                                                         monkeypatch):
+        """Every message frame also takes 0.1 s to deliver once read: rank
+        0 parked on its send and rank 1 on its receive form the cycle
+        0 -> 1 -> 0 while the frame that ends both waits is in the
+        plane's hands (``Transport.in_transit``) — no verdict."""
+        deliver = RemoteTransportMixin.deliver_frame
+
+        def slow(self, recv_worker, src_rank, frame):
+            if frame[0] == MSG:
+                time.sleep(ACK_DELAY)
+            return deliver(self, recv_worker, src_rank, frame)
+
+        monkeypatch.setattr(RemoteTransportMixin, "deliver_frame", slow)
+        res = run(_exchange(make_struct_simple, 60_000,
+                            struct_simple_datatype()),
+                  nprocs=2, transport="asyncio", sanitize=True, timeout=60)
+        assert res.sanitizer_report.clean, res.sanitizer_report.format_text()
+        assert np.array_equal(res.results[0], make_struct_simple(60_000))
 
     def test_unreceived_send_is_still_a_deadlock(self, late_acks):
         """A send no receive claims before its peer finished is RPD440."""

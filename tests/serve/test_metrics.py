@@ -92,7 +92,10 @@ class TestServiceReport:
         cache = report["plan_cache"]
         assert cache["size"] == 1
         assert cache["misses"] <= 4
-        assert cache["hits"] / (cache["hits"] + cache["misses"]) >= 0.99
+        # Each job's two datatypes (one per rank) look the plan up once
+        # and keep it bound: two lookups per job, all hits but the first
+        # compiles.
+        assert cache["hits"] + cache["misses"] == 2 * 100
 
     def test_queue_latency_observed(self):
         with JobService(slots=1, max_queue=8) as svc:

@@ -138,6 +138,45 @@ class TestTagMatcher:
 
 
 class TestTypeCaches:
+    def test_bound_plans_under_racing_clears(self):
+        """Threads pack and unpack through one shared datatype (binding its
+        plan) while one of them clears the cache over and over: every
+        result is right, and whenever the cache lock is held no datatype
+        holds a plan other than the cached one — a bind that lost a race
+        to a clear would."""
+        import sys
+
+        from repro.core import pack, unpack
+        dtype = vector(16, 1, 2, FLOAT64)
+        twins = [vector(16, 1, 2, FLOAT64) for _ in range(NTHREADS)]
+        key = dtype.typemap.layout_key()
+        src = np.arange(31 * 4, dtype=np.float64)
+        want = bytes(pack(dtype, src, 4))
+
+        def worker(i):
+            out = np.zeros_like(src)
+            for _ in range(ITERS):
+                if i == 0:
+                    typecache.clear_plan_cache()
+                for t in (dtype, twins[i]):
+                    packed = pack(t, src, 4)
+                    assert bytes(packed) == want
+                    unpack(t, out, 4, packed)
+                    with typecache._plan_lock:
+                        assert t._plan in (None, typecache._plans.get(key))
+            assert bytes(pack(dtype, out, 4)) == want
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(old)
+        cached = typecache._plans.get(key)
+        for t in [dtype, *twins]:
+            assert t._plan is None or t._plan is cached
+        typecache.clear_plan_cache()
+
     def test_plan_cache_stats_consistent(self):
         dtype = vector(16, 1, 2, FLOAT64)   # non-contiguous: compiled plan
         typecache.clear_plan_cache()
