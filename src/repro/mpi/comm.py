@@ -27,8 +27,8 @@ from .requests import ANY_SOURCE, ANY_TAG, Request, Status
 
 #: Error-handler policies (the MPI_Errhandler analogues).  FATAL — the MPI
 #: default — turns any MPI error on this communicator into a job-wide
-#: abort: on a fault-injected fabric the failure detector poisons every
-#: other rank's blocking waits, so the whole job terminates promptly.
+#: abort: the fabric's failure detector poisons every other rank's
+#: blocking waits, so the whole job terminates promptly.
 #: RETURN hands the error to the caller as a raised :class:`MPIError` and
 #: lets the rank keep using the communicator (ULFM-style continuation).
 ERRORS_ARE_FATAL = "MPI_ERRORS_ARE_FATAL"
@@ -84,16 +84,13 @@ class Communicator:
         """Apply this communicator's error handler to a raised MPI error.
 
         Called by :class:`~repro.mpi.requests.Request` just before the
-        error propagates.  Under ``MPI_ERRORS_ARE_FATAL`` on a
-        fault-injected fabric this aborts the whole job through the
-        failure detector; the exception is then re-raised in this rank
-        either way (Python has no way to "not return" from the call).
+        error propagates.  Under ``MPI_ERRORS_ARE_FATAL`` this aborts the
+        whole job through the fabric's failure detector; the exception is
+        then re-raised in this rank either way (Python has no way to "not
+        return" from the call).
         """
-        if self._errhandler != ERRORS_ARE_FATAL:
-            return
-        fi = self.worker.fabric.injector
-        if fi is not None:
-            fi.detector.abort_job(
+        if self._errhandler == ERRORS_ARE_FATAL:
+            self.worker.fabric.detector.abort_job(
                 f"rank {self.rank} (comm {self.comm_id}): {exc}")
 
     # -- introspection ------------------------------------------------------

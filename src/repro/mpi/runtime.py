@@ -132,8 +132,9 @@ def run(fn: Callable[[Communicator], Any] | Sequence[Callable[[Communicator], An
         Callable invoked on the driver thread with the live
         :class:`~repro.ucp.context.Fabric` after the data plane is wired
         and before any rank starts — the running-kill seam: the job
-        service captures the failure detector with it, so a kill can reach
-        a job that is already running.  Same backend support as
+        service captures ``fabric.detector`` with it (every fabric has
+        one, pristine included), so a kill can reach a job that is
+        already running.  Same backend support as
         ``memory_trackers``; the hook never runs in a forked rank process.
     """
     if callable(fn):

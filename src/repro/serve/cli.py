@@ -92,8 +92,9 @@ def run_service_load(args) -> dict:
 
     killer_thread = None
     if args.kill_every > 0:
-        # Killable jobs need a detector; chaos mode provides one on the
-        # chaotic fraction. Kills on pristine jobs just return False.
+        # Every running job is killable on a backend whose ranks share
+        # the driver's address space; on shm a kill of a running job
+        # returns False and the job runs on.
         killer_thread = threading.Thread(target=killer, name="chaos-killer",
                                          daemon=True)
         killer_thread.start()

@@ -50,7 +50,6 @@ from typing import Optional
 from ..core.typecache import plan_cache_info
 from ..errors import PoolLeakError, RuntimeAbort
 from ..mpi.runtime import JobResult, run
-from ..ucp.faults import FaultPlan
 from ..ucp.memory import MemoryTracker
 from ..ucp.netsim import BudgetedClock
 from ..ucp.transport import TransportUnavailableError, create_transport
@@ -224,11 +223,11 @@ class JobHandle:
         it takes down the current attempt; whether the job retries is the
         retry policy's call (a kill is classified retryable, like any
         proc failure).  A queued job's kill is armed and fires at its
-        next attempt's rank entry, on every backend.  Returns False when
-        the job is terminal, or running with no detector the driver can
-        reach: a pristine fabric has none (give the job
-        ``reliability=True`` to make it killable), nor does a backend
-        without a shared address space (``shm``).
+        next attempt's rank entry, on every backend.  A running job is
+        killed through the detector its fabric hook captured; returns
+        False when the job is terminal, or running on a backend without a
+        shared address space (``shm``: the driver holds no end of the
+        ranks' frame plane).
         """
         with self._lock:
             if self._status in JobStatus.TERMINAL:
@@ -252,10 +251,8 @@ class JobHandle:
     def _attach_detector(self, fabric) -> None:
         """The ``fabric_hook``: capture the running-kill handle (driver
         thread, before any rank starts)."""
-        injector = fabric.injector
         with self._lock:
-            self._detector = injector.detector if injector is not None \
-                else None
+            self._detector = fabric.detector
 
     def _detach_detector(self) -> None:
         with self._lock:
@@ -296,8 +293,7 @@ def _rank_entry(fn, quota: QuotaPolicy, kill_reason: Optional[str]):
         if quota.max_pool_bytes is not None:
             worker.memory.byte_ceiling = quota.max_pool_bytes
         if kill_reason is not None:
-            worker.fabric.injector.detector.abort_job(
-                f"job killed: {kill_reason}")
+            worker.fabric.detector.abort_job(f"job killed: {kill_reason}")
         return fn(comm)
     return entry
 
@@ -482,16 +478,6 @@ class JobService:
             except TransportUnavailableError as exc:
                 return exc
         kill_reason = handle._take_kill_reason()
-        faults = spec.faults_for_attempt(attempt)
-        reliability = spec.reliability
-        if faults is None and reliability is None \
-                and (spec.quota.time_budget is not None
-                     or kill_reason is not None):
-            # A budget trip (or a kill) must release the *other* ranks'
-            # blocked waits too, which takes a failure detector — and a
-            # pristine fabric has none.  An empty fault plan buys exactly
-            # the detector: no scheduled faults, no reliability protocol.
-            faults = FaultPlan()
         fns = [spec.fn] * spec.nprocs if callable(spec.fn) else spec.fn
         fns = [_rank_entry(f, spec.quota, kill_reason) for f in fns]
         trackers = self.bank.checkout(spec.nprocs) if warm else None
@@ -504,8 +490,8 @@ class JobService:
                                 timeout=spec.quota.wall_timeout,
                                 trace_messages=spec.trace_messages,
                                 sanitize=spec.sanitize,
-                                faults=faults,
-                                reliability=reliability,
+                                faults=spec.faults_for_attempt(attempt),
+                                reliability=spec.reliability,
                                 transport=transport,
                                 memory_trackers=trackers,
                                 fabric_hook=handle._attach_detector

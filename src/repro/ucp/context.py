@@ -28,8 +28,8 @@ import numpy as np
 from ..errors import (MPIError, ProcFailedPendingError, TransportError,
                       TruncationError)
 from . import constants
-from .faults import (FaultInjector, FaultPlan, ReliabilityConfig,
-                     fragment_bounds, fragment_crcs)
+from .faults import (FailureDetector, FaultInjector, FaultPlan,
+                     ReliabilityConfig, fragment_bounds, fragment_crcs)
 from .memory import MemoryTracker
 from .netsim import DEFAULT_PARAMS, CostModel, LinkParams, VirtualClock
 from .protocols import WAIT_SEMANTICS, plan_send
@@ -92,6 +92,9 @@ class Fabric:
         self.config = config
         self.model = CostModel(config.params)
         self._intra_model = CostModel(config.params.intra_node_variant())
+        #: Ranks that raised, crashed or finished, and a fatal abort — on
+        #: every fabric (a remote plane swaps in its ``PlaneDetector``).
+        self.detector = FailureDetector(nworkers)
         #: Fault/reliability interposer; None on a pristine fabric so the
         #: default send/recv paths carry zero extra work.
         self.injector: Optional[FaultInjector] = None
@@ -363,51 +366,58 @@ class Worker:
         ``targets`` are the worker indices that could satisfy the wait
         (None: a wildcard, any other rank); ``what`` names it in errors and
         deadlock evidence.  A wait no single event ends passes ``wake=None``
-        and its condition as ``ready``, and is polled.  Pristine, an event
-        wait is one ``Event.wait``; otherwise one loop asks the failure
-        detector, then the sanitizer, every ``POLL_PERIOD``, and a rank
-        holds its *own* hopeless verdict back ``index * VERDICT_GRACE`` so
-        the lowest blocked rank raises first.  ``messages`` are the
-        rendezvous sends the wait completes: once a receiver claimed one,
-        the sanitizer counts the wait as the transport's, not a rank's.
-        A rank with a ``progress`` engine naps in it instead, taking its
-        own frames one at a time; nothing else can set its ``wake``, so
-        unless a detector or sanitizer wants asking it naps until the next
-        frame.
+        and its condition as ``ready``.  One loop: nap — on ``wake`` for
+        at most ``POLL_PERIOD``, or, for a rank with a ``progress`` engine,
+        in it until the next frame (a detector change reaches it as one) —
+        and only when a nap ends without its wake ask the failure
+        detector, then the sanitizer (before the first nap too on such a
+        rank, or once the job is aborted).  A rank holds its *own* hopeless
+        verdict back ``index * VERDICT_GRACE`` so the lowest blocked rank
+        raises first, and tests ``ready`` once more before it raises: a
+        peer deposits before it finishes.  ``messages`` are the rendezvous
+        sends the wait completes: once a receiver claimed one, the
+        sanitizer counts the wait as the transport's, not a rank's.
         """
-        fi, san, progress = self.fabric.injector, self.sanitizer, \
-            self.progress
-        if fi is None and san is None and ready is None and progress is None:
-            if wake.wait(timeout):
-                return
+        fabric, san, progress = self.fabric, self.sanitizer, self.progress
+        detector = fabric.detector
+        ready = ready or wake.is_set
+        if progress is not None:
+            nap, period = progress, None
         else:
-            ready = ready or wake.is_set
-            nap = progress or (wake.wait if wake is not None
-                               else _time.sleep)
-            period = None if progress is not None and fi is None \
-                and san is None else constants.POLL_PERIOD
-            wildcard = targets is None
-            if wildcard:
-                targets = [r for r in range(len(self.fabric.workers))
-                           if r != self.index]
-            detector = fi.detector if fi is not None else None
-            start = _time.monotonic()
-            hopeless_since = None
-            if san is not None:
-                san.enter_wait(self.index, targets, ready, what,
-                               self.clock.now, messages)
-            try:
-                while not ready():
-                    now = _time.monotonic()
-                    verdict = detector.check_hopeless(targets, what) \
-                        if detector is not None else None
+            nap = wake.wait if wake is not None else _time.sleep
+            period = constants.POLL_PERIOD
+        # Without a fault plan the sanitizer judges a wait whose peers
+        # ended (RPD440 names the wait-for picture); the detector still
+        # ends it on an abort.
+        ended = san is None or fabric.injector is not None
+        wildcard = targets is None
+        if wildcard:
+            targets = [r for r in range(len(fabric.workers))
+                       if r != self.index]
+        deadline = None if timeout is None else _time.monotonic() + timeout
+        hopeless_since = None
+        # A progress rank may have taken the frames that end this wait
+        # before it parked; an abort ends every wait that has to wait.
+        ask = progress is not None or detector.aborted is not None
+        if san is not None:
+            san.enter_wait(self.index, targets, ready, what,
+                           self.clock.now, messages)
+        try:
+            while not ready():
+                tick = period
+                if ask:
+                    verdict = detector.check_hopeless(targets, what, ended)
                     if san is not None:
                         san.check_wait(analyze=verdict is None)
                     if verdict is not None:
                         aborted = detector.aborted is not None
+                        now = _time.monotonic()
                         hopeless_since = hopeless_since or now
-                        if aborted or now - hopeless_since >= (
-                                self.index * constants.VERDICT_GRACE):
+                        hold = 0.0 if aborted else hopeless_since \
+                            + self.index * constants.VERDICT_GRACE - now
+                        if hold <= 0.0:
+                            if ready():  # satisfied since the loop looked
+                                return
                             if wildcard and verdict.failed_ranks \
                                     and not aborted:
                                 # ULFM: a wildcard wait whose potential
@@ -416,21 +426,22 @@ class Worker:
                                     f"wildcard {what}: {verdict}",
                                     failed_ranks=verdict.failed_ranks)
                             raise verdict
-                    tick = period
-                    if timeout is not None:
-                        left = start + timeout - now
-                        if left <= 0.0:
-                            break
-                        tick = left if tick is None else min(tick, left)
-                    nap(tick)
-                else:
-                    return
-            finally:
-                if san is not None:
-                    san.leave_wait(self.index)
+                        tick = hold if tick is None else min(tick, hold)
+                if deadline is not None:
+                    left = deadline - _time.monotonic()
+                    if left <= 0.0:
+                        break
+                    tick = left if tick is None else min(tick, left)
+                nap(tick)
+                ask = True
+            else:
+                return
+        finally:
+            if san is not None:
+                san.leave_wait(self.index)
         raise TransportError(
             f"rank {self.index}: {what} timed out waiting on "
-            + ("any rank" if targets is None
+            + ("any rank" if wildcard
                else "rank(s) " + ",".join(str(t) for t in targets)))
 
     # -- delivery (receiver thread only) ------------------------------------

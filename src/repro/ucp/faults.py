@@ -23,7 +23,8 @@ been exercised under failure.  This module makes the fabric falsifiable:
 
 * :class:`FailureDetector` — the job-wide view of crashed/finished ranks
   that blocking waits consult so surviving ranks surface
-  ``MPI_ERR_PROC_FAILED`` instead of hanging (ULFM semantics).
+  ``MPI_ERR_PROC_FAILED`` instead of hanging (ULFM semantics); every
+  fabric has one (``Fabric.detector``), faulted or not.
 
 * :class:`FaultInjector` — the per-fabric interposer that sits between
   :meth:`repro.ucp.context.Endpoint.tag_send` and the destination tag
@@ -243,10 +244,11 @@ class ReliabilityStats:
 class FailureDetector:
     """Job-wide knowledge of dead, finished and aborted ranks.
 
-    The one blocking wait (``Worker.park``) polls :meth:`check_hopeless`
-    so that an operation whose every possible peer has crashed (or finished
-    without matching) surfaces an error in bounded time instead of hanging
-    — the "surviving ranks keep running" half of the ULFM semantics.
+    The one blocking wait (``Worker.park``) asks :meth:`check_hopeless`
+    so that an operation whose every possible peer has raised, crashed (or
+    finished without matching) surfaces an error in bounded time instead
+    of hanging — the "surviving ranks keep running" half of the ULFM
+    semantics.
     """
 
     def __init__(self, nprocs: int):
@@ -254,7 +256,9 @@ class FailureDetector:
         self._lock = threading.Lock()
         self._dead: dict[int, str] = {}
         self._finished: set[int] = set()
-        self._abort_reason: Optional[str] = None
+        #: The first fatal error's reason; written under the lock, read
+        #: without it by every blocking wait before its first nap.
+        self.aborted: Optional[str] = None
 
     # -- state changes (any thread) ---------------------------------------
 
@@ -273,8 +277,8 @@ class FailureDetector:
         wins); later calls are no-ops so the original reason survives.
         """
         with self._lock:
-            if self._abort_reason is None:
-                self._abort_reason = reason
+            if self.aborted is None:
+                self.aborted = reason
                 return True
             return False
 
@@ -284,16 +288,8 @@ class FailureDetector:
         with self._lock:
             return rank in self._dead
 
-    def dead_ranks(self) -> tuple[int, ...]:
-        with self._lock:
-            return tuple(sorted(self._dead))
-
-    @property
-    def aborted(self) -> Optional[str]:
-        with self._lock:
-            return self._abort_reason
-
-    def check_hopeless(self, targets, what: str) -> Optional[ProcFailedError]:
+    def check_hopeless(self, targets, what: str,
+                       ended: bool = True) -> Optional[ProcFailedError]:
         """The error of a blocking wait ``targets`` can no longer satisfy
         (None while they still can; ``Worker.park`` decides when to raise).
 
@@ -303,19 +299,22 @@ class FailureDetector:
           the dead peers;
         * every target finished cleanly (no crash) — the wait is an
           application bug (a peer returned without matching); flagged too,
-          so faulted jobs always terminate.
+          so every job terminates.
+
+        Without ``ended`` only the abort counts (the sanitizer judges
+        waits on ended peers).
         """
         with self._lock:
-            reason = self._abort_reason
-            dead = set(self._dead) & set(targets)
-            hopeless = all(t in self._dead or t in self._finished
-                           for t in targets)
+            reason = self.aborted
+            if reason is None and not (ended and all(
+                    t in self._dead or t in self._finished
+                    for t in targets)):
+                return None
+            dead = set(self._dead).intersection(targets)
         if reason is not None:
             return ProcFailedError(
                 f"job aborted (MPI_ERRORS_ARE_FATAL): {reason}",
                 failed_ranks=dead)
-        if not hopeless:
-            return None
         if dead:
             return ProcFailedError(
                 f"{what} depends on failed rank(s) "
@@ -381,7 +380,6 @@ class FaultInjector:
                  reliability: Optional[ReliabilityConfig]):
         self.plan = plan or FaultPlan()
         self.reliability = reliability or ReliabilityConfig(enabled=False)
-        self.detector = FailureDetector(nworkers)
         self.stats = [ReliabilityStats() for _ in range(nworkers)]
         self._channels: dict[tuple[int, int], _Channel] = {}
         self._channels_lock = threading.Lock()
@@ -409,7 +407,8 @@ class FaultInjector:
     # -- rank schedule (crash / stall) -------------------------------------
 
     def on_progress(self, worker) -> None:
-        """Crash/stall checkpoint; called at every fabric interaction."""
+        """Crash/stall checkpoint; called at every fabric interaction.  A
+        crash is marked in the fabric's failure detector."""
         rank = worker.index
         st = self.plan.stall.get(rank)
         if st is not None:
@@ -420,9 +419,10 @@ class FaultInjector:
             if due:
                 worker.clock.advance(st[1])
         ct = self.plan.crash.get(rank)
+        detector = worker.fabric.detector
         if ct is not None and worker.clock.now >= ct \
-                and not self.detector.is_dead(rank):
-            self.detector.mark_dead(rank, "crashed by fault plan")
+                and not detector.is_dead(rank):
+            detector.mark_dead(rank, "crashed by fault plan")
             raise RankCrashError(rank, worker.clock.now)
 
     # -- the interposition point -------------------------------------------

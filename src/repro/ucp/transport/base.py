@@ -249,13 +249,12 @@ def rank_main(fabric: "Fabric", rank: int, fn: Callable,
             injector.drop_rank(rank)
     except BaseException as exc:  # report, don't kill the interpreter
         report.failure = exc
-        if injector is not None:
-            # Peers blocked on this rank must not hang on its corpse.
-            injector.detector.mark_dead(rank, f"{type(exc).__name__}: {exc}")
+        # Peers blocked on this rank must not hang on its corpse.
+        fabric.detector.mark_dead(rank, f"{type(exc).__name__}: {exc}")
     else:
         if injector is not None:
             injector.flush_rank(rank)
-            injector.detector.mark_finished(rank)
+        fabric.detector.mark_finished(rank)
     if san is not None:
         if report.crashed or report.failure is not None:
             san.rank_failed(rank)
@@ -378,7 +377,7 @@ class ThreadedTransport(Transport):
         if fabric_hook is not None:
             # Job-service seam: runs on the driver thread after the data
             # plane is wired and before any rank thread starts, so the
-            # hook captures the injector's failure detector (the running
+            # hook captures the fabric's failure detector (the running
             # kill handle) race-free.
             fabric_hook(fabric)
 

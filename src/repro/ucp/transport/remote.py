@@ -421,11 +421,9 @@ class RemoteTransportMixin:
 
     def open_plane(self, fabric, hosted, outbound: dict,
                    inbound: dict) -> None:
-        """Start this process's :class:`FramePlane`; on a fault-injected
-        fabric its detector becomes the :class:`PlaneDetector`."""
-        if fabric.injector is not None:
-            fabric.injector.detector = PlaneDetector(
-                len(fabric.workers), self, hosted)
+        """Start this process's :class:`FramePlane`; the fabric's detector
+        becomes the :class:`PlaneDetector`."""
+        fabric.detector = PlaneDetector(len(fabric.workers), self, hosted)
         self.plane = FramePlane(self, fabric, hosted, outbound, inbound)
 
     def pending_for(self, rank: int) -> PendingTable:
@@ -502,9 +500,7 @@ class RemoteTransportMixin:
             else:
                 msg.mark_complete(completion_time)
         elif kind in (DEAD, DONE, ABORT):
-            injector = recv_worker.fabric.injector
-            if injector is not None:
-                injector.detector.apply_remote(frame)
+            recv_worker.fabric.detector.apply_remote(frame)
         else:
             raise TransportError(f"unknown transport frame kind {kind!r}")
 

@@ -2,7 +2,7 @@
 
 Every place a rank blocks is ``Worker.park`` (``repro.ucp.context``), so
 every blocking call must end the same way for the same reason: {rendezvous
-send, recv, probe, mprobe, waitany, waitsome} x {pristine, fault detector,
+send, recv, probe, mprobe, waitany, waitsome} x {pristine, ``faults={}``,
 sanitizer, both} x {the peer answers, the peer returned without matching,
 the plan crashed the peer, a fatal error elsewhere aborted the job, the ranks
 wait for each other}.  An error must name its class and arrive in bounded
@@ -10,6 +10,7 @@ time — far inside the job's 30 s wall timeout; the rule each cell asserts is
 the table in ``docs/faults.md``.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -81,7 +82,7 @@ def _answer(comm, op, waiter):
         comm.send(np.ones(8, np.uint8), waiter, TAG)
 
 
-# -- the four watchers --------------------------------------------------------
+# -- the four watchers (every fabric has a failure detector) ------------------
 
 MODES = {"pristine": {}, "faults": {"faults": {}},
          "sanitize": {"sanitize": True},
@@ -132,7 +133,7 @@ def test_peer_answers(op, mode):
         assert res.sanitizer_report.diagnostics == []
 
 
-@pytest.mark.parametrize("mode", ["faults", "sanitize", "both"])
+@pytest.mark.parametrize("mode", ["pristine", "faults", "sanitize", "both"])
 @pytest.mark.parametrize("op", OPS)
 def test_peer_returned_without_matching(op, mode):
     def fn(comm):
@@ -147,6 +148,46 @@ def test_peer_returned_without_matching(op, mode):
         assert type(abort.failures[1]) is ProcFailedError
         assert "finished without a matching operation" in str(
             abort.failures[1])
+
+
+@pytest.mark.parametrize("mode", ["pristine", "faults"])
+def test_a_deposit_racing_the_verdict_is_no_verdict(mode):
+    """A peer that deposits and then finishes between the wait's last look
+    at its wake and the detector's answer satisfied the wait: rank 0, whose
+    own verdict has no grace, must look again before it raises "finished
+    without a matching operation".  Rank 0's first question to the
+    detector is held until rank 1 has sent and finished."""
+    require_transport_capability("shared_address_space")
+    asked = threading.Event()
+
+    def hold_first_question(fabric):
+        real = fabric.detector.check_hopeless
+
+        def check_hopeless(targets, what, *args):
+            if threading.current_thread().name == "mpi-rank-0" \
+                    and not asked.is_set():
+                asked.set()
+                deadline = time.monotonic() + BOUND
+                while real(targets, what, *args) is None:  # rank 1 runs
+                    assert time.monotonic() < deadline
+                    time.sleep(1e-3)
+            return real(targets, what, *args)
+
+        fabric.detector.check_hopeless = check_hopeless
+
+    def fn(comm):
+        if comm.rank == 1:
+            assert asked.wait(BOUND)
+            comm.send(np.ones(8, np.uint8), 0, TAG)
+            return None
+        buf = np.zeros(8, np.uint8)
+        comm.recv(buf, 1, TAG)
+        return int(buf.sum())
+
+    res = run(fn, nprocs=2, timeout=30, fabric_hook=hold_first_question,
+              **_mode(mode))
+    assert asked.is_set()
+    assert res.results[0] == 8
 
 
 @pytest.mark.parametrize("mode", ["faults", "both"])
@@ -172,20 +213,24 @@ def test_peer_crashed_by_plan(op, source, mode):
     assert abort.failures[1].failed_ranks == (0,)
 
 
-@pytest.mark.parametrize("mode", ["faults", "both"])
+@pytest.mark.parametrize("mode", ["pristine", "faults", "both"])
 @pytest.mark.parametrize("op", OPS)
 def test_fatal_abort_elsewhere(op, mode):
-    """Rank 1's lost message is a fatal error; rank 2, blocked on a rank
-    that then finishes, reports the abort and not an error of its own."""
+    """Rank 1's failed receive is a fatal error — the plan's lost message,
+    or, with no plan, a truncation; rank 2, blocked on a rank that then
+    finishes, reports the abort and not an error of its own."""
+    lost = mode != "pristine"
+
     def fn(comm):
         if comm.rank == 0:
             comm.send(np.zeros(16, np.uint8), dest=1, tag=1)
         elif comm.rank == 1:
-            comm.recv(np.zeros(16, np.uint8), source=0, tag=1)
+            comm.recv(np.zeros(16 if lost else 8, np.uint8), source=0, tag=1)
         else:
             OPS[op](comm, 0, 0)
 
-    abort = _aborted(fn, 3, **_mode(mode, **FIRST_MSG_LOST))
+    abort = _aborted(fn, 3, **(_mode(mode, **FIRST_MSG_LOST) if lost
+                               else _mode(mode)))
     assert set(abort.failures) == {1, 2}
     assert type(abort.failures[2]) is ProcFailedError
     assert "aborted" in str(abort.failures[2])
@@ -203,7 +248,7 @@ def test_wait_for_cycle(op, mode):
     _assert_deadlock(_aborted(fn, 2, **_mode(mode)), [0, 1])
 
 
-# -- the deadline: all that ends a pristine wait nobody answers ---------------
+# -- the deadline: all that ends a wait on a live peer that never answers -----
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("op", ["send", "recv", "probe", "mprobe"])

@@ -36,34 +36,40 @@ def _slot_is_back(svc):
 @pytest.mark.parametrize("call", PARKED)
 def test_kill_releases_parked_rank(call):
     """Both ranks park for good (head to head, nothing watching for
-    deadlock); only the kill ends the job, and long before its 30 s."""
+    deadlock); only the kill ends the job, and long before its 30 s —
+    with and without the reliability protocol: every fabric has the
+    detector the kill aborts through."""
     require_transport_capability("shared_address_space")
-    with JobService(slots=1, max_queue=4) as svc:
-        h = svc.submit(JobSpec(
-            fn=PARKED[call], name=f"parked-in-{call}", reliability=True,
-            retry=RetryPolicy(max_retries=0),
-            quota=QuotaPolicy(wall_timeout=30.0)))
-        deadline = time.monotonic() + 30
-        while h.status != JobStatus.RUNNING:
-            assert time.monotonic() < deadline, "job never started"
-            time.sleep(0.002)
-        time.sleep(0.05)                    # let both ranks park
-        killed = time.monotonic()
-        assert h.kill("test kill")
-        assert h.wait(30)
-        assert time.monotonic() - killed < 2.0
-        assert h.status == JobStatus.DEAD_LETTERED
-        assert h.error_class == RETRYABLE
-        assert isinstance(h.error, ProcFailedError)
-        assert "job killed" in str(h.error)
-        _slot_is_back(svc)
+    for reliability in (None, True):
+        with JobService(slots=1, max_queue=4) as svc:
+            h = svc.submit(JobSpec(
+                fn=PARKED[call], name=f"parked-in-{call}",
+                reliability=reliability,
+                retry=RetryPolicy(max_retries=0),
+                quota=QuotaPolicy(wall_timeout=30.0)))
+            deadline = time.monotonic() + 30
+            while h.status != JobStatus.RUNNING:
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.002)
+            time.sleep(0.05)                # let both ranks park
+            killed = time.monotonic()
+            assert h.kill("test kill"), reliability
+            assert h.wait(30)
+            assert time.monotonic() - killed < 2.0
+            assert h.status == JobStatus.DEAD_LETTERED
+            assert h.error_class == RETRYABLE
+            assert isinstance(h.error, ProcFailedError)
+            assert "job killed" in str(h.error)
+            _slot_is_back(svc)
 
 
 @pytest.mark.parametrize("call", PARKED)
 def test_budget_trip_releases_parked_peer(call):
-    """Rank 0 runs out of virtual time; rank 1, parked on it, follows."""
+    """Rank 0 runs out of virtual time; rank 1, parked on it, follows —
+    on a pristine fabric: a budget buys no fault machinery."""
 
     def fn(comm):
+        assert comm.worker.fabric.injector is None
         if comm.rank == 0:
             time.sleep(0.05)                # let rank 1 park
             comm.clock.advance(1.0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 
 from repro.core.custom import type_create_custom
 from repro.core.regions import Region
-from repro.errors import RuntimeAbort
+from repro.errors import ProcFailedError, RuntimeAbort
 from repro.mpi.comm import ERRORS_RETURN
 from repro.mpi.runtime import run
 from repro.types import make_struct_simple, struct_simple_datatype
@@ -231,12 +232,20 @@ def _crashed_in_delivery(comm):
     handle.mrecv(np.zeros(RNDV, np.uint8))
 
 
-def _peer_raised_then_block(comm):
-    """Rank 0 raises; rank 1 waits (3 s, far past the job's wall timeout)
-    for a message that cannot come."""
+def _blocked_on_raised_peer(comm):
+    """Rank 0 raises while rank 1 sits in ``recv`` from it; the failure
+    detector of every fabric, pristine included, ends the wait."""
     if comm.rank == 0:
         raise ValueError("rank 0 gives up")
-    comm.worker.tag_probe(pack_tag(0, 0, 97), block=True, timeout=3.0)
+    comm.recv(np.zeros(8, np.uint8), 0, 96)
+
+
+def _peer_raised_then_compute(comm):
+    """Rank 0 raises; rank 1 is busy in its own code (3 s, far past the
+    job's wall timeout), where no detector reaches it."""
+    if comm.rank == 0:
+        raise ValueError("rank 0 gives up")
+    time.sleep(3.0)
 
 
 #: name -> (exit, fault plan the rank exit needs, wall timeout)
@@ -246,7 +255,8 @@ RANK_EXITS = {
     "crashed": (_crashed, {"crash": {1: CRASH_AT}}, 30.0),
     "crashed-in-delivery": (_crashed_in_delivery,
                             {"crash": {1: CRASH_AT}}, 30.0),
-    "timeout-after-peer-raised": (_peer_raised_then_block, None, 1.0),
+    "blocked-on-raised-peer": (_blocked_on_raised_peer, None, 30.0),
+    "timeout-after-peer-raised": (_peer_raised_then_compute, None, 1.0),
 }
 
 
@@ -340,11 +350,32 @@ def test_a_failed_custom_send_completes_under_the_job_service(message_exit):
     assert svc.report()["jobs"]["pool_leaks"] == 0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_raised_peer_ends_a_blocked_recv_at_once(backend, segments):
+    """No fault plan, no sanitizer: the rank blocked on a peer that raised
+    fails with ``ProcFailedError`` naming that peer well inside a second —
+    not at the job's wall timeout — and nothing is left running."""
+    before = _fabric_threads()
+    start = time.monotonic()
+    with pytest.raises(RuntimeAbort) as ei:
+        run(_blocked_on_raised_peer, nprocs=2, transport=backend, timeout=30)
+    assert time.monotonic() - start < 1.0
+    failures = ei.value.failures
+    assert type(failures[0]) is ValueError
+    assert type(failures[1]) is ProcFailedError
+    assert failures[1].failed_ranks == (0,)
+    assert "depends on failed rank(s) 0" in str(failures[1])
+    assert _fabric_threads() - before == set()
+    assert multiprocessing.active_children() == []
+    assert [n for n in segments
+            if os.path.exists(f"/dev/shm/{n.lstrip('/')}")] == []
+
+
 def test_wall_timeout_names_the_peer_that_already_raised():
     """The root cause survives a timeout: the rank that raised is reported
     with its error (never as "still running", never under key -1), the
-    rank that blocks with a ``TimeoutError`` — which is what the job
-    service's dirty/QUOTA classification keys on."""
+    rank still busy in its own code with a ``TimeoutError`` — which is
+    what the job service's dirty/QUOTA classification keys on."""
     for backend in BACKENDS:
         outcome, _ = _run_cell(backend, "contig-eager",
                                "timeout-after-peer-raised")
