@@ -313,11 +313,12 @@ class CustomRecvOperation:
         if len(regs) != n:
             raise CallbackError(
                 f"region_fn returned {len(regs)} regions, region_count_fn promised {n}")
-        got = region_lengths(regs)
-        if got != list(expected_lengths):
-            raise MPIError(
-                MPI_ERR_TYPE,
-                f"region length mismatch: sender {list(expected_lengths)}, receiver {got}")
+        for reg, expected in zip(regs, expected_lengths):
+            if reg.nbytes != expected:
+                raise MPIError(
+                    MPI_ERR_TYPE,
+                    f"region length mismatch: sender {list(expected_lengths)}, "
+                    f"receiver {region_lengths(regs)}")
         return regs
 
 

@@ -8,7 +8,6 @@ are written, so writability is validated lazily by the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -16,8 +15,11 @@ import numpy as np
 from ..errors import MPI_ERR_BUFFER, MPIError
 from .datatype import BYTE, Datatype
 
+#: The uint8 descriptor a 1-D byte array already carries (numpy hands out
+#: one instance per builtin type).
+_U8 = np.dtype(np.uint8)
 
-@dataclass
+
 class Region:
     """One scatter/gather entry: a contiguous buffer plus its MPI type.
 
@@ -33,42 +35,66 @@ class Region:
         ``MPI_Type_custom_region_function`` exposes so implementations could
         apply heterogeneity conversions; our homogeneous simulator only
         validates it).
+
+    A region is a value the engine reads once per transfer: the constructor
+    validates in one pass and keeps the flat uint8 view (a 1-D uint8 array
+    is its own view), which the engine then sends from or scatters into.
+    Two regions are equal when they cover the same buffer object with the
+    same length and datatype.
     """
 
-    buffer: Any
-    nbytes: int | None = None
-    datatype: Datatype = field(default_factory=lambda: BYTE)
-    #: Flat uint8 view of ``buffer``, built once: the engine reads or writes
-    #: every region through it on every transfer.
-    _view: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("buffer", "nbytes", "datatype", "_view")
 
-    def __post_init__(self):
-        if isinstance(self.buffer, np.ndarray):
-            if not self.buffer.flags.c_contiguous:
+    def __init__(self, buffer: Any, nbytes: int | None = None,
+                 datatype: Datatype = BYTE):
+        if isinstance(buffer, np.ndarray):
+            if not buffer.flags.c_contiguous:
                 raise MPIError(MPI_ERR_BUFFER, "region buffer must be C-contiguous")
-            view = self.buffer.view(np.uint8).reshape(-1)
+            if buffer.ndim != 1:
+                view = buffer.view(dtype=_U8).reshape(-1)
+            elif buffer.dtype is not _U8:
+                view = buffer.view(dtype=_U8)
+            else:
+                view = buffer
         else:
-            mv = memoryview(self.buffer)
+            mv = memoryview(buffer)
             if not mv.contiguous:
                 raise MPIError(MPI_ERR_BUFFER, "region buffer must be contiguous")
             view = np.frombuffer(mv, dtype=np.uint8)
+        size = view.shape[0]
+        if nbytes is None:
+            nbytes = size
+        elif nbytes < 0:
+            raise MPIError(MPI_ERR_BUFFER, f"negative region length {nbytes}")
+        elif nbytes > size:
+            raise MPIError(
+                MPI_ERR_BUFFER,
+                f"region length {nbytes} exceeds buffer of {size} bytes")
+        if datatype is not BYTE:
+            if not datatype.is_predefined:
+                raise MPIError(MPI_ERR_BUFFER,
+                               "region datatype must be a predefined type")
+            if nbytes % datatype.size:
+                raise MPIError(
+                    MPI_ERR_BUFFER,
+                    f"region length {nbytes} not a multiple of "
+                    f"{datatype.name} size {datatype.size}")
+        self.buffer = buffer
+        self.nbytes = nbytes
+        self.datatype = datatype
+        #: Flat uint8 view of ``buffer``, built once: the engine reads or
+        #: writes every region through it on every transfer.
         self._view = view
-        if self.nbytes is None:
-            self.nbytes = view.shape[0]
-        if self.nbytes < 0:
-            raise MPIError(MPI_ERR_BUFFER, f"negative region length {self.nbytes}")
-        if self.nbytes > view.shape[0]:
-            raise MPIError(
-                MPI_ERR_BUFFER,
-                f"region length {self.nbytes} exceeds buffer of {view.shape[0]} bytes")
-        if not self.datatype.is_predefined:
-            raise MPIError(MPI_ERR_BUFFER,
-                           "region datatype must be a predefined type")
-        if self.nbytes % self.datatype.size:
-            raise MPIError(
-                MPI_ERR_BUFFER,
-                f"region length {self.nbytes} not a multiple of "
-                f"{self.datatype.name} size {self.datatype.size}")
+
+    def __repr__(self) -> str:
+        return (f"Region(buffer={self.buffer!r}, nbytes={self.nbytes!r}, "
+                f"datatype={self.datatype!r})")
+
+    def __eq__(self, other):
+        if not isinstance(other, Region):
+            return NotImplemented
+        return (self.buffer is other.buffer and self.nbytes == other.nbytes
+                and self.datatype == other.datatype)
 
     def view(self) -> np.ndarray:
         """Flat uint8 view of the underlying buffer."""

@@ -193,17 +193,20 @@ class Workload:
         if not self.meta.memory_regions:
             raise ValueError(
                 f"{self.name}: Table I marks memory regions as impracticable")
-        merged = self.layout.merged()
+        # Python (start, stop) ints, once per datatype: slicing with numpy
+        # scalars costs more than the slice itself.
+        bounds = [(off, off + ln)
+                  for off, ln in self.layout.merged().runs.tolist()]
 
         def query_fn(state, buf, count):
             return 0
 
         def region_count_fn(state, buf, count):
-            return merged.run_count
+            return len(bounds)
 
         def region_fn(state, buf, count, region_count):
             flat = buf.view(np.uint8).reshape(-1)
-            return [Region(flat[off:off + ln]) for off, ln in merged.runs]
+            return [Region(flat[start:stop]) for start, stop in bounds]
 
         return type_create_custom(query_fn=query_fn,
                                   region_count_fn=region_count_fn,

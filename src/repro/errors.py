@@ -177,11 +177,14 @@ class DeadlockError(MPIError):
     Raised in every blocked rank once a wait-for cycle (or a wait on a
     terminated rank) is proven, releasing the job in bounded time instead
     of hitting the wall-clock timeout.  The full cycle evidence lives in
-    the job's sanitizer report (diagnostic RPD440).
+    the job's sanitizer report (diagnostic RPD440).  ``waited_on`` names
+    the ended ranks the blocked ranks wait on; it is empty for a wait-for
+    cycle.
     """
 
-    def __init__(self, message: str = ""):
+    def __init__(self, message: str = "", waited_on=()):
         super().__init__(MPI_ERR_PENDING, message)
+        self.waited_on = tuple(sorted(waited_on))
 
 
 class ProcFailedError(MPIError):

@@ -121,10 +121,12 @@ class TransferEngine:
         fault-injected wire, a remote encode, a foreign landing) or the
         receiver copies layout to layout.  Custom: one ``pack_fn`` call
         into a pooled wire buffer (not booked, like the modelled fragments
-        it stands for), sent as IOV ahead of the regions or as CONTIG if
-        nothing is packed and at most one region.  That buffer is the
-        message's once ``tag_send`` returned; if anything raises before, it
-        goes straight back — the one "never injected" exit.
+        it stands for), sent as IOV ahead of the regions' byte views (each
+        validated once, by its ``Region``) or as CONTIG if nothing is
+        packed and at most one region.  That buffer is the message's
+        (the descriptor's ``pooled``) once ``tag_send`` returned; if
+        anything raises before, it goes straight back — the one "never
+        injected" exit.
         """
         worker = self.worker
         memory = worker.memory
@@ -143,7 +145,8 @@ class TransferEngine:
                 entries = packed + [r.read_bytes() for r in regions]
                 if packed or len(entries) > 1:
                     desc = IovData(entries, packed_entries=len(packed),
-                                   entry_count=modelled + len(regions))
+                                   entry_count=modelled + len(regions),
+                                   pooled=packed)
                 else:
                     # At most one region and nothing packed: the prototype
                     # prefers CONTIG (the empty buffer for no region).

@@ -166,6 +166,9 @@ class JobSanitizer:
         self._finished: dict[int, float] = {}
         self.abort = threading.Event()
         self._abort_reason = ""
+        #: The ended ranks of a "waiting on finished ranks" verdict
+        #: (``DeadlockError.waited_on``); empty for a wait-for cycle.
+        self._abort_waited_on: tuple[int, ...] = ()
         self._deadlock_reported = False
         #: Wall-clock time a deadlock check last found a frame in transit.
         self._transit_seen = 0.0
@@ -372,7 +375,8 @@ class JobSanitizer:
             self._check_deadlock()
         if self.abort.is_set():
             raise DeadlockError(self._abort_reason
-                                or "job aborted by the sanitizer")
+                                or "job aborted by the sanitizer",
+                                waited_on=self._abort_waited_on)
 
     def _check_deadlock(self) -> None:
         with self._lock:
@@ -427,6 +431,10 @@ class JobSanitizer:
         self._abort_reason = ("distributed deadlock detected (RPD440): "
                              + message.splitlines()[1].strip()
                              if "\n" in message else message)
+        if not cycle:
+            self._abort_waited_on = tuple(sorted(
+                {t for e in stuck.values() for t in e.targets
+                 if t in finished}))
         self.abort.set()
 
     def _deadlock_message(self, stuck: dict, cycle, finished: dict) -> str:

@@ -17,9 +17,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from ..errors import (MemoryQuotaError, MPIError, ProcFailedError,
-                      ProcFailedPendingError, RankCrashError, ReproError,
-                      RuntimeAbort, TimeBudgetExceeded)
+from ..errors import (DeadlockError, MemoryQuotaError, MPIError,
+                      ProcFailedError, ProcFailedPendingError,
+                      RankCrashError, ReproError, RuntimeAbort,
+                      TimeBudgetExceeded)
 
 __all__ = [
     "AdmissionError", "QuotaPolicy", "RetryPolicy", "JobSpec", "JobStatus",
@@ -207,15 +208,23 @@ def classify_failure(exc: BaseException) -> tuple[str, BaseException]:
     (``deterministic`` > ``quota`` > ``retryable``): when rank 0 raises
     ``ValueError`` and its peers observe ``MPI_ERR_PROC_FAILED`` through
     the failure detector, the proc-failed errors are collateral — retrying
-    would replay the ``ValueError``.  The returned root cause is the
-    highest-precedence failure (lowest rank breaking ties), which is what
-    a dead-letter entry records.
+    would replay the ``ValueError``.  So is the sanitizer's
+    ``DeadlockError`` on a wait whose awaited ranks all failed in the same
+    abort (a wait on a peer that *returned* is a real deadlock).  The
+    returned root cause is the highest-precedence failure (lowest rank
+    breaking ties), which is what a dead-letter entry records.
     """
     if isinstance(exc, RuntimeAbort):
         precedence = {DETERMINISTIC: 0, QUOTA: 1, RETRYABLE: 2}
         best: tuple[int, int, str, BaseException] | None = None
         for rank, failure in sorted(exc.failures.items()):
-            cls = _classify_one(failure)
+            if isinstance(failure, DeadlockError) and failure.waited_on \
+                    and all(r in exc.failures for r in failure.waited_on):
+                # The sanitizer's verdict on a wait whose peers all failed
+                # in this abort: collateral, like a ProcFailedError.
+                cls = RETRYABLE
+            else:
+                cls = _classify_one(failure)
             entry = (precedence[cls], rank, cls, failure)
             if best is None or entry[:2] < best[:2]:
                 best = entry

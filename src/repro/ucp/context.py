@@ -596,8 +596,11 @@ class Endpoint:
         worker.clock.advance(plan.sender_cost)
         if plan.eager_copy:
             # Staged into this pool; a deferred source is built there.
+            # The descriptor's own pooled entries stay the message's too.
             chunks = copy_chunks(entries, worker.memory.pool)
+            pooled = (*chunks, *data.pooled)
         else:
+            pooled = data.pooled
             # Rendezvous/iov: the envelope carries the sender's live views
             # by design — the in-process stand-in for RDMA get.  The
             # in-process backend delivers the alias as-is; the remote
@@ -616,7 +619,7 @@ class Endpoint:
             msg_id=worker.next_msg_id())
         msg = WireMessage(header, chunks, send_ready=worker.clock.now,
                           wire_time=plan.wire_time, rndv=plan.rndv,
-                          recv_cost=plan.recv_cost)
+                          recv_cost=plan.recv_cost, pooled=pooled)
         if worker.config.trace_messages:
             worker.trace.append({
                 "event": "send", "peer": self.dst_index,

@@ -12,7 +12,7 @@ its IOV's packed entry in one window (its pipeline is charged on the
 ``frag_size`` grid, see :mod:`repro.mpi.engine`), and a derived type
 sends a deferred source (below).
 
-The send contract.  Every send descriptor exposes the same six things,
+The send contract.  Every send descriptor exposes the same seven things,
 and ``Endpoint.tag_send`` and ``plan_send`` use nothing else:
 
 * ``kind`` and ``total_bytes`` — all ``transitions.select_protocol`` needs.
@@ -21,6 +21,14 @@ and ``Endpoint.tag_send`` and ``plan_send`` use nothing else:
 * ``entry_count`` — the entry count the cost model charges.
 * ``signature`` — the sender's type signature for the envelope, set at
   construction; None unless the sanitizer is attached.
+* ``pooled`` — the entries the sender's pool handed out (a custom type's
+  packed stream), which become the message's; empty for every other send.
+
+Which chunks a message releases: exactly those a pool handed out for it
+(``WireMessage.pooled``, listed in :mod:`repro.ucp.wire`), the
+descriptor's ``pooled`` entries among them, in one go at its exit.  A
+region or any other view of user memory is never released, so it costs
+the exit nothing.
 
 The receive contract.  Every receive descriptor exposes the same five
 things, and ``Worker.deliver`` uses nothing else:
@@ -73,11 +81,17 @@ from ..errors import TransportError, TruncationError
 from .constants import DATATYPE_CONTIG, DATATYPE_IOV
 
 
+#: The uint8 descriptor a 1-D byte array already carries (numpy hands out
+#: one instance per builtin type).
+_U8 = np.dtype(np.uint8)
+
+
 def _u8view(buf, writable: bool) -> np.ndarray:
     if isinstance(buf, np.ndarray):
         if not buf.flags.c_contiguous:
             raise TransportError("transport buffers must be C-contiguous")
-        v = buf.view(np.uint8).reshape(-1)
+        v = buf if buf.dtype is _U8 and buf.ndim == 1 \
+            else buf.view(dtype=_U8).reshape(-1)
     else:
         mv = memoryview(buf)
         if not mv.contiguous:
@@ -95,6 +109,7 @@ class ContigData:
     packed_entries = 0
     entry_count = 1
     plan = None
+    pooled = ()
 
     def __init__(self, buffer: Any, nbytes: int | None = None,
                  writable: bool = False, signature=None):
@@ -127,6 +142,7 @@ class DeferredData:
     kind = DATATYPE_CONTIG
     packed_entries = 0
     entry_count = 1
+    pooled = ()
 
     def __init__(self, source, signature=None):
         self.source = source
@@ -146,9 +162,15 @@ class IovData:
     (``plan_send``): the real entry count unless the sender models more —
     the MPI engine ships a custom type's packed stream as *one* entry and
     books it as the ``frag_size`` fragments of the paper's pipeline, the
-    way a derived :class:`CallbackData` carries a modelled size.  As a
+    way a derived :class:`CallbackData` carries a modelled size.
+    ``pooled``: the entries the sender's pool handed out (the engine's
+    packed stream), which the message gives back at its exit.  As a
     receive, each chunk lands in the entry at its position: the entry
     counts must agree and no chunk may outgrow its entry.
+
+    An entry that already is a C-contiguous 1-D uint8 array (the engine
+    passes the byte views its regions validated) is taken as it is; any
+    other buffer is checked and viewed as bytes.
     """
 
     kind = DATATYPE_IOV
@@ -156,8 +178,13 @@ class IovData:
     plan = None
 
     def __init__(self, buffers: Sequence[Any], writable: bool = False,
-                 packed_entries: int = 0, entry_count: int | None = None):
-        self._views = [_u8view(b, writable) for b in buffers]
+                 packed_entries: int = 0, entry_count: int | None = None,
+                 pooled: Sequence[np.ndarray] = ()):
+        self._views = [
+            b if type(b) is np.ndarray and b.ndim == 1 and b.dtype is _U8
+            and b.flags.c_contiguous and (not writable or b.flags.writeable)
+            else _u8view(b, writable) for b in buffers]
+        self.pooled = pooled
         self.packed_entries = packed_entries
         if not 0 <= packed_entries <= len(self._views):
             raise TransportError(
@@ -165,8 +192,7 @@ class IovData:
                 f"{len(self._views)} entries")
         self.entry_count = (len(self._views) if entry_count is None
                             else int(entry_count))
-        self.total_bytes = self.capacity = sum(
-            v.shape[0] for v in self._views)
+        self.total_bytes = self.capacity = sum(map(len, self._views))
 
     def entries(self) -> list[np.ndarray]:
         return list(self._views)

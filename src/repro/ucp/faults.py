@@ -497,16 +497,14 @@ class FaultInjector:
 
         if corrupted:
             # Corrupt private copies, never the sender's live buffers
-            # (rendezvous chunks are views of user memory).
-            pool = worker.memory.pool
+            # (rendezvous chunks are views of user memory).  A pooled
+            # staging chunk the copy replaces stays in ``msg.pooled`` and
+            # goes back at the message's exit.
             for ci, start, stop in (bounds[f] for f in sorted(corrupted)):
                 chunk = msg.chunks[ci]
                 if chunk.base is not None or not chunk.flags.owndata:
                     private = np.array(chunk, copy=True)
                     msg.chunks[ci] = private
-                    # A pooled staging chunk just went out of the message;
-                    # hand it back (no-op for rendezvous user-buffer views).
-                    pool.release(chunk)
                     chunk = private
                 if stop > start:
                     chunk[start] ^= 0xFF

@@ -36,11 +36,11 @@ class BufferPool:
     a pooled buffer can be released).  Buffers come back **dirty** — every
     pool user overwrites before reading.
 
-    The pool is intentionally forgiving at the release boundary, because the
-    transport returns whatever chunks a message carried: releasing a buffer
-    the pool does not own (a user buffer riding a rendezvous send) or
-    releasing twice (the engine and the delivery path both letting go of a
-    bounce buffer) is a silent no-op, guarded by the outstanding set.
+    A message's exit gives back only the chunks a pool handed out for it
+    (``WireMessage.pooled``), in one :meth:`release_all`.  The pool still
+    forgives at the release boundary: releasing a buffer it does not own
+    (a foreign array) or releasing twice is a silent no-op, guarded by the
+    outstanding set.
 
     Depth: a new backing array is made only when its class's free list
     is empty, so with no cap (``max_per_class=None``, the default) a class
@@ -121,30 +121,40 @@ class BufferPool:
         return root[:nbytes]
 
     def release(self, buf) -> bool:
-        """Return ``buf``'s backing array to the pool: the one place a
-        returned buffer is kept on its class's free list or dropped (too
-        big to pool, or the list is at its cap).
+        """Return ``buf``'s backing array to the pool (see
+        :meth:`release_all`); False for a buffer the pool does not
+        currently own — a foreign array or a double release."""
+        return self.release_all((buf,)) == 1
 
-        Returns False (and does nothing) for buffers the pool does not
-        currently own — foreign arrays and double releases.
+    def release_all(self, bufs) -> int:
+        """Return each of ``bufs``' backing arrays to the pool under one
+        lock acquisition — a message's exit gives back its pooled chunks in
+        one go.  The one place a returned buffer is kept on its class's
+        free list or dropped (too big to pool, or the list is at its cap).
+
+        Buffers the pool does not currently own — foreign arrays, double
+        releases — are skipped; returns how many it did own.
         """
+        n = 0
         with self._lock:
-            root = self._resolve_root(buf)
-            if not isinstance(root, np.ndarray):
-                return False
-            owned = self._out.pop(id(root), None)
-            if owned is None:
-                return False
-            self.returned += 1
-            size = owned.shape[0]
-            if size <= self.max_pooled_class:
-                free = self._free.setdefault(size, [])
-                cap = self.max_per_class
-                if cap is None or len(free) < cap:
-                    free.append(owned)
-                    return True
-            self.dropped += 1
-            return True
+            for buf in bufs:
+                root = self._resolve_root(buf)
+                if not isinstance(root, np.ndarray):
+                    continue
+                owned = self._out.pop(id(root), None)
+                if owned is None:
+                    continue
+                n += 1
+                size = owned.shape[0]
+                if size <= self.max_pooled_class:
+                    free = self._free.setdefault(size, [])
+                    cap = self.max_per_class
+                    if cap is None or len(free) < cap:
+                        free.append(owned)
+                        continue
+                self.dropped += 1
+            self.returned += n
+        return n
 
     def owns(self, buf) -> bool:
         """True when ``buf`` is (a view of) a buffer this pool has handed
@@ -171,12 +181,12 @@ class BufferPool:
         runtime calls this at teardown (only on faulted or failed jobs)
         so ``snapshot()["outstanding"]`` ends at zero and the stranded
         bytes are accounted as returned rather than leaked.  Returns the
-        number of buffers reclaimed (each through :meth:`release`, so a
+        number of buffers reclaimed (through :meth:`release_all`, so a
         buffer another thread gives back meanwhile counts once).
         """
         with self._lock:
             stranded = list(self._out.values())
-        return sum(map(self.release, stranded))
+        return self.release_all(stranded)
 
     def reset_for_job(self, job: str = "<unknown>") -> dict[str, int]:
         """Re-arm the pool at a job boundary, keeping the free lists warm.

@@ -150,14 +150,17 @@ class Transport:
         The one seam every message exit goes through: delivered or failed
         (``Worker.deliver``), cancelled, lost on the wire, unclaimed at job
         end (:func:`quiesce`); ``worker`` is whichever local worker lets
-        go.  The release goes into the sender's (locked) pool and is a
-        no-op for chunks no pool owns — user-buffer views, and every
-        receiver-side chunk of a remote backend, whose sender releases its
-        staging when the acknowledgement arrives.
+        go.  Only the chunks a pool handed out for the message
+        (``msg.pooled``) go back, into the sender's pool, in one
+        ``release_all``; user-buffer views cost nothing, and so does every
+        receiver-side message of a remote backend, whose sender releases
+        its staging when the acknowledgement arrives.
         """
-        pool = worker.fabric.workers[msg.header.source].memory.pool
-        for chunk in msg.chunks:
-            pool.release(chunk)
+        pooled = msg.pooled
+        if pooled:
+            msg.pooled = []
+            worker.fabric.workers[msg.header.source].memory.pool \
+                .release_all(pooled)
         msg.chunks = []
 
     def on_delivered(self, recv_worker: "Worker", msg: "WireMessage",

@@ -191,8 +191,10 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
         leave the message here, staged into an arena slab — that
         wall-clock copy is the process boundary's "memory registration"
         and charges no virtual time — or, arena exhausted, as raw bytes on
-        the pipe.  After encoding, ``msg.chunks`` holds exactly the slabs
-        the acknowledgement must release.
+        the pipe.  Each staging slab joins ``msg.pooled``, which the
+        acknowledgement releases in one go (a pooled chunk a slab replaced
+        goes back with it); after encoding, ``msg.chunks`` holds exactly
+        the chunks the frame references.
         """
         pool = worker.memory.pool
         materialize(msg, pool)
@@ -207,13 +209,12 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
                 if off is None:
                     pool.release(slab)
                     payload.append((REF_RAW, c.tobytes()))
-                else:
-                    slab[:] = c
-                pool.release(chunk)  # no-op for user-buffer views
+                    continue
+                slab[:] = c
+                msg.pooled.append(slab)
                 chunk = slab
-            if off is not None:
-                payload.append((REF_ARENA, int(off), int(c.nbytes)))
-                retained.append(chunk)
+            payload.append((REF_ARENA, int(off), int(c.nbytes)))
+            retained.append(chunk)
         msg.chunks = retained
         return payload
 

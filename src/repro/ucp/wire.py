@@ -11,6 +11,16 @@ extended ``MPI_Probe``/``MPI_Get_count`` to avoid multi-message protocols.
 Our prototype controls both ends of the wire, so it rides in the header;
 the *user-visible* strategies that lack such an engine (``pickle-oob``) still
 pay for an explicit lengths message, reproducing the paper's baseline.
+
+Which chunks a message releases: only those a pool handed out for it,
+recorded in :attr:`WireMessage.pooled` where they are acquired —
+:func:`copy_chunks` (eager staging), :func:`materialize` (a deferred
+source built), the engine's pooled packed stream of a custom type (the
+send descriptor's ``pooled``) and a remote backend's arena staging.  Every
+exit of the message (``Transport.release_chunks``) hands that list back to
+the sender's pool in one ``release_all``: one lock per message, however
+many entries it has, and nothing for a region or any other view of user
+memory.
 """
 
 from __future__ import annotations
@@ -129,13 +139,25 @@ class WireMessage:
         Sender virtual time at which the payload is ready to move.
     sender_cost_charged:
         Bookkeeping so tests can verify cost symmetry.
+    pooled:
+        The chunks the sender's pool handed out for this message (see
+        :attr:`pooled`).
     """
 
     def __init__(self, header: WireHeader, chunks: Sequence[np.ndarray],
                  send_ready: float, wire_time: float, rndv: bool,
-                 recv_cost: float):
+                 recv_cost: float, pooled: Sequence[np.ndarray] = ()):
         self.header = header
         self.chunks = list(chunks)
+        #: Every chunk the sender's pool handed out for this message —
+        #: eager staging (:func:`copy_chunks`), a custom type's packed
+        #: stream, a deferred source built by :func:`materialize`, a remote
+        #: backend's arena staging.  Recorded where it is acquired, kept
+        #: when a chunk leaves :attr:`chunks` (a corrupted or re-staged
+        #: entry) and given back in one go at the message's exit
+        #: (``Transport.release_chunks``); user-buffer views are never in
+        #: it, so they cost the exit nothing.
+        self.pooled = list(pooled)
         self.send_ready = send_ready
         self.wire_time = wire_time
         self.rndv = rndv
@@ -183,8 +205,9 @@ class WireMessage:
 
 def copy_chunks(buffers: Sequence, pool) -> list[np.ndarray]:
     """Stage a list of send entries as private wire chunks of ``pool`` (a
-    :class:`repro.ucp.memory.BufferPool`); the delivery path returns them
-    to the sender's pool once the payload has been scattered.  A 1-D uint8
+    :class:`repro.ucp.memory.BufferPool`); they are the message's
+    ``pooled`` chunks, which the delivery path returns to the sender's pool
+    once the payload has been scattered.  A 1-D uint8
     view is copied into a pool chunk; a deferred source (a derived
     datatype's bound packed stream) is built straight into one — the one
     pass that makes its bytes."""
@@ -201,8 +224,12 @@ def copy_chunks(buffers: Sequence, pool) -> list[np.ndarray]:
 
 def materialize(msg: WireMessage, pool) -> None:
     """Build every deferred source among ``msg.chunks`` (the receive
-    contract in :mod:`repro.ucp.dtypes`) once, into a chunk of ``pool``.
-    From then on the chunk is the message's and goes back through
-    ``Transport.release_chunks`` like any staging chunk."""
-    msg.chunks = [c if isinstance(c, np.ndarray) else c.materialize(pool)
-                  for c in msg.chunks]
+    contract in :mod:`repro.ucp.dtypes`) once, into a chunk of ``pool``
+    (the sender's).  From then on the chunk is the message's: it joins
+    ``msg.pooled`` and goes back through ``Transport.release_chunks`` like
+    any staging chunk."""
+    chunks = msg.chunks
+    for i, c in enumerate(chunks):
+        if not isinstance(c, np.ndarray):
+            chunks[i] = c = c.materialize(pool)
+            msg.pooled.append(c)

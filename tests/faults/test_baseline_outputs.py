@@ -8,7 +8,10 @@ faults`` existed).
 """
 
 import hashlib
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -34,6 +37,43 @@ FIGURES_QUICK_MD5 = {
 }
 
 
+#: md5 of each ablation's ``sweep()`` text (``benchmarks/bench_abl_*.py``),
+#: recorded before a region became a slice: the region-count sweep is the
+#: witness that the model still charges every region the user made.
+ABLATIONS_MD5 = {
+    "coroutine_pack": "c2b3bf79c9322341c78f3d455cabf4cf",
+    "fragment_size": "a820d7054448c6914067ef23496efb97",
+    "inorder": "08e66e6b0d5cc627240bc174c00635c1",
+    "placement": "be874110d69530f5635b8b77efd50338",
+    "region_count": "a3d1a47464d9b9b7fe33f47dac5f0523",
+    "rendezvous_threshold": "46b39d359dec26892e17cf547c4dbf0e",
+}
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+
+
+def _load(name: str, path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _ablation_sweep(name: str):
+    """``sweep`` of ``benchmarks/bench_abl_<name>.py``; the module's
+    ``from conftest import save_text`` gets the benchmarks' conftest, not
+    the test tree's."""
+    saved = sys.modules.get("conftest")
+    sys.modules["conftest"] = _load("conftest", BENCHMARKS / "conftest.py")
+    try:
+        return _load(f"_ablation_{name}",
+                     BENCHMARKS / f"bench_abl_{name}.py").sweep
+    finally:
+        if saved is None:
+            del sys.modules["conftest"]
+        else:
+            sys.modules["conftest"] = saved
+
+
 def _figure_md5(fs) -> str:
     doc = {"figure": fs.figure, "x": list(fs.x),
            "curves": {k: list(v) for k, v in fs.curves.items()}}
@@ -52,6 +92,12 @@ def test_quick_figures_byte_identical(name):
     fs = figures.fig10_ddtbench() if name == "fig10" \
         else figures.ALL_FIGURES[name](quick=True)
     assert _figure_md5(fs) == FIGURES_QUICK_MD5[name]
+
+
+@pytest.mark.parametrize("name", ABLATIONS_MD5)
+def test_ablation_sweeps_byte_identical(name):
+    text = _ablation_sweep(name)()
+    assert hashlib.md5(text.encode()).hexdigest() == ABLATIONS_MD5[name]
 
 
 def test_table1_byte_identical():

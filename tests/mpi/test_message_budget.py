@@ -7,8 +7,10 @@ These tests count that work with ``sys.setprofile`` on a pristine job —
 one send and its receive, in both arrival orders — and hold it to the
 budget: at most :data:`MAX_CALLS` Python-level calls, exactly
 :data:`LOCKS` lock acquisitions and no ``threading.Event``/``Condition``
-built per message.  They also pin the contract of
-:class:`repro.ucp.wire.Latch`, the one-shot event that replaced those.
+built per message.  A custom message is held to a per-region budget the
+same way: what one more region adds, in Python calls and locks.  They
+also pin the contract of :class:`repro.ucp.wire.Latch`, the one-shot
+event that replaced those.
 """
 
 import gc
@@ -19,7 +21,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import FLOAT64
+from repro.core import FLOAT64, Region
+from repro.core.custom import type_create_custom
 from repro.mpi import run
 from repro.types.structs import STRUCT_SIMPLE, struct_simple_datatype
 from repro.ucp.context import UcpConfig, UcpContext
@@ -49,8 +52,6 @@ def _message_cost(dtype, count, sbuf, rbuf, posted_first):
     warm-up on a 1-rank pristine job; a protocol decision is a
     ``select_protocol`` call, a lock acquisition a ``lock.acquire`` call or
     the exit of a ``with lock`` block."""
-    out = {}
-
     def one(comm):
         if posted_first:
             rreq = comm.irecv(rbuf, 0, 5, datatype=dtype, count=count)
@@ -59,6 +60,13 @@ def _message_cost(dtype, count, sbuf, rbuf, posted_first):
         else:
             comm.isend(sbuf, 0, 5, datatype=dtype, count=count).wait()
             comm.recv(rbuf, 0, 5, datatype=dtype, count=count)
+
+    return _profiled(one)
+
+
+def _profiled(one):
+    """The cost tuple of :func:`_message_cost` for ``one(comm)``."""
+    out = {}
 
     def main(comm):
         for _ in range(3):
@@ -124,6 +132,58 @@ def test_one_eager_message_stays_in_budget(case, posted_first):
     assert locks == LOCKS[kind][posted_first], \
         f"{locks} lock acquisitions per message"
     np.testing.assert_array_equal(rbuf, sbuf)
+
+
+#: Python calls one more region may add to a custom message, end to end —
+#: its two ``Region`` constructions (the send and the receive callback)
+#: included.
+CALLS_PER_REGION = 5
+#: Bytes per region of the region rows.
+REGION_BYTES = 4096
+
+
+def _region_message_cost(nregions):
+    """:func:`_message_cost` of one custom self-send of ``nregions``
+    4 KiB regions, nothing packed, the receive posted first (the send is
+    rendezvous-like: its wait returns once the receive ran)."""
+    nbytes = nregions * REGION_BYTES
+    bounds = [(i * REGION_BYTES, (i + 1) * REGION_BYTES)
+              for i in range(nregions)]
+
+    def region_fn(state, buf, count, n):
+        return [Region(buf[start:stop]) for start, stop in bounds]
+
+    dtype = type_create_custom(lambda state, buf, count: 0,
+                               region_count_fn=lambda s, b, c: nregions,
+                               region_fn=region_fn)
+    sbuf = np.arange(nbytes, dtype=np.int64).astype(np.uint8)
+    rbuf = np.zeros(nbytes, dtype=np.uint8)
+
+    def one(comm):
+        rreq = comm.irecv(rbuf, 0, 5, datatype=dtype, count=1)
+        sreq = comm.isend(sbuf, 0, 5, datatype=dtype, count=1)
+        rreq.wait()
+        sreq.wait()
+
+    cost = _profiled(one)
+    np.testing.assert_array_equal(rbuf, sbuf)
+    return cost
+
+
+def test_a_region_costs_a_slice_not_an_object_walk():
+    """Going from 8 to 64 regions adds at most :data:`CALLS_PER_REGION`
+    Python calls per region and no lock acquisition: a message gives back
+    only the chunks a pool handed out, in one go, and the engine reads
+    each region's byte view once."""
+    calls8, sync8, decisions8, locks8 = _region_message_cost(8)
+    calls64, sync64, decisions64, locks64 = _region_message_cost(64)
+    assert sync8 == sync64 == 0, "an Event/Condition is built per message"
+    assert decisions8 == decisions64 == 1
+    per_region = (calls64 - calls8) / (64 - 8)
+    assert per_region <= CALLS_PER_REGION, \
+        f"{per_region:.1f} Python calls per region ({calls8} -> {calls64})"
+    assert locks64 == locks8, \
+        f"{locks8} -> {locks64} lock acquisitions from 8 to 64 regions"
 
 
 # ---------------------------------------------------------------------------

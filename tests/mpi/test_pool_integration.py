@@ -233,6 +233,97 @@ class TestHandlerReceiveReturnsStaging:
         assert svc.report()["jobs"]["pool_leaks"] == 0
 
 
+#: The region row: a custom message of an 8-byte packed header and this
+#: many regions of :data:`REGION_BYTES` each.
+NREGIONS = 8
+REGION_BYTES = 512
+
+
+def _regions_type(region_bytes=REGION_BYTES):
+    """8 regions of ``region_bytes`` each behind an 8-byte packed header
+    (the region count): an IOV message of the engine's pooled packed
+    stream and 8 views of user memory."""
+    header = np.frombuffer(np.int64(NREGIONS).tobytes(), dtype=np.uint8)
+
+    def pack_fn(state, buf, count, offset, dst):
+        dst[:8] = header
+        return 8
+
+    def unpack_fn(state, buf, count, offset, src):
+        assert src.tobytes() == header.tobytes()
+
+    def region_fn(state, buf, count, n):
+        return [Region(buf[i * region_bytes:(i + 1) * region_bytes])
+                for i in range(n)]
+
+    return type_create_custom(query_fn=lambda s, b, c: 8, pack_fn=pack_fn,
+                              unpack_fn=unpack_fn,
+                              region_count_fn=lambda s, b, c: NREGIONS,
+                              region_fn=region_fn)
+
+
+def _region_job(comm):
+    """Rank 0 sends the region message three times: delivered, cancelled
+    (where the backend can cancel; received otherwise) and into a receive
+    whose regions are half as long (the receiver's region-length error,
+    which the sender's wait reports too).  Rank 0 returns its pool snapshot
+    taken once the last send completed, before any teardown could reclaim
+    a stranded chunk."""
+    from repro.errors import MPIError
+    from repro.mpi import ERRORS_RETURN
+    comm.set_errhandler(ERRORS_RETURN)
+    dtype = _regions_type()
+    nbytes = NREGIONS * REGION_BYTES
+    data = (np.arange(nbytes) % 251).astype(np.uint8)
+    if comm.rank == 0:
+        comm.send(data, 1, 1, datatype=dtype)
+        req = comm.isend(data, 1, 2, datatype=dtype)
+        cancelled = req.cancel()
+        comm.send(np.array([cancelled], dtype=np.uint8), 1, 3)
+        if not cancelled:
+            req.wait()
+        with pytest.raises(MPIError, match="region length mismatch"):
+            comm.send(data, 1, 4, datatype=dtype)
+        return comm.memory.pool.snapshot()
+    out = np.zeros(nbytes, dtype=np.uint8)
+    comm.recv(out, 0, 1, datatype=dtype)
+    assert (out == data).all()
+    flag = np.zeros(1, dtype=np.uint8)
+    comm.recv(flag, 0, 3)
+    if not flag[0]:
+        comm.recv(out, 0, 2, datatype=dtype)
+    with pytest.raises(MPIError, match="region length mismatch"):
+        comm.recv(np.zeros(nbytes // 2, dtype=np.uint8), 0, 4,
+                  datatype=_regions_type(REGION_BYTES // 2))
+    return None
+
+
+class TestRegionMessageBalance:
+    """A region message gives back exactly what a pool handed out for it:
+    the packed stream (and, on ``shm``, each region's arena staging slab)
+    — never a region, a view of user memory.  Delivered, cancelled or
+    refused by the receiver, every pool ends balanced."""
+
+    @pytest.mark.parametrize("faults", [None, {}],
+                             ids=["pristine", "faulted"])
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    def test_every_pool_balances(self, transport, faults):
+        require_backend(transport)
+        res = run(_region_job, nprocs=2, transport=transport, faults=faults,
+                  timeout=30)
+        pool = res.results[0]
+        staged = pool["hits"] + pool["misses"]
+        # Per region message (three, a cancelled one included): the packed
+        # stream, plus one staging slab per region where the regions cross
+        # a process boundary; the flag message adds its eager staging.
+        per_message = 1 + (NREGIONS if transport == "shm" else 0)
+        assert staged == 3 * per_message + 1
+        assert pool["returned"] == staged and pool["outstanding"] == 0
+        assert [m["pool"]["outstanding"] for m in res.memory] == [0, 0]
+        assert res.memory[1]["pool"]["hits"] \
+            + res.memory[1]["pool"]["misses"] == 0
+
+
 class TestSendFailureBeforeInjection:
     """``_send_derived`` must not strand its packed temp when the send dies
     before the message exists (it did: outstanding 1, live_bytes 160)."""

@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ProcFailedError, TimeBudgetExceeded
+from repro.errors import DeadlockError, ProcFailedError, TimeBudgetExceeded
 from repro.mpi import ERRORS_RETURN, Request, run
 from repro.serial.strategies import STRATEGIES, get_strategy
-from repro.serve import (QUOTA, RETRYABLE, JobService, JobSpec, JobStatus,
-                         QuotaPolicy, RetryPolicy)
+from repro.serve import (DETERMINISTIC, QUOTA, RETRYABLE, JobService,
+                         JobSpec, JobStatus, QuotaPolicy, RetryPolicy)
 from repro.serve.workloads import pingpong_job
 from tests.conftest import require_transport_capability
 
@@ -63,10 +63,8 @@ def test_kill_releases_parked_rank(call):
             _slot_is_back(svc)
 
 
-@pytest.mark.parametrize("call", PARKED)
-def test_budget_trip_releases_parked_peer(call):
-    """Rank 0 runs out of virtual time; rank 1, parked on it, follows —
-    on a pristine fabric: a budget buys no fault machinery."""
+def _budget_trip(call):
+    """Rank 0 runs out of virtual time while rank 1 is parked on it."""
 
     def fn(comm):
         assert comm.worker.fabric.injector is None
@@ -76,16 +74,64 @@ def test_budget_trip_releases_parked_peer(call):
         else:
             PARKED[call](comm)
 
+    return fn
+
+
+def _budget_job(call, sanitize):
+    """Submit :func:`_budget_trip` under a 1 ms budget; the job must fail
+    ``quota`` with rank 0's ``TimeBudgetExceeded`` as root cause, well
+    within its wall timeout."""
     with JobService(slots=1, max_queue=4) as svc:
         start = time.monotonic()
         h = svc.submit(JobSpec(
-            fn=fn, name=f"budget-vs-{call}",
+            fn=_budget_trip(call), name=f"budget-vs-{call}",
+            sanitize=sanitize,
             quota=QuotaPolicy(wall_timeout=30.0, time_budget=1e-3)))
         assert h.wait(30)
         assert time.monotonic() - start < 2.0
         assert h.status == JobStatus.FAILED
         assert h.error_class == QUOTA
         assert isinstance(h.error, TimeBudgetExceeded)
+        _slot_is_back(svc)
+
+
+@pytest.mark.parametrize("call", PARKED)
+def test_budget_trip_releases_parked_peer(call):
+    """Rank 0 runs out of virtual time; rank 1, parked on it, follows —
+    on a pristine fabric: a budget buys no fault machinery."""
+    _budget_job(call, sanitize=False)
+
+
+@pytest.mark.parametrize("call", PARKED)
+def test_sanitized_budget_trip_still_fails_quota(call):
+    """Sanitized, the parked rank 1 ends in the sanitizer's
+    ``DeadlockError`` (RPD440, a wait on a rank that already finished).
+    That rank failed in the same abort, so the verdict is collateral and
+    the job still fails ``quota``, not ``deterministic``."""
+    require_transport_capability("shared_address_space")
+    _budget_job(call, sanitize=True)
+
+
+@pytest.mark.parametrize("call", PARKED)
+def test_a_wait_on_a_returned_peer_stays_deterministic(call):
+    """The same RPD440 verdict on a peer that *returned* is a real
+    deadlock: the job fails ``deterministic`` with the sanitizer's error
+    as root cause, naming the rank it waited on."""
+    require_transport_capability("shared_address_space")
+
+    def fn(comm):
+        if comm.rank == 1:
+            PARKED[call](comm)
+
+    with JobService(slots=1, max_queue=4) as svc:
+        h = svc.submit(JobSpec(fn=fn, name=f"returned-vs-{call}",
+                               sanitize=True,
+                               quota=QuotaPolicy(wall_timeout=30.0)))
+        assert h.wait(30)
+        assert h.status == JobStatus.FAILED
+        assert h.error_class == DETERMINISTIC
+        assert isinstance(h.error, DeadlockError)
+        assert h.error.waited_on == (0,)
         _slot_is_back(svc)
 
 
