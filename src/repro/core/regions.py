@@ -51,7 +51,8 @@ class Region:
             if not buffer.flags.c_contiguous:
                 raise MPIError(MPI_ERR_BUFFER, "region buffer must be C-contiguous")
             if buffer.ndim != 1:
-                view = buffer.view(dtype=_U8).reshape(-1)
+                # Flattened first: a 0-d array's dtype cannot change.
+                view = buffer.reshape(-1).view(dtype=_U8)
             elif buffer.dtype is not _U8:
                 view = buffer.view(dtype=_U8)
             else:

@@ -282,10 +282,10 @@ class Worker:
         #: This rank's progress engine, ``progress(timeout=0.0) -> bool``:
         #: deliver the next frame sent to this rank — reading its channels,
         #: and waiting up to ``timeout`` seconds (None: until one comes),
-        #: when none is read yet — and say whether one was.  Set by a
-        #: remote plane whose process hosts this rank alone; None when
-        #: someone else delivers (in-process, a reader thread), so the park
-        #: and test paths pay one attribute check.
+        #: when none is read yet — and say whether anything came.  Set by
+        #: the rank's remote plane on both remote backends; None in
+        #: process, where a deposit is a method call, so the park and test
+        #: paths pay one attribute check.
         self.progress = None
 
     # -- message ids ------------------------------------------------------
@@ -366,26 +366,23 @@ class Worker:
         ``targets`` are the worker indices that could satisfy the wait
         (None: a wildcard, any other rank); ``what`` names it in errors and
         deadlock evidence.  A wait no single event ends passes ``wake=None``
-        and its condition as ``ready``.  One loop: nap — on ``wake`` for
-        at most ``POLL_PERIOD``, or, for a rank with a ``progress`` engine,
-        in it until the next frame (a detector change reaches it as one) —
-        and only when a nap ends without its wake ask the failure
-        detector, then the sanitizer (before the first nap too on such a
-        rank, or once the job is aborted).  A rank holds its *own* hopeless
-        verdict back ``index * VERDICT_GRACE`` so the lowest blocked rank
-        raises first, and tests ``ready`` once more before it raises: a
-        peer deposits before it finishes.  ``messages`` are the rendezvous
+        and its condition as ``ready``.  One loop: nap — on ``wake``, or
+        in the ``progress`` engine until the next frame, for at most the
+        detector's ``period`` — and only when a nap ends without its wake
+        ask the failure detector, then the sanitizer (before the first nap
+        too on a progress rank, or once the job is aborted).  A rank holds
+        its *own* hopeless verdict back ``index * VERDICT_GRACE`` so the
+        lowest blocked rank raises first, and before it raises takes every
+        frame already sent to it and tests ``ready`` once more: a peer
+        deposits before it is marked ended.  ``messages`` are the rendezvous
         sends the wait completes: once a receiver claimed one, the
         sanitizer counts the wait as the transport's, not a rank's.
         """
         fabric, san, progress = self.fabric, self.sanitizer, self.progress
         detector = fabric.detector
         ready = ready or wake.is_set
-        if progress is not None:
-            nap, period = progress, None
-        else:
-            nap = wake.wait if wake is not None else _time.sleep
-            period = constants.POLL_PERIOD
+        nap = progress or (wake.wait if wake is not None else _time.sleep)
+        period = detector.period
         # Without a fault plan the sanitizer judges a wait whose peers
         # ended (RPD440 names the wait-for picture); the detector still
         # ends it on an abort.
@@ -399,6 +396,9 @@ class Worker:
         # A progress rank may have taken the frames that end this wait
         # before it parked; an abort ends every wait that has to wait.
         ask = progress is not None or detector.aborted is not None
+        # Peers write their frames before they are marked ended, so a
+        # progress rank raises a verdict only after a nap that took none.
+        took = True
         if san is not None:
             san.enter_wait(self.index, targets, ready, what,
                            self.clock.now, messages)
@@ -415,7 +415,9 @@ class Worker:
                         hopeless_since = hopeless_since or now
                         hold = 0.0 if aborted else hopeless_since \
                             + self.index * constants.VERDICT_GRACE - now
-                        if hold <= 0.0:
+                        if hold <= 0.0 and progress is not None and took:
+                            hold = 0.0  # take what already came, at once
+                        elif hold <= 0.0:
                             if ready():  # satisfied since the loop looked
                                 return
                             if wildcard and verdict.failed_ranks \
@@ -432,7 +434,7 @@ class Worker:
                     if left <= 0.0:
                         break
                     tick = left if tick is None else min(tick, left)
-                nap(tick)
+                took = nap(tick)
                 ask = True
             else:
                 return

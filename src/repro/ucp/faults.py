@@ -47,6 +47,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ProcFailedError, RankCrashError
+from .constants import POLL_PERIOD
 from .transitions import (duplicate_suppressed, resolve_retries,
                           retry_backoff)
 from .wire import WireHeader, WireMessage, materialize
@@ -250,6 +251,10 @@ class FailureDetector:
     of hanging — the "surviving ranks keep running" half of the ULFM
     semantics.
     """
+
+    #: Seconds a parked rank that takes its own frames naps before it asks
+    #: again: a change here is a write no frame announces.
+    period: Optional[float] = POLL_PERIOD
 
     def __init__(self, nprocs: int):
         self.nprocs = nprocs

@@ -13,16 +13,16 @@ variable, then the default ``inproc``.
                   (multi-core packing, zero bounce-buffer copy); frames on
                   pipes, read by the rank itself (no helper thread in a
                   rank process).  Faults yes, sanitizer no.
-``asyncio``       The socket plane: threads + localhost socket pairs, one
-                  reader thread for all ranks, no event loop; every
+``asyncio``       The socket plane: threads + localhost socket pairs, read
+                  by each rank thread itself, no event loop; every
                   envelope is framed through the portable codec (the
                   RPD810/811 portability proof).  Full capability, not a
                   perf plane.
 ================  =========================================================
 
 Both remote backends share one frame plane (:mod:`.remote`): one channel
-type, one frame loop and one failure-detector rule; the number of ranks a
-process hosts decides whether the rank or a reader thread runs the loop.
+type, one frame loop per rank, run by the rank itself, and one rank
+lifecycle; no backend starts a thread of its own.
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
 """The ``asyncio`` backend: the socket plane — every message crosses a real
 socket.
 
-Ranks are still threads (so clocks, the sanitizer and the fault layer work
-exactly as inproc), but the data plane is the frame plane of
-:mod:`.remote` over a mesh of ``multiprocessing.Pipe(duplex=True)``
-connections — a ``socketpair`` per directed rank pair on POSIX — drained
-by one reader thread for all ranks (the process hosts every rank, and a
-detector frame applies only once each of them has read it).  Writes
-block: the reader thread always reads.  Nothing object-shaped crosses:
-envelopes go through the portable codec, payloads as raw bytes,
-completion as ack frames resolved against per-rank pending tables.  The
-backend keeps its historical id; it no longer runs an event loop.
+Ranks are still threads of one fabric (so clocks, the sanitizer, the fault
+layer and the failure detector work exactly as inproc), but the data
+plane is the frame plane of :mod:`.remote` over a mesh of
+``socket.socketpair`` connections, one per directed rank pair.  Each rank
+thread runs its own plane, exactly as an ``shm`` rank process does: it
+reads its inbound sockets when it parks, tests or probes, writes through
+non-blocking outbound ends (reading while a write cannot go out), and
+after its function returns takes its frames until every peer's ``bye``.
+No other thread runs.  Nothing object-shaped crosses: envelopes go
+through the portable codec, payloads as raw bytes, completion as ack
+frames resolved against each rank's pending table.  The backend keeps its
+historical id; it runs no event loop.
 
 This is the portability *proof* for the RPD810/811 envelope rules: if any
 send path still aliased live buffers or carried a live handle on the
@@ -19,22 +21,19 @@ backend (every payload is serialized twice per hop); ``shm`` is the fast
 process-boundary plane.
 
 Single-writer discipline: the frames of channel ``i -> j`` are written
-only by rank ``i``'s thread (sends at injection, acks at delivery — both
-run on the owning rank's thread), so writes need no lock; the driver
-writes the final ``bye`` frames only after every rank thread joined.
+only by rank ``i``'s thread (sends at injection, acks at delivery, its
+``bye`` at the end — all on the owning rank's thread), so writes need no
+lock, and every socket is closed by the rank that uses it.
 """
 
 from __future__ import annotations
 
-from multiprocessing import Pipe
+import socket
 
 from ..wire import materialize
 from . import envelope as env
 from .base import ThreadedTransport
 from .remote import RemoteTransportMixin
-
-#: Seconds a plane whose writers all returned may take to drain.
-DRAIN_TIMEOUT = 30.0
 
 
 class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
@@ -44,25 +43,19 @@ class AsyncioTransport(RemoteTransportMixin, ThreadedTransport):
 
     def wire(self, fabric) -> None:
         n = len(fabric.workers)
-        channels = {(i, j): Pipe(duplex=True) for i in range(n)
+        # (read end, write end) of each directed channel.
+        channels = {(i, j): socket.socketpair() for i in range(n)
                     for j in range(n) if i != j}
-        self._ends = [end for pair in channels.values() for end in pair]
-        self.open_plane(fabric, range(n),
-                        {key: ends[1] for key, ends in channels.items()},
-                        {ends[0]: key for key, ends in channels.items()})
-
-    def unwire(self, fabric, reports) -> None:
-        self.plane.close(reports, timeout=DRAIN_TIMEOUT)
-        self._close_ends()
+        for r in range(n):
+            self.open_plane(fabric, r,
+                            {j: channels[r, j][1] for j in range(n) if j != r},
+                            {channels[i, r][0]: i for i in range(n) if i != r})
 
     def abandon(self, fabric) -> None:
-        """Timeout path: dismantle without draining (ranks still alive)."""
-        self.plane.halt()
-        self._close_ends()
-
-    def _close_ends(self) -> None:
-        for end in self._ends:
-            end.close()
+        """Timeout path: shut every channel down; each rank thread closes
+        its own ends once its loop saw them end."""
+        for plane in self.planes.values():
+            plane.shut()
 
     def encode_payload(self, worker, msg) -> list[bytes]:
         # A deferred source is built into the sender's staging, which the

@@ -23,15 +23,14 @@ same envelope fields, which is what the conformance matrix
 
 Threading contract: :meth:`Transport.submit` runs on the sending rank's
 thread, :meth:`Transport.release_chunks` / :meth:`Transport.on_delivered` on
-the receiving rank's thread.  A remote plane reads its frames on the rank's
-own thread where a process hosts one rank (``Worker.progress``, driven from
-the park and test paths), and on one reader thread where it hosts several;
-such a reader thread must stay out of user callbacks (deposits into a
-:class:`TagMatcher` are the only fabric mutation it may perform — the
-matcher is locked for exactly this reason).
+the receiving rank's thread.  No transport starts a thread of its own: a
+remote plane's frames are read and delivered by the receiving rank's own
+thread (``Worker.progress``, driven from the park, test and probe paths
+and after the rank's function returned), on every remote backend.
 
 Exits are written once, here, for every backend: a *rank* ends in
-:func:`rank_main`, is torn down by :func:`quiesce` and described by one
+:func:`rank_main` (run by :meth:`Transport.run_rank`), is torn down by
+:func:`quiesce` and described by one
 :class:`RankReport`, and :func:`conclude_job` turns the reports into the
 ``JobResult`` or the ``RuntimeAbort``; a *message's* chunks go home through
 :meth:`Transport.release_chunks`.  The drivers (below and in ``shm.py``) keep
@@ -42,7 +41,9 @@ reaches the driver.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ...errors import RankCrashError, RuntimeAbort, TransportError
@@ -141,6 +142,17 @@ class Transport:
         self.release_chunks(worker, msg)
         msg.mark_failed(worker.clock.now, TransportError("send cancelled"))
         return True
+
+    # -- rank lifecycle (the rank's own thread) ----------------------------
+
+    def run_rank(self, fabric: "Fabric", rank: int, fn: Callable,
+                 engine_config, ended: Callable[["RankReport"], Any]
+                 ) -> "RankReport":
+        """Run one rank: :func:`rank_main`, whose report goes to ``ended``
+        (remote backends then take the rank's last frames)."""
+        report = rank_main(fabric, rank, fn, engine_config)
+        ended(report)
+        return report
 
     # -- message exits -----------------------------------------------------
 
@@ -344,21 +356,19 @@ class ThreadedTransport(Transport):
     """Shared SPMD driver for backends whose ranks are threads.
 
     ``inproc`` and ``asyncio`` both run one Python thread per rank over a
-    single fabric; they differ only in the data plane, which the ``wire``/
-    ``unwire`` hooks install.  The rank lifecycle, teardown and result
-    assembly are the module-level functions above; what is left here is
-    spawning and joining threads under the deadlock timeout.
+    single fabric; they differ only in the data plane, which the ``wire``
+    hook installs (and ``abandon`` shuts down).  The rank lifecycle,
+    teardown and result assembly are :meth:`Transport.run_rank` and the
+    module-level functions above; what is left here is spawning and
+    joining threads under the deadlock timeout.
     """
 
     def wire(self, fabric: "Fabric") -> None:
         """Install the data plane before rank threads start."""
 
-    def unwire(self, fabric: "Fabric", reports: Sequence[RankReport]) -> None:
-        """Drain and dismantle the data plane after rank threads join; a
-        rank the plane failed gets that failure in its report."""
-
     def abandon(self, fabric: "Fabric") -> None:
-        """Dismantle without draining (deadlock-timeout path)."""
+        """Deadlock-timeout path: end the data plane under rank threads
+        that may still be running, closing no descriptor they may use."""
 
     def run_job(self, fns: Sequence[Callable], nprocs: int,
                 config: "UcpConfig", engine_config=None,
@@ -385,26 +395,25 @@ class ThreadedTransport(Transport):
             fabric_hook(fabric)
 
         reports: list[Optional[RankReport]] = [None] * nprocs
-
-        def worker_main(rank: int) -> None:
-            reports[rank] = rank_main(fabric, rank, fns[rank], engine_config)
-
-        threads = [threading.Thread(target=worker_main, args=(r,),
-                                    name=f"mpi-rank-{r}", daemon=True)
-                   for r in range(nprocs)]
+        threads = [threading.Thread(
+            target=self.run_rank, name=f"mpi-rank-{r}", daemon=True,
+            args=(fabric, r, fns[r], engine_config,
+                  partial(reports.__setitem__, r)))
+            for r in range(nprocs)]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + timeout
         for t in threads:
-            t.join(timeout=timeout)
-        # A rank whose thread is still alive has no report — and must not
-        # grow one while the job is being concluded.
-        reports = [None if t.is_alive() else rep
-                   for t, rep in zip(threads, reports)]
-        if None in reports:
-            # Live threads may still touch the pools: no teardown.
+            t.join(max(deadline - time.monotonic(), 0.0))
+        if any(t.is_alive() for t in threads):
+            # A rank whose function still runs has no report; one that
+            # ended but still takes its frames is reported as it ended
+            # (a copy: its thread may still touch the original).  Live
+            # threads may still touch the pools: no teardown.
+            reports = [None if rep is None else replace(rep)
+                       for rep in reports]
             self.abandon(fabric)
         else:
-            self.unwire(fabric, reports)
             quiesce(fabric, range(nprocs),
                     failed=any(rep.failure is not None for rep in reports))
             for rep in reports:

@@ -19,28 +19,23 @@ sender's pool directly.  Across a boundary both become *frames*:
     DESIGN.md's transport-portability section called for.
 
 Both remote backends run the same plane; they differ only in how bytes
-cross and in how many ranks one process hosts:
+cross and in how ranks are spawned:
 
-* one channel type — each directed rank pair is one
-  ``multiprocessing.connection.Connection`` (an OS pipe on ``shm``, a
-  ``socketpair`` on ``asyncio``), written only by its source rank's thread
-  with ``Connection.send``'s framing (a length prefix and a pickle);
-* one frame loop per process (:meth:`FramePlane.progress`): one
-  persistent ``select.poll`` registration of the inbound ends, incremental
-  reads, ``deliver_frame`` per whole frame, one frame at a time in arrival
-  order; ``bye`` or EOF ends a channel;
-* one detector rule (:class:`PlaneDetector`).
+* one channel type — each directed rank pair is one connection (an OS
+  pipe on ``shm``, a ``socketpair`` on ``asyncio``), written only by its
+  source rank's thread with ``Connection.send``'s framing (a length
+  prefix and a pickle);
+* one frame loop per rank (:meth:`FramePlane.progress`), run by the rank
+  itself (MPI's progress-on-call model) while it parks, tests a request
+  or probes — up to the frame its call needs —, around each frame it
+  writes, and after its function returns until every peer's ``bye``
+  (:meth:`RemoteTransportMixin.run_rank`, the one rank lifecycle).  No
+  helper thread runs: a frame wakes the one thread that needs it.
 
-Who runs the loop follows from how many ranks a process hosts.  An ``shm``
-process hosts one rank, and that rank is its own progress engine (MPI's
-progress-on-call model): it takes frames while it parks and when it tests
-a request or probes — up to the one its call needs — reads (without
-delivering) before each frame it writes and while a write cannot go out,
-and takes the rest after its function returns, until every peer's
-``bye``.  No helper thread runs in a rank process, so a frame costs one
-wake-up of the thread that needs it.  The ``asyncio`` process hosts every
-rank; a detector frame there is applied only once each hosted rank has
-read it, so one reader thread runs the same loop for all of them.
+Failure detection follows where ranks live: ``asyncio`` ranks are threads
+of one fabric and share its in-process detector, as ``inproc`` ranks do;
+``shm`` ranks are processes, whose detector changes travel as frames
+(:class:`PlaneDetector`).
 
 Per-channel frame order is FIFO, which the fault layer's reorder/duplicate
 machinery already assumes; faults are resolved sender-side *before*
@@ -55,7 +50,6 @@ import pickle
 import select
 import struct
 import threading
-import time
 from collections import deque
 from functools import partial
 from typing import Optional
@@ -73,9 +67,6 @@ DEAD = "dead"    # detector frame: the subject rank died (reason follows)
 DONE = "done"    # detector frame: the subject rank finished cleanly
 ABORT = "abort"  # detector frame: MPI_ERRORS_ARE_FATAL fired
 
-#: Seconds between the reader thread's looks at its halt flag while every
-#: channel is quiet (only the abandon path ever sets it).
-HALT_POLL = 0.1
 #: Bytes one read asks a channel for (a pipe's default capacity), unless
 #: more of a torn frame is still to come.
 READ_SIZE = 1 << 16
@@ -92,106 +83,87 @@ class PendingTable:
     on the registered original; the acknowledgement frame carries only the
     key and plain data.
 
-    Thread contract: ``register`` runs on the sending rank's thread,
-    ``pop``/``drain`` on whichever thread reads the plane — the rank's own
-    on ``shm``, the reader thread on ``asyncio`` — hence the lock.
+    Thread contract: one rank's table is touched by that rank's thread
+    only — ``register`` when it sends, ``pop`` when it takes an
+    acknowledgement off its own channels, ``drain`` at its teardown — so
+    it needs no lock.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._entries: dict[int, WireMessage] = {}
 
     def register(self, msg: WireMessage) -> None:
-        with self._lock:
-            self._entries[msg.header.msg_id] = msg
+        self._entries[msg.header.msg_id] = msg
 
     def pop(self, msg_id: int) -> Optional[WireMessage]:
         """The message an acknowledgement is for (None for unknown ids —
         late acks after a sweep)."""
-        with self._lock:
-            return self._entries.pop(msg_id, None)
+        return self._entries.pop(msg_id, None)
 
     def drain(self) -> list[WireMessage]:
         """Every message nobody acknowledged (job teardown)."""
-        with self._lock:
-            msgs = list(self._entries.values())
-            self._entries.clear()
+        msgs = list(self._entries.values())
+        self._entries.clear()
         return msgs
 
 
 class PlaneDetector(FailureDetector):
-    """The failure detector of one process on the frame plane.
+    """The failure detector of an ``shm`` rank process.
 
-    One rule, whatever the number of ranks a process hosts: a rank's finish
-    or death must not outrun its last frames (a peer that saw "rank 1
-    finished" before rank 1's final message landed would fail a receive
-    inproc completes).  So ``mark_dead``/``mark_finished`` ride the subject
-    rank's own outgoing channels, FIFO behind its data frames, and a
-    process applies one once every rank it hosts, other than the subject,
-    has read it — at once when it hosts no such rank.  One rank per process
-    (``shm``) applies on the first read, all ranks in one process
-    (``asyncio``) on the (n-1)th.  ``abort_job`` poisons every wait
-    unconditionally: it applies here at once and is framed only to ranks
-    hosted in other processes.
+    A rank's finish or death must not outrun its last frames (a peer that
+    saw "rank 1 finished" before rank 1's final message landed would fail
+    a receive inproc completes).  So ``mark_dead``/``mark_finished`` ride
+    the rank's own outgoing channels, FIFO behind its data frames, and a
+    peer applies one on the first read; ``abort_job`` is framed to every
+    peer.  Each change applies here at once as well.  Every change thus
+    reaches a parked peer as a frame, so its progress-engine nap needs no
+    period.
     """
 
+    period = None
+
     def __init__(self, nprocs: int, transport: "RemoteTransportMixin",
-                 hosted):
+                 rank: int):
         super().__init__(nprocs)
         self._transport = transport
-        self._hosted = frozenset(hosted)
-        #: Detector frame -> hosted ranks that have read it.
-        self._reads: dict[tuple, int] = {}
+        self._rank = rank
 
-    # -- local transitions (a hosted rank's thread) -------------------------
+    # -- local transitions (the rank's thread) ------------------------------
 
     def mark_dead(self, rank: int, reason: str = "process failed") -> None:
-        self._ride(rank, (DEAD, rank, reason))
+        super().mark_dead(rank, reason)
+        self._frame((DEAD, rank, reason))
 
     def mark_finished(self, rank: int) -> None:
-        self._ride(rank, (DONE, rank))
+        super().mark_finished(rank)
+        self._frame((DONE, rank))
 
     def abort_job(self, reason: str) -> bool:
         first = super().abort_job(reason)
-        src = min(self._hosted)
-        for dst in range(self.nprocs):
-            if dst not in self._hosted:
-                self._transport.try_send(src, dst, (ABORT, reason))
+        self._frame((ABORT, reason))
         return first
 
-    def _ride(self, rank: int, frame: tuple) -> None:
-        sent = [self._transport.try_send(rank, dst, frame)
-                for dst in range(self.nprocs) if dst != rank]
-        if not all(sent) or not self._hosted - {rank}:
-            # No hosted reader, or the plane is already dismantled (the
-            # abandon path): apply here so surviving waits still end.
-            self._apply(frame)
+    def _frame(self, frame: tuple) -> None:
+        for dst in range(self.nprocs):
+            if dst != self._rank:
+                self._transport.try_send(self._rank, dst, frame)
 
-    # -- frames read by a hosted rank (the plane's reader) ------------------
+    # -- frames a peer sent (the rank's frame loop) -------------------------
 
     def apply_remote(self, frame: tuple) -> None:
-        if frame[0] != ABORT:
-            with self._lock:
-                reads = self._reads[frame] = self._reads.get(frame, 0) + 1
-            if reads != len(self._hosted - {frame[1]}):
-                return
-        self._apply(frame)
-
-    def _apply(self, frame: tuple) -> None:
         kind, *args = frame
         {DEAD: super().mark_dead, DONE: super().mark_finished,
          ABORT: super().abort_job}[kind](*args)
 
 
 class _Inbound:
-    """Reader state of one inbound channel: the rank that writes it, the
-    hosted worker that reads it, and the bytes of a frame not yet whole."""
+    """Reader state of one inbound channel: the rank that writes it and
+    the bytes of a frame not yet whole."""
 
-    __slots__ = ("src", "worker", "partial")
+    __slots__ = ("src", "partial")
 
-    def __init__(self, src: int, worker):
+    def __init__(self, src: int):
         self.src = src
-        self.worker = worker
         self.partial = bytearray()
 
     def wanted(self) -> int:
@@ -226,58 +198,55 @@ class _Inbound:
 
 
 class FramePlane:
-    """One process's ends of the plane and its one frame loop,
-    :meth:`progress`.
+    """One rank's ends of the plane and its one frame loop,
+    :meth:`progress`, run by the rank's own thread: as ``Worker.progress``
+    from its park, test and probe paths, around each frame it writes, and
+    in :meth:`close`.
 
-    ``hosted`` are the ranks the process runs; ``outbound`` maps
-    ``(src, dst)`` to the connection ``src`` writes, ``inbound`` maps every
-    connection a hosted rank reads to its ``(src, dst)``.  Who calls the
-    loop is fixed by how many ranks the process hosts: one (``shm``) — that
-    rank's thread, as ``Worker.progress``, and in :meth:`close`; several
-    (``asyncio``) — one reader thread, because a frame another hosted rank
-    must also read (the :class:`PlaneDetector` rule) cannot wait for one
-    rank's next call.
+    ``outbound`` maps each peer to the connection the rank writes to it
+    (made non-blocking here), ``inbound`` every connection the rank reads
+    to the peer that writes it.
 
     Frames are delivered one at a time, in arrival order, so a rank takes
     exactly the frames its call needs: those ahead of the one it waits
-    for, and that one.  Reading is not delivery: before each frame a
-    rank-driven plane writes, and while a write the channel cannot take
-    yet goes out in pieces, the plane reads whatever has come in and keeps
-    it — the pipes into the writer never stay full, so two ranks flooding
-    each other cannot write-deadlock.
+    for, and that one.  Reading is not delivery: before each frame the
+    rank writes, and while a write the channel cannot take yet goes out in
+    pieces, the plane reads whatever has come in and keeps it — the
+    channels into the writer never stay full, so two ranks flooding each
+    other cannot write-deadlock.
     """
 
-    def __init__(self, transport: "RemoteTransportMixin", fabric, hosted,
+    def __init__(self, transport: "RemoteTransportMixin", worker,
                  outbound: dict, inbound: dict):
-        hosted = tuple(hosted)
+        self.worker = worker
         self.out = outbound
-        self.pending = {r: PendingTable() for r in hosted}
+        self.pending = PendingTable()
         self._transport = transport
+        self._ends = [*outbound.values(), *inbound]
+        #: Guards ``_live`` (read by ``in_transit`` on any thread), the
+        #: ends (``shut`` from the job's thread at a timeout) and ``_error``.
         self._lock = threading.Lock()
-        #: Hosted rank -> the first exception its frames raised.
-        self._errors: dict[int, BaseException] = {}
+        self._closed = False
+        #: The first exception a frame's delivery raised.
+        self._error: Optional[BaseException] = None
         #: Inbound fd -> reader state; a channel leaves once its ``bye``
         #: is taken off ``_frames``.
-        self._live = {conn.fileno(): _Inbound(src, fabric.worker(dst))
-                      for conn, (src, dst) in inbound.items()}
+        self._live = {conn.fileno(): _Inbound(src)
+                      for conn, src in inbound.items()}
         #: ``(fd, channel, frame)`` read but not yet delivered, in arrival
         #: order.
         self._frames: deque = deque()
         self._poll = select.poll()
+        #: The thread the rank runs on (``run_rank``): the only one that
+        #: drives this loop.  The sanitizer re-tests a parked rank's
+        #: ``ready`` on other threads, and a ``Request.test`` in it must
+        #: not take this rank's frames.
+        self.owner: Optional[int] = None
         for fd in self._live:
             self._poll.register(fd, select.POLLIN)
-        self._halt = threading.Event()
-        self._thread = None
-        if len(hosted) == 1:
-            for conn in outbound.values():
-                os.set_blocking(conn.fileno(), False)
-            fabric.worker(hosted[0]).progress = self.progress
-        else:
-            self._thread = threading.Thread(
-                target=self._read_loop,
-                name="ucp-reader-" + ",".join(str(r) for r in hosted),
-                daemon=True)
-            self._thread.start()
+        for conn in outbound.values():
+            os.set_blocking(conn.fileno(), False)
+        worker.progress = self.progress
 
     def progress(self, timeout: Optional[float] = 0.0,
                  writable: Optional[int] = None) -> bool:
@@ -286,10 +255,13 @@ class FramePlane:
         With none read yet, wait up to ``timeout`` seconds (None: until
         something happens) for an inbound channel to be readable — or the
         outbound fd ``writable`` to take bytes — read every readable
-        channel once, and deliver the first whole frame, if any (False
-        when none came).  Given ``writable``, only read.  ``bye`` or EOF
-        ends a channel; an exception escaping delivery is the receiving
-        rank's, and the loop goes on."""
+        channel once, and deliver the first whole frame, if any.  False
+        means nothing came: no frame delivered, no byte read.  Given
+        ``writable``, only read.  ``bye`` or EOF ends a channel; an
+        exception escaping delivery is the rank's, and the loop goes on.
+        On any thread but the rank's, nothing happens (False)."""
+        if threading.get_ident() != self.owner:
+            return False
         frames = self._frames
         if writable is not None or not frames:
             if writable is not None:
@@ -300,10 +272,12 @@ class FramePlane:
             finally:
                 if writable is not None:
                     self._poll.unregister(writable)
+            read = False
             for fd, _ in events:
                 chan = self._live.get(fd)
                 if chan is None:
                     continue  # ``writable``
+                read = True
                 try:
                     data = os.read(fd, chan.wanted())
                 except OSError:
@@ -314,126 +288,135 @@ class FramePlane:
                         self._poll.unregister(fd)
                         break
             if writable is not None or not frames:
-                return False
+                return read
         fd, chan, frame = frames[0]
         if frame[0] == BYE:
             frames.popleft()
-            with self._lock:  # read by ``close`` on the driver
+            with self._lock:
                 del self._live[fd]
         else:
             # Left queued until delivered: ``in_transit`` sees it meanwhile.
             try:
-                self._transport.deliver_frame(chan.worker, chan.src, frame)
+                self._transport.deliver_frame(self.worker, chan.src, frame)
             except Exception as exc:
-                self._fail(chan.worker.index, exc)
+                with self._lock:
+                    if self._error is None:
+                        self._error = exc
             finally:
                 frames.popleft()
         return True
 
-    def in_transit(self, src: int, dst: int) -> bool:
-        """Whether the channel ``src -> dst`` (``dst`` hosted here) holds
-        a frame read in part, or one read whole and still queued (a frame
-        leaves the queue once its delivery returned).  Bytes the loop has
-        not read yet are not seen: only the loop polls a channel.  Any
-        thread may ask: the channel table is copied under the lock, and a
-        ``list`` copy of the frame queue is one step under the GIL."""
+    def in_transit(self, src: int) -> bool:
+        """Whether the channel from ``src`` holds a frame read in part, or
+        one read whole and still queued (a frame leaves the queue once its
+        delivery returned).  Bytes the rank has not read yet are not seen:
+        only its loop polls a channel.  Any thread may ask: the channel
+        table is read under the lock, and a ``list`` copy of the frame
+        queue is one step under the GIL."""
         with self._lock:
-            chans = [c for c in self._live.values()
-                     if c.src == src and c.worker.index == dst]
-        return any(c.partial for c in chans) or any(
-            c in chans for _, c, _ in list(self._frames))
+            chan = next((c for c in self._live.values() if c.src == src),
+                        None)
+        return chan is not None and (bool(chan.partial) or any(
+            c is chan for _, c, _ in list(self._frames)))
 
-    def _read_loop(self) -> None:
-        while self._live and not self._halt.is_set():
-            self.progress(HALT_POLL)
-
-    def write(self, key: tuple[int, int], frame) -> None:
-        """Write one frame on channel ``key`` (its source rank's thread
-        only: one writer per channel, no lock), length-prefixed like
-        ``Connection.send``.  A rank-driven plane first reads whatever
-        has come in, and a write the channel cannot take yet goes out in
-        pieces, the plane reading in between."""
-        fd = self.out[key].fileno()
+    def write(self, dst: int, frame) -> None:
+        """Write one frame to ``dst`` (the rank's thread only: one writer
+        per channel, no lock), length-prefixed like ``Connection.send``.
+        Whatever has come in is read first, and a write the channel cannot
+        take yet goes out in pieces, the plane reading in between."""
+        fd = self.out[dst].fileno()
         body = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
         view = memoryview(_LENGTH.pack(len(body)) + body)
-        if self._thread is None:
-            self.progress(writable=fd)
+        self.progress(writable=fd)
         while view:
             try:
                 view = view[os.write(fd, view):]
             except BlockingIOError:
                 self.progress(None, writable=fd)
 
-    def _fail(self, rank: int, exc: BaseException) -> None:
-        with self._lock:
-            self._errors.setdefault(rank, exc)
-
-    def close(self, reports, timeout: Optional[float] = None) -> None:
-        """Drain the plane once every hosted rank has returned.
+    def close(self, report) -> None:
+        """Take the rank's frames until every peer's ``bye``, once its
+        function returned, then close its ends.
 
         A ``bye`` goes out behind the last frame of every outgoing channel
-        and the loop runs until each inbound channel's ``bye``; what it
-        could not deliver — or a plane still not drained after ``timeout``
-        — becomes the failure of the receiving rank's report.
+        first.  A frame the rank could not deliver becomes the failure of
+        its ``report``.
         """
-        for src, dst in self.out:
-            self._transport.try_send(src, dst, (BYE,))
-        if self._thread is None:
-            end = None if timeout is None else time.monotonic() + timeout
-            while self._live and (end is None or time.monotonic() < end):
-                self.progress(None if end is None
-                              else max(end - time.monotonic(), 0.0))
-        else:
-            self._thread.join(timeout)
-            if self._thread.is_alive():
-                self.halt()
-        if self._live:
-            for r in self.pending:
-                self._fail(r, TimeoutError(
-                    f"frames still in flight after {timeout}s"))
+        for dst in self.out:
+            self._transport.try_send(self.worker.index, dst, (BYE,))
+        while self._live:
+            self.progress(None)
         with self._lock:
-            errors = dict(self._errors)
-        for rep in reports:
-            if rep.rank in errors and rep.failure is None:
-                rep.failure = TransportError(
-                    f"{self._transport.name} transport I/O failure on rank "
-                    f"{rep.rank}: {errors[rep.rank]!r}")
+            self._closed = True
+            for end in self._ends:
+                end.close()
+        if self._error is not None and report.failure is None:
+            report.failure = TransportError(
+                f"{self._transport.name} transport I/O failure on rank "
+                f"{report.rank}: {self._error!r}")
 
-    def halt(self) -> None:
-        """Stop the reader thread without draining (ranks may still be
-        running)."""
-        self._halt.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+    def shut(self) -> None:
+        """End every channel of the rank without closing a descriptor
+        (any thread; socket ends): its reads see EOF, its writes fail.
+        The rank's thread may still poll or write them, and a closed
+        descriptor's number is the next one opened — the rank closes its
+        own ends when its loop has seen every channel end."""
+        import socket  # not at module level: every job imports this one
+
+        with self._lock:
+            if self._closed:
+                return
+            for end in self._ends:
+                try:
+                    end.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 class RemoteTransportMixin:
     """What the ``shm`` and ``asyncio`` backends share: send, deliver and
-    acknowledge frames over one :class:`FramePlane`.
+    acknowledge frames, one :class:`FramePlane` per rank.
 
     Concrete backends provide ``encode_payload(worker, msg)`` /
     ``materialize_payload(src_rank, payload)`` — how chunks cross (raw
-    bytes vs arena references) — and hand this process's channel ends to
+    bytes vs arena references) — and hand each rank's channel ends to
     :meth:`open_plane`.
     """
 
     supports_cancel = False
 
-    def open_plane(self, fabric, hosted, outbound: dict,
+    def __init__(self):
+        #: Rank -> its plane (one on an ``shm`` rank process).
+        self.planes: dict[int, FramePlane] = {}
+
+    def open_plane(self, fabric, rank: int, outbound: dict,
                    inbound: dict) -> None:
-        """Start this process's :class:`FramePlane`; the fabric's detector
-        becomes the :class:`PlaneDetector`."""
-        fabric.detector = PlaneDetector(len(fabric.workers), self, hosted)
-        self.plane = FramePlane(self, fabric, hosted, outbound, inbound)
+        """Give ``rank`` its :class:`FramePlane`: ``outbound`` maps each
+        peer to the end the rank writes, ``inbound`` each end it reads to
+        the peer that writes it."""
+        self.planes[rank] = FramePlane(self, fabric.worker(rank), outbound,
+                                       inbound)
+
+    def run_rank(self, fabric, rank: int, fn, engine_config, ended):
+        """One rank's lifecycle, on its own thread, on both remote
+        backends: ``rank_main``, whose report goes to ``ended`` before the
+        rank waits on any peer (a job that times out on a busy peer still
+        names how this rank ended), then the rank's frames until every
+        peer's ``bye``."""
+        plane = self.planes[rank]
+        plane.owner = threading.get_ident()
+        report = super().run_rank(fabric, rank, fn, engine_config, ended)
+        plane.close(report)
+        return report
 
     def pending_for(self, rank: int) -> PendingTable:
-        return self.plane.pending[rank]
+        return self.planes[rank].pending
 
     def send_frame(self, src_rank: int, dst_rank: int, frame) -> None:
         """Write one frame on channel ``src_rank -> dst_rank`` (only ever
         from ``src_rank``'s thread: one writer per channel, no lock)."""
         try:
-            self.plane.write((src_rank, dst_rank), frame)
+            self.planes[src_rank].write(dst_rank, frame)
         except (OSError, ValueError) as exc:
             raise TransportError(
                 f"{self.name} transport channel {src_rank}->{dst_rank} "
@@ -470,13 +453,13 @@ class RemoteTransportMixin:
     # -- receiver side -----------------------------------------------------
 
     def deliver_frame(self, recv_worker, src_rank: int, frame) -> None:
-        """Dispatch one inbound frame (the plane's reader: the receiving
-        rank's own thread on ``shm``, the reader thread on ``asyncio``).
+        """Dispatch one inbound frame (the receiving rank's own thread, in
+        its frame loop).
 
-        ``msg`` frames become a deposit into the local matcher (the one
-        fabric mutation a reader thread may perform); ``ack`` frames
-        resolve the local pending table; detector frames go to the
-        :class:`PlaneDetector`, so ULFM waits terminate across processes.
+        ``msg`` frames become a deposit into the rank's matcher; ``ack``
+        frames resolve its pending table; detector frames (``shm`` only)
+        go to the :class:`PlaneDetector`, so ULFM waits terminate across
+        processes.
         """
         kind = frame[0]
         if kind == MSG:
@@ -523,5 +506,5 @@ class RemoteTransportMixin:
             self.release_chunks(worker, msg)
 
     def in_transit(self, src: int, dst: int) -> bool:
-        plane = getattr(self, "plane", None)
-        return plane is not None and plane.in_transit(src, dst)
+        plane = self.planes.get(dst)
+        return plane is not None and plane.in_transit(src)

@@ -19,15 +19,16 @@ wire.
 
 Control plane: the frame plane of :mod:`.remote` — per-directed-pair
 ``multiprocessing.Pipe`` channels carry the portable envelope and the ack
-frames, and the :class:`~.remote.PlaneDetector` rule (one hosted rank:
-apply on the first read) keeps crashes, finishes and ULFM aborts
-converging across processes, so bounded-time hopeless-wait detection keeps
-working.  A rank process runs one thread, the rank's: it is its own
+frames.  A rank process runs one thread, the rank's: it is its own
 progress engine, taking its frames through the plane's one frame loop
 whenever it parks, tests a request or probes, and after its function
 returns until every peer's ``bye``.  Frames that arrive while it computes
 wait for its next MPI call; before each frame it writes, and while a
-write the pipe cannot take yet waits, it reads its inbound pipes.
+write the pipe cannot take yet waits, it reads its inbound pipes.  Ranks
+share no detector object, so each process runs the
+:class:`~.remote.PlaneDetector`: finishes, deaths and ULFM aborts travel
+as frames (a peer applies one on the first read), which keeps
+bounded-time hopeless-wait detection working across processes.
 
 Staging ownership: an arena slab referenced by an in-flight frame stays
 checked out of the sender's pool until the receiver's acknowledgement
@@ -48,8 +49,8 @@ import numpy as np
 from ...errors import TransportError
 from ..memory import BufferPool
 from ..wire import materialize
-from .base import RankReport, Transport, conclude_job, quiesce, rank_main
-from .remote import RemoteTransportMixin
+from .base import RankReport, Transport, conclude_job, quiesce
+from .remote import PlaneDetector, RemoteTransportMixin
 
 #: Arena segment size per rank (``REPRO_SHM_ARENA_MB`` overrides).
 DEFAULT_ARENA_MB = 64
@@ -173,6 +174,7 @@ class _ShmChildTransport(RemoteTransportMixin, Transport):
     supports_shared_address_space = False
 
     def __init__(self, arenas):
+        super().__init__()
         self._arena_views = {r: np.frombuffer(shm.buf, dtype=np.uint8)
                              for r, shm in arenas.items()}
 
@@ -247,18 +249,15 @@ def _child_main(rank: int, fn, nprocs: int, config, engine_config,
 
     transport = _ShmChildTransport(arenas)
     fabric = UcpContext(config).create_fabric(nprocs, transport=transport)
+    fabric.detector = PlaneDetector(nprocs, transport, rank)
     fabric.worker(rank).memory.pool = ArenaBufferPool(arenas[rank])
-    transport.open_plane(fabric, (rank,), out_conns, in_conns)
+    transport.open_plane(fabric, rank, out_conns, in_conns)
 
-    report = rank_main(fabric, rank, fn, engine_config)
-    # How the function ended goes out *before* waiting on any peer, so a
-    # job that times out on a blocked peer still names this rank's exit.
-    result_conn.send(replace(report, result=None))
-
-    # Peers keep delivering (and acknowledging) until each sends its own
-    # ``bye``; this thread takes them all before the teardown.  The
-    # driver's deadline bounds the wait.
-    transport.plane.close([report])
+    # How the function ended goes out before the rank takes its peers'
+    # last frames; the parent's deadline bounds that wait.
+    report = transport.run_rank(
+        fabric, rank, fn, engine_config,
+        lambda rep: result_conn.send(replace(rep, result=None)))
     quiesce(fabric, (rank,), failed=report.failure is not None)
     report.snapshot(fabric)
     try:
@@ -311,9 +310,9 @@ class ShmTransport(Transport):
                 arenas[r] = shared_memory.SharedMemory(
                     create=True, size=self.arena_bytes())
             for r in range(nprocs):
-                out_conns = {(r, j): channels[(r, j)][1]
+                out_conns = {j: channels[(r, j)][1]
                              for j in range(nprocs) if j != r}
-                in_conns = {channels[(i, r)][0]: (i, r)
+                in_conns = {channels[(i, r)][0]: i
                             for i in range(nprocs) if i != r}
                 procs.append(ctx.Process(
                     target=_child_main,

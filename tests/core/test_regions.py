@@ -125,6 +125,22 @@ class TestBuffers:
         r = Region(a)
         assert r.view().shape == (12,) and r.nbytes == 12
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float64,
+                                       np.complex128])
+    def test_zero_dimensional_array_is_one_element(self, dtype):
+        a = np.array(3, dtype=dtype)
+        r = Region(a)
+        assert r.view().shape == (a.itemsize,) and r.nbytes == a.itemsize
+        assert r.read_bytes().tobytes() == a.tobytes()
+        r.writable_view()[:] = np.frombuffer(
+            np.array(5, dtype=dtype).tobytes(), dtype=np.uint8)
+        assert a == 5
+
+    def test_numpy_scalar_is_one_element(self):
+        r = Region(np.float64(2.0), datatype=FLOAT64)
+        assert r.nbytes == 8
+        assert r.read_bytes().tobytes() == np.float64(2.0).tobytes()
+
 
 class TestEquality:
     def test_same_buffer_length_and_type(self):

@@ -33,15 +33,23 @@ def _slot_is_back(svc):
     assert after.status == JobStatus.COMPLETED
 
 
-@pytest.mark.parametrize("call", PARKED)
-def test_kill_releases_parked_rank(call):
+#: Each parked call on the default backend, and on asyncio, whose ranks
+#: park in their own progress engines.
+KILLS = [pytest.param(call, None, id=call) for call in PARKED] + [
+    pytest.param(call, "asyncio", id=f"{call}-asyncio") for call in PARKED]
+
+
+@pytest.mark.parametrize("call,transport", KILLS)
+def test_kill_releases_parked_rank(call, transport):
     """Both ranks park for good (head to head, nothing watching for
     deadlock); only the kill ends the job, and long before its 30 s —
     with and without the reliability protocol: every fabric has the
-    detector the kill aborts through."""
-    require_transport_capability("shared_address_space")
+    detector the kill aborts through, and a rank parked in its own
+    progress engine hears it too."""
+    if transport is None:
+        require_transport_capability("shared_address_space")
     for reliability in (None, True):
-        with JobService(slots=1, max_queue=4) as svc:
+        with JobService(slots=1, max_queue=4, transport=transport) as svc:
             h = svc.submit(JobSpec(
                 fn=PARKED[call], name=f"parked-in-{call}",
                 reliability=reliability,

@@ -1,14 +1,16 @@
 """There is one remote plane (``repro.ucp.transport.remote``).
 
-Both remote backends read frames in one loop, ``FramePlane.progress`` — run
-by the rank itself on ``shm`` and by one reader thread on ``asyncio`` — and
-apply failure-detector frames by one rule.  A second frame loop, a second
-detector wrapper or an event loop in ``src/repro/ucp/transport/`` would be a
-second copy of the rule "a rank's finish or death must not outrun its last
-frames" — the copy that drifts.  This walk fails when one grows back: the
-loop is the only function that reads or polls a plane channel and the only
-caller of ``deliver_frame``, and readiness comes from ``select.poll``, not
-from ``selectors`` or ``asyncio``.
+Both remote backends read frames in one loop, ``FramePlane.progress``, run
+by each rank itself, and ``shm`` applies failure-detector frames by one
+rule.  A second frame loop, a second detector wrapper, an event loop or a
+helper thread in ``src/repro/ucp/transport/`` would be a second reader of
+the frames, and a second copy of the rule "a rank's finish or death must
+not outrun its last frames" — the copy that drifts.  This walk fails when
+one grows back: the loop is the only function that reads or polls a plane
+channel and the only caller of ``deliver_frame``, readiness comes from
+``select.poll``, not from ``selectors`` or ``asyncio``, and the only thread
+the package builds is a rank (``ThreadedTransport.run_job``'s
+``mpi-rank-*``).
 """
 
 import ast
@@ -21,6 +23,9 @@ LOOP = ("remote.py", "progress")
 #: Functions that may read a connection besides the loop: the shm driver
 #: collecting rank reports from its result pipes (not plane channels).
 REPORT_READERS = {("shm.py", "run_job")}
+#: The one function that may build a thread: ``ThreadedTransport.run_job``,
+#: starting one thread per rank.
+RANK_SPAWNER = ("base.py", "run_job")
 #: Calls that read a channel or wait for one to be readable (building the
 #: loop's one ``select.poll`` object is neither).
 _READS = {"recv", "read", "wait", "conn_wait", "poll"}
@@ -61,6 +66,8 @@ def violations(sources: dict[str, str]) -> list[str]:
                 called = _called(node)
                 if called == "deliver_frame" and (name, fn) != LOOP:
                     found.append(f"{where}: deliver_frame outside the loop")
+                if called == "Thread" and (name, fn) != RANK_SPAWNER:
+                    found.append(f"{where}: starts a thread")
                 if called in _READS \
                         and ast.unparse(node.func) != "select.poll" \
                         and (name, fn) != LOOP \
@@ -93,9 +100,11 @@ def test_the_walk_sees_a_second_plane():
            "    def _drain(self, c, w):\n"
            "        f = c.recv()\n"
            "        os.read(c.fileno(), 4)\n"
-           "        self.deliver_frame(w, 0, f)\n")
+           "        self.deliver_frame(w, 0, f)\n"
+           "    def _start(self):\n"
+           "        threading.Thread(target=self._drain).start()\n")
     found = violations({"x.py": bad})
-    assert len(found) == 6, found
+    assert len(found) == 7, found
 
 
 def test_one_loop_one_rule_no_event_loop():

@@ -277,8 +277,8 @@ def segments(monkeypatch):
 
 
 def _fabric_threads():
-    return {t for t in threading.enumerate() if t.name.startswith(
-        ("mpi-rank-", "ucp-reader-"))}
+    return {t for t in threading.enumerate()
+            if t.name.startswith(("mpi-rank-", "ucp-"))}
 
 
 def _run_cell(backend, message_exit, rank_exit):
@@ -386,11 +386,11 @@ def test_wall_timeout_names_the_peer_that_already_raised():
 
 def test_a_frame_delivery_failure_is_that_ranks_failure(monkeypatch):
     """An exception escaping ``deliver_frame`` in the frame loop — run by
-    the rank itself on shm, by the reader thread on asyncio — is the
-    receiving rank's failure on both remote backends: a ``RuntimeAbort``
-    through ``conclude_job`` (so the job service sees it and ``quiesce``
-    runs), never a thread traceback, a bare ``TransportError`` or an
-    exception out of the rank's own MPI call."""
+    the receiving rank itself — is that rank's failure on both remote
+    backends: a ``RuntimeAbort`` through ``conclude_job`` (so the job
+    service sees it and ``quiesce`` runs), never a thread traceback, a
+    bare ``TransportError`` or an exception out of the rank's own MPI
+    call."""
     from repro.ucp.transport import remote
 
     real = remote.RemoteTransportMixin.deliver_frame

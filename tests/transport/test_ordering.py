@@ -1,12 +1,14 @@
 """A rank's finish must not outrun its last frames — on every backend.
 
-On the remote backends ``mark_finished`` rides the finishing rank's own
-channels behind its data frames (``remote.PlaneDetector``).  A detector
-that applied "rank 1 finished" before rank 1's last message landed would
-turn a receive that inproc completes into a hopeless-wait
-``ProcFailedError``.  Three ranks, so on ``asyncio`` the rule must wait
-for the read on *every* channel: rank 2's channel, empty but for the
-finish frame, drains long before rank 0's.
+On ``shm`` ``mark_finished`` rides the finishing rank's own channels
+behind its data frames (``remote.PlaneDetector``).  On ``asyncio`` the
+ranks share one in-process detector, and the finishing rank has written
+its frames before it is marked: the parked receiver must take every frame
+already sent to it before it believes the verdict.  A detector that
+applied "rank 1 finished" before rank 1's last message landed would turn
+a receive that inproc completes into a hopeless-wait ``ProcFailedError``.
+Three ranks: rank 2's channel, empty but for its end, drains long before
+rank 0's.
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
 """What a rank that is its own progress engine must still guarantee.
 
-On ``shm`` a rank process runs no helper thread: the rank takes its own
-frames whenever it parks, tests or probes, and reads its channels around
-each frame it writes.  On ``asyncio`` one reader thread runs the same
-frame loop for every rank.
-Either way a flood cannot write-deadlock, a rank that only spins on
-non-blocking calls still gets its messages, and frames torn across reads
-arrive whole.
+On both remote backends no helper thread runs: each rank — an ``shm``
+process, an ``asyncio`` thread — takes its own frames whenever it parks,
+tests or probes, and reads its channels around each frame it writes.  A
+flood cannot write-deadlock, a rank that only spins on non-blocking calls
+still gets its messages, and frames torn across reads arrive whole.
 """
 
 from __future__ import annotations
@@ -157,19 +155,47 @@ def test_progress_without_parking(remote_backend, spinner):
     assert [m["pool"]["outstanding"] for m in res.memory] == [0, 0]
 
 
-def test_an_shm_rank_runs_no_helper_thread():
-    require_backend("shm")
+def test_a_remote_rank_runs_no_helper_thread(remote_backend):
+    """Nobody reads frames for a rank: an shm rank process runs one
+    thread, and the threads an asyncio job adds are its ranks'."""
+    before = set(threading.enumerate())
 
     def fn(comm):
         peer = 1 - comm.rank
         req = comm.isend(np.arange(4, dtype=np.int64), peer, TAG)
         comm.recv(np.zeros(4, np.int64), peer, TAG)
         req.wait()
-        return threading.active_count(), [t.name for t in
-                                          threading.enumerate()]
+        return threading.active_count(), sorted(
+            t.name for t in set(threading.enumerate()) - before)
 
-    res = run(fn, nprocs=2, transport="shm", timeout=60)
-    assert [count for count, _ in res.results] == [1, 1], res.results
+    res = run(fn, nprocs=2, transport=remote_backend, timeout=60)
+    if remote_backend == "shm":
+        assert [count for count, _ in res.results] == [1, 1], res.results
+    else:
+        assert [names for _, names in res.results] == \
+            [["mpi-rank-0", "mpi-rank-1"]] * 2, res.results
+
+
+def test_only_the_ranks_own_thread_takes_its_frames(remote_backend):
+    """The sanitizer re-tests a parked rank's ``ready`` on other threads,
+    and ``Request.test`` in it calls the rank's progress engine: there it
+    must take nothing, although a frame waits unread."""
+    def fn(comm):
+        if comm.rank == 1:
+            comm.send(_payload(1, 4), 0, TAG)
+            return None
+        time.sleep(0.2)  # the frame is in rank 0's channel by now
+        foreign = []
+        t = threading.Thread(
+            target=lambda: foreign.append(comm.worker.progress()))
+        t.start()
+        t.join()
+        out = np.zeros(FLOOD_BYTES, np.uint8)
+        comm.recv(out, 1, TAG)
+        return foreign, bool(np.array_equal(out, _payload(1, 4)))
+
+    res = run(fn, nprocs=2, transport=remote_backend, timeout=60)
+    assert res.results[0] == ([False], True)
 
 
 def test_frames_torn_across_reads_arrive_whole():
@@ -181,7 +207,7 @@ def test_frames_torn_across_reads_arrive_whole():
                       (pickle.dumps(f, pickle.HIGHEST_PROTOCOL)
                        for f in frames))
     for cut in (1, 3, 4, 7, 4096, 65536, len(stream)):
-        chan = _Inbound(0, None)
+        chan = _Inbound(0)
         got = []
         for off in range(0, len(stream), cut):
             got += chan.frames(stream[off:off + cut])
