@@ -14,7 +14,8 @@
 
 How ranks execute depends on the transport backend (see
 :mod:`repro.ucp.transport`): ``inproc`` (default) and ``asyncio`` run one
-thread per rank over a shared fabric, ``shm`` forks one process per rank
+thread per rank over a shared fabric (threads of the process that outlive
+the job and take the next job's ranks), ``shm`` forks one process per rank
 with shared-memory arenas.  Exceptions in any rank abort the job and are
 re-raised as :class:`~repro.errors.RuntimeAbort` with all per-rank
 failures attached.  A wall-clock ``timeout`` converts distributed
@@ -30,7 +31,7 @@ from typing import Any, Callable, Optional, Sequence
 from ..errors import RankCrashError, RuntimeAbort  # noqa: F401  (re-export)
 from ..ucp.context import Fabric, UcpConfig
 from ..ucp.faults import FaultPlan, ReliabilityConfig
-from ..ucp.netsim import LinkParams
+from ..ucp.netsim import DEFAULT_PARAMS, LinkParams
 from ..ucp.transport import create_transport
 from .comm import Communicator
 from .engine import EngineConfig
@@ -149,7 +150,7 @@ def run(fn: Callable[[Communicator], Any] | Sequence[Callable[[Communicator], An
     if reliability is not None and not isinstance(reliability,
                                                   ReliabilityConfig):
         reliability = ReliabilityConfig.from_dict(reliability)
-    config = UcpConfig(params=params if params is not None else LinkParams(),
+    config = UcpConfig(params=params if params is not None else DEFAULT_PARAMS,
                        trace_messages=trace_messages,
                        faults=faults, reliability=reliability)
 

@@ -53,6 +53,7 @@ from ..mpi.runtime import JobResult, run
 from ..ucp.memory import MemoryTracker
 from ..ucp.netsim import BudgetedClock
 from ..ucp.transport import TransportUnavailableError, create_transport
+from ..ucp.wire import Latch
 from .metrics import ServiceMetrics
 from .spec import (QUOTA, RETRYABLE, AdmissionError, JobSpec, JobStatus,
                    QuotaPolicy, classify_failure)
@@ -153,7 +154,7 @@ class JobHandle:
         self.spec = spec
         self._lock = threading.Lock()
         self._status = JobStatus.QUEUED
-        self._done = threading.Event()
+        self._done = Latch()
         self._detector = None
         self._kill_reason: Optional[str] = None
         self._error: Optional[BaseException] = None
@@ -192,7 +193,7 @@ class JobHandle:
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job reaches a terminal state."""
-        return self._done.wait(timeout=timeout)
+        return self._done.wait(timeout)
 
     # -- state transitions (service threads) -------------------------------
 

@@ -31,7 +31,8 @@ from . import constants
 from .faults import (FailureDetector, FaultInjector, FaultPlan,
                      ReliabilityConfig, fragment_bounds, fragment_crcs)
 from .memory import MemoryTracker
-from .netsim import DEFAULT_PARAMS, CostModel, LinkParams, VirtualClock
+from .netsim import (DEFAULT_PARAMS, CostModel, LinkParams, VirtualClock,
+                     cost_models)
 from .protocols import WAIT_SEMANTICS, plan_send
 from .tagmatch import PostedRecv, TagMatcher
 from .transitions import crc_reject
@@ -90,8 +91,7 @@ class Fabric:
                 f"got {len(memory_trackers)} warm memory trackers for "
                 f"{nworkers} workers")
         self.config = config
-        self.model = CostModel(config.params)
-        self._intra_model = CostModel(config.params.intra_node_variant())
+        self.model, self._intra_model = cost_models(config.params)
         #: Ranks that raised, crashed or finished, and a fatal abort — on
         #: every fabric (a remote plane swaps in its ``PlaneDetector``).
         self.detector = FailureDetector(nworkers)

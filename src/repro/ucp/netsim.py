@@ -26,6 +26,7 @@ See ``repro.bench.calibration`` for the rationale behind each constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -300,3 +301,11 @@ class CostModel:
     def probe_time(self) -> float:
         """One probe/mprobe round."""
         return self.params.probe_overhead
+
+
+@lru_cache(maxsize=32)
+def cost_models(params: LinkParams) -> tuple[CostModel, CostModel]:
+    """The models of a fabric's inter- and intra-node pairs.  A model is a
+    pure function of its parameters, so every fabric built with equal
+    ``params`` shares one pair."""
+    return CostModel(params), CostModel(params.intra_node_variant())

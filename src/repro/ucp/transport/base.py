@@ -34,12 +34,14 @@ Exits are written once, here, for every backend: a *rank* ends in
 :class:`RankReport`, and :func:`conclude_job` turns the reports into the
 ``JobResult`` or the ``RuntimeAbort``; a *message's* chunks go home through
 :meth:`Transport.release_chunks`.  The drivers (below and in ``shm.py``) keep
-what really differs: how ranks are spawned and joined, and how a report
-reaches the driver.
+what really differs: how ranks are started and joined (rank threads that
+outlive the job, or forked processes), and how a report reaches the driver.
 """
 
 from __future__ import annotations
 
+import _thread
+import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -352,6 +354,66 @@ def conclude_job(reports: Sequence[Optional[RankReport]], fabric,
     )
 
 
+#: Name of a rank thread between ranks.
+PARKED = "mpi-parked"
+_affinity = getattr(os, "sched_getaffinity", None)
+
+
+class _Seat:
+    """One rank thread's mailbox: the driver puts the next rank in
+    ``work`` and releases ``go`` (held while the thread has nothing to do;
+    a raw lock, like :class:`~repro.ucp.wire.Latch`)."""
+
+    __slots__ = ("go", "work")
+
+    def __init__(self):
+        self.go = _thread.allocate_lock()
+        self.go.acquire()
+        self.work = None
+
+
+#: The rank threads of this process that wait for a rank, and the lock
+#: around the list; a forked child starts with neither (its copies name
+#: threads that do not exist there).
+_idle: list[_Seat] = []
+_idle_lock = threading.Lock()
+
+
+def _forget_parked() -> None:
+    global _idle_lock
+    _idle_lock = threading.Lock()
+    with _idle_lock:
+        _idle.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parked)
+
+
+def _rank_thread(seat: _Seat) -> None:
+    """The body of every rank thread: run the ranks handed to ``seat``, one
+    at a time, looking like a fresh thread to each — named for the rank,
+    on the driver's CPUs, holding nothing of the job before it parks again.
+    A rank whose lifecycle raises ends the thread, which rejoins nothing."""
+    me = threading.current_thread()
+    while True:
+        seat.go.acquire()
+        name, cpus, lifecycle, args, done = seat.work
+        seat.work = None
+        try:
+            me.name = name
+            if cpus is not None and _affinity(0) != cpus:
+                os.sched_setaffinity(0, cpus)
+            lifecycle(*args)
+            del lifecycle, args
+            me.name = PARKED
+            with _idle_lock:
+                _idle.append(seat)
+        finally:
+            done.release()
+        del done
+
+
 class ThreadedTransport(Transport):
     """Shared SPMD driver for backends whose ranks are threads.
 
@@ -359,8 +421,11 @@ class ThreadedTransport(Transport):
     single fabric; they differ only in the data plane, which the ``wire``
     hook installs (and ``abandon`` shuts down).  The rank lifecycle,
     teardown and result assembly are :meth:`Transport.run_rank` and the
-    module-level functions above; what is left here is spawning and
-    joining threads under the deadlock timeout.
+    module-level functions above; what is left here is handing ranks to
+    threads and joining them under the deadlock timeout.  Rank threads
+    outlive the job, as an MPI rank outlives its exchanges: one that ends
+    its rank parks until the next job of the process takes it, and a job
+    starts a thread only for a rank no parked thread can take.
     """
 
     def wire(self, fabric: "Fabric") -> None:
@@ -395,17 +460,26 @@ class ThreadedTransport(Transport):
             fabric_hook(fabric)
 
         reports: list[Optional[RankReport]] = [None] * nprocs
-        threads = [threading.Thread(
-            target=self.run_rank, name=f"mpi-rank-{r}", daemon=True,
-            args=(fabric, r, fns[r], engine_config,
-                  partial(reports.__setitem__, r)))
-            for r in range(nprocs)]
-        for t in threads:
-            t.start()
+        with _idle_lock:
+            seats = [_idle.pop() for _ in range(min(nprocs, len(_idle)))]
+        while len(seats) < nprocs:
+            seats.append(_Seat())
+            threading.Thread(target=_rank_thread, args=(seats[-1],),
+                             name=PARKED, daemon=True).start()
+        # A new thread would take on the driver's CPUs; a parked one is
+        # told them.  Each rank's thread releases its ``ended`` lock once
+        # the rank's lifecycle returned.
+        cpus = _affinity(0) if _affinity is not None else None
+        ended = [_thread.allocate_lock() for _ in range(nprocs)]
+        for r, seat in enumerate(seats):
+            ended[r].acquire()
+            seat.work = (f"mpi-rank-{r}", cpus, self.run_rank,
+                         (fabric, r, fns[r], engine_config,
+                          partial(reports.__setitem__, r)), ended[r])
+            seat.go.release()
         deadline = time.monotonic() + timeout
-        for t in threads:
-            t.join(max(deadline - time.monotonic(), 0.0))
-        if any(t.is_alive() for t in threads):
+        if not all(done.acquire(True, max(deadline - time.monotonic(), 0.0))
+                   for done in ended):
             # A rank whose function still runs has no report; one that
             # ended but still takes its frames is reported as it ended
             # (a copy: its thread may still touch the original).  Live

@@ -58,9 +58,10 @@ _msg_ids = _MsgIdAllocator()
 
 class Latch:
     """A one-shot event, the per-message completion signal
-    (``PostedRecv.matched``, ``WireMessage.completed``): one raw lock, held
-    from creation (unless ``preset``) until ``set`` releases it; ``wait``
-    acquires and releases it, so every waiter passes.  ``_thread``, not
+    (``PostedRecv.matched``, ``WireMessage.completed``) and a served job's
+    (``JobHandle._done``): one raw lock, held from creation (unless
+    ``preset``) until ``set`` releases it; ``wait`` acquires and releases
+    it, so every waiter passes.  ``_thread``, not
     ``threading.Lock``: another thread releases it, and it guards nothing
     the lockset witness could check.  An event that is cleared and set
     again (``TagMatcher.arrival``) stays a ``threading.Event``.

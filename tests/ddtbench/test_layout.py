@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.core.planir import (GATHER_MIN_CALLS, MIN_REPS, StridedLoop,
@@ -197,4 +197,8 @@ class TestProperties:
         ("overlapping", "ordered"),
     ], ids=str)
     def test_the_strategy_reaches_every_kernel(self, shape, kernel):
-        find(layouts(shape), lambda lay: kernel in kernels(lay))
+        # Only that an example exists is asserted: search with find's own
+        # budget, but don't shrink what it found.
+        find(layouts(shape), lambda lay: kernel in kernels(lay),
+             settings=settings(max_examples=2000, phases=[Phase.generate],
+                               database=None))

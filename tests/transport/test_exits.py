@@ -31,6 +31,7 @@ from repro.ucp.constants import pack_tag
 from repro.ucp.dtypes import IovData
 from repro.ucp.memory import MemoryTracker
 from repro.ucp.transport import available_transports
+from repro.ucp.transport.base import PARKED
 
 from .conftest import books, require_backend
 
@@ -281,6 +282,11 @@ def _fabric_threads():
             if t.name.startswith(("mpi-rank-", "ucp-"))}
 
 
+def _parked_threads():
+    """Rank threads waiting for their next rank (they outlive the job)."""
+    return {t for t in threading.enumerate() if t.name == PARKED}
+
+
 def _run_cell(backend, message_exit, rank_exit):
     """One job; returns (outcome, ledger) with ``ledger`` the per-rank
     ``(pool outstanding, tracker live_bytes)`` where the backend lets the
@@ -316,7 +322,7 @@ def _run_cell(backend, message_exit, rank_exit):
                                        if not r.startswith("timeout")])
 @pytest.mark.parametrize("message_exit", MESSAGE_EXITS)
 def test_exit_matrix(message_exit, rank_exit, segments):
-    before = _fabric_threads()
+    before, parked = _fabric_threads(), _parked_threads()
     reference = None
     for backend in BACKENDS:
         outcome, ledger = _run_cell(backend, message_exit, rank_exit)
@@ -325,6 +331,9 @@ def test_exit_matrix(message_exit, rank_exit, segments):
         assert ledger is None or ledger == [(0, 0), (0, 0)], \
             f"{backend}: (outstanding, live_bytes) per rank = {ledger}"
         assert _fabric_threads() - before == set(), backend
+        # The idle set is bounded by the peak number of concurrent ranks:
+        # one 2-rank job at a time adds at most its two threads.
+        assert len(_parked_threads() - parked) <= 2, backend
         assert multiprocessing.active_children() == [], backend
         assert [n for n in segments
                 if os.path.exists(f"/dev/shm/{n.lstrip('/')}")] == []

@@ -157,7 +157,9 @@ def test_progress_without_parking(remote_backend, spinner):
 
 def test_a_remote_rank_runs_no_helper_thread(remote_backend):
     """Nobody reads frames for a rank: an shm rank process runs one
-    thread, and the threads an asyncio job adds are its ranks'."""
+    thread, and every thread alive during an asyncio job either existed
+    before it or is one of its ranks (rank threads outlive their jobs, so
+    the ranks may run on threads that existed before)."""
     before = set(threading.enumerate())
 
     def fn(comm):
@@ -165,15 +167,18 @@ def test_a_remote_rank_runs_no_helper_thread(remote_backend):
         req = comm.isend(np.arange(4, dtype=np.int64), peer, TAG)
         comm.recv(np.zeros(4, np.int64), peer, TAG)
         req.wait()
-        return threading.active_count(), sorted(
-            t.name for t in set(threading.enumerate()) - before)
+        me = threading.current_thread()
+        return threading.active_count(), (me.ident, me.name), {
+            t.ident for t in set(threading.enumerate()) - before}
 
     res = run(fn, nprocs=2, transport=remote_backend, timeout=60)
     if remote_backend == "shm":
-        assert [count for count, _ in res.results] == [1, 1], res.results
+        assert [count for count, _, _ in res.results] == [1, 1], res.results
     else:
-        assert [names for _, names in res.results] == \
-            [["mpi-rank-0", "mpi-rank-1"]] * 2, res.results
+        ranks = dict(rank for _, rank, _ in res.results)
+        assert sorted(ranks.values()) == ["mpi-rank-0", "mpi-rank-1"]
+        assert all(new <= ranks.keys() for _, _, new in res.results), \
+            res.results
 
 
 def test_only_the_ranks_own_thread_takes_its_frames(remote_backend):
